@@ -12,7 +12,6 @@ import os
 import platform
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,16 +80,17 @@ def nproc() -> int:
         return os.cpu_count() or 1
 
 
-def reference_loop_ms() -> float:
-    """Milliseconds for a fixed pure-Python loop.  It gauges how fast the
-    machine runs Python at the moment, so that a run on a busy shared
-    machine can be told from a slow program: /proc/loadavg inside a virtual
-    machine does not show the load of its neighbours."""
-    t0 = time.perf_counter()
-    acc = 0
-    for i in range(200_000):
-        acc += i * i % 7
-    return (time.perf_counter() - t0) * 1e3
+def pin_to_current_cpu() -> None:
+    """Keep this process, and the processes it starts, on the CPU it runs
+    on now, so that gauge samples and measured work share one CPU (the
+    virtual CPUs of a shared machine change speed independently).  Does
+    nothing where the kernel does not report the CPU."""
+    try:
+        with open("/proc/self/stat", encoding="ascii") as fh:
+            cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
+        os.sched_setaffinity(0, {cpu})
+    except (OSError, ValueError, IndexError, AttributeError):
+        pass
 
 
 def env_stamp() -> dict:

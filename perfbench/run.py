@@ -8,14 +8,16 @@ verdict is back, as a user at the CLI or in a notebook does.  Every op's
 output is checked against its known answer outside the timed interval; a
 failed check counts into `failed` and never stops the run.
 
---trace 0 runs whole cycles of the workload's inputs until the ops have
-taken S seconds, with fresh-process set-up and CLI runs in between, and
-reports the end-to-end metrics.  --trace 1 first runs the workload
-untraced for S/2 seconds, then with spans around each module's entry
-points for S/2 seconds, then the rewrite-scale family k = 2..10, and
-reports the per-layer metrics per cycle (one pass over the workload's
-inputs).  It checks that both halves give the same verdicts and output
-digests and that every traced cycle repeats the same counts.
+--trace 0 runs whole cycles of the workload's inputs for S seconds of wall
+time, with fresh-process set-up and CLI runs spread over them, and reports
+the end-to-end metrics.  Every time is scaled to one machine speed by the
+gauge of gauge.py, sampled between ops; the raw figures are printed too.
+--trace 1 first runs the workload untraced for S/2 seconds, then with
+spans around each module's entry points for S/2 seconds, then the
+rewrite-scale family k = 2..10, and reports the per-layer metrics per
+cycle (one pass over the workload's inputs).  It checks that both halves
+give the same verdicts and output digests and that every traced cycle
+repeats the same counts.
 
 The lines before the last are for people (environment stamp, every metric
 with its unit and notes).  The last line is one JSON object with the keys
@@ -36,9 +38,11 @@ import traceback
 from dataclasses import dataclass, field
 
 import checkout
+from gauge import Gauge
 
 SETUP_PROBES = 5   # --trace 1: for the set-up figures of the per-layer report
 PROBE_PAIRS = 11   # --trace 0: set-up and CLI runs, alternating over the timed phase
+PROBE_GAUGE_SAMPLES = 3   # gauge samples just before, and again just after, each probe
 WARMUP_S = 0.3
 CLI_MAIN = "import sys; from symcomp.cli import main; sys.exit(main())"
 PROBE_TIMEOUT_S = 120
@@ -67,9 +71,10 @@ class Verdicts:
 
 @dataclass
 class Phase:
-    times: list      # seconds per op, in op order
+    times: list      # seconds per op, scaled to the gauge's reference speed
+    raw: list        # seconds per op as measured
     digests: dict    # input index -> output digest
-    cycles: int
+    cycles: int      # whole cycles run
 
 
 def checked(workload, item, run_op):
@@ -98,16 +103,18 @@ def warm_up(workload, verdicts: Verdicts) -> None:
             return
 
 
-def run_phase(workload, seconds: float, verdicts: Verdicts, recorder=None,
-              between_cycles=None) -> Phase:
-    """Closed loop over whole cycles of the inputs until the ops have taken
-    `seconds`; `between_cycles(share)` runs after each cycle with the share
-    of `seconds` used so far."""
-    times: list[float] = []
+def run_phase(workload, seconds: float, verdicts: Verdicts, gauge: Gauge, recorder=None,
+              probes=None) -> Phase:
+    """Closed loop over whole cycles of the inputs for `seconds` of wall
+    time, probes included: the cycle during which time runs out is the
+    last.  `probes` runs the fresh-process probes that fall due as the
+    phase goes on.  The gauge is sampled between ops, and each op time is
+    scaled by the samples taken before and after it."""
+    raw: list[float] = []
+    before: list[int] = []
     digests: dict[int, str] = {}
     n = len(workload.inputs)
     cycles = 0
-    busy = 0.0
     op = workload.op
     if recorder is not None:
         def op(item, _op=workload.op):
@@ -116,20 +123,23 @@ def run_phase(workload, seconds: float, verdicts: Verdicts, recorder=None,
                 return _op(item)
             finally:
                 recorder.active = False
-    while busy < seconds:
+    start = time.perf_counter()
+    while time.perf_counter() - start < seconds:
         for idx, item in enumerate(workload.inputs):
             if recorder is not None:
                 recorder.op = cycles * n + idx
+            before.append(gauge.tick())
             elapsed, ok, digest, error = checked(workload, item, op)
-            times.append(elapsed)
-            busy += elapsed
+            raw.append(elapsed)
             if digests.setdefault(idx, digest) != digest:
                 ok = False
             verdicts.record(ok, f"op {idx} of cycle {cycles}", error)
+            if probes is not None:
+                probes.run_due((time.perf_counter() - start) / seconds)
         cycles += 1
-        if between_cycles is not None:
-            between_cycles(busy / seconds)
-    return Phase(times, digests, cycles)
+    gauge.sample()
+    times = [t * gauge.scale(j, j + 1) for t, j in zip(raw, before)]
+    return Phase(times, raw, digests, cycles)
 
 
 def percentile(times: list[float], pct: float) -> tuple[float, int]:
@@ -143,30 +153,36 @@ class Probes:
     """Fresh-process measurements: set-up of the workload, and `symcomp paper
     --all` checked against its reference stdout.  `run_due` spreads them over
     the timed phase, so that they sample the machine over the same stretch
-    of time as the ops do."""
+    of time as the ops do; each is scaled by the median of the gauge samples
+    taken just before and just after it."""
 
     def __init__(self, workload: str, seed: int, reference: bytes, verdicts: Verdicts,
-                 plan: list[str]):
+                 gauge: Gauge, plan: list[str]):
         self.workload = workload
         self.seed = seed
         self.reference = reference
         self.verdicts = verdicts
+        self.gauge = gauge
         self.plan = plan          # "setup" and "cli", in the order to run them
         self.setup: list[dict] = []
-        self.cli: list[float] = []
-        self.gauge: list[float] = []  # checkout.reference_loop_ms at each probe
+        self.cli: list[float] = []       # scaled seconds
+        self.cli_raw: list[float] = []
 
     def run_due(self, share: float) -> None:
         """Run the probes of the plan that fall within `share` of it."""
         due = min(len(self.plan), math.floor(share * len(self.plan)))
         while len(self.setup) + len(self.cli) < due:
-            self.gauge.append(checkout.reference_loop_ms())
-            if self.plan[len(self.setup) + len(self.cli)] == "setup":
-                self._setup()
+            kind = self.plan[len(self.setup) + len(self.cli)]
+            first = self.gauge.sample(PROBE_GAUGE_SAMPLES) - PROBE_GAUGE_SAMPLES + 1
+            raw = self._setup() if kind == "setup" else self._cli()
+            last = self.gauge.sample(PROBE_GAUGE_SAMPLES)
+            scaled = raw * self.gauge.scale(first, last)
+            if kind == "setup":
+                self.setup[-1]["setup_s"] = scaled
             else:
-                self._cli()
+                self.cli.append(scaled)
 
-    def _setup(self) -> None:
+    def _setup(self) -> float:
         spawn_ns = time.clock_gettime_ns(time.CLOCK_MONOTONIC)
         proc = subprocess.run(
             [sys.executable, str(checkout.ROOT / "perfbench" / "setup_probe.py"),
@@ -176,27 +192,29 @@ class Probes:
             sys.stderr.write(proc.stderr)
             raise SystemExit(f"perfbench: set-up of {self.workload} failed")
         probe = json.loads(proc.stdout.strip().splitlines()[-1])
-        probe["setup_s"] = (probe["ready_ns"] - spawn_ns) / 1e9
+        probe["setup_raw_s"] = (probe["ready_ns"] - spawn_ns) / 1e9
         self.setup.append(probe)
+        return probe["setup_raw_s"]
 
-    def _cli(self) -> None:
+    def _cli(self) -> float:
         t0 = time.perf_counter()
         proc = subprocess.run([sys.executable, "-c", CLI_MAIN, "paper", "--all",
                                "--seed", str(self.seed)],
                               cwd=checkout.ROOT, env=checkout.child_env(),
                               capture_output=True, timeout=PROBE_TIMEOUT_S)
-        self.cli.append(time.perf_counter() - t0)
+        self.cli_raw.append(time.perf_counter() - t0)
         ok = proc.returncode == 0 and proc.stdout == self.reference
         if not ok:
             sys.stderr.write(proc.stderr.decode(errors="replace"))
-        self.verdicts.record(ok, f"cli paper --all run {len(self.cli)}")
+        self.verdicts.record(ok, f"cli paper --all run {len(self.cli_raw)}")
+        return self.cli_raw[-1]
 
     def median(self, key: str) -> float:
         return statistics.median(p[key] for p in self.setup)
 
 
-def end_to_end(args, workload, probes: Probes, verdicts: Verdicts):
-    phase = run_phase(workload, args.seconds, verdicts, between_cycles=probes.run_due)
+def end_to_end(args, workload, probes: Probes, verdicts: Verdicts, gauge: Gauge):
+    phase = run_phase(workload, args.seconds, verdicts, gauge, probes=probes)
     probes.run_due(1.0)
     times = phase.times
     tail, beyond = percentile(times, workload.tail_pct)
@@ -220,17 +238,26 @@ def end_to_end(args, workload, probes: Probes, verdicts: Verdicts):
     if workload.trials_per_op:
         extras["trials_per_s"] = (workload.trials_per_op * len(times) / busy, "1/s",
                                   f"{workload.trials_per_op} exact evaluations per op")
+    raw = "as measured, not scaled"
+    extras.update({
+        "raw.setup_s": (probes.median("setup_raw_s"), "s", raw),
+        "raw.op_p50_ms": (statistics.median(phase.raw) * 1e3, "ms", raw),
+        "raw.op_tail_ms": (percentile(phase.raw, workload.tail_pct)[0] * 1e3, "ms", raw),
+        "raw.ops_per_s": (len(phase.raw) / sum(phase.raw), "1/s", raw),
+        "raw.cli_paper_s": (statistics.median(probes.cli_raw), "s", raw),
+    })
     return metrics, notes, extras
 
 
-def per_layer(args, workload, probes: Probes, verdicts: Verdicts, recorder):
+def per_layer(args, workload, probes: Probes, verdicts: Verdicts, gauge: Gauge,
+              recorder):
     import tracing
     import workloads
 
     probes.run_due(1.0)
-    untraced = run_phase(workload, args.seconds / 2, verdicts)
+    untraced = run_phase(workload, args.seconds / 2, verdicts, gauge)
     recorder.install()
-    traced = run_phase(workload, args.seconds / 2, verdicts, recorder)
+    traced = run_phase(workload, args.seconds / 2, verdicts, gauge, recorder)
     for idx in sorted(untraced.digests.keys() & traced.digests.keys()):
         verdicts.record(untraced.digests[idx] == traced.digests[idx],
                         f"traced and untraced digests of input {idx}")
@@ -268,7 +295,7 @@ def per_layer(args, workload, probes: Probes, verdicts: Verdicts, recorder):
     metrics["trace.overhead_ms"] = (statistics.median(traced.times)
                                     - statistics.median(untraced.times)) * 1e3
     notes = {
-        "trace.overhead_ms": f"traced minus untraced op_p50_ms "
+        "trace.overhead_ms": f"traced minus untraced op_p50_ms, scaled "
                              f"({len(traced.times)} and {len(untraced.times)} ops)",
         "cli.import_s": f"medians of {len(probes.setup)} fresh processes",
     }
@@ -309,11 +336,13 @@ def main(argv=None) -> int:
         ap.error("--seconds must be positive")
 
     stamp = checkout.env_stamp()
+    checkout.pin_to_current_cpu()
     workload = workloads.build(args.workload, args.seed)
     verdicts = Verdicts()
+    gauge = Gauge()
     plan = ["setup"] * SETUP_PROBES if args.trace else ["setup", "cli"] * PROBE_PAIRS
     probes = Probes(args.workload, args.seed,
-                    (workloads.REFERENCE / "paper_all.txt").read_bytes(), verdicts, plan)
+                    (workloads.REFERENCE / "paper_all.txt").read_bytes(), verdicts, gauge, plan)
     warm_up(workload, verdicts)
 
     recorder = None
@@ -321,11 +350,13 @@ def main(argv=None) -> int:
         import tracing
 
         recorder = tracing.Recorder()
-        metrics, notes, extras = per_layer(args, workload, probes, verdicts, recorder)
+        metrics, notes, extras = per_layer(args, workload, probes, verdicts, gauge,
+                                           recorder)
     else:
-        metrics, notes, extras = end_to_end(args, workload, probes, verdicts)
+        metrics, notes, extras = end_to_end(args, workload, probes, verdicts, gauge)
     stamp["loadavg_end"] = checkout.loadavg()
-    stamp["reference_loop_ms"] = statistics.median(probes.gauge)
+    stamp["gauge_ms"] = gauge.median()
+    stamp["gauge_samples"] = len(gauge.samples)
 
     tag = f"{args.workload}-seed{args.seed}-trace{args.trace}"
     print(f"perfbench {tag} seconds={args.seconds:g}")

@@ -5,8 +5,9 @@
 Prints one JSON line: the system-wide monotonic clock (ns) at the moment
 the first op could start, and the seconds spent importing `symcomp.cli`,
 compiling the rule catalog, parsing the built-in session scripts and
-making the inputs.  `run.py` starts this several times and takes the
-median of ready time minus spawn time as `setup_s`.
+making the inputs.  `run.py` starts this several times, scales each
+ready time minus spawn time with the gauge (see gauge.py) and takes the
+median as `setup_s`.
 """
 import argparse
 import json

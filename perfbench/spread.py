@@ -6,7 +6,8 @@ run-to-run spread.
 
 Prints, per run, every metric of the last JSON line of `run.py` and the
 figures it prints but keeps out of that line (`fail_ratio` with its
-counts, and `trials_per_s` where the workload has one).  Then, per
+counts, `trials_per_s` where the workload has one, and the unscaled
+`raw.*` times).  Then, per
 workload and metric: the median of the runs, the quartiles as
 `statistics.quantiles(values, n=4)` gives them, and the spread,
 (Q3 - Q1) / median.  Exits 1 if any run is not correct.  The results of
