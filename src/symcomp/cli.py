@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import Env, SymbolTable, canonicalize
+from .core import SCALAR, VECTOR, Env, SymbolTable, canonicalize
 from .errors import SymcompError
 from .oracle import check_identity
 from .parser import parse_expr, parse_script
@@ -25,6 +25,7 @@ from .rawexpr import idents
 from .sessions import (
     SessionReport,
     builtin_session_names,
+    golden_loader,
     run_builtin_session,
     run_session,
 )
@@ -82,18 +83,9 @@ def _cmd_run(args, seed: int, out) -> int:
     path = Path(args.path)
     text = path.read_text(encoding="utf-8")
     session = parse_script(text, path.stem)
-    goldens_dir = path.parent / "goldens"
-
-    def goldens(name: str) -> str:
-        for suffix in (".expr", ".json"):
-            candidate = goldens_dir / (name + suffix)
-            if candidate.is_file():
-                return candidate.read_text(encoding="utf-8")
-        raise SymcompError(f"missing golden {name!r} under {goldens_dir}")
-
     trace = (lambda line: out.write(line + "\n")) if args.verbose else None
-    report = run_session(session, goldens=goldens, seed=seed,
-                         default_trials=args.trials, trace=trace)
+    report = run_session(session, goldens=golden_loader(path.parent / "goldens"),
+                         seed=seed, default_trials=args.trials, trace=trace)
     _emit_report(report, args.json, out)
     return 0 if report.passed else 1
 
@@ -134,7 +126,7 @@ def _cmd_oracle(args, seed: int, out) -> int:
     for node in idents(raw):
         if symbols.sort_of(node.name) is None:
             symbols.declare(node.name,
-                            "scalar" if node.name in GREEK_SCALARS else "vector")
+                            SCALAR if node.name in GREEK_SCALARS else VECTOR)
     value = canonicalize(raw, Env(symbols))
     report = check_identity(value, args.trials, seed)
     if args.json:

@@ -475,15 +475,6 @@ def canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
     raise ExprTypeError(f"unsupported raw node {type(raw).__name__}")
 
 
-def word_order(a: Word, b: Word) -> int:
-    """Total order on dot-words: leaf count, then structure, then symbols."""
-    if a.key < b.key:
-        return -1
-    if a.key > b.key:
-        return 1
-    return 0
-
-
 def atom_order(a: Atom | Word, b: Atom | Word) -> int:
     """Total order on atoms (symbol < q < b) and on dot-words."""
     if isinstance(a, Word) != isinstance(b, Word):

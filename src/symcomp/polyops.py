@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 from . import rawexpr as rx
 from .core import (
+    SCALAR,
+    VECTOR,
     Env,
     Expr,
     Monomial,
@@ -30,9 +32,6 @@ from .core import (
 )
 from .errors import ExprTypeError
 from .printer import print_expr
-
-SCALAR = "scalar"
-VECTOR = "vector"
 
 
 def _subst_word(w: Word, bindings: dict[str, VectorExpr]) -> VectorExpr:

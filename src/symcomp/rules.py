@@ -18,11 +18,15 @@ Application strategy (deterministic): ``apply_once`` visits the
 monomials/terms of a canonical value in canonical order; within each it
 visits rewrite sites -- dot-subtrees outermost-first (the term's own word,
 then inside q/b atom arguments in atom order), then whole atoms in atom
-order, then ordered pairs of distinct b atoms.  At each site the rules of
-the set are tried in listing order; the first match anywhere in a
-monomial rewrites that site, the produced fragment is left untouched for
-the rest of the pass, and scanning continues with the next monomial.
+order, then ordered pairs of distinct exponent-1 b atoms.  This order is
+defined in one place, the site enumerator ``_sites``.  At each site the
+rules of that site's kind are tried in listing order (on an atom of
+exponent >= 2, power rules before atom rules); the first match anywhere
+in a monomial rewrites that site, the produced fragment is left untouched
+for the rest of the pass, and scanning continues with the next monomial.
 ``apply_fixpoint`` iterates passes until the canonical form stabilizes.
+The public ``match`` binds with the same per-site matcher, ``_bind``, and
+takes product-rule pairs from the same enumerator.
 """
 from __future__ import annotations
 
@@ -232,48 +236,89 @@ def match(rule: RewriteRule, site) -> dict[str, Word] | None:
     """First binding of a rule against a site, or None.
 
     Site kinds: a Word for dot rules, an Atom (or (Atom, exponent) pair)
-    for atom and power rules, a monomial for product rules.
+    for atom and power rules, a monomial for product rules.  Binding is
+    done by the engine's own matcher; a product rule tries the monomial's
+    b-atom pairs in the engine's site order.
     """
-    binds: dict[str, Word] = {}
-    if rule.kind == "dot":
-        return binds if match_word(rule.lhs, site, binds) else None
-    if rule.kind == "atom":
-        atom = site[0] if isinstance(site, tuple) else site
-        return binds if match_atom(rule.lhs, atom, binds) else None
-    if rule.kind == "power":
-        if not (isinstance(site, tuple) and len(site) == 2):
-            return None
-        atom, exp = site
-        if exp != rule.power:
-            return None
-        return binds if match_atom(rule.lhs, atom, binds) else None
-    if rule.kind == "product":
-        for a1, a2 in _b_pairs(site):
-            binds = {}
-            if match_atom(rule.lhs, a1, binds) and match_atom(rule.lhs2, a2, binds):
-                return binds
-        return None
+    if rule.kind in ("dot", "atom", "power"):
+        return _bind(rule, (site, 1) if isinstance(site, Atom) else site)
+    for _, pair, _ in _sites(site, None, _split_rules((rule,))):
+        binds = _bind(rule, pair)
+        if binds is not None:
+            return binds
     return None
 
 
-def _b_pairs(mono: Monomial):
-    """Ordered pairs of distinct exponent-1 b atoms, in atom order."""
-    bs = [atom for atom, exp in mono if atom.is_b and exp == 1]
-    for i, a1 in enumerate(bs):
-        for j, a2 in enumerate(bs):
-            if i != j:
-                yield a1, a2
+def _bind(rule: RewriteRule, subject) -> dict[str, Word] | None:
+    """Bind a rule at one site of its kind: a Word for dot rules, an
+    (Atom, exponent) entry for atom and power rules, an (Atom, Atom) pair
+    for product rules."""
+    binds: dict[str, Word] = {}
+    kind = rule.kind
+    if kind == "dot":
+        ok = match_word(rule.lhs, subject, binds)
+    elif kind == "product":
+        ok = match_atom(rule.lhs, subject[0], binds) and match_atom(rule.lhs2, subject[1], binds)
+    else:
+        atom, exp = subject
+        ok = (kind == "atom" or exp == rule.power) and match_atom(rule.lhs, atom, binds)
+    return binds if ok else None
 
 
 # --- application ------------------------------------------------------------
 
 
-def _dot_sites(word: Word, path: tuple = ()):
-    if word.is_leaf:
-        return
-    yield path, word
-    yield from _dot_sites(word.left, path + (0,))
-    yield from _dot_sites(word.right, path + (1,))
+def _split_rules(rules) -> tuple:
+    """The rules to try at each site kind, in listing order: dot sites,
+    atoms of exponent 1, atoms of a higher exponent (power rules take
+    precedence over atom rules there), and b-atom pairs."""
+    dot_rules = tuple(r for r in rules if r.kind == "dot")
+    atom_rules = tuple(r for r in rules if r.kind == "atom")
+    power_rules = tuple(r for r in rules if r.kind == "power")
+    product_rules = tuple(r for r in rules if r.kind == "product")
+    return dot_rules, atom_rules, power_rules + atom_rules, product_rules
+
+
+def _sites(mono: Monomial, word: Word | None, split: tuple):
+    """Rewrite sites of one monomial (or vector term `word` times `mono`),
+    in strategy order, each with the rules to try there.
+
+    Yields `(rules, subject, (drop, argpos, path))`.  The order is:
+    dot-subtrees outermost first, of the term word, then of the q/b
+    arguments in atom order; then atoms in atom order; then ordered pairs
+    of distinct exponent-1 b atoms.  `drop` holds the monomial indices the
+    site replaces (empty for the term word), `argpos` the atom argument
+    and `path` the dot-subtree (0 left, 1 right) of a dot site.  Site kinds
+    with no rules are skipped.
+    """
+    dot_rules, atom_rules, power_then_atom_rules, product_rules = split
+    if dot_rules:
+        roots = [] if word is None else [((), None, word)]
+        for idx, (atom, _) in enumerate(mono):
+            if atom.is_q:
+                roots.append(((idx,), 0, atom.w1))
+            elif atom.is_b:
+                roots += (((idx,), 0, atom.w1), ((idx,), 1, atom.w2))
+        for drop, argpos, root in roots:
+            stack = [((), root)]
+            while stack:
+                path, sub = stack.pop()
+                if sub.is_leaf:
+                    continue
+                yield dot_rules, sub, (drop, argpos, path)
+                stack.append((path + (1,), sub.right))
+                stack.append((path + (0,), sub.left))
+    if power_then_atom_rules:
+        for idx, entry in enumerate(mono):
+            if not entry[0].is_symbol:
+                rules = power_then_atom_rules if entry[1] >= 2 else atom_rules
+                yield rules, entry, ((idx,), None, None)
+    if product_rules:
+        bs = [(idx, atom) for idx, (atom, exp) in enumerate(mono) if atom.is_b and exp == 1]
+        for idx1, a1 in bs:
+            for idx2, a2 in bs:
+                if idx1 != idx2:
+                    yield product_rules, (a1, a2), ((idx1, idx2), None, None)
 
 
 def _graft(word: Word, path: tuple, repl: VectorExpr) -> VectorExpr:
@@ -284,8 +329,25 @@ def _graft(word: Word, path: tuple, repl: VectorExpr) -> VectorExpr:
     return dot(VectorExpr.from_word(word.left), _graft(word.right, path[1:], repl))
 
 
-def _without(mono: Monomial, *indices: int) -> Monomial:
-    return tuple(entry for k, entry in enumerate(mono) if k not in indices)
+def _replace(coeff, mono: Monomial, word: Word | None, loc: tuple,
+             rule: RewriteRule, repl: Expr) -> Expr:
+    """The unit `coeff * mono (* word)` with the site at `loc` replaced by
+    the rule's instantiated right-hand side."""
+    drop, argpos, path = loc
+    if not drop:
+        return _graft(word, path, repl).scaled_by(ScalarExpr({mono: coeff}))
+    atom, exp = mono[drop[0]]
+    if path is not None:
+        if atom.is_q:
+            repl = q_of(_graft(atom.w1, path, repl))
+        elif argpos == 0:
+            repl = b_of(_graft(atom.w1, path, repl), VectorExpr.from_word(atom.w2))
+        else:
+            repl = b_of(VectorExpr.from_word(atom.w1), _graft(atom.w2, path, repl))
+    if rule.kind in ("dot", "atom"):
+        repl = repl ** exp
+    result = ScalarExpr({tuple(e for k, e in enumerate(mono) if k not in drop): coeff}) * repl
+    return result if word is None else VectorExpr.from_word(word).scaled_by(result)
 
 
 def _instantiate(rule: RewriteRule, binds: dict[str, Word], symbols: SymbolTable) -> Expr:
@@ -293,111 +355,35 @@ def _instantiate(rule: RewriteRule, binds: dict[str, Word], symbols: SymbolTable
     return canonicalize(rule.rhs, Env(symbols, bindings))
 
 
-def _scalar_replacement(rule, binds, symbols) -> ScalarExpr:
-    repl = _instantiate(rule, binds, symbols)
-    if not is_scalar(repl):
-        raise EngineError(f"rule {rule.name} must rewrite an atom to a scalar value")
-    return repl
-
-
 def _rewrite_unit(coeff, mono: Monomial, word: Word | None,
-                  rs: RuleSet, symbols: SymbolTable) -> Expr | None:
+                  split: tuple, symbols: SymbolTable) -> Expr | None:
     """First applicable rewrite of one monomial/term, or None."""
-    dot_rules = [r for r in rs.rules if r.kind == "dot"]
-    atom_rules = [r for r in rs.rules if r.kind == "atom"]
-    power_rules = [r for r in rs.rules if r.kind == "power"]
-    product_rules = [r for r in rs.rules if r.kind == "product"]
-
-    def scalar_rest(*drop: int) -> ScalarExpr:
-        return ScalarExpr({_without(mono, *drop): coeff})
-
-    def finish(result: ScalarExpr) -> Expr:
-        if word is None:
-            return result
-        return VectorExpr.from_word(word).scaled_by(result)
-
-    # Dot-subtree sites: the term's own word first, then q/b arguments.
-    if dot_rules:
-        if word is not None:
-            for path, sub in _dot_sites(word):
-                for rule in dot_rules:
-                    binds: dict[str, Word] = {}
-                    if match_word(rule.lhs, sub, binds):
-                        repl = _instantiate(rule, binds, symbols)
-                        if not is_vector(repl):
-                            raise EngineError(
-                                f"rule {rule.name} must rewrite a dot-word to a vector value")
-                        grafted = _graft(word, path, repl)
-                        return grafted.scaled_by(ScalarExpr({mono: coeff}))
-        for idx, (atom, exp) in enumerate(mono):
-            if atom.is_symbol:
+    for rules, subject, loc in _sites(mono, word, split):
+        for rule in rules:
+            binds = _bind(rule, subject)
+            if binds is None:
                 continue
-            args = (atom.w1,) if atom.is_q else (atom.w1, atom.w2)
-            for argpos, argword in enumerate(args):
-                for path, sub in _dot_sites(argword):
-                    for rule in dot_rules:
-                        binds = {}
-                        if not match_word(rule.lhs, sub, binds):
-                            continue
-                        repl = _instantiate(rule, binds, symbols)
-                        if not is_vector(repl):
-                            raise EngineError(
-                                f"rule {rule.name} must rewrite a dot-word to a vector value")
-                        new_arg = _graft(argword, path, repl)
-                        if atom.is_q:
-                            rebuilt = q_of(new_arg)
-                        elif argpos == 0:
-                            rebuilt = b_of(new_arg, VectorExpr.from_word(atom.w2))
-                        else:
-                            rebuilt = b_of(VectorExpr.from_word(atom.w1), new_arg)
-                        return finish(scalar_rest(idx) * rebuilt ** exp)
-
-    # Atom sites (power rules take precedence on power atoms).
-    if atom_rules or power_rules:
-        for idx, (atom, exp) in enumerate(mono):
-            if atom.is_symbol:
-                continue
-            if exp >= 2:
-                for rule in power_rules:
-                    if rule.power != exp:
-                        continue
-                    binds = {}
-                    if match_atom(rule.lhs, atom, binds):
-                        return finish(scalar_rest(idx) * _scalar_replacement(rule, binds, symbols))
-            for rule in atom_rules:
-                binds = {}
-                if match_atom(rule.lhs, atom, binds):
-                    repl = _scalar_replacement(rule, binds, symbols)
-                    return finish(scalar_rest(idx) * repl ** exp)
-
-    # Products of two distinct b atoms.
-    if product_rules:
-        indexed = [(idx, atom) for idx, (atom, exp) in enumerate(mono)
-                   if atom.is_b and exp == 1]
-        for i, (idx1, a1) in enumerate(indexed):
-            for j, (idx2, a2) in enumerate(indexed):
-                if i == j:
-                    continue
-                for rule in product_rules:
-                    binds = {}
-                    if match_atom(rule.lhs, a1, binds) and match_atom(rule.lhs2, a2, binds):
-                        repl = _scalar_replacement(rule, binds, symbols)
-                        return finish(scalar_rest(idx1, idx2) * repl)
+            repl = _instantiate(rule, binds, symbols)
+            if is_vector(repl) != (rule.kind == "dot"):
+                what = "a dot-word to a vector" if rule.kind == "dot" else "an atom to a scalar"
+                raise EngineError(f"rule {rule.name} must rewrite {what} value")
+            return _replace(coeff, mono, word, loc, rule, repl)
     return None
 
 
 def apply_once(e: Expr, rs: RuleSet, symbols: SymbolTable) -> Expr:
     """One deterministic pass: at most one rewrite per monomial/term."""
+    split = _split_rules(rs.rules)
     if is_scalar(e):
         out = ScalarExpr()
         for mono, coeff in e.monomials():
-            result = _rewrite_unit(coeff, mono, None, rs, symbols)
+            result = _rewrite_unit(coeff, mono, None, split, symbols)
             out = out + (result if result is not None else ScalarExpr({mono: coeff}))
         return out
     out = VectorExpr()
     for word, cexpr in e.items():
         for mono, coeff in cexpr.monomials():
-            result = _rewrite_unit(coeff, mono, word, rs, symbols)
+            result = _rewrite_unit(coeff, mono, word, split, symbols)
             if result is None:
                 result = VectorExpr({word: ScalarExpr({mono: coeff})})
             out = out + result
@@ -508,16 +494,11 @@ _BUILTIN_SOURCES: dict[str, list[str]] = {
     ],
 }
 
-_CATALOG_ORDER = list(_BUILTIN_SOURCES)
 _catalog_cache: dict[str, RuleSet] = {}
 
 
 def builtin_ruleset_names() -> frozenset[str]:
     return frozenset(_BUILTIN_SOURCES)
-
-
-def catalog_order() -> list[str]:
-    return list(_CATALOG_ORDER)
 
 
 def builtin_ruleset(name: str) -> RuleSet:

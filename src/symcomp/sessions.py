@@ -288,17 +288,22 @@ def load_builtin_session(name: str) -> Session:
     return cached
 
 
-def builtin_golden_loader() -> GoldenLoader:
-    base = _data_dir().joinpath("goldens")
+def golden_loader(base) -> GoldenLoader:
+    """Goldens under `base` (a Path or an importlib Traversable):
+    NAME.expr, else NAME.json."""
 
     def load(name: str) -> str:
         for suffix in (".expr", ".json"):
             candidate = base.joinpath(name + suffix)
             if candidate.is_file():
                 return candidate.read_text(encoding="utf-8")
-        raise EngineError(f"missing golden {name!r}")
+        raise EngineError(f"missing golden {name!r} under {base}")
 
     return load
+
+
+def builtin_golden_loader() -> GoldenLoader:
+    return golden_loader(_data_dir().joinpath("goldens"))
 
 
 def run_builtin_session(name: str, *, seed: int = 42, default_trials: int = 100,

@@ -2,6 +2,8 @@
 import io
 import json
 
+import pytest
+
 from symcomp.cli import main
 
 Z_SCRIPT = """
@@ -172,3 +174,16 @@ def test_run_script_missing_golden(tmp_path, capsys):
     code, _ = run_cli("run", str(path))
     assert code == 2
     assert "missing golden" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("(X.Y).X -> q(X)", "rule r#1 must rewrite a dot-word to a vector value"),
+    ("q(X) -> X", "rule r#1 must rewrite an atom to a scalar value"),
+])
+def test_run_script_rule_with_wrong_sort_replacement(tmp_path, capsys, rule, message):
+    path = tmp_path / "sort.scs"
+    path.write_text(f"vectors x, y;\nrule r: {rule};\n"
+                    "let e = q((x.y).x);\nlet f = apply(e, r, once);\n")
+    code, _ = run_cli("run", str(path))
+    assert code == 2
+    assert message in capsys.readouterr().err

@@ -203,6 +203,21 @@ def test_product_pattern_uses_first_pair_in_atom_order(xy):
     assert equal(got, expected)
 
 
+@pytest.mark.parametrize("source, expected", [
+    # a dot site inside a b argument comes before the atom site, which
+    # would give q(x.y)*b(x,z)
+    ("b((x.y).x, (x.y).z)", "q(x)*b(y, (x.y).z)"),
+    # the term word's dot sites come before those inside atom arguments
+    ("((x.y).x)*q((y.z).y)", "q(x)*q((y.z).y)*y"),
+    # an atom site comes before the b-pair sites
+    ("b(x.y, x.z)*b(y,z)", "q(x)*b(y,z)^2"),
+])
+def test_site_order_at_each_site_kind_boundary(xyz, source, expected):
+    rules1 = builtin_ruleset("rules1")
+    got = apply_once(xyz.canon(source), rules1, xyz.table)
+    assert equal(got, xyz.canon(expected))
+
+
 def test_fixpoint_preserves_oracle_value_on_random_expressions():
     # differential check across the whole catalog
     from helpers import Ctx, random_raw, random_ctx_assignment
