@@ -189,6 +189,18 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(out)
 
 
+def add_terms(out: dict, terms: dict) -> dict:
+    """Add the monomial -> coefficient dict `terms` into `out` in place,
+    dropping coefficients that cancel to zero; returns `out`."""
+    for m, c in terms.items():
+        acc = out.get(m, ZERO) + c
+        if acc:
+            out[m] = acc
+        else:
+            out.pop(m, None)
+    return out
+
+
 def mono_key(m: Monomial):
     """Graded-lexicographic sort key: total degree, then atom keys."""
     return (sum(e for _, e in m), tuple((a.key, e) for a, e in m))
@@ -222,14 +234,7 @@ class ScalarExpr:
         return isinstance(other, ScalarExpr) and self.terms == other.terms
 
     def __add__(self, other: "ScalarExpr") -> "ScalarExpr":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m, ZERO) + c
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
-        return ScalarExpr(out)
+        return ScalarExpr(add_terms(dict(self.terms), other.terms))
 
     def __neg__(self) -> "ScalarExpr":
         return ScalarExpr({m: -c for m, c in self.terms.items()})
@@ -265,8 +270,13 @@ class ScalarExpr:
         if n < 0:
             raise ExprTypeError("negative powers are not supported")
         acc = ScalarExpr.const(1)
-        for _ in range(n):
-            acc = acc * self
+        base = self
+        while n:
+            if n & 1:
+                acc = acc * base
+            n >>= 1
+            if n:
+                base = base * base
         return acc
 
     def __repr__(self):
@@ -366,11 +376,12 @@ def dot(u: VectorExpr, v: VectorExpr) -> VectorExpr:
 
 def b_of(u: VectorExpr, v: VectorExpr) -> ScalarExpr:
     """Bilinear extension of the b atom; argument order is preserved."""
-    out = ScalarExpr()
+    out: dict = {}
+    v_items = v.items()
     for w1, c1 in u.items():
-        for w2, c2 in v.items():
-            out = out + (c1 * c2) * ScalarExpr.from_atom(Atom.b(w1, w2))
-    return out
+        for w2, c2 in v_items:
+            add_terms(out, ((c1 * c2) * ScalarExpr.from_atom(Atom.b(w1, w2))).terms)
+    return ScalarExpr(out)
 
 
 def q_of(v: VectorExpr) -> ScalarExpr:
@@ -381,12 +392,12 @@ def q_of(v: VectorExpr) -> ScalarExpr:
     with the earlier word as the first b argument.
     """
     items = v.items()
-    out = ScalarExpr()
+    out: dict = {}
     for i, (wi, ci) in enumerate(items):
-        out = out + (ci * ci) * ScalarExpr.from_atom(Atom.q(wi))
+        add_terms(out, ((ci * ci) * ScalarExpr.from_atom(Atom.q(wi))).terms)
         for wj, cj in items[i + 1:]:
-            out = out + (ci * cj) * ScalarExpr.from_atom(Atom.b(wi, wj))
-    return out
+            add_terms(out, ((ci * cj) * ScalarExpr.from_atom(Atom.b(wi, wj))).terms)
+    return ScalarExpr(out)
 
 
 class Env:

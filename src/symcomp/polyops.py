@@ -22,6 +22,7 @@ from .core import (
     SymbolTable,
     VectorExpr,
     Word,
+    add_terms,
     b_of,
     canonicalize,
     dot,
@@ -74,7 +75,7 @@ def subst(e: Expr, bindings: dict[str, Expr], symbols: SymbolTable) -> Expr:
     vnames = set(vector_binds)
 
     def subst_scalar(se: ScalarExpr) -> ScalarExpr:
-        out = ScalarExpr()
+        out: dict = {}
         for mono, coeff in se.terms.items():
             acc = ScalarExpr.const(coeff)
             for atom, exp in mono:
@@ -93,15 +94,16 @@ def subst(e: Expr, bindings: dict[str, Expr], symbols: SymbolTable) -> Expr:
                     else:
                         factor = ScalarExpr.from_atom(atom)
                 acc = acc * factor ** exp
-            out = out + acc
-        return out
+            add_terms(out, acc.terms)
+        return ScalarExpr(out)
 
     if is_scalar(e):
         return subst_scalar(e)
-    out = VectorExpr()
+    out: dict = {}
     for word, coeff in e.terms.items():
-        out = out + _subst_word(word, vector_binds).scaled_by(subst_scalar(coeff))
-    return out
+        for w, c in _subst_word(word, vector_binds).scaled_by(subst_scalar(coeff)).terms.items():
+            add_terms(out.setdefault(w, {}), c.terms)
+    return VectorExpr({w: ScalarExpr(t) for w, t in out.items() if t})
 
 
 def subst_raw(e: Expr, raw_bindings: dict[str, rx.RawExpr], symbols: SymbolTable,

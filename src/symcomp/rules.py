@@ -25,6 +25,13 @@ exponent >= 2, power rules before atom rules); the first match anywhere
 in a monomial rewrites that site, the produced fragment is left untouched
 for the rest of the pass, and scanning continues with the next monomial.
 ``apply_fixpoint`` iterates passes until the canonical form stabilizes.
+
+One ``apply_fixpoint`` call memoizes, in a ``RewriteMemo``, each site
+subject's first binding rule with its instantiated right-hand side (or
+no match), and the monomials/terms a pass left unrewritten, which later
+passes skip without scanning their sites.  The memo lives for that call
+only (a direct ``apply_once`` call gets its own), and the result does not
+depend on it.  Each pass accumulates its results in place.
 The public ``match`` binds with the same per-site matcher, ``_bind``, and
 takes product-rule pairs from the same enumerator.
 """
@@ -42,6 +49,7 @@ from .core import (
     SymbolTable,
     VectorExpr,
     Word,
+    add_terms,
     b_of,
     canonicalize,
     dot,
@@ -332,7 +340,8 @@ def _graft(word: Word, path: tuple, repl: VectorExpr) -> VectorExpr:
 def _replace(coeff, mono: Monomial, word: Word | None, loc: tuple,
              rule: RewriteRule, repl: Expr) -> Expr:
     """The unit `coeff * mono (* word)` with the site at `loc` replaced by
-    the rule's instantiated right-hand side."""
+    the rule's instantiated right-hand side.  `repl` comes from the memo
+    and is shared by every rewrite at its site, so it is never mutated."""
     drop, argpos, path = loc
     if not drop:
         return _graft(word, path, repl).scaled_by(ScalarExpr({mono: coeff}))
@@ -355,46 +364,105 @@ def _instantiate(rule: RewriteRule, binds: dict[str, Word], symbols: SymbolTable
     return canonicalize(rule.rhs, Env(symbols, bindings))
 
 
-def _rewrite_unit(coeff, mono: Monomial, word: Word | None,
-                  split: tuple, symbols: SymbolTable) -> Expr | None:
-    """First applicable rewrite of one monomial/term, or None."""
-    for rules, subject, loc in _sites(mono, word, split):
-        for rule in rules:
-            binds = _bind(rule, subject)
-            if binds is None:
-                continue
-            repl = _instantiate(rule, binds, symbols)
-            if is_vector(repl) != (rule.kind == "dot"):
-                what = "a dot-word to a vector" if rule.kind == "dot" else "an atom to a scalar"
-                raise EngineError(f"rule {rule.name} must rewrite {what} value")
-            return _replace(coeff, mono, word, loc, rule, repl)
+class RewriteMemo:
+    """Work shared by the passes of one fixpoint; never changes the result.
+
+    `sites` maps each site subject `_sites` yields (a Word, an (Atom,
+    exponent) entry or an (Atom, Atom) pair) to the first rule that binds
+    there and that rule's instantiated right-hand side, or to None when no
+    rule binds.  `normal` holds the units a pass left unrewritten: a
+    monomial, or a (monomial, word) pair for a vector term.  Both depend
+    only on the rule set and the symbol table, so a memo serves one pair.
+    """
+
+    __slots__ = ("owner", "sites", "normal")
+
+    def __init__(self):
+        self.owner = None
+        self.sites: dict = {}
+        self.normal: set = set()
+
+    def attach(self, rs: RuleSet, symbols: SymbolTable) -> None:
+        """Tie the memo to the first rule set and symbol table it serves;
+        any other pair raises ValueError."""
+        if self.owner is None:
+            self.owner = (rs, symbols)
+        elif self.owner[0] is not rs or self.owner[1] is not symbols:
+            raise ValueError("a rewrite memo serves one rule set and one symbol table")
+
+
+def _first_match(rules, subject, symbols: SymbolTable):
+    """The first rule that binds at a site and its instantiated right-hand
+    side, or None."""
+    for rule in rules:
+        binds = _bind(rule, subject)
+        if binds is None:
+            continue
+        repl = _instantiate(rule, binds, symbols)
+        if is_vector(repl) != (rule.kind == "dot"):
+            what = "a dot-word to a vector" if rule.kind == "dot" else "an atom to a scalar"
+            raise EngineError(f"rule {rule.name} must rewrite {what} value")
+        return rule, repl
     return None
 
 
-def apply_once(e: Expr, rs: RuleSet, symbols: SymbolTable) -> Expr:
-    """One deterministic pass: at most one rewrite per monomial/term."""
+_UNSEEN = object()
+
+
+def _rewrite_unit(coeff, mono: Monomial, word: Word | None,
+                  split: tuple, symbols: SymbolTable, memo: RewriteMemo) -> Expr | None:
+    """First applicable rewrite of one monomial/term, or None.  Site
+    results are looked up in, and recorded into, `memo`."""
+    unit = mono if word is None else (mono, word)
+    if unit in memo.normal:
+        return None
+    sites = memo.sites
+    for rules, subject, loc in _sites(mono, word, split):
+        hit = sites.get(subject, _UNSEEN)
+        if hit is _UNSEEN:
+            hit = sites[subject] = _first_match(rules, subject, symbols)
+        if hit is not None:
+            return _replace(coeff, mono, word, loc, *hit)
+    memo.normal.add(unit)
+    return None
+
+
+def apply_once(e: Expr, rs: RuleSet, symbols: SymbolTable,
+               memo: RewriteMemo | None = None) -> Expr:
+    """One deterministic pass: at most one rewrite per monomial/term.
+
+    `memo` is work shared by the passes of one fixpoint; it never changes
+    the result.  Without one, the pass uses a fresh memo.
+    """
+    if memo is None:
+        memo = RewriteMemo()
+    memo.attach(rs, symbols)
     split = _split_rules(rs.rules)
+    out: dict = {}
     if is_scalar(e):
-        out = ScalarExpr()
         for mono, coeff in e.monomials():
-            result = _rewrite_unit(coeff, mono, None, split, symbols)
-            out = out + (result if result is not None else ScalarExpr({mono: coeff}))
-        return out
-    out = VectorExpr()
+            result = _rewrite_unit(coeff, mono, None, split, symbols, memo)
+            add_terms(out, {mono: coeff} if result is None else result.terms)
+        return ScalarExpr(out)
+    # word -> the terms of its coefficient
     for word, cexpr in e.items():
         for mono, coeff in cexpr.monomials():
-            result = _rewrite_unit(coeff, mono, word, split, symbols)
+            result = _rewrite_unit(coeff, mono, word, split, symbols, memo)
             if result is None:
-                result = VectorExpr({word: ScalarExpr({mono: coeff})})
-            out = out + result
-    return out
+                add_terms(out.setdefault(word, {}), {mono: coeff})
+                continue
+            for w, c in result.terms.items():
+                add_terms(out.setdefault(w, {}), c.terms)
+    return VectorExpr({w: ScalarExpr(t) for w, t in out.items() if t})
 
 
 def apply_fixpoint(e: Expr, rs: RuleSet, symbols: SymbolTable, cap: int = 10000) -> Expr:
-    """Iterate apply_once until the canonical form is unchanged."""
+    """Iterate apply_once until the canonical form is unchanged; the passes
+    share one memo."""
+    memo = RewriteMemo()
     current = e
     for _ in range(cap):
-        nxt = apply_once(current, rs, symbols)
+        nxt = apply_once(current, rs, symbols, memo)
         if equal(nxt, current):
             return current
         current = nxt

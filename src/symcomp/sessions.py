@@ -161,9 +161,10 @@ def run_session(session: Session, *, goldens: GoldenLoader | None = None,
             raise EngineError(f"no goldens directory available for @{name}")
         return goldens(name)
 
-    def emit(text: str):
+    def emit(text: Callable[[], str]):
+        # The line is built only when someone reads the trace.
         if trace is not None:
-            trace(text)
+            trace(text())
 
     for step_index, stmt in enumerate(session.statements):
         try:
@@ -174,29 +175,29 @@ def run_session(session: Session, *, goldens: GoldenLoader | None = None,
                 local_rulesets.setdefault(stmt.set_name, []).append(stmt.rule)
             elif isinstance(stmt, LetExpr):
                 values[stmt.name] = canonicalize(stmt.raw, Env(symbols, values))
-                emit(f"{stmt.name} = {print_expr(values[stmt.name])}")
+                emit(lambda: f"{stmt.name} = {print_expr(values[stmt.name])}")
             elif isinstance(stmt, LetApply):
                 rs = ruleset(stmt.ruleset)
                 source = values[stmt.source]
                 result = apply_once(source, rs, symbols) if stmt.once \
                     else apply_fixpoint(source, rs, symbols)
                 values[stmt.name] = result
-                emit(f"{stmt.name} = {print_expr(result)}")
+                emit(lambda: f"{stmt.name} = {print_expr(result)}")
             elif isinstance(stmt, LetSubst):
                 values[stmt.name] = subst_raw(
                     values[stmt.source], dict(stmt.bindings), symbols,
                     Env(symbols, values))
-                emit(f"{stmt.name} = {print_expr(values[stmt.name])}")
+                emit(lambda: f"{stmt.name} = {print_expr(values[stmt.name])}")
             elif isinstance(stmt, LetCoeff):
                 values[stmt.name] = coeff(values[stmt.source], dict(stmt.key))
-                emit(f"{stmt.name} = {print_expr(values[stmt.name])}")
+                emit(lambda: f"{stmt.name} = {print_expr(values[stmt.name])}")
             elif isinstance(stmt, LetMatrix):
                 matrices[stmt.name] = coeff_matrix(values[stmt.source], stmt.vars)
-                emit(f"{stmt.name} = {matrices[stmt.name].to_json()}")
+                emit(lambda: f"{stmt.name} = {matrices[stmt.name].to_json()}")
             elif isinstance(stmt, Assertion):
                 results.append(_run_assertion(
                     stmt, symbols, values, matrices, golden_text, seed, default_trials))
-                emit(f"{stmt.label}: {'pass' if results[-1].passed else 'FAIL'}")
+                emit(lambda: f"{stmt.label}: {'pass' if results[-1].passed else 'FAIL'}")
             else:
                 raise EngineError(f"unsupported statement {type(stmt).__name__}")
         except SymcompError as err:

@@ -128,3 +128,19 @@ def test_print_reparse_idempotence():
     for _ in range(60):
         value = canonicalize(random_raw(rng, ctx, depth=3), ctx.env)
         assert equal(ctx.canon(print_expr(value)), value)
+
+
+def test_huge_power_is_one_monomial(greek):
+    # square-and-multiply: a million-fold power costs about twenty products
+    value = greek.canon("lambda^1000000")
+    ((mono, coeff),) = value.terms.items()
+    ((atom, exp),) = mono
+    assert (atom.name, exp, coeff) == ("lambda", 1000000, 1)
+
+
+def test_power_equals_repeated_product(greek):
+    base = greek.canon("1 + lambda")
+    product = ScalarExpr.const(1)
+    for k in range(7):
+        assert equal(base ** k, product), k
+        product = product * base

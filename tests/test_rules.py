@@ -7,15 +7,18 @@ from symcomp import (
     apply_fixpoint,
     apply_once,
     builtin_ruleset,
+    canonicalize,
     compile_rule,
     equal,
     match,
     parse_rule_source,
+    rules,
 )
-from symcomp.core import Word
+from symcomp.core import ScalarExpr, VectorExpr, Word
 from symcomp.errors import NonTermination, ParseError, RuleSetUnknown
 from symcomp.oracle import eval_expr, random_assignment
-from symcomp.rules import instantiate_sides, _pattern_vars
+from symcomp.rules import RewriteMemo, instantiate_sides, _pattern_vars
+from helpers import Ctx, random_raw
 
 
 def make_rule(src: str, name: str = "r"):
@@ -262,3 +265,91 @@ def test_rule_soundness_sample(xy):
             diff = lhs - rhs
             value = eval_expr(diff, a)
             assert value == 0 or getattr(value, "is_zero", False), rule.name
+
+
+CATALOG = sorted(rules.builtin_ruleset_names())
+
+
+def scaling_family(k: int, template: str = "b(S, S.S) - 3*q(S)*b(S,S)"):
+    """The template with S a sum of k generic terms a_i*w_i."""
+    ctx = Ctx(scalars=tuple(f"a{i}" for i in range(k)), vectors=("x", "y", "z"))
+    words = ("x", "y", "z", "x.y")[:k]
+    s = " + ".join(f"a{i}*({w})" for i, w in enumerate(words))
+    return ctx, ctx.canon(template.replace("S", f"({s})"))
+
+
+def memo_inputs():
+    ctx = Ctx(scalars=("alpha", "beta"), vectors=("x", "y"))
+    rng = random.Random(987)
+    for _ in range(30):
+        yield ctx, canonicalize(random_raw(rng, ctx, depth=4), ctx.env)
+    for k in range(2, 5):
+        yield scaling_family(k)
+        # vector terms that share a monomial under different words, some
+        # of them in normal form and some not
+        yield scaling_family(k, "(S.S).S - q(S)*S")
+
+
+def fresh_passes(e, rs, symbols, cap=500):
+    """The fixpoint without shared work: public apply_once, each pass with
+    its own memo, until the value stops changing."""
+    for _ in range(cap):
+        nxt = apply_once(e, rs, symbols)
+        if equal(nxt, e):
+            return e
+        e = nxt
+    raise NonTermination(rs.name)
+
+
+def test_fixpoint_memo_gives_the_result_of_fresh_passes():
+    for ctx, e in memo_inputs():
+        for name in CATALOG:
+            rs = builtin_ruleset(name)
+            assert equal(apply_fixpoint(e, rs, ctx.table, cap=500),
+                         fresh_passes(e, rs, ctx.table)), name
+
+
+def units(e):
+    """Each monomial (times its word, for a vector value) as a value alone."""
+    if isinstance(e, ScalarExpr):
+        return [ScalarExpr({mono: c}) for mono, c in e.terms.items()]
+    return [VectorExpr({w: ScalarExpr({mono: c})})
+            for w, cexpr in e.terms.items() for mono, c in cexpr.terms.items()]
+
+
+def test_pass_rewrites_each_unit_as_if_alone():
+    # The memo is shared by all units of a pass; a unit rewritten on its
+    # own, with nothing shared, must come out the same.
+    for ctx, e in memo_inputs():
+        for name in CATALOG:
+            rs = builtin_ruleset(name)
+            alone = [apply_once(u, rs, ctx.table) for u in units(e)]
+            expected = sum(alone[1:], alone[0]) if alone else e
+            assert equal(apply_once(e, rs, ctx.table), expected), name
+
+
+def test_fixpoint_keeps_no_memo_between_calls(monkeypatch):
+    calls = []
+    instantiate = rules._instantiate
+
+    def counting(*args):
+        calls.append(1)
+        return instantiate(*args)
+
+    monkeypatch.setattr(rules, "_instantiate", counting)
+    ctx, e = scaling_family(3)
+    rs = builtin_ruleset("rules2")
+    first = apply_fixpoint(e, rs, ctx.table)
+    first_calls = len(calls)
+    second = apply_fixpoint(e, rs, ctx.table)
+    assert first_calls > 0
+    assert equal(first, second)
+    assert len(calls) == 2 * first_calls
+
+
+def test_memo_serves_one_rule_set(xy):
+    memo = RewriteMemo()
+    e = xy.canon("b(y,x)")
+    apply_once(e, builtin_ruleset("bsym"), xy.table, memo)
+    with pytest.raises(ValueError):
+        apply_once(e, builtin_ruleset("rules1"), xy.table, memo)
