@@ -15,11 +15,17 @@ merged only by explicit rewrite rules.
 The multiplicativity law q(u.v) = q(u) q(v) is an axiom of the algebras
 under study, not a definitional expansion, so canonicalization never
 applies it; it lives in the rule catalog.
+
+Both sorts are walked and rebuilt the same way, unit by unit.  A unit is
+a scalar monomial, or a monomial times one dot-word.  ``units(e)`` yields
+``(word, mono, coeff)`` in storage order, with ``word`` None for a scalar;
+``add_units(out, e)`` adds a value into a ``word -> {mono: coeff}`` map,
+dropping cancelled terms; ``from_units(out, vector)`` rebuilds the value.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from . import rawexpr as rx
 from .errors import ExprTypeError, UnknownSymbol
@@ -193,7 +199,8 @@ def add_terms(out: dict, terms: dict) -> dict:
     """Add the monomial -> coefficient dict `terms` into `out` in place,
     dropping coefficients that cancel to zero; returns `out`."""
     for m, c in terms.items():
-        acc = out.get(m, ZERO) + c
+        acc = out.get(m)
+        acc = c if acc is None else acc + c
         if acc:
             out[m] = acc
         else:
@@ -229,6 +236,10 @@ class ScalarExpr:
 
     def monomials(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
+
+    def by_word(self) -> Iterable[tuple[None, dict]]:
+        """The terms as one `(word, terms)` pair, with no word."""
+        return ((None, self.terms),)
 
     def __eq__(self, other):
         return isinstance(other, ScalarExpr) and self.terms == other.terms
@@ -302,19 +313,16 @@ class VectorExpr:
     def items(self) -> list[tuple[Word, ScalarExpr]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].key)
 
+    def by_word(self) -> Iterable[tuple[Word, dict]]:
+        """`(word, terms of its coefficient)` pairs in storage order."""
+        for w, c in self.terms.items():
+            yield w, c.terms
+
     def __eq__(self, other):
         return isinstance(other, VectorExpr) and self.terms == other.terms
 
     def __add__(self, other: "VectorExpr") -> "VectorExpr":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            acc = c if acc is None else acc + c
-            if acc.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = acc
-        return VectorExpr(out)
+        return from_units(add_units(add_units({}, self), other), True)
 
     def __neg__(self) -> "VectorExpr":
         return VectorExpr({w: -c for w, c in self.terms.items()})
@@ -347,6 +355,29 @@ def is_vector(e: Expr) -> bool:
     return isinstance(e, VectorExpr)
 
 
+def units(e: Expr) -> Iterator[tuple[Word | None, Monomial, Fraction]]:
+    """`(word, mono, coeff)` for each unit of a canonical value, in storage
+    order; `word` is None for a scalar."""
+    for word, terms in e.by_word():
+        for mono, c in terms.items():
+            yield word, mono, c
+
+
+def add_units(out: dict, e: Expr) -> dict:
+    """Add `e` into the `word -> {mono: coeff}` map `out` in place, dropping
+    terms that cancel; a scalar goes under the word None.  Returns `out`."""
+    for word, terms in e.by_word():
+        add_terms(out.setdefault(word, {}), terms)
+    return out
+
+
+def from_units(out: dict, vector: bool) -> Expr:
+    """The value of sort `vector` held in a `word -> {mono: coeff}` map."""
+    if vector:
+        return VectorExpr({w: ScalarExpr(t) for w, t in out.items() if t})
+    return ScalarExpr(out.get(None, {}))
+
+
 def equal(a: Expr, b: Expr) -> bool:
     """Structural equality of canonical forms.
 
@@ -363,23 +394,15 @@ def dot(u: VectorExpr, v: VectorExpr) -> VectorExpr:
     out: dict = {}
     for w1, c1 in u.terms.items():
         for w2, c2 in v.terms.items():
-            w = Word.pair(w1, w2)
-            coeff = c1 * c2
-            acc = out.get(w)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = acc
-    return VectorExpr(out)
+            add_terms(out.setdefault(Word.pair(w1, w2), {}), (c1 * c2).terms)
+    return from_units(out, True)
 
 
 def b_of(u: VectorExpr, v: VectorExpr) -> ScalarExpr:
     """Bilinear extension of the b atom; argument order is preserved."""
     out: dict = {}
-    v_items = v.items()
-    for w1, c1 in u.items():
-        for w2, c2 in v_items:
+    for w1, c1 in u.terms.items():
+        for w2, c2 in v.terms.items():
             add_terms(out, ((c1 * c2) * ScalarExpr.from_atom(Atom.b(w1, w2))).terms)
     return ScalarExpr(out)
 
@@ -499,44 +522,23 @@ def atom_order(a: Atom | Word, b: Atom | Word) -> int:
 
 def scalar_symbols_of(e: Expr) -> set[str]:
     """Names of scalar symbols occurring in a canonical value."""
-    out: set[str] = set()
-    for mono in _all_monomials(e):
-        for atom, _ in mono:
-            if atom.is_symbol:
-                out.add(atom.name)
-    return out
+    return {atom.name for _, mono, _ in units(e) for atom, _ in mono if atom.is_symbol}
 
 
 def vector_symbols_of(e: Expr) -> set[str]:
-    """Names of vector symbols occurring in a canonical value."""
+    """Names of vector symbols occurring in a canonical value: in its
+    dot-words and in the arguments of its q/b atoms."""
+    words: set = set()
+    for word, mono, _ in units(e):
+        words.add(word)
+        for atom, _ in mono:
+            words.update((atom.w1, atom.w2))
+    words.discard(None)
     out: set[str] = set()
-
-    def walk(w: Word):
+    while words:
+        w = words.pop()
         if w.is_leaf:
             out.add(w.name)
         else:
-            walk(w.left)
-            walk(w.right)
-
-    if is_vector(e):
-        for w in e.terms:
-            walk(w)
-        for coeff in e.terms.values():
-            out |= vector_symbols_of(coeff)
-        return out
-    for mono in e.terms:
-        for atom, _ in mono:
-            if atom.w1 is not None:
-                walk(atom.w1)
-            if atom.w2 is not None:
-                walk(atom.w2)
+            words.update((w.left, w.right))
     return out
-
-
-def _all_monomials(e: Expr) -> Iterable[Monomial]:
-    if is_scalar(e):
-        return e.terms.keys()
-    monos = []
-    for coeff in e.terms.values():
-        monos.extend(coeff.terms.keys())
-    return monos

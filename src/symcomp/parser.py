@@ -10,7 +10,9 @@ Expression grammar (whitespace-insensitive, `#` starts a line comment):
              | 'b' '(' expr ',' expr ')' | '(' expr ')'
 
 Only identifiers and parenthesized expressions may be dot operands; the
-product is non-associative, so `a.b.c` is rejected outright.  Greek
+product is non-associative, so `a.b.c` is rejected outright.  Groups nest
+at most MAX_NESTING (100) levels deep, counting each parenthesis, `q(` and
+`b(`; a deeper group is a ParseError at its opening token.  Greek
 glyphs are accepted as synonyms for their ASCII names (alpha, beta,
 lambda, mu) and the center-dot glyph for `.`.
 
@@ -58,6 +60,7 @@ _KEYWORDS = {
     "assert_factored", "assert_matrix", "oracle_check",
 }
 _RESERVED = _KEYWORDS | {"q", "b"}
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,7 @@ class _TokenStream:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self, offset: int = 0) -> Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -178,6 +182,16 @@ def _parse_expr(ts: _TokenStream) -> rx.RawExpr:
     if len(items) == 1:
         return items[0]
     return rx.Sum(tuple(items), span)
+
+
+def _parse_nested(ts: _TokenStream, opener: Token) -> rx.RawExpr:
+    """Parse the expression inside a group one nesting level down."""
+    if ts.depth >= MAX_NESTING:
+        raise ParseError(f"expression nested more than {MAX_NESTING} levels deep", opener.span)
+    ts.depth += 1
+    inner = _parse_expr(ts)
+    ts.depth -= 1
+    return inner
 
 
 def _parse_term(ts: _TokenStream) -> rx.RawExpr:
@@ -234,14 +248,14 @@ def _parse_primary(ts: _TokenStream) -> tuple[rx.RawExpr, bool]:
         return rx.Num(value, tok.span), False
     if tok.kind == "LPAREN":
         ts.advance()
-        inner = _parse_expr(ts)
+        inner = _parse_nested(ts, tok)
         ts.expect("RPAREN", "')'")
         return inner, True
     if tok.kind == "IDENT":
         if tok.text == "q":
             ts.advance()
             ts.expect("LPAREN", "'(' after q")
-            arg = _parse_expr(ts)
+            arg = _parse_nested(ts, tok)
             if ts.peek().kind == "COMMA":
                 raise ArityError("q takes exactly one argument", ts.peek().span)
             ts.expect("RPAREN", "')'")
@@ -249,11 +263,11 @@ def _parse_primary(ts: _TokenStream) -> tuple[rx.RawExpr, bool]:
         if tok.text == "b":
             ts.advance()
             ts.expect("LPAREN", "'(' after b")
-            left = _parse_expr(ts)
+            left = _parse_nested(ts, tok)
             if ts.peek().kind == "RPAREN":
                 raise ArityError("b takes exactly two arguments", ts.peek().span)
             ts.expect("COMMA", "','")
-            right = _parse_expr(ts)
+            right = _parse_nested(ts, tok)
             if ts.peek().kind == "COMMA":
                 raise ArityError("b takes exactly two arguments", ts.peek().span)
             ts.expect("RPAREN", "')'")
@@ -261,6 +275,18 @@ def _parse_primary(ts: _TokenStream) -> tuple[rx.RawExpr, bool]:
         ts.advance()
         return rx.Ident(tok.text, tok.span), True
     raise ParseError(f"expected an expression, found {tok.text or 'end of input'!r}", tok.span)
+
+
+def _parse_rule_sides(ts: _TokenStream) -> tuple[rx.RawExpr, rx.RawExpr]:
+    lhs = _parse_expr(ts)
+    ts.expect("ARROW", "'->'")
+    return lhs, _parse_expr(ts)
+
+
+def _expect_end(ts: _TokenStream) -> None:
+    tail = ts.peek()
+    if tail.kind != "EOF":
+        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.span)
 
 
 def parse_expr(text: str, symbols=None) -> rx.RawExpr:
@@ -272,9 +298,7 @@ def parse_expr(text: str, symbols=None) -> rx.RawExpr:
     """
     ts = _TokenStream(tokenize(text))
     raw = _parse_expr(ts)
-    tail = ts.peek()
-    if tail.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.span)
+    _expect_end(ts)
     if symbols is not None:
         for node in rx.idents(raw):
             if symbols.sort_of(node.name) is None:
@@ -285,13 +309,9 @@ def parse_expr(text: str, symbols=None) -> rx.RawExpr:
 def parse_rule_source(text: str) -> tuple[rx.RawExpr, rx.RawExpr]:
     """Parse `PATTERN -> TEMPLATE` into raw trees."""
     ts = _TokenStream(tokenize(text))
-    lhs = _parse_expr(ts)
-    ts.expect("ARROW", "'->'")
-    rhs = _parse_expr(ts)
-    tail = ts.peek()
-    if tail.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.span)
-    return lhs, rhs
+    sides = _parse_rule_sides(ts)
+    _expect_end(ts)
+    return sides
 
 
 # --- session scripts -------------------------------------------------------
@@ -460,9 +480,7 @@ class _ScriptParser:
         if name.text in _RESERVED or name.text in builtin_ruleset_names():
             raise ParseError(f"rule set name {name.text!r} is reserved", name.span)
         self.ts.expect("COLON", "':'")
-        lhs = _parse_expr(self.ts)
-        self.ts.expect("ARROW", "'->'")
-        rhs = _parse_expr(self.ts)
+        lhs, rhs = _parse_rule_sides(self.ts)
         ordinal = len(self.local_rulesets.get(name.text, [])) + 1
         rule = compile_rule(f"{name.text}#{ordinal}", lhs, rhs)
         self.local_rulesets.setdefault(name.text, []).append(rule)
@@ -538,16 +556,14 @@ class _ScriptParser:
     def _monomial_key(self) -> tuple[tuple[str, int], ...]:
         key: dict[str, int] = {}
         while True:
-            tok = self._ident("a scalar symbol")
-            if self.symbol_sorts.get(tok.text) != "scalar":
-                raise UndefinedName(f"{tok.text!r} is not a declared scalar symbol", tok.span)
+            name = self._scalar_symbol()
             exp = 1
             if self.ts.accept("CARET"):
                 num = self.ts.expect("NUM", "an integer exponent")
                 exp = int(num.text)
                 if exp < 1:
                     raise ParseError("exponent must be at least 1", num.span)
-            key[tok.text] = key.get(tok.text, 0) + exp
+            key[name] = key.get(name, 0) + exp
             if not self.ts.accept("STAR"):
                 break
         return tuple(sorted(key.items()))

@@ -23,13 +23,15 @@ from .core import (
     VectorExpr,
     Word,
     add_terms,
+    add_units,
     b_of,
     canonicalize,
     dot,
     equal,
-    is_scalar,
+    from_units,
     is_vector,
     q_of,
+    units,
 )
 from .errors import ExprTypeError
 from .printer import print_expr
@@ -52,31 +54,23 @@ def subst(e: Expr, bindings: dict[str, Expr], symbols: SymbolTable) -> Expr:
     """Simultaneous substitution of symbols by canonical values."""
     if not bindings:
         return e
-    scalar_binds: dict[str, ScalarExpr] = {}
-    vector_binds: dict[str, VectorExpr] = {}
+    by_sort: dict[str, dict] = {SCALAR: {}, VECTOR: {}}
     for name, value in bindings.items():
         sort = symbols.sort_of(name)
-        if sort == SCALAR:
-            if not is_scalar(value):
-                if value.is_zero:
-                    value = ScalarExpr()
-                else:
-                    raise ExprTypeError(f"scalar symbol {name!r} bound to a vector value")
-            scalar_binds[name] = value
-        elif sort == VECTOR:
-            if not is_vector(value):
-                if value.is_zero:
-                    value = VectorExpr()
-                else:
-                    raise ExprTypeError(f"vector symbol {name!r} bound to a scalar value")
-            vector_binds[name] = value
-        else:
+        if sort is None:
             raise ExprTypeError(f"cannot substitute undeclared symbol {name!r}")
+        other, cls = (VECTOR, ScalarExpr) if sort == SCALAR else (SCALAR, VectorExpr)
+        if not isinstance(value, cls):
+            if not value.is_zero:
+                raise ExprTypeError(f"{sort} symbol {name!r} bound to a {other} value")
+            value = cls()
+        by_sort[sort][name] = value
+    scalar_binds, vector_binds = by_sort[SCALAR], by_sort[VECTOR]
     vnames = set(vector_binds)
 
-    def subst_scalar(se: ScalarExpr) -> ScalarExpr:
+    def subst_scalar(terms: dict) -> ScalarExpr:
         out: dict = {}
-        for mono, coeff in se.terms.items():
+        for mono, coeff in terms.items():
             acc = ScalarExpr.const(coeff)
             for atom, exp in mono:
                 if atom.is_symbol:
@@ -97,13 +91,11 @@ def subst(e: Expr, bindings: dict[str, Expr], symbols: SymbolTable) -> Expr:
             add_terms(out, acc.terms)
         return ScalarExpr(out)
 
-    if is_scalar(e):
-        return subst_scalar(e)
     out: dict = {}
-    for word, coeff in e.terms.items():
-        for w, c in _subst_word(word, vector_binds).scaled_by(subst_scalar(coeff)).terms.items():
-            add_terms(out.setdefault(w, {}), c.terms)
-    return VectorExpr({w: ScalarExpr(t) for w, t in out.items() if t})
+    for word, terms in e.by_word():
+        value = subst_scalar(terms)
+        add_units(out, value if word is None else _subst_word(word, vector_binds).scaled_by(value))
+    return from_units(out, is_vector(e))
 
 
 def subst_raw(e: Expr, raw_bindings: dict[str, rx.RawExpr], symbols: SymbolTable,
@@ -132,22 +124,11 @@ def coeff(e: Expr, key: dict[str, int]) -> Expr:
     powers, and leaves all other symbols untouched.
     """
     names = set(key)
-
-    def scalar_coeff(se: ScalarExpr) -> ScalarExpr:
-        out: dict = {}
-        for mono, c in se.terms.items():
-            if all(_mono_degree(mono, n) == k for n, k in key.items()):
-                out[_strip_symbols(mono, names)] = c
-        return ScalarExpr(out)
-
-    if is_scalar(e):
-        return scalar_coeff(e)
-    out = VectorExpr()
-    for word, cexpr in e.terms.items():
-        kept = scalar_coeff(cexpr)
-        if not kept.is_zero:
-            out = out + VectorExpr({word: kept})
-    return out
+    out: dict = {}
+    for word, mono, c in units(e):
+        if all(_mono_degree(mono, n) == k for n, k in key.items()):
+            out.setdefault(word, {})[_strip_symbols(mono, names)] = c
+    return from_units(out, is_vector(e))
 
 
 @dataclass(frozen=True)
@@ -173,9 +154,7 @@ class CoeffMatrix:
 
 
 def _max_degree(e: Expr, name: str) -> int:
-    monos = e.terms.keys() if is_scalar(e) else \
-        (m for c in e.terms.values() for m in c.terms.keys())
-    return max((_mono_degree(m, name) for m in monos), default=0)
+    return max((_mono_degree(mono, name) for _, mono, _ in units(e)), default=0)
 
 
 def coeff_matrix(e: Expr, variables: tuple[str, str]) -> CoeffMatrix:

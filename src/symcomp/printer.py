@@ -46,20 +46,13 @@ def _coeff_text(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _signed_scalar_parts(e: ScalarExpr) -> list[tuple[bool, str]]:
-    parts = []
-    for mono, coeff in e.monomials():
-        negative = coeff < 0
-        mag = -coeff if negative else coeff
-        factors = _mono_factors(mono)
-        if not factors:
-            text = _coeff_text(mag)
-        elif mag == 1:
-            text = factors
-        else:
-            text = f"{_coeff_text(mag)}*{factors}"
-        parts.append((negative, text))
-    return parts
+def _product_text(mag: Fraction, *factors: str) -> str:
+    """`mag` times the non-empty factors; a unit magnitude is left out
+    unless there is no factor to show."""
+    pieces = [f for f in factors if f]
+    if mag != 1 or not pieces:
+        pieces.insert(0, _coeff_text(mag))
+    return "*".join(pieces)
 
 
 def _join(parts: list[tuple[bool, str]]) -> str:
@@ -73,7 +66,8 @@ def _join(parts: list[tuple[bool, str]]) -> str:
 
 
 def scalar_text(e: ScalarExpr) -> str:
-    return _join(_signed_scalar_parts(e))
+    return _join([(c < 0, _product_text(abs(c), _mono_factors(mono)))
+                  for mono, c in e.monomials()])
 
 
 def vector_text(e: VectorExpr) -> str:
@@ -83,12 +77,7 @@ def vector_text(e: VectorExpr) -> str:
         monos = coeff.monomials()
         if len(monos) == 1:
             mono, c = monos[0]
-            negative = c < 0
-            mag = -c if negative else c
-            factors = _mono_factors(mono)
-            head = "" if mag == 1 else _coeff_text(mag)
-            pieces = [p for p in (head, factors, wtext) if p]
-            parts.append((negative, "*".join(pieces)))
+            parts.append((c < 0, _product_text(abs(c), _mono_factors(mono), wtext)))
         else:
             parts.append((False, f"({scalar_text(coeff)})*{wtext}"))
     return _join(parts)

@@ -14,16 +14,22 @@ monomial / per vector term.  Rules come in five kinds:
 * ``noop``    -- kept for catalog fidelity: scalar-extraction rules that
   canonical forms make unreachable.
 
-Application strategy (deterministic): ``apply_once`` visits the
-monomials/terms of a canonical value in canonical order; within each it
-visits rewrite sites -- dot-subtrees outermost-first (the term's own word,
-then inside q/b atom arguments in atom order), then whole atoms in atom
-order, then ordered pairs of distinct exponent-1 b atoms.  This order is
+Application strategy (deterministic): ``apply_once`` visits the units
+of a canonical value (``core.units``: monomials, or a monomial times a
+dot-word) in storage order; within each it visits rewrite sites --
+dot-subtrees outermost-first (the term's own word, then inside q/b atom
+arguments in atom order), then whole atoms in atom order, then ordered
+pairs of distinct exponent-1 b atoms.  This order is
 defined in one place, the site enumerator ``_sites``.  At each site the
 rules of that site's kind are tried in listing order (on an atom of
 exponent >= 2, power rules before atom rules); the first match anywhere
 in a monomial rewrites that site, the produced fragment is left untouched
-for the rest of the pass, and scanning continues with the next monomial.
+for the rest of the pass, and scanning continues with the next unit.
+Each unit is rewritten on its own, so the result of a pass does not
+depend on the order in which units are visited.  Only the choice of
+error may: when a rule set holds two rules whose right-hand sides have
+the wrong sort, the ``EngineError`` names the first one reached in
+storage order, which is still deterministic.
 ``apply_fixpoint`` iterates passes until the canonical form stabilizes.
 
 One ``apply_fixpoint`` call memoizes, in a ``RewriteMemo``, each site
@@ -50,13 +56,15 @@ from .core import (
     VectorExpr,
     Word,
     add_terms,
+    add_units,
     b_of,
     canonicalize,
     dot,
     equal,
-    is_scalar,
+    from_units,
     is_vector,
     q_of,
+    units,
 )
 from .errors import EngineError, NonTermination, ParseError, RuleSetUnknown
 
@@ -439,21 +447,13 @@ def apply_once(e: Expr, rs: RuleSet, symbols: SymbolTable,
     memo.attach(rs, symbols)
     split = _split_rules(rs.rules)
     out: dict = {}
-    if is_scalar(e):
-        for mono, coeff in e.monomials():
-            result = _rewrite_unit(coeff, mono, None, split, symbols, memo)
-            add_terms(out, {mono: coeff} if result is None else result.terms)
-        return ScalarExpr(out)
-    # word -> the terms of its coefficient
-    for word, cexpr in e.items():
-        for mono, coeff in cexpr.monomials():
-            result = _rewrite_unit(coeff, mono, word, split, symbols, memo)
-            if result is None:
-                add_terms(out.setdefault(word, {}), {mono: coeff})
-                continue
-            for w, c in result.terms.items():
-                add_terms(out.setdefault(w, {}), c.terms)
-    return VectorExpr({w: ScalarExpr(t) for w, t in out.items() if t})
+    for word, mono, coeff in units(e):
+        result = _rewrite_unit(coeff, mono, word, split, symbols, memo)
+        if result is None:
+            add_terms(out.setdefault(word, {}), {mono: coeff})
+        else:
+            add_units(out, result)
+    return from_units(out, is_vector(e))
 
 
 def apply_fixpoint(e: Expr, rs: RuleSet, symbols: SymbolTable, cap: int = 10000) -> Expr:

@@ -187,3 +187,31 @@ def test_run_script_rule_with_wrong_sort_replacement(tmp_path, capsys, rule, mes
     code, _ = run_cli("run", str(path))
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def _dot_chain(depth):
+    # ((x).y).y ... with `depth` nested parentheses
+    return "(" * depth + "x" + ").y" * depth
+
+
+@pytest.mark.parametrize("source, column", [
+    ("(" * 3000 + "x" + ")" * 3000, 101),
+    ("q(" * 600 + "x" + ")" * 600, 201),
+    (_dot_chain(300), 101),
+], ids=["parentheses", "q", "dot-chain"])
+def test_oracle_deep_nesting_is_a_parse_error(capsys, source, column):
+    code, _ = run_cli("oracle", source)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"1:{column}: expression nested more than 100 levels deep" in err
+
+
+def test_nesting_at_the_bound_still_parses():
+    from symcomp.parser import MAX_NESTING, parse_expr
+    for source in ("(" * MAX_NESTING + "x" + ")" * MAX_NESTING,
+                   "q(" * MAX_NESTING + "x" + ")" * MAX_NESTING,
+                   "b(x," * MAX_NESTING + "x" + ")" * MAX_NESTING):
+        parse_expr(source)
+    chain = _dot_chain(MAX_NESTING)
+    code, output = run_cli("oracle", f"{chain} - {chain}", "--trials", "3")
+    assert code == 0, output

@@ -144,3 +144,22 @@ def test_power_equals_repeated_product(greek):
     for k in range(7):
         assert equal(base ** k, product), k
         product = product * base
+
+
+def test_symbols_of_a_vector_value_include_its_coefficients():
+    from symcomp.core import scalar_symbols_of, vector_symbols_of
+    ctx = Ctx(scalars=("lambda", "mu"), vectors=("u", "w", "x", "y", "z"))
+    # z, u and w occur only inside the coefficients of the words x and x.y
+    value = ctx.canon("lambda*q(z)*x + b(u,w)*(x.y)")
+    assert vector_symbols_of(value) == {"u", "w", "x", "y", "z"}
+    assert scalar_symbols_of(value) == {"lambda"}
+
+
+def test_symbols_of_scalar_and_zero_values():
+    from symcomp.core import VectorExpr, scalar_symbols_of, vector_symbols_of
+    ctx = Ctx(scalars=("lambda", "mu"), vectors=("u", "w", "x", "y", "z"))
+    value = ctx.canon("mu*b(x.(y.u), z) + q(w)")
+    assert vector_symbols_of(value) == {"u", "w", "x", "y", "z"}
+    assert scalar_symbols_of(value) == {"mu"}
+    for zero in (ScalarExpr(), VectorExpr()):
+        assert vector_symbols_of(zero) == scalar_symbols_of(zero) == set()

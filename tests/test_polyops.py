@@ -117,6 +117,26 @@ def test_coeff_vector_valued(lin_ctx):
     assert equal(got, lin_ctx.canon("(z1.z3).z2 - b(z1,z2)*z3"))
 
 
+def test_coeff_vector_drops_words_whose_coefficient_drops_out(lin_ctx):
+    e = lin_ctx.canon("alpha*x + beta*y + alpha*beta*(x.y) - alpha*q(z1)*y + beta*q(z1)*y")
+    got = coeff(e, {"alpha": 1, "beta": 0})
+    assert equal(got, lin_ctx.canon("x - q(z1)*y"))
+    # x.y keeps no coefficient at all, so it holds no (empty) term
+    assert len(got.terms) == 2
+    assert coeff(e, {"alpha": 2}).is_zero
+
+
+def test_coeff_matrix_of_vector_value(lin_ctx):
+    e = lin_ctx.canon("alpha*x + alpha^2*beta*(x.y) + y")
+    matrix = coeff_matrix(e, ("alpha", "beta"))
+    assert matrix.shape() == (3, 2)
+    assert equal(matrix.rows[0][0], lin_ctx.canon("y"))
+    assert equal(matrix.rows[1][0], lin_ctx.canon("x"))
+    assert equal(matrix.rows[2][1], lin_ctx.canon("x.y"))
+    for i, j in ((0, 1), (1, 1), (2, 0)):
+        assert matrix.rows[i][j].is_zero
+
+
 def test_coeff_matrix_of_zero():
     matrix = coeff_matrix(ScalarExpr(), ("alpha", "beta"))
     assert matrix.shape() == (1, 1)
