@@ -31,7 +31,6 @@ from . import rawexpr as rx
 from .errors import ExprTypeError, UnknownSymbol
 
 ONE = Fraction(1)
-ZERO = Fraction(0)
 
 SCALAR = "scalar"
 VECTOR = "vector"
@@ -266,13 +265,8 @@ class ScalarExpr:
             return self.scaled(other)
         out: dict = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                acc = out.get(m, ZERO) + c1 * c2
-                if acc:
-                    out[m] = acc
-                else:
-                    out.pop(m, None)
+            # Distinct m2 give distinct products m1*m2, so each row is one dict.
+            add_terms(out, {mono_mul(m1, m2): c1 * c2 for m2, c2 in other.terms.items()})
         return ScalarExpr(out)
 
     __rmul__ = __mul__

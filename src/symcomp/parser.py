@@ -4,7 +4,7 @@ Expression grammar (whitespace-insensitive, `#` starts a line comment):
 
     expr    := ['+'|'-'] term (('+'|'-') term)*
     term    := factor ('*' factor)*
-    factor  := unit ('^' NAT)*            # NAT >= 2
+    factor  := unit ('^' NAT)*            # NAT >= 2; a chain folds to one power
     unit    := primary ['.' primary]      # a second '.' is an error
     primary := NUM ['/' NUM] | IDENT | 'q' '(' expr ')'
              | 'b' '(' expr ',' expr ')' | '(' expr ')'
@@ -12,7 +12,9 @@ Expression grammar (whitespace-insensitive, `#` starts a line comment):
 Only identifiers and parenthesized expressions may be dot operands; the
 product is non-associative, so `a.b.c` is rejected outright.  Groups nest
 at most MAX_NESTING (100) levels deep, counting each parenthesis, `q(` and
-`b(`; a deeper group is a ParseError at its opening token.  Greek
+`b(`; a deeper group is a ParseError at its opening token.  A chain of
+powers `e^a^b` parses as the single power `e^(a*b)`, as (e^a)^b = e^(ab)
+for scalars, so a rule pattern `b(X,Y)^2^2` is a power-4 rule.  Greek
 glyphs are accepted as synonyms for their ASCII names (alpha, beta,
 lambda, mu) and the center-dot glyph for `.`.
 
@@ -205,15 +207,19 @@ def _parse_term(ts: _TokenStream) -> rx.RawExpr:
 
 
 def _parse_factor(ts: _TokenStream) -> rx.RawExpr:
+    """A unit with its chain of powers folded into one Pow, since
+    (e^a)^b = e^(ab) for scalars; the Pow's span is the first caret."""
     item = _parse_unit(ts)
+    exponent, span = 1, None
     while ts.peek().kind == "CARET":
         caret = ts.advance()
         num = ts.expect("NUM", "an integer exponent")
-        exponent = int(num.text)
-        if exponent < 2:
+        value = int(num.text)
+        if value < 2:
             raise ParseError("exponent must be at least 2", num.span)
-        item = rx.Pow(item, exponent, caret.span)
-    return item
+        exponent *= value
+        span = span or caret.span
+    return item if span is None else rx.Pow(item, exponent, span)
 
 
 def _parse_unit(ts: _TokenStream) -> rx.RawExpr:

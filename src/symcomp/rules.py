@@ -1,8 +1,15 @@
 """Pattern matching and deterministic rule application.
 
-Pattern variables (uppercase identifiers) range over dot-words: single
-canonical dot-subtrees, never sums.  Matching therefore operates per
-monomial / per vector term.  Rules come in five kinds:
+A rule's patterns are the parse trees (``rawexpr``) of its left-hand
+side, as the parser returns them: an uppercase identifier is a pattern
+variable, a lowercase one a literal leaf, and dots, q and b give the
+structure.  One matcher, ``_match``, walks such a tree against a Word or
+an Atom, and both sides of a rule are built by ``canonicalize`` under one
+binding environment (``instantiate_sides``).
+
+Pattern variables range over dot-words: single canonical dot-subtrees,
+never sums.  Matching therefore operates per monomial / per vector term.
+Rules come in five kinds:
 
 * ``dot``     -- rewrite a dot-subtree, e.g. ``(X.Y).X -> q(X)*Y``;
 * ``atom``    -- rewrite one q/b atom, e.g. ``b(X, Y.Z) -> b(X.Y, Z)``;
@@ -69,81 +76,46 @@ from .core import (
 from .errors import EngineError, NonTermination, ParseError, RuleSetUnknown
 
 
-# --- patterns ---------------------------------------------------------------
+# --- patterns and rules -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PVar:
-    name: str
+def _shape(raw: rx.RawExpr) -> str | None:
+    """What a pattern tree matches: "word" (an identifier or a dot of word
+    patterns), "q" or "b" (an atom over word patterns), or None."""
+    if isinstance(raw, rx.Ident):
+        return "word"
+    if isinstance(raw, rx.Dot):
+        shape, parts = "word", (raw.left, raw.right)
+    elif isinstance(raw, rx.Q):
+        shape, parts = "q", (raw.arg,)
+    elif isinstance(raw, rx.B):
+        shape, parts = "b", (raw.left, raw.right)
+    else:
+        return None
+    return shape if all(_shape(part) == "word" for part in parts) else None
 
 
-@dataclass(frozen=True)
-class PLeaf:
-    name: str
-
-
-@dataclass(frozen=True)
-class PDot:
-    left: "WordPattern"
-    right: "WordPattern"
-
-
-WordPattern = PVar | PLeaf | PDot
-
-
-@dataclass(frozen=True)
-class PQ:
-    arg: WordPattern
-
-
-@dataclass(frozen=True)
-class PB:
-    left: WordPattern
-    right: WordPattern
-
-
-AtomPattern = PQ | PB
-
-
-def match_word(pattern: WordPattern, word: Word, binds: dict[str, Word]) -> bool:
-    """Tree-match a word pattern, extending `binds`; repeated variables
-    require exact dot-word equality."""
-    if isinstance(pattern, PVar):
-        bound = binds.get(pattern.name)
-        if bound is None:
-            binds[pattern.name] = word
-            return True
-        return bound == word
-    if isinstance(pattern, PLeaf):
-        return word.is_leaf and word.name == pattern.name
-    if word.is_leaf:
-        return False
-    saved = dict(binds)
-    if match_word(pattern.left, word.left, binds) and match_word(pattern.right, word.right, binds):
-        return True
-    binds.clear()
-    binds.update(saved)
-    return False
-
-
-def match_atom(pattern: AtomPattern, atom: Atom, binds: dict[str, Word]) -> bool:
-    if isinstance(pattern, PQ):
-        return atom.is_q and match_word(pattern.arg, atom.w1, binds)
-    if not atom.is_b:
-        return False
-    saved = dict(binds)
-    if match_word(pattern.left, atom.w1, binds) and match_word(pattern.right, atom.w2, binds):
-        return True
-    binds.clear()
-    binds.update(saved)
-    return False
-
-
-# --- rules ------------------------------------------------------------------
+def _match(pattern: rx.RawExpr, subject: Word | Atom, binds: dict[str, Word]) -> bool:
+    """Tree-match a pattern of shape "word" against a Word, or of shape
+    "q"/"b" against an Atom, extending `binds`; repeated variables require
+    exact dot-word equality.  On failure `binds` is left partly filled."""
+    if isinstance(pattern, rx.Ident):
+        if not pattern.name.isupper():
+            return subject.is_leaf and subject.name == pattern.name
+        return binds.setdefault(pattern.name, subject) == subject
+    if isinstance(pattern, rx.Dot):
+        return (not subject.is_leaf and _match(pattern.left, subject.left, binds)
+                and _match(pattern.right, subject.right, binds))
+    if isinstance(pattern, rx.Q):
+        return subject.is_q and _match(pattern.arg, subject.w1, binds)
+    return (subject.is_b and _match(pattern.left, subject.w1, binds)
+            and _match(pattern.right, subject.w2, binds))
 
 
 class RewriteRule:
-    """A typed pattern -> template pair."""
+    """A typed pattern -> template pair.  `lhs` (and `lhs2`, the second
+    factor of a product rule) is a pattern parse tree; a power rule keeps
+    the base in `lhs` and the exponent in `power`."""
 
     __slots__ = ("name", "kind", "lhs", "lhs2", "power", "rhs")
 
@@ -168,39 +140,8 @@ class RuleSet:
         return len(self.rules)
 
 
-def _pattern_vars(p) -> set[str]:
-    if isinstance(p, PVar):
-        return {p.name}
-    if isinstance(p, PLeaf):
-        return set()
-    if isinstance(p, PDot):
-        return _pattern_vars(p.left) | _pattern_vars(p.right)
-    if isinstance(p, PQ):
-        return _pattern_vars(p.arg)
-    return _pattern_vars(p.left) | _pattern_vars(p.right)
-
-
-def _word_pattern(raw: rx.RawExpr) -> WordPattern | None:
-    if isinstance(raw, rx.Ident):
-        return PVar(raw.name) if raw.name.isupper() else PLeaf(raw.name)
-    if isinstance(raw, rx.Dot):
-        left = _word_pattern(raw.left)
-        right = _word_pattern(raw.right)
-        if left is not None and right is not None:
-            return PDot(left, right)
-    return None
-
-
-def _atom_pattern(raw: rx.RawExpr) -> AtomPattern | None:
-    if isinstance(raw, rx.Q):
-        arg = _word_pattern(raw.arg)
-        return PQ(arg) if arg is not None else None
-    if isinstance(raw, rx.B):
-        left = _word_pattern(raw.left)
-        right = _word_pattern(raw.right)
-        if left is not None and right is not None:
-            return PB(left, right)
-    return None
+def _pattern_vars(p: rx.RawExpr) -> set[str]:
+    return {node.name for node in rx.idents(p) if node.name.isupper()}
 
 
 def compile_rule(name: str, raw_lhs: rx.RawExpr, raw_rhs: rx.RawExpr,
@@ -212,23 +153,15 @@ def compile_rule(name: str, raw_lhs: rx.RawExpr, raw_rhs: rx.RawExpr,
     documented no-op instead of failing.
     """
     rule = None
-    if isinstance(raw_lhs, rx.Dot):
-        pat = _word_pattern(raw_lhs)
-        if pat is not None:
-            rule = RewriteRule(name, "dot", pat, raw_rhs)
-    elif isinstance(raw_lhs, (rx.Q, rx.B)):
-        pat = _atom_pattern(raw_lhs)
-        if pat is not None:
-            rule = RewriteRule(name, "atom", pat, raw_rhs)
-    elif isinstance(raw_lhs, rx.Pow):
-        pat = _atom_pattern(raw_lhs.base)
-        if pat is not None:
-            rule = RewriteRule(name, "power", pat, raw_rhs, power=raw_lhs.exponent)
-    elif isinstance(raw_lhs, rx.Mul) and len(raw_lhs.items) == 2:
-        p1 = _atom_pattern(raw_lhs.items[0])
-        p2 = _atom_pattern(raw_lhs.items[1])
-        if isinstance(p1, PB) and isinstance(p2, PB):
-            rule = RewriteRule(name, "product", p1, raw_rhs, lhs2=p2)
+    shape = _shape(raw_lhs)
+    if shape == "word" and isinstance(raw_lhs, rx.Dot):
+        rule = RewriteRule(name, "dot", raw_lhs, raw_rhs)
+    elif shape in ("q", "b"):
+        rule = RewriteRule(name, "atom", raw_lhs, raw_rhs)
+    elif isinstance(raw_lhs, rx.Pow) and _shape(raw_lhs.base) in ("q", "b"):
+        rule = RewriteRule(name, "power", raw_lhs.base, raw_rhs, power=raw_lhs.exponent)
+    elif isinstance(raw_lhs, rx.Mul) and [_shape(item) for item in raw_lhs.items] == ["b", "b"]:
+        rule = RewriteRule(name, "product", raw_lhs.items[0], raw_rhs, lhs2=raw_lhs.items[1])
     if rule is None:
         if allow_noop:
             return RewriteRule(name, "noop", None, raw_rhs)
@@ -238,9 +171,7 @@ def compile_rule(name: str, raw_lhs: rx.RawExpr, raw_rhs: rx.RawExpr,
             "or a product of two b atoms over dot-word patterns",
             span,
         )
-    lhs_vars = _pattern_vars(rule.lhs)
-    if rule.lhs2 is not None:
-        lhs_vars |= _pattern_vars(rule.lhs2)
+    lhs_vars = _pattern_vars(raw_lhs)
     for node in rx.idents(raw_rhs):
         if node.name.isupper() and node.name not in lhs_vars:
             raise ParseError(f"template variable {node.name!r} does not occur in the pattern",
@@ -272,12 +203,12 @@ def _bind(rule: RewriteRule, subject) -> dict[str, Word] | None:
     binds: dict[str, Word] = {}
     kind = rule.kind
     if kind == "dot":
-        ok = match_word(rule.lhs, subject, binds)
+        ok = _match(rule.lhs, subject, binds)
     elif kind == "product":
-        ok = match_atom(rule.lhs, subject[0], binds) and match_atom(rule.lhs2, subject[1], binds)
+        ok = _match(rule.lhs, subject[0], binds) and _match(rule.lhs2, subject[1], binds)
     else:
         atom, exp = subject
-        ok = (kind == "atom" or exp == rule.power) and match_atom(rule.lhs, atom, binds)
+        ok = (kind == "atom" or exp == rule.power) and _match(rule.lhs, atom, binds)
     return binds if ok else None
 
 
@@ -587,16 +518,7 @@ def builtin_ruleset(name: str) -> RuleSet:
     return cached
 
 
-# --- direct pattern instantiation (for soundness checks) --------------------
-
-
-def pattern_word(p: WordPattern, binds: dict[str, Word], symbols: SymbolTable) -> Word:
-    if isinstance(p, PVar):
-        return binds[p.name]
-    if isinstance(p, PLeaf):
-        return Word.leaf(p.name, symbols.index_of(p.name))
-    return Word.pair(pattern_word(p.left, binds, symbols),
-                     pattern_word(p.right, binds, symbols))
+# --- instantiation of both sides (for soundness checks) ---------------------
 
 
 def instantiate_sides(rule: RewriteRule, binds: dict[str, Word],
@@ -604,20 +526,10 @@ def instantiate_sides(rule: RewriteRule, binds: dict[str, Word],
     """Build lhs and rhs values of a rule under a variable binding."""
     if rule.kind == "noop":
         raise EngineError(f"rule {rule.name} is a documented no-op")
-    rhs = _instantiate(rule, binds, symbols)
-    if rule.kind == "dot":
-        lhs: Expr = VectorExpr.from_word(pattern_word(rule.lhs, binds, symbols))
-        return lhs, rhs
-
-    def atom_of(p: AtomPattern) -> Atom:
-        if isinstance(p, PQ):
-            return Atom.q(pattern_word(p.arg, binds, symbols))
-        return Atom.b(pattern_word(p.left, binds, symbols),
-                      pattern_word(p.right, binds, symbols))
-
-    if rule.kind == "atom":
-        return ScalarExpr.from_atom(atom_of(rule.lhs)), rhs
+    env = Env(symbols, {name: VectorExpr.from_word(w) for name, w in binds.items()})
+    lhs = canonicalize(rule.lhs, env)
     if rule.kind == "power":
-        return ScalarExpr.from_atom(atom_of(rule.lhs), rule.power), rhs
-    lhs = ScalarExpr.from_atom(atom_of(rule.lhs)) * ScalarExpr.from_atom(atom_of(rule.lhs2))
-    return lhs, rhs
+        lhs = lhs ** rule.power
+    elif rule.kind == "product":
+        lhs = lhs * canonicalize(rule.lhs2, env)
+    return lhs, canonicalize(rule.rhs, env)

@@ -206,6 +206,15 @@ def test_oracle_deep_nesting_is_a_parse_error(capsys, source, column):
     assert f"1:{column}: expression nested more than 100 levels deep" in err
 
 
+def test_oracle_long_power_chain_is_one_power():
+    chain = "q(x)" + "^2" * 1500
+    code, output = run_cli("oracle", f"{chain} - {chain}")
+    assert code == 0, output
+    assert output.startswith("pass: 0 on 100 trials")
+    code, output = run_cli("oracle", "q(x)^2^3 - q(x)^6", "--trials", "3")
+    assert code == 0, output
+
+
 def test_nesting_at_the_bound_still_parses():
     from symcomp.parser import MAX_NESTING, parse_expr
     for source in ("(" * MAX_NESTING + "x" + ")" * MAX_NESTING,

@@ -132,6 +132,39 @@ def test_builtin_catalog_counts():
         assert len(builtin_ruleset(name)) == count, name
 
 
+# Rule kinds of every catalog set, in listing order.
+CATALOG_KINDS = {
+    "assleft": "atom",
+    "assocb": "atom atom atom",
+    "bsym": "atom",
+    "expandb": "noop noop noop noop noop",
+    "expanddot": "noop noop noop",
+    "expandq": "noop atom",
+    "move1": "atom atom",
+    "move2": "atom atom atom atom atom",
+    "move3": "atom atom",
+    "move4": "atom atom atom atom atom atom atom atom atom atom",
+    "move5": "atom atom atom atom atom atom atom atom atom",
+    "rules1": "product atom atom dot dot noop noop",
+    "rules2": "product atom atom dot dot noop noop power power atom atom",
+}
+
+
+def test_builtin_catalog_kinds():
+    assert sorted(CATALOG_KINDS) == sorted(rules.builtin_ruleset_names())
+    for name, kinds in CATALOG_KINDS.items():
+        assert " ".join(r.kind for r in builtin_ruleset(name).rules) == kinds, name
+
+
+def test_chained_power_pattern_is_one_power_rule(xy):
+    rule = make_rule("b(X,Y)^2^2 -> q(X)^2*q(Y)^2")
+    assert (rule.kind, rule.power) == ("power", 4)
+    (entry,) = xy.mono("b(x,y)^4")
+    assert match(rule, entry) == {"X": xy.word("x"), "Y": xy.word("y")}
+    (entry,) = xy.mono("b(x,y)^2")
+    assert match(rule, entry) is None
+
+
 def test_unknown_ruleset():
     with pytest.raises(RuleSetUnknown):
         builtin_ruleset("nope")
@@ -265,6 +298,45 @@ def test_rule_soundness_sample(xy):
             diff = lhs - rhs
             value = eval_expr(diff, a)
             assert value == 0 or getattr(value, "is_zero", False), rule.name
+
+
+def test_match_binds_every_instantiated_left_hand_side(xy):
+    # The matcher and the instantiation of a rule's left-hand side read the
+    # same pattern: the site of an instantiated lhs binds, and the binding
+    # rebuilds the same lhs.
+    rng = random.Random(5)
+    base = [xy.word("x"), xy.word("y")]
+
+    def random_word(depth):
+        if depth == 0 or rng.random() < 0.4:
+            return rng.choice(base)
+        return Word.pair(random_word(depth - 1), random_word(depth - 1))
+
+    checked = 0
+    for name in sorted(rules.builtin_ruleset_names()):
+        for rule in builtin_ruleset(name).rules:
+            if rule.kind == "noop":
+                continue
+            variables = sorted(_pattern_vars(rule.lhs)
+                               | (_pattern_vars(rule.lhs2) if rule.lhs2 else set()))
+            for _ in range(10):
+                binds = {v: random_word(2) for v in variables}
+                lhs, _ = instantiate_sides(rule, binds, xy.table)
+                ((site, coeff),) = lhs.terms.items()
+                if rule.kind == "dot":
+                    assert coeff == ScalarExpr.const(1), rule.name
+                else:
+                    assert coeff == 1, rule.name
+                    if rule.kind == "product":
+                        if len(site) == 1:
+                            continue    # two equal atoms are stored as a square
+                    else:
+                        (site,) = site
+                found = match(rule, site)
+                assert found is not None, (rule.name, binds)
+                assert equal(instantiate_sides(rule, found, xy.table)[0], lhs), rule.name
+                checked += 1
+    assert checked > 300
 
 
 CATALOG = sorted(rules.builtin_ruleset_names())
