@@ -21,6 +21,19 @@ a scalar monomial, or a monomial times one dot-word.  ``units(e)`` yields
 ``(word, mono, coeff)`` in storage order, with ``word`` None for a scalar;
 ``add_units(out, e)`` adds a value into a ``word -> {mono: coeff}`` map,
 dropping cancelled terms; ``from_units(out, vector)`` rebuilds the value.
+
+Words and atoms are hash-consed: ``Word.leaf``/``Word.pair`` and
+``Atom.symbol``/``Atom.q``/``Atom.b`` are the only builders, and each
+returns the one shared object for its value.  Equality is therefore
+identity and the hash is Python's default one, so a monomial tuple or a
+word hashes without walking its atoms.  The intern tables live for the
+process and hold each distinct word and atom once.  ``key`` serves
+ordering only (``mono_key``, ``atom_order``, the printer).
+
+Coefficients are exact: an ``int`` when the value is integral, else a
+``Fraction``.  Python's arithmetic mixes the two exactly (a sum of
+Fractions may be an integral Fraction, which equals and hashes like the
+``int``), and no ``/`` is ever applied to a coefficient.
 """
 from __future__ import annotations
 
@@ -30,7 +43,7 @@ from typing import Iterable, Iterator, Union
 from . import rawexpr as rx
 from .errors import ExprTypeError, UnknownSymbol
 
-ONE = Fraction(1)
+ONE = 1
 
 SCALAR = "scalar"
 VECTOR = "vector"
@@ -66,10 +79,19 @@ class SymbolTable:
         return [n for n, (s, _) in self._entries.items() if sort is None or s == sort]
 
 
-class Word:
-    """A dot-word: leaf vector symbol or ordered pair of sub-words."""
+# Intern tables: (name, index) or (left, right) -> Word, and (kind, name,
+# index) or (kind, w1[, w2]) -> Atom.  Children are interned before their
+# parents, so these keys hash by identity.  `setdefault` keeps one
+# instance per value even when two threads build the same one.
+_WORDS: dict = {}
+_ATOMS: dict = {}
 
-    __slots__ = ("name", "index", "left", "right", "leaves", "key", "_hash")
+
+class Word:
+    """A dot-word: leaf vector symbol or ordered pair of sub-words.  Build
+    one only with `leaf` or `pair`, which return the interned instance."""
+
+    __slots__ = ("name", "index", "left", "right", "leaves", "key")
 
     def __init__(self, name, index, left, right, leaves, key):
         self.name = name
@@ -78,26 +100,27 @@ class Word:
         self.right = right
         self.leaves = leaves
         self.key = key
-        self._hash = hash(key)
 
     @staticmethod
     def leaf(name: str, index: int) -> "Word":
-        return Word(name, index, None, None, 1, (1, 0, index, name))
+        w = _WORDS.get((name, index))
+        if w is None:
+            w = _WORDS.setdefault((name, index),
+                                  Word(name, index, None, None, 1, (1, 0, index, name)))
+        return w
 
     @staticmethod
     def pair(left: "Word", right: "Word") -> "Word":
-        leaves = left.leaves + right.leaves
-        return Word(None, None, left, right, leaves, (leaves, 1, left.key, right.key))
+        w = _WORDS.get((left, right))
+        if w is None:
+            leaves = left.leaves + right.leaves
+            w = _WORDS.setdefault((left, right), Word(None, None, left, right, leaves,
+                                                      (leaves, 1, left.key, right.key)))
+        return w
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         if self.is_leaf:
@@ -111,9 +134,10 @@ _KIND_B = 2
 
 
 class Atom:
-    """A scalar atom: a scalar symbol, q(word), or b(word, word)."""
+    """A scalar atom: a scalar symbol, q(word), or b(word, word).  Build
+    one only with `symbol`, `q` or `b`, which return the interned instance."""
 
-    __slots__ = ("kind", "name", "index", "w1", "w2", "key", "_hash")
+    __slots__ = ("kind", "name", "index", "w1", "w2", "key")
 
     def __init__(self, kind, name, index, w1, w2, key):
         self.kind = kind
@@ -122,19 +146,30 @@ class Atom:
         self.w1 = w1
         self.w2 = w2
         self.key = key
-        self._hash = hash(key)
 
     @staticmethod
     def symbol(name: str, index: int) -> "Atom":
-        return Atom(_KIND_SYM, name, index, None, None, (_KIND_SYM, index, name))
+        atom = _ATOMS.get((_KIND_SYM, name, index))
+        if atom is None:
+            atom = _ATOMS.setdefault((_KIND_SYM, name, index), Atom(
+                _KIND_SYM, name, index, None, None, (_KIND_SYM, index, name)))
+        return atom
 
     @staticmethod
     def q(w: Word) -> "Atom":
-        return Atom(_KIND_Q, None, None, w, None, (_KIND_Q, w.key))
+        atom = _ATOMS.get((_KIND_Q, w))
+        if atom is None:
+            atom = _ATOMS.setdefault((_KIND_Q, w),
+                                     Atom(_KIND_Q, None, None, w, None, (_KIND_Q, w.key)))
+        return atom
 
     @staticmethod
     def b(w1: Word, w2: Word) -> "Atom":
-        return Atom(_KIND_B, None, None, w1, w2, (_KIND_B, w1.key, w2.key))
+        atom = _ATOMS.get((_KIND_B, w1, w2))
+        if atom is None:
+            atom = _ATOMS.setdefault((_KIND_B, w1, w2), Atom(
+                _KIND_B, None, None, w1, w2, (_KIND_B, w1.key, w2.key)))
+        return atom
 
     @property
     def is_symbol(self) -> bool:
@@ -147,12 +182,6 @@ class Atom:
     @property
     def is_b(self) -> bool:
         return self.kind == _KIND_B
-
-    def __eq__(self, other):
-        return isinstance(other, Atom) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         if self.is_symbol:
@@ -179,7 +208,7 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     while i < len(m1) and j < len(m2):
         a1, e1 = m1[i]
         a2, e2 = m2[j]
-        if a1.key == a2.key:
+        if a1 is a2:
             out.append((a1, e1 + e2))
             i += 1
             j += 1
@@ -207,6 +236,14 @@ def add_terms(out: dict, terms: dict) -> dict:
     return out
 
 
+def _coefficient(value) -> int | Fraction:
+    """`value` as an exact coefficient: an int when integral, else a Fraction."""
+    if isinstance(value, int):
+        return value
+    f = Fraction(value)
+    return f.numerator if f.denominator == 1 else f
+
+
 def mono_key(m: Monomial):
     """Graded-lexicographic sort key: total degree, then atom keys."""
     return (sum(e for _, e in m), tuple((a.key, e) for a, e in m))
@@ -222,7 +259,7 @@ class ScalarExpr:
 
     @staticmethod
     def const(value) -> "ScalarExpr":
-        c = Fraction(value)
+        c = _coefficient(value)
         return ScalarExpr({EMPTY_MONOMIAL: c} if c else {})
 
     @staticmethod
@@ -233,7 +270,7 @@ class ScalarExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def monomials(self) -> list[tuple[Monomial, Fraction]]:
+    def monomials(self) -> list[tuple[Monomial, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
 
     def by_word(self) -> Iterable[tuple[None, dict]]:
@@ -253,7 +290,7 @@ class ScalarExpr:
         return self + (-other)
 
     def scaled(self, factor) -> "ScalarExpr":
-        f = Fraction(factor)
+        f = _coefficient(factor)
         if not f:
             return ScalarExpr()
         return ScalarExpr({m: c * f for m, c in self.terms.items()})
@@ -263,6 +300,10 @@ class ScalarExpr:
             return other.scaled_by(self)
         if not isinstance(other, ScalarExpr):
             return self.scaled(other)
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            ((m1, c1),) = self.terms.items()
+            ((m2, c2),) = other.terms.items()
+            return ScalarExpr({mono_mul(m1, m2): c1 * c2})
         out: dict = {}
         for m1, c1 in self.terms.items():
             # Distinct m2 give distinct products m1*m2, so each row is one dict.
@@ -349,7 +390,7 @@ def is_vector(e: Expr) -> bool:
     return isinstance(e, VectorExpr)
 
 
-def units(e: Expr) -> Iterator[tuple[Word | None, Monomial, Fraction]]:
+def units(e: Expr) -> Iterator[tuple[Word | None, Monomial, int | Fraction]]:
     """`(word, mono, coeff)` for each unit of a canonical value, in storage
     order; `word` is None for a scalar."""
     for word, terms in e.by_word():
@@ -392,12 +433,18 @@ def dot(u: VectorExpr, v: VectorExpr) -> VectorExpr:
     return from_units(out, True)
 
 
+def _add_atom_terms(out: dict, coeff: ScalarExpr, atom: Atom) -> None:
+    """Add `coeff * atom` into the term dict `out` in place."""
+    factor = ((atom, 1),)
+    add_terms(out, {mono_mul(m, factor): c for m, c in coeff.terms.items()})
+
+
 def b_of(u: VectorExpr, v: VectorExpr) -> ScalarExpr:
     """Bilinear extension of the b atom; argument order is preserved."""
     out: dict = {}
     for w1, c1 in u.terms.items():
         for w2, c2 in v.terms.items():
-            add_terms(out, ((c1 * c2) * ScalarExpr.from_atom(Atom.b(w1, w2))).terms)
+            _add_atom_terms(out, c1 * c2, Atom.b(w1, w2))
     return ScalarExpr(out)
 
 
@@ -411,9 +458,9 @@ def q_of(v: VectorExpr) -> ScalarExpr:
     items = v.items()
     out: dict = {}
     for i, (wi, ci) in enumerate(items):
-        add_terms(out, ((ci * ci) * ScalarExpr.from_atom(Atom.q(wi))).terms)
+        _add_atom_terms(out, ci * ci, Atom.q(wi))
         for wj, cj in items[i + 1:]:
-            add_terms(out, ((ci * cj) * ScalarExpr.from_atom(Atom.b(wi, wj))).terms)
+            _add_atom_terms(out, ci * cj, Atom.b(wi, wj))
     return ScalarExpr(out)
 
 
@@ -446,7 +493,11 @@ class Env:
 
 
 def canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
-    """Reduce an unrestricted parse tree to its canonical form."""
+    """Reduce an unrestricted parse tree to its canonical form.
+
+    A sort error carries the span of the offending summand or factor of a
+    sum or product, and of the operator of a power, dot, q or b.
+    """
     if isinstance(raw, rx.Num):
         return ScalarExpr.const(raw.value)
     if isinstance(raw, rx.Ident):
@@ -458,9 +509,9 @@ def canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
         vectors = [p for p in parts if is_vector(p)]
         if vectors and len(vectors) != len(parts):
             # A scalar summand that is exactly zero is harmless in a vector sum.
-            scalars = [p for p in parts if is_scalar(p)]
-            if any(not p.is_zero for p in scalars):
-                raise ExprTypeError("cannot add scalar and vector values")
+            for item, p in zip(raw.items, parts):
+                if is_scalar(p) and not p.is_zero:
+                    raise ExprTypeError("cannot add scalar and vector values", item.span)
             parts = vectors
         acc = parts[0]
         for p in parts[1:]:
@@ -470,7 +521,8 @@ def canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
         parts = [canonicalize(item, env) for item in raw.items]
         vectors = [p for p in parts if is_vector(p)]
         if len(vectors) > 1:
-            raise ExprTypeError("vector*vector is not defined; use the dot product")
+            second = [item for item, p in zip(raw.items, parts) if is_vector(p)][1]
+            raise ExprTypeError("vector*vector is not defined; use the dot product", second.span)
         scalar = ScalarExpr.const(1)
         for p in parts:
             if is_scalar(p):
@@ -481,24 +533,24 @@ def canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
     if isinstance(raw, rx.Pow):
         base = canonicalize(raw.base, env)
         if not is_scalar(base):
-            raise ExprTypeError("powers apply to scalar expressions only")
+            raise ExprTypeError("powers apply to scalar expressions only", raw.span)
         return base ** raw.exponent
     if isinstance(raw, rx.Dot):
         left = canonicalize(raw.left, env)
         right = canonicalize(raw.right, env)
         if not (is_vector(left) and is_vector(right)):
-            raise ExprTypeError("dot product requires vector operands")
+            raise ExprTypeError("dot product requires vector operands", raw.span)
         return dot(left, right)
     if isinstance(raw, rx.Q):
         arg = canonicalize(raw.arg, env)
         if not is_vector(arg):
-            raise ExprTypeError("q applies to vector expressions")
+            raise ExprTypeError("q applies to vector expressions", raw.span)
         return q_of(arg)
     if isinstance(raw, rx.B):
         left = canonicalize(raw.left, env)
         right = canonicalize(raw.right, env)
         if not (is_vector(left) and is_vector(right)):
-            raise ExprTypeError("b applies to vector expressions")
+            raise ExprTypeError("b applies to vector expressions", raw.span)
         return b_of(left, right)
     raise ExprTypeError(f"unsupported raw node {type(raw).__name__}")
 

@@ -50,7 +50,13 @@ class UnknownSymbol(SymcompError):
 
 
 class ExprTypeError(SymcompError, TypeError):
-    """Scalar and vector values were mixed illegally."""
+    """Scalar and vector values were mixed illegally; carries the span of
+    the offending node when it comes from a parse tree."""
+
+    def __init__(self, message: str, span: SourceSpan | None = None):
+        super().__init__(message if span is None else f"{span}: {message}")
+        self.message = message
+        self.span = span
 
 
 class NonTermination(SymcompError):

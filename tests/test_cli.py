@@ -224,3 +224,14 @@ def test_nesting_at_the_bound_still_parses():
     chain = _dot_chain(MAX_NESTING)
     code, output = run_cli("oracle", f"{chain} - {chain}", "--trials", "3")
     assert code == 0, output
+
+
+@pytest.mark.parametrize("source, where", [
+    ("q(x) + x", "1:1: cannot add scalar and vector values"),
+    ("x*y", "1:3: vector*vector is not defined"),
+    ("x^2", "1:2: powers apply to scalar expressions only"),
+], ids=["sum", "product", "power"])
+def test_oracle_sort_error_names_its_span(capsys, source, where):
+    code, _ = run_cli("oracle", source)
+    assert code == 2
+    assert f"symcomp: error: {where}" in capsys.readouterr().err

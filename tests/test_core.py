@@ -1,13 +1,34 @@
 """Canonical forms: ordering, bilinearity, polarization, equality."""
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from symcomp import ScalarExpr, atom_order, canonicalize, equal, print_expr
-from symcomp.core import Atom
+import symcomp.rawexpr as rx
+from symcomp import (
+    ScalarExpr,
+    apply_fixpoint,
+    atom_order,
+    builtin_ruleset,
+    builtin_session_names,
+    canonicalize,
+    equal,
+    print_expr,
+    sessions,
+    subst,
+)
+from symcomp.core import Atom, Env, Word, units
 from symcomp.errors import ExprTypeError, UnknownSymbol
 from symcomp.oracle import eval_expr
-from helpers import Ctx, eval_raw, random_ctx_assignment, random_raw, values_agree
+from helpers import (
+    Ctx,
+    eval_raw,
+    random_ctx_assignment,
+    random_raw,
+    scaling_family,
+    values_agree,
+)
 
 
 def test_dot_distributes_over_sums(xyz):
@@ -163,3 +184,119 @@ def test_symbols_of_scalar_and_zero_values():
     assert scalar_symbols_of(value) == {"mu"}
     for zero in (ScalarExpr(), VectorExpr()):
         assert vector_symbols_of(zero) == scalar_symbols_of(zero) == set()
+
+
+# --- interned words and atoms, integer coefficients ---------------------------
+
+
+def test_words_and_atoms_are_built_once(xy):
+    x, y = Word.leaf("x", 0), Word.leaf("y", 1)
+    assert Word.leaf("x", 0) is x
+    assert Word.pair(Word.pair(x, y), x) is Word.pair(Word.pair(x, y), x)
+    assert xy.word("(x.y).x") is Word.pair(Word.pair(x, y), x)
+    assert Atom.q(x) is Atom.q(Word.leaf("x", 0))
+    assert Atom.b(x, y) is Atom.b(x, y) and Atom.b(x, y) is not Atom.b(y, x)
+    assert Atom.symbol("alpha", 0) is Atom.symbol("alpha", 0)
+    ((first, _),) = xy.mono("b(x.y, x)")
+    ((second, _),) = xy.mono("b(x.y, x)")
+    assert first is second is Atom.b(Word.pair(x, y), x)
+
+
+def test_declaration_order_tells_words_apart():
+    forward = Ctx(scalars=("alpha", "beta"), vectors=("x", "y"))
+    backward = Ctx(scalars=("beta", "alpha"), vectors=("y", "x"))
+    assert forward.word("x") is not backward.word("x")
+    assert forward.word("x.y") is not backward.word("x.y")
+    assert forward.mono("alpha") != backward.mono("alpha")
+    assert not equal(forward.canon("q(x.y)"), backward.canon("q(x.y)"))
+
+
+def _coefficient_types(e):
+    return {type(c) for _, _, c in units(e)}
+
+
+def test_scale_normal_form_has_int_coefficients():
+    ctx, e = scaling_family(4)
+    result = apply_fixpoint(e, builtin_ruleset("rules2"), ctx.table)
+    assert len(result.terms) > 100
+    assert _coefficient_types(e) == _coefficient_types(result) == {int}
+
+
+def test_paper_catalog_values_have_int_coefficients(monkeypatch):
+    # With a trace on, a session prints every value it computes.
+    seen = []
+
+    def recording(e):
+        seen.append(e)
+        return print_expr(e)
+
+    monkeypatch.setattr(sessions, "print_expr", recording)
+    for name in builtin_session_names():
+        sessions.run_builtin_session(name, trace=lambda line: None)
+    assert len(seen) > 50
+    assert set().union(*map(_coefficient_types, seen)) == {int}
+
+
+def test_rational_coefficients_stay_exact(greek):
+    assert print_expr(greek.canon("1/2*x + 1/2*x")) == "x"
+    assert print_expr(greek.canon("1/2*q(x) + 1/2*q(x)")) == "q(x)"
+    assert print_expr(greek.canon("3/2*b(x,y) + 1/2*b(x,y)")) == "2*b(x,y)"
+    assert equal(greek.canon("1/3*x + 2/3*x"), greek.canon("x"))
+    third = greek.canon("1/3*lambda*q(x)")
+    value = subst(third, {"lambda": greek.canon("mu + 1")}, greek.table)
+    assert print_expr(value) == "1/3*q(x) + 1/3*mu*q(x)"
+    tripled = subst(third, {"x": greek.canon("3*x")}, greek.table)
+    assert equal(tripled, greek.canon("3*lambda*q(x)"))
+
+
+# --- property: canonicalize agrees with raw evaluation ------------------------
+
+PROP_CTX = Ctx(scalars=("alpha", "beta"), vectors=("x", "y"))
+_numbers = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3))).map(rx.Num)
+
+
+@st.composite
+def _raw_tree(draw, vector: bool, depth: int):
+    """A raw tree of the given sort over PROP_CTX, at most `depth` deep."""
+    def sub(sort_is_vector):
+        return draw(_raw_tree(sort_is_vector, depth - 1))
+
+    if vector:
+        kind = "ident" if depth == 0 else draw(
+            st.sampled_from(("ident", "dot", "sum", "mul", "neg")))
+        if kind == "ident":
+            return rx.Ident(draw(st.sampled_from(PROP_CTX.vectors)))
+        if kind == "dot":
+            return rx.Dot(sub(True), sub(True))
+        if kind == "sum":
+            return rx.Sum(tuple(draw(st.lists(_raw_tree(True, depth - 1), min_size=2, max_size=3))))
+        if kind == "mul":
+            return rx.Mul((sub(False), sub(True)))
+        return rx.Neg(sub(True))
+    if depth == 0:
+        return draw(st.one_of(_numbers, st.sampled_from(PROP_CTX.scalars).map(rx.Ident)))
+    kind = draw(st.sampled_from(("num", "ident", "q", "b", "sum", "mul", "pow", "neg")))
+    if kind == "num":
+        return draw(_numbers)
+    if kind == "ident":
+        return rx.Ident(draw(st.sampled_from(PROP_CTX.scalars)))
+    if kind == "q":
+        return rx.Q(sub(True))
+    if kind == "b":
+        return rx.B(sub(True), sub(True))
+    if kind == "sum":
+        return rx.Sum((sub(False), sub(False)))
+    if kind == "mul":
+        return rx.Mul((sub(False), sub(False)))
+    if kind == "pow":
+        return rx.Pow(sub(False), draw(st.integers(2, 3)))
+    return rx.Neg(sub(False))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(raw=st.booleans().flatmap(lambda vector: _raw_tree(vector, 3)),
+       seed=st.integers(0, 2**32))
+def test_canonicalize_agrees_with_raw_evaluation_property(raw, seed):
+    value = canonicalize(raw, Env(PROP_CTX.table))
+    a = random_ctx_assignment(random.Random(seed), PROP_CTX)
+    assert values_agree(eval_raw(raw, a), eval_expr(value, a))

@@ -18,7 +18,7 @@ from symcomp.core import ScalarExpr, VectorExpr, Word
 from symcomp.errors import NonTermination, ParseError, RuleSetUnknown
 from symcomp.oracle import eval_expr, random_assignment
 from symcomp.rules import RewriteMemo, instantiate_sides, _pattern_vars
-from helpers import Ctx, random_raw
+from helpers import Ctx, random_raw, scaling_family
 
 
 def make_rule(src: str, name: str = "r"):
@@ -340,14 +340,6 @@ def test_match_binds_every_instantiated_left_hand_side(xy):
 
 
 CATALOG = sorted(rules.builtin_ruleset_names())
-
-
-def scaling_family(k: int, template: str = "b(S, S.S) - 3*q(S)*b(S,S)"):
-    """The template with S a sum of k generic terms a_i*w_i."""
-    ctx = Ctx(scalars=tuple(f"a{i}" for i in range(k)), vectors=("x", "y", "z"))
-    words = ("x", "y", "z", "x.y")[:k]
-    s = " + ".join(f"a{i}*({w})" for i, w in enumerate(words))
-    return ctx, ctx.canon(template.replace("S", f"({s})"))
 
 
 def memo_inputs():
