@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .core import SCALAR, VECTOR, Env, SymbolTable, canonicalize
 from .errors import SymcompError
-from .oracle import check_identity
+from .oracle import MAX_TRIALS, check_identity
 from .parser import parse_expr, parse_script
 from .printer import print_expr
 from .rawexpr import idents
@@ -148,6 +148,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         seed = args.seed if args.seed is not None else _default_seed()
         if args.trials < 1:
             raise SymcompError("--trials must be at least 1")
+        if args.trials > MAX_TRIALS:
+            raise SymcompError(f"--trials must be at most {MAX_TRIALS}")
         if args.command == "run":
             return _cmd_run(args, seed, out)
         if args.command == "paper":

@@ -21,6 +21,8 @@ a scalar monomial, or a monomial times one dot-word.  ``units(e)`` yields
 ``(word, mono, coeff)`` in storage order, with ``word`` None for a scalar;
 ``add_units(out, e)`` adds a value into a ``word -> {mono: coeff}`` map,
 dropping cancelled terms; ``from_units(out, vector)`` rebuilds the value.
+Every product of term dicts (``*``, ``dot``, ``b_of``, ``q_of``, a rule
+rewrite) is one multiply-accumulate, ``add_product(out, a, b)``.
 
 Words and atoms are hash-consed: ``Word.leaf``/``Word.pair`` and
 ``Atom.symbol``/``Atom.q``/``Atom.b`` are the only builders, and each
@@ -236,6 +238,21 @@ def add_terms(out: dict, terms: dict) -> dict:
     return out
 
 
+def add_product(out: dict, a: dict, b: dict) -> dict:
+    """Add the product of the monomial -> coefficient dicts `a` and `b` into
+    `out` in place, dropping coefficients that cancel to zero; returns `out`."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            acc = out.get(m)
+            acc = c1 * c2 if acc is None else acc + c1 * c2
+            if acc:
+                out[m] = acc
+            else:
+                out.pop(m, None)
+    return out
+
+
 def _coefficient(value) -> int | Fraction:
     """`value` as an exact coefficient: an int when integral, else a Fraction."""
     if isinstance(value, int):
@@ -263,8 +280,8 @@ class ScalarExpr:
         return ScalarExpr({EMPTY_MONOMIAL: c} if c else {})
 
     @staticmethod
-    def from_atom(atom: Atom, exp: int = 1) -> "ScalarExpr":
-        return ScalarExpr({((atom, exp),): ONE})
+    def from_atom(atom: Atom) -> "ScalarExpr":
+        return ScalarExpr({((atom, 1),): ONE})
 
     @property
     def is_zero(self) -> bool:
@@ -300,15 +317,7 @@ class ScalarExpr:
             return other.scaled_by(self)
         if not isinstance(other, ScalarExpr):
             return self.scaled(other)
-        if len(self.terms) == 1 and len(other.terms) == 1:
-            ((m1, c1),) = self.terms.items()
-            ((m2, c2),) = other.terms.items()
-            return ScalarExpr({mono_mul(m1, m2): c1 * c2})
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            # Distinct m2 give distinct products m1*m2, so each row is one dict.
-            add_terms(out, {mono_mul(m1, m2): c1 * c2 for m2, c2 in other.terms.items()})
-        return ScalarExpr(out)
+        return ScalarExpr(add_product({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -366,14 +375,8 @@ class VectorExpr:
         return self + (-other)
 
     def scaled_by(self, factor: ScalarExpr) -> "VectorExpr":
-        if factor.is_zero:
-            return VectorExpr()
-        out = {}
-        for w, c in self.terms.items():
-            acc = c * factor
-            if not acc.is_zero:
-                out[w] = acc
-        return VectorExpr(out)
+        return from_units({w: add_product({}, c.terms, factor.terms)
+                           for w, c in self.terms.items()}, True)
 
     def __repr__(self):
         return f"VectorExpr({len(self.terms)} terms)"
@@ -429,14 +432,8 @@ def dot(u: VectorExpr, v: VectorExpr) -> VectorExpr:
     out: dict = {}
     for w1, c1 in u.terms.items():
         for w2, c2 in v.terms.items():
-            add_terms(out.setdefault(Word.pair(w1, w2), {}), (c1 * c2).terms)
+            add_product(out.setdefault(Word.pair(w1, w2), {}), c1.terms, c2.terms)
     return from_units(out, True)
-
-
-def _add_atom_terms(out: dict, coeff: ScalarExpr, atom: Atom) -> None:
-    """Add `coeff * atom` into the term dict `out` in place."""
-    factor = ((atom, 1),)
-    add_terms(out, {mono_mul(m, factor): c for m, c in coeff.terms.items()})
 
 
 def b_of(u: VectorExpr, v: VectorExpr) -> ScalarExpr:
@@ -444,7 +441,7 @@ def b_of(u: VectorExpr, v: VectorExpr) -> ScalarExpr:
     out: dict = {}
     for w1, c1 in u.terms.items():
         for w2, c2 in v.terms.items():
-            _add_atom_terms(out, c1 * c2, Atom.b(w1, w2))
+            add_product(out, add_product({}, c1.terms, c2.terms), {((Atom.b(w1, w2), 1),): ONE})
     return ScalarExpr(out)
 
 
@@ -458,9 +455,9 @@ def q_of(v: VectorExpr) -> ScalarExpr:
     items = v.items()
     out: dict = {}
     for i, (wi, ci) in enumerate(items):
-        _add_atom_terms(out, ci * ci, Atom.q(wi))
+        add_product(out, add_product({}, ci.terms, ci.terms), {((Atom.q(wi), 1),): ONE})
         for wj, cj in items[i + 1:]:
-            _add_atom_terms(out, ci * cj, Atom.b(wi, wj))
+            add_product(out, add_product({}, ci.terms, cj.terms), {((Atom.b(wi, wj), 1),): ONE})
     return ScalarExpr(out)
 
 

@@ -28,6 +28,7 @@ from .printer import print_expr
 
 _ZERO = Fraction(0)
 COMPONENT_RANGE = 9  # components drawn uniformly from [-9, 9]
+MAX_TRIALS = 10_000  # the most trials `--trials` and `oracle_check` accept
 
 
 class ParaQuaternion:

@@ -32,7 +32,7 @@ Script statements (each terminated by `;`):
     assert_equal NAME, EXPR | @GOLDEN;
     assert_factored NAME, EXPR | @GOLDEN;
     assert_matrix NAME, @GOLDEN;
-    oracle_check NAME [, trials=N];
+    oracle_check NAME [, trials=N];      # 1 <= N <= oracle.MAX_TRIALS
 
 `@GOLDEN` references an expression (or coefficient-matrix JSON) stored in
 the script's goldens directory.  In rule patterns, uppercase identifiers
@@ -51,8 +51,8 @@ from .errors import (
     RuleSetUnknown,
     SourceSpan,
     UndefinedName,
-    UnknownSymbol,
 )
+from .oracle import MAX_TRIALS
 from .rules import RewriteRule, builtin_ruleset_names, compile_rule
 
 _GREEK = {"α": "alpha", "β": "beta", "λ": "lambda", "μ": "mu"}
@@ -295,20 +295,12 @@ def _expect_end(ts: _TokenStream) -> None:
         raise ParseError(f"unexpected trailing input {tail.text!r}", tail.span)
 
 
-def parse_expr(text: str, symbols=None) -> rx.RawExpr:
+def parse_expr(text: str) -> rx.RawExpr:
     """Parse a single expression; the whole input must be consumed.
-
-    When a symbol table is supplied, every identifier must be declared
-    in it (UnknownSymbol otherwise); without one, name resolution is
-    deferred to canonicalization.
-    """
+    Names are resolved later, by canonicalization."""
     ts = _TokenStream(tokenize(text))
     raw = _parse_expr(ts)
     _expect_end(ts)
-    if symbols is not None:
-        for node in rx.idents(raw):
-            if symbols.sort_of(node.name) is None:
-                raise UnknownSymbol(f"{node.span}: undeclared identifier {node.name!r}")
     return raw
 
 
@@ -592,6 +584,8 @@ class _ScriptParser:
                 trials = int(num.text)
                 if trials < 1:
                     raise ParseError("trials must be at least 1", num.span)
+                if trials > MAX_TRIALS:
+                    raise ParseError(f"trials must be at most {MAX_TRIALS}", num.span)
             return Assertion(head.span, label, target.text, "oracle", trials=trials)
         kind = {"assert_equal": "equal", "assert_factored": "factored",
                 "assert_matrix": "matrix"}[head.text]

@@ -44,7 +44,9 @@ subject's first binding rule with its instantiated right-hand side (or
 no match), and the monomials/terms a pass left unrewritten, which later
 passes skip without scanning their sites.  The memo lives for that call
 only (a direct ``apply_once`` call gets its own), and the result does not
-depend on it.  Each pass accumulates its results in place.
+depend on it.  Each pass accumulates its results in place: a rewrite
+adds its unit, the right-hand side times the rest of the unit, straight
+into the pass's ``word -> {mono: coeff}`` map (``core.add_product``).
 The public ``match`` binds with the same per-site matcher, ``_bind``, and
 takes product-rule pairs from the same enumerator.
 """
@@ -58,12 +60,11 @@ from .core import (
     Env,
     Expr,
     Monomial,
-    ScalarExpr,
     SymbolTable,
     VectorExpr,
     Word,
+    add_product,
     add_terms,
-    add_units,
     b_of,
     canonicalize,
     dot,
@@ -276,26 +277,28 @@ def _graft(word: Word, path: tuple, repl: VectorExpr) -> VectorExpr:
     return dot(VectorExpr.from_word(word.left), _graft(word.right, path[1:], repl))
 
 
-def _replace(coeff, mono: Monomial, word: Word | None, loc: tuple,
-             rule: RewriteRule, repl: Expr) -> Expr:
-    """The unit `coeff * mono (* word)` with the site at `loc` replaced by
-    the rule's instantiated right-hand side.  `repl` comes from the memo
-    and is shared by every rewrite at its site, so it is never mutated."""
+def _replace(out: dict, coeff, mono: Monomial, word: Word | None, loc: tuple,
+             rule: RewriteRule, repl: Expr) -> None:
+    """Add the unit `coeff * mono (* word)`, with the site at `loc` replaced
+    by the rule's instantiated right-hand side `repl`, into the pass's map
+    `out`.  `repl` is shared through the memo, so it is never mutated."""
     drop, argpos, path = loc
     if not drop:
-        return _graft(word, path, repl).scaled_by(ScalarExpr({mono: coeff}))
-    atom, exp = mono[drop[0]]
-    if path is not None:
-        if atom.is_q:
-            repl = q_of(_graft(atom.w1, path, repl))
-        elif argpos == 0:
-            repl = b_of(_graft(atom.w1, path, repl), VectorExpr.from_word(atom.w2))
-        else:
-            repl = b_of(VectorExpr.from_word(atom.w1), _graft(atom.w2, path, repl))
-    if rule.kind in ("dot", "atom"):
-        repl = repl ** exp
-    result = ScalarExpr({tuple(e for k, e in enumerate(mono) if k not in drop): coeff}) * repl
-    return result if word is None else VectorExpr.from_word(word).scaled_by(result)
+        repl, rest = _graft(word, path, repl), mono
+    else:
+        atom, exp = mono[drop[0]]
+        if path is not None:
+            if atom.is_q:
+                repl = q_of(_graft(atom.w1, path, repl))
+            elif argpos == 0:
+                repl = b_of(_graft(atom.w1, path, repl), VectorExpr.from_word(atom.w2))
+            else:
+                repl = b_of(VectorExpr.from_word(atom.w1), _graft(atom.w2, path, repl))
+        if exp > 1 and rule.kind in ("dot", "atom"):
+            repl = repl ** exp
+        rest = tuple(e for k, e in enumerate(mono) if k not in drop)
+    for w, terms in repl.by_word():  # a scalar stays on the unit's own word
+        add_product(out.setdefault(word if w is None else w, {}), {rest: coeff}, terms)
 
 
 def _instantiate(rule: RewriteRule, binds: dict[str, Word], symbols: SymbolTable) -> Expr:
@@ -348,22 +351,24 @@ def _first_match(rules, subject, symbols: SymbolTable):
 _UNSEEN = object()
 
 
-def _rewrite_unit(coeff, mono: Monomial, word: Word | None,
-                  split: tuple, symbols: SymbolTable, memo: RewriteMemo) -> Expr | None:
-    """First applicable rewrite of one monomial/term, or None.  Site
-    results are looked up in, and recorded into, `memo`."""
+def _rewrite_unit(out: dict, coeff, mono: Monomial, word: Word | None,
+                  split: tuple, symbols: SymbolTable, memo: RewriteMemo) -> bool:
+    """Add the first applicable rewrite of one monomial/term into `out`;
+    False, with `out` untouched, when no rule applies.  Site results are
+    looked up in, and recorded into, `memo`."""
     unit = mono if word is None else (mono, word)
     if unit in memo.normal:
-        return None
+        return False
     sites = memo.sites
     for rules, subject, loc in _sites(mono, word, split):
         hit = sites.get(subject, _UNSEEN)
         if hit is _UNSEEN:
             hit = sites[subject] = _first_match(rules, subject, symbols)
         if hit is not None:
-            return _replace(coeff, mono, word, loc, *hit)
+            _replace(out, coeff, mono, word, loc, *hit)
+            return True
     memo.normal.add(unit)
-    return None
+    return False
 
 
 def apply_once(e: Expr, rs: RuleSet, symbols: SymbolTable,
@@ -379,11 +384,8 @@ def apply_once(e: Expr, rs: RuleSet, symbols: SymbolTable,
     split = _split_rules(rs.rules)
     out: dict = {}
     for word, mono, coeff in units(e):
-        result = _rewrite_unit(coeff, mono, word, split, symbols, memo)
-        if result is None:
+        if not _rewrite_unit(out, coeff, mono, word, split, symbols, memo):
             add_terms(out.setdefault(word, {}), {mono: coeff})
-        else:
-            add_units(out, result)
     return from_units(out, is_vector(e))
 
 

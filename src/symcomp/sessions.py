@@ -173,24 +173,21 @@ def run_session(session: Session, *, goldens: GoldenLoader | None = None,
                     symbols.declare(name, stmt.sort)
             elif isinstance(stmt, DefRule):
                 local_rulesets.setdefault(stmt.set_name, []).append(stmt.rule)
-            elif isinstance(stmt, LetExpr):
-                values[stmt.name] = canonicalize(stmt.raw, Env(symbols, values))
-                emit(lambda: f"{stmt.name} = {print_expr(values[stmt.name])}")
-            elif isinstance(stmt, LetApply):
-                rs = ruleset(stmt.ruleset)
-                source = values[stmt.source]
-                result = apply_once(source, rs, symbols) if stmt.once \
-                    else apply_fixpoint(source, rs, symbols)
-                values[stmt.name] = result
-                emit(lambda: f"{stmt.name} = {print_expr(result)}")
-            elif isinstance(stmt, LetSubst):
-                values[stmt.name] = subst_raw(
-                    values[stmt.source], dict(stmt.bindings), symbols,
-                    Env(symbols, values))
-                emit(lambda: f"{stmt.name} = {print_expr(values[stmt.name])}")
-            elif isinstance(stmt, LetCoeff):
-                values[stmt.name] = coeff(values[stmt.source], dict(stmt.key))
-                emit(lambda: f"{stmt.name} = {print_expr(values[stmt.name])}")
+            elif isinstance(stmt, (LetExpr, LetApply, LetSubst, LetCoeff)):
+                if isinstance(stmt, LetExpr):
+                    value = canonicalize(stmt.raw, Env(symbols, values))
+                elif isinstance(stmt, LetApply):
+                    rs = ruleset(stmt.ruleset)
+                    source = values[stmt.source]
+                    value = apply_once(source, rs, symbols) if stmt.once \
+                        else apply_fixpoint(source, rs, symbols)
+                elif isinstance(stmt, LetSubst):
+                    value = subst_raw(values[stmt.source], dict(stmt.bindings), symbols,
+                                      Env(symbols, values))
+                else:
+                    value = coeff(values[stmt.source], dict(stmt.key))
+                values[stmt.name] = value
+                emit(lambda: f"{stmt.name} = {print_expr(value)}")
             elif isinstance(stmt, LetMatrix):
                 matrices[stmt.name] = coeff_matrix(values[stmt.source], stmt.vars)
                 emit(lambda: f"{stmt.name} = {matrices[stmt.name].to_json()}")

@@ -11,6 +11,7 @@ from symcomp import (
     Env,
     ParaQuaternion,
     SymbolTable,
+    VectorExpr,
     canonicalize,
     parse_expr,
     pq_bilinear,
@@ -60,6 +61,14 @@ def scaling_family(k: int, template: str = "b(S, S.S) - 3*q(S)*b(S,S)"):
     words = ("x", "y", "z", "x.y")[:k]
     s = " + ".join(f"a{i}*({w})" for i, w in enumerate(words))
     return ctx, ctx.canon(template.replace("S", f"({s})"))
+
+
+def stores_no_zero(e) -> bool:
+    """Whether a canonical value stores no zero coefficient and no empty
+    vector coefficient, the invariant every canonical value keeps."""
+    if isinstance(e, VectorExpr):
+        return all(c.terms and stores_no_zero(c) for c in e.terms.values())
+    return all(c != 0 for c in e.terms.values())
 
 
 # --- random raw expressions ---------------------------------------------------

@@ -104,6 +104,17 @@ def test_oracle_single_trial():
     assert "1 trials" in output
 
 
+def test_trial_count_is_bounded(capsys, tmp_path):
+    code, _ = run_cli("oracle", "q(x.y) - q(x)*q(y)", "--trials", "10001")
+    assert code == 2
+    assert "symcomp: error: --trials must be at most 10000" in capsys.readouterr().err
+    path = tmp_path / "many.scs"
+    path.write_text("vectors x;\nlet e = q(x) - q(x);\noracle_check e, trials=10001;\n")
+    code, _ = run_cli("run", str(path))
+    assert code == 2
+    assert "symcomp: error: 3:24: trials must be at most 10000" in capsys.readouterr().err
+
+
 def test_oracle_file_input(tmp_path):
     path = tmp_path / "identity.expr"
     path.write_text("b(x,y) - b(y,x)\n")

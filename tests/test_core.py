@@ -24,9 +24,11 @@ from symcomp.oracle import eval_expr
 from helpers import (
     Ctx,
     eval_raw,
+    greek_ctx,
     random_ctx_assignment,
     random_raw,
     scaling_family,
+    stores_no_zero,
     values_agree,
 )
 
@@ -300,3 +302,17 @@ def test_canonicalize_agrees_with_raw_evaluation_property(raw, seed):
     value = canonicalize(raw, Env(PROP_CTX.table))
     a = random_ctx_assignment(random.Random(seed), PROP_CTX)
     assert values_agree(eval_raw(raw, a), eval_expr(value, a))
+    assert stores_no_zero(value)
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("(alpha + beta)*(alpha - beta)", "alpha^2 - beta^2"),
+    ("(alpha + beta)*((alpha - beta)*x)", "(alpha^2 - beta^2)*x"),
+    ("((alpha + beta)*x).((alpha - beta)*y)", "(alpha^2 - beta^2)*(x.y)"),
+    ("b((alpha + beta)*x, (alpha - beta)*y)", "alpha^2*b(x,y) - beta^2*b(x,y)"),
+], ids=["scalar", "scaled-vector", "dot", "b"])
+def test_cross_terms_cancel_inside_one_product(source, expected):
+    value = greek_ctx().canon(source)
+    assert print_expr(value) == expected
+    assert stores_no_zero(value)
+    assert len(list(units(value))) == 2

@@ -10,6 +10,7 @@ from symcomp.errors import (
     RuleSetUnknown,
     UndefinedName,
 )
+from symcomp.oracle import MAX_TRIALS
 from symcomp.parser import DeclSymbols, LetApply, LetExpr
 
 
@@ -177,6 +178,11 @@ def test_script_local_rule_and_labels():
     labels = [c.label for c in session.checkpoints]
     assert labels == ["C1", "C2"]
     assert session.checkpoints[1].trials == 3
+
+
+def test_trial_count_at_the_bound_parses():
+    session = parse_script("vectors x;\nlet e = q(x);\noracle_check e, trials=10000;")
+    assert session.checkpoints[0].trials == MAX_TRIALS == 10000
 
 
 def test_script_statement_spans():

@@ -18,7 +18,7 @@ from symcomp.core import ScalarExpr, VectorExpr, Word
 from symcomp.errors import NonTermination, ParseError, RuleSetUnknown
 from symcomp.oracle import eval_expr, random_assignment
 from symcomp.rules import RewriteMemo, instantiate_sides, _pattern_vars
-from helpers import Ctx, random_raw, scaling_family
+from helpers import Ctx, random_raw, scaling_family, stores_no_zero
 
 
 def make_rule(src: str, name: str = "r"):
@@ -369,8 +369,9 @@ def test_fixpoint_memo_gives_the_result_of_fresh_passes():
     for ctx, e in memo_inputs():
         for name in CATALOG:
             rs = builtin_ruleset(name)
-            assert equal(apply_fixpoint(e, rs, ctx.table, cap=500),
-                         fresh_passes(e, rs, ctx.table)), name
+            result = apply_fixpoint(e, rs, ctx.table, cap=500)
+            assert equal(result, fresh_passes(e, rs, ctx.table)), name
+            assert stores_no_zero(result), name
 
 
 def units(e):
