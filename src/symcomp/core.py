@@ -24,6 +24,12 @@ dropping cancelled terms; ``from_units(out, vector)`` rebuilds the value.
 Every product of term dicts (``*``, ``dot``, ``b_of``, ``q_of``, a rule
 rewrite) is one multiply-accumulate, ``add_product(out, a, b)``.
 
+Rewriting and substitution replace parts of a unit the same way:
+``word_with(w, left, right)`` and ``atom_with(atom, v1, v2)`` rebuild a
+dot-word or a q/b atom from new values of its parts (None keeps a part),
+and ``add_unit(out, coeff, rest, word, value)`` adds the rebuilt unit,
+``coeff * rest * value``, into a ``word -> {mono: coeff}`` map.
+
 Words and atoms are hash-consed: ``Word.leaf``/``Word.pair`` and
 ``Atom.symbol``/``Atom.q``/``Atom.b`` are the only builders, and each
 returns the one shared object for its value.  Equality is therefore
@@ -76,9 +82,6 @@ class SymbolTable:
 
     def index_of(self, name: str) -> int:
         return self._entries[name][1]
-
-    def names(self, sort: str | None = None) -> list[str]:
-        return [n for n, (s, _) in self._entries.items() if sort is None or s == sort]
 
 
 # Intern tables: (name, index) or (left, right) -> Word, and (kind, name,
@@ -324,15 +327,15 @@ class ScalarExpr:
     def __pow__(self, n: int) -> "ScalarExpr":
         if n < 0:
             raise ExprTypeError("negative powers are not supported")
-        acc = ScalarExpr.const(1)
+        acc = None
         base = self
         while n:
             if n & 1:
-                acc = acc * base
+                acc = base if acc is None else acc * base
             n >>= 1
             if n:
                 base = base * base
-        return acc
+        return ScalarExpr.const(1) if acc is None else acc
 
     def __repr__(self):
         return f"ScalarExpr({len(self.terms)} terms)"
@@ -409,6 +412,14 @@ def add_units(out: dict, e: Expr) -> dict:
     return out
 
 
+def add_unit(out: dict, coeff, rest: Monomial, word: Word | None, value: Expr) -> None:
+    """Add `coeff * rest * value` into the `word -> {mono: coeff}` map `out`
+    in place, dropping terms that cancel; a scalar `value` stays on `word`,
+    a vector one brings its own words.  `value` is never mutated."""
+    for w, terms in value.by_word():
+        add_product(out.setdefault(word if w is None else w, {}), {rest: coeff}, terms)
+
+
 def from_units(out: dict, vector: bool) -> Expr:
     """The value of sort `vector` held in a `word -> {mono: coeff}` map."""
     if vector:
@@ -459,6 +470,22 @@ def q_of(v: VectorExpr) -> ScalarExpr:
         for wj, cj in items[i + 1:]:
             add_product(out, add_product({}, ci.terms, cj.terms), {((Atom.b(wi, wj), 1),): ONE})
     return ScalarExpr(out)
+
+
+def word_with(w: Word, left: VectorExpr | None, right: VectorExpr | None) -> VectorExpr:
+    """The dot-word `w` rebuilt from new values of its two subwords; None
+    keeps that subword as it is."""
+    return dot(VectorExpr.from_word(w.left) if left is None else left,
+               VectorExpr.from_word(w.right) if right is None else right)
+
+
+def atom_with(atom: Atom, v1: VectorExpr | None, v2: VectorExpr | None) -> ScalarExpr:
+    """The q/b atom rebuilt from new values of its arguments; None keeps
+    that argument as it is (`v2` is unused for a q atom)."""
+    arg1 = VectorExpr.from_word(atom.w1) if v1 is None else v1
+    if atom.is_q:
+        return q_of(arg1)
+    return b_of(arg1, VectorExpr.from_word(atom.w2) if v2 is None else v2)
 
 
 class Env:

@@ -108,9 +108,9 @@ def tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit() also takes "²", which int() rejects
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             push("NUM", text[i:j])
             col += j - i
@@ -139,6 +139,16 @@ def tokenize(text: str) -> list[Token]:
         col += 1
     tokens.append(Token("EOF", "", SourceSpan(line, col, 0)))
     return tokens
+
+
+def _int(num: Token) -> int:
+    """The value of a NUM token; a literal too long for Python's
+    integer-string conversion is a ParseError at its span."""
+    try:
+        return int(num.text)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(num.text)} digits is too long",
+                         num.span) from None
 
 
 class _TokenStream:
@@ -214,7 +224,7 @@ def _parse_factor(ts: _TokenStream) -> rx.RawExpr:
     while ts.peek().kind == "CARET":
         caret = ts.advance()
         num = ts.expect("NUM", "an integer exponent")
-        value = int(num.text)
+        value = _int(num)
         if value < 2:
             raise ParseError("exponent must be at least 2", num.span)
         exponent *= value
@@ -244,13 +254,14 @@ def _parse_primary(ts: _TokenStream) -> tuple[rx.RawExpr, bool]:
     tok = ts.peek()
     if tok.kind == "NUM":
         ts.advance()
-        value = Fraction(int(tok.text))
+        value = Fraction(_int(tok))
         if ts.peek().kind == "SLASH":
             ts.advance()
             denom = ts.expect("NUM", "a denominator")
-            if int(denom.text) == 0:
+            denominator = _int(denom)
+            if denominator == 0:
                 raise ParseError("denominator must be nonzero", denom.span)
-            value = Fraction(int(tok.text), int(denom.text))
+            value /= denominator
         return rx.Num(value, tok.span), False
     if tok.kind == "LPAREN":
         ts.advance()
@@ -558,7 +569,7 @@ class _ScriptParser:
             exp = 1
             if self.ts.accept("CARET"):
                 num = self.ts.expect("NUM", "an integer exponent")
-                exp = int(num.text)
+                exp = _int(num)
                 if exp < 1:
                     raise ParseError("exponent must be at least 1", num.span)
             key[name] = key.get(name, 0) + exp
@@ -581,7 +592,7 @@ class _ScriptParser:
                     raise ParseError(f"expected 'trials', found {kw.text!r}", kw.span)
                 self.ts.expect("EQ", "'='")
                 num = self.ts.expect("NUM", "a trial count")
-                trials = int(num.text)
+                trials = _int(num)
                 if trials < 1:
                     raise ParseError("trials must be at least 1", num.span)
                 if trials > MAX_TRIALS:

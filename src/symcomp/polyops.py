@@ -1,6 +1,12 @@
 """Polynomial-level operations: substitution, coefficient extraction,
 coefficient matrices, and factored-form equality.
 
+Substitution rebuilds only what the bindings reach: each word and q/b
+atom that holds a bound symbol is rebuilt once per call
+(``core.word_with``/``core.atom_with``), the untouched entries of a
+monomial are kept as they are, and each unit is added back through
+``core.add_unit``.
+
 Coefficient extraction is exact-degree in the listed symbols jointly;
 symbols absent from the key are left untouched.  Factored displays are
 verified by expanding the claimed factorization and comparing canonical
@@ -15,6 +21,7 @@ from . import rawexpr as rx
 from .core import (
     SCALAR,
     VECTOR,
+    Atom,
     Env,
     Expr,
     Monomial,
@@ -22,32 +29,17 @@ from .core import (
     SymbolTable,
     VectorExpr,
     Word,
-    add_terms,
-    add_units,
-    b_of,
+    add_unit,
+    atom_with,
     canonicalize,
-    dot,
     equal,
     from_units,
     is_vector,
-    q_of,
     units,
+    word_with,
 )
 from .errors import ExprTypeError
 from .printer import print_expr
-
-
-def _subst_word(w: Word, bindings: dict[str, VectorExpr]) -> VectorExpr:
-    if w.is_leaf:
-        bound = bindings.get(w.name)
-        return bound if bound is not None else VectorExpr.from_word(w)
-    return dot(_subst_word(w.left, bindings), _subst_word(w.right, bindings))
-
-
-def _word_touches(w: Word, names: set[str]) -> bool:
-    if w.is_leaf:
-        return w.name in names
-    return _word_touches(w.left, names) or _word_touches(w.right, names)
 
 
 def subst(e: Expr, bindings: dict[str, Expr], symbols: SymbolTable) -> Expr:
@@ -66,35 +58,38 @@ def subst(e: Expr, bindings: dict[str, Expr], symbols: SymbolTable) -> Expr:
             value = cls()
         by_sort[sort][name] = value
     scalar_binds, vector_binds = by_sort[SCALAR], by_sort[VECTOR]
-    vnames = set(vector_binds)
+    reached: dict = {}  # word or q/b atom -> its value, None where no binding reaches
 
-    def subst_scalar(terms: dict) -> ScalarExpr:
-        out: dict = {}
-        for mono, coeff in terms.items():
-            acc = ScalarExpr.const(coeff)
-            for atom, exp in mono:
-                if atom.is_symbol:
-                    bound = scalar_binds.get(atom.name)
-                    factor = bound if bound is not None else ScalarExpr.from_atom(atom)
-                elif atom.is_q:
-                    if _word_touches(atom.w1, vnames):
-                        factor = q_of(_subst_word(atom.w1, vector_binds))
-                    else:
-                        factor = ScalarExpr.from_atom(atom)
-                else:
-                    if _word_touches(atom.w1, vnames) or _word_touches(atom.w2, vnames):
-                        factor = b_of(_subst_word(atom.w1, vector_binds),
-                                      _subst_word(atom.w2, vector_binds))
-                    else:
-                        factor = ScalarExpr.from_atom(atom)
-                acc = acc * factor ** exp
-            add_terms(out, acc.terms)
-        return ScalarExpr(out)
+    def word_value(w: Word) -> VectorExpr | None:
+        if w.is_leaf:
+            return vector_binds.get(w.name)
+        if w not in reached:
+            left, right = word_value(w.left), word_value(w.right)
+            reached[w] = None if left is None and right is None else word_with(w, left, right)
+        return reached[w]
 
+    def atom_value(atom: Atom) -> ScalarExpr | None:
+        if atom.is_symbol:
+            return scalar_binds.get(atom.name)
+        if atom not in reached:
+            v1 = word_value(atom.w1)
+            v2 = None if atom.is_q else word_value(atom.w2)
+            reached[atom] = None if v1 is None and v2 is None else atom_with(atom, v1, v2)
+        return reached[atom]
+
+    one = ScalarExpr.const(1)
     out: dict = {}
-    for word, terms in e.by_word():
-        value = subst_scalar(terms)
-        add_units(out, value if word is None else _subst_word(word, vector_binds).scaled_by(value))
+    for word, mono, c in units(e):
+        value = None if word is None else word_value(word)
+        rest = []
+        for entry in mono:
+            factor = atom_value(entry[0])
+            if factor is None:
+                rest.append(entry)
+            else:
+                factor = factor ** entry[1]
+                value = factor if value is None else factor * value
+        add_unit(out, c, tuple(rest), word, one if value is None else value)
     return from_units(out, is_vector(e))
 
 

@@ -27,7 +27,7 @@ dot-word) in storage order; within each it visits rewrite sites --
 dot-subtrees outermost-first (the term's own word, then inside q/b atom
 arguments in atom order), then whole atoms in atom order, then ordered
 pairs of distinct exponent-1 b atoms.  This order is
-defined in one place, the site enumerator ``_sites``.  At each site the
+defined in one place, ``_first_rewrite``.  At each site the
 rules of that site's kind are tried in listing order (on an atom of
 exponent >= 2, power rules before atom rules); the first match anywhere
 in a monomial rewrites that site, the produced fragment is left untouched
@@ -39,16 +39,21 @@ the wrong sort, the ``EngineError`` names the first one reached in
 storage order, which is still deterministic.
 ``apply_fixpoint`` iterates passes until the canonical form stabilizes.
 
-One ``apply_fixpoint`` call memoizes, in a ``RewriteMemo``, each site
-subject's first binding rule with its instantiated right-hand side (or
-no match), and the monomials/terms a pass left unrewritten, which later
-passes skip without scanning their sites.  The memo lives for that call
-only (a direct ``apply_once`` call gets its own), and the result does not
-depend on it.  Each pass accumulates its results in place: a rewrite
-adds its unit, the right-hand side times the rest of the unit, straight
-into the pass's ``word -> {mono: coeff}`` map (``core.add_product``).
-The public ``match`` binds with the same per-site matcher, ``_bind``, and
-takes product-rule pairs from the same enumerator.
+A rewrite replaces one *root* of a unit: the unit's own word, one q/b
+atom, or one pair of b atoms.  One ``apply_fixpoint`` call memoizes, in
+a ``RewriteMemo``, the value that replaces each root it has scanned (or
+None when nothing rewrites it), so a root is matched, instantiated and
+rebuilt once per fixpoint however many units share it; dot-words and
+atoms are rebuilt from the rewritten parts by ``core.word_with`` and
+``core.atom_with``.  The memo also holds the monomials/terms a pass left
+unrewritten, which later passes skip without scanning their roots.  It
+lives for that call only (a direct ``apply_once`` call gets its own),
+and the result does not depend on it.  Each pass accumulates its results
+in place: a rewrite adds its unit, the replacement value times the rest
+of the unit, straight into the pass's ``word -> {mono: coeff}`` map
+(``core.add_unit``).  The public ``match`` binds with the same per-site
+matcher, ``_bind``, and takes product-rule pairs from the same
+``_b_pairs``.
 """
 from __future__ import annotations
 
@@ -63,16 +68,15 @@ from .core import (
     SymbolTable,
     VectorExpr,
     Word,
-    add_product,
     add_terms,
-    b_of,
+    add_unit,
+    atom_with,
     canonicalize,
-    dot,
     equal,
     from_units,
     is_vector,
-    q_of,
     units,
+    word_with,
 )
 from .errors import EngineError, NonTermination, ParseError, RuleSetUnknown
 
@@ -190,7 +194,7 @@ def match(rule: RewriteRule, site) -> dict[str, Word] | None:
     """
     if rule.kind in ("dot", "atom", "power"):
         return _bind(rule, (site, 1) if isinstance(site, Atom) else site)
-    for _, pair, _ in _sites(site, None, _split_rules((rule,))):
+    for _, pair in _b_pairs(site):
         binds = _bind(rule, pair)
         if binds is not None:
             return binds
@@ -213,6 +217,16 @@ def _bind(rule: RewriteRule, subject) -> dict[str, Word] | None:
     return binds if ok else None
 
 
+def _b_pairs(mono: Monomial):
+    """Ordered pairs of distinct exponent-1 b atoms of a monomial, in site
+    order, as `((idx1, idx2), (atom1, atom2))`."""
+    bs = [(idx, atom) for idx, (atom, exp) in enumerate(mono) if atom.is_b and exp == 1]
+    for idx1, a1 in bs:
+        for idx2, a2 in bs:
+            if idx1 != idx2:
+                yield (idx1, idx2), (a1, a2)
+
+
 # --- application ------------------------------------------------------------
 
 
@@ -227,80 +241,6 @@ def _split_rules(rules) -> tuple:
     return dot_rules, atom_rules, power_rules + atom_rules, product_rules
 
 
-def _sites(mono: Monomial, word: Word | None, split: tuple):
-    """Rewrite sites of one monomial (or vector term `word` times `mono`),
-    in strategy order, each with the rules to try there.
-
-    Yields `(rules, subject, (drop, argpos, path))`.  The order is:
-    dot-subtrees outermost first, of the term word, then of the q/b
-    arguments in atom order; then atoms in atom order; then ordered pairs
-    of distinct exponent-1 b atoms.  `drop` holds the monomial indices the
-    site replaces (empty for the term word), `argpos` the atom argument
-    and `path` the dot-subtree (0 left, 1 right) of a dot site.  Site kinds
-    with no rules are skipped.
-    """
-    dot_rules, atom_rules, power_then_atom_rules, product_rules = split
-    if dot_rules:
-        roots = [] if word is None else [((), None, word)]
-        for idx, (atom, _) in enumerate(mono):
-            if atom.is_q:
-                roots.append(((idx,), 0, atom.w1))
-            elif atom.is_b:
-                roots += (((idx,), 0, atom.w1), ((idx,), 1, atom.w2))
-        for drop, argpos, root in roots:
-            stack = [((), root)]
-            while stack:
-                path, sub = stack.pop()
-                if sub.is_leaf:
-                    continue
-                yield dot_rules, sub, (drop, argpos, path)
-                stack.append((path + (1,), sub.right))
-                stack.append((path + (0,), sub.left))
-    if power_then_atom_rules:
-        for idx, entry in enumerate(mono):
-            if not entry[0].is_symbol:
-                rules = power_then_atom_rules if entry[1] >= 2 else atom_rules
-                yield rules, entry, ((idx,), None, None)
-    if product_rules:
-        bs = [(idx, atom) for idx, (atom, exp) in enumerate(mono) if atom.is_b and exp == 1]
-        for idx1, a1 in bs:
-            for idx2, a2 in bs:
-                if idx1 != idx2:
-                    yield product_rules, (a1, a2), ((idx1, idx2), None, None)
-
-
-def _graft(word: Word, path: tuple, repl: VectorExpr) -> VectorExpr:
-    if not path:
-        return repl
-    if path[0] == 0:
-        return dot(_graft(word.left, path[1:], repl), VectorExpr.from_word(word.right))
-    return dot(VectorExpr.from_word(word.left), _graft(word.right, path[1:], repl))
-
-
-def _replace(out: dict, coeff, mono: Monomial, word: Word | None, loc: tuple,
-             rule: RewriteRule, repl: Expr) -> None:
-    """Add the unit `coeff * mono (* word)`, with the site at `loc` replaced
-    by the rule's instantiated right-hand side `repl`, into the pass's map
-    `out`.  `repl` is shared through the memo, so it is never mutated."""
-    drop, argpos, path = loc
-    if not drop:
-        repl, rest = _graft(word, path, repl), mono
-    else:
-        atom, exp = mono[drop[0]]
-        if path is not None:
-            if atom.is_q:
-                repl = q_of(_graft(atom.w1, path, repl))
-            elif argpos == 0:
-                repl = b_of(_graft(atom.w1, path, repl), VectorExpr.from_word(atom.w2))
-            else:
-                repl = b_of(VectorExpr.from_word(atom.w1), _graft(atom.w2, path, repl))
-        if exp > 1 and rule.kind in ("dot", "atom"):
-            repl = repl ** exp
-        rest = tuple(e for k, e in enumerate(mono) if k not in drop)
-    for w, terms in repl.by_word():  # a scalar stays on the unit's own word
-        add_product(out.setdefault(word if w is None else w, {}), {rest: coeff}, terms)
-
-
 def _instantiate(rule: RewriteRule, binds: dict[str, Word], symbols: SymbolTable) -> Expr:
     bindings = {name: VectorExpr.from_word(w) for name, w in binds.items()}
     return canonicalize(rule.rhs, Env(symbols, bindings))
@@ -309,12 +249,14 @@ def _instantiate(rule: RewriteRule, binds: dict[str, Word], symbols: SymbolTable
 class RewriteMemo:
     """Work shared by the passes of one fixpoint; never changes the result.
 
-    `sites` maps each site subject `_sites` yields (a Word, an (Atom,
-    exponent) entry or an (Atom, Atom) pair) to the first rule that binds
-    there and that rule's instantiated right-hand side, or to None when no
-    rule binds.  `normal` holds the units a pass left unrewritten: a
-    monomial, or a (monomial, word) pair for a vector term.  Both depend
-    only on the rule set and the symbol table, so a memo serves one pair.
+    `sites` maps each root and site subject to the value that replaces it,
+    or to None when nothing rewrites it: a Word to its value after its
+    first dot rewrite, an Atom to the atom rebuilt after the first dot
+    rewrite in its arguments, an (Atom, exponent) entry or an (Atom, Atom)
+    pair to the instantiated right-hand side of the first rule that binds
+    there.  `normal` holds the units a pass left unrewritten: a monomial,
+    or a (monomial, word) pair for a vector term.  Both depend only on the
+    rule set and the symbol table, so a memo serves one pair.
     """
 
     __slots__ = ("owner", "sites", "normal")
@@ -334,8 +276,8 @@ class RewriteMemo:
 
 
 def _first_match(rules, subject, symbols: SymbolTable):
-    """The first rule that binds at a site and its instantiated right-hand
-    side, or None."""
+    """The instantiated right-hand side of the first rule that binds at a
+    site, raised to the atom's exponent for an atom rule, or None."""
     for rule in rules:
         binds = _bind(rule, subject)
         if binds is None:
@@ -344,31 +286,83 @@ def _first_match(rules, subject, symbols: SymbolTable):
         if is_vector(repl) != (rule.kind == "dot"):
             what = "a dot-word to a vector" if rule.kind == "dot" else "an atom to a scalar"
             raise EngineError(f"rule {rule.name} must rewrite {what} value")
-        return rule, repl
+        return repl ** subject[1] if rule.kind == "atom" else repl
     return None
 
 
 _UNSEEN = object()
 
 
-def _rewrite_unit(out: dict, coeff, mono: Monomial, word: Word | None,
-                  split: tuple, symbols: SymbolTable, memo: RewriteMemo) -> bool:
-    """Add the first applicable rewrite of one monomial/term into `out`;
-    False, with `out` untouched, when no rule applies.  Site results are
-    looked up in, and recorded into, `memo`."""
-    unit = mono if word is None else (mono, word)
-    if unit in memo.normal:
-        return False
-    sites = memo.sites
-    for rules, subject, loc in _sites(mono, word, split):
-        hit = sites.get(subject, _UNSEEN)
-        if hit is _UNSEEN:
-            hit = sites[subject] = _first_match(rules, subject, symbols)
-        if hit is not None:
-            _replace(out, coeff, mono, word, loc, *hit)
-            return True
-    memo.normal.add(unit)
-    return False
+def _site(sites: dict, key, rules, symbols: SymbolTable):
+    """`_first_match` at one site, looked up in and recorded into `sites`."""
+    value = sites.get(key, _UNSEEN)
+    if value is _UNSEEN:
+        value = sites[key] = _first_match(rules, key, symbols)
+    return value
+
+
+def _word_rewrite(w: Word, dot_rules, symbols: SymbolTable, sites: dict):
+    """The value of `w` after its first dot rewrite, or None.  Outermost
+    first: the node, then the left subtree, then the right subtree."""
+    if w.is_leaf:
+        return None
+    value = sites.get(w, _UNSEEN)
+    if value is _UNSEEN:
+        value = _first_match(dot_rules, w, symbols)
+        if value is None:
+            left = _word_rewrite(w.left, dot_rules, symbols, sites)
+            if left is not None:
+                value = word_with(w, left, None)
+            else:
+                right = _word_rewrite(w.right, dot_rules, symbols, sites)
+                value = None if right is None else word_with(w, None, right)
+        sites[w] = value
+    return value
+
+
+def _first_rewrite(mono: Monomial, word: Word | None, split: tuple,
+                   symbols: SymbolTable, sites: dict):
+    """The first rewrite of one monomial (or vector term `word` times
+    `mono`) as `(drop, value)`: `value` replaces the entries of `mono` at
+    the indices `drop`, or the word itself when `drop` is empty.  None
+    when no rule applies.
+
+    This defines the site order: dot-subtrees outermost first, of the term
+    word, then of the q/b arguments in atom order; then atoms in atom
+    order; then ordered pairs of distinct exponent-1 b atoms.  Site kinds
+    with no rules are skipped.
+    """
+    dot_rules, atom_rules, power_then_atom_rules, product_rules = split
+    if dot_rules:
+        if word is not None:
+            value = _word_rewrite(word, dot_rules, symbols, sites)
+            if value is not None:
+                return (), value
+        for idx, (atom, exp) in enumerate(mono):
+            if atom.is_symbol:
+                continue
+            value = sites.get(atom, _UNSEEN)
+            if value is _UNSEEN:
+                v1 = _word_rewrite(atom.w1, dot_rules, symbols, sites)
+                v2 = (None if v1 is not None or atom.is_q
+                      else _word_rewrite(atom.w2, dot_rules, symbols, sites))
+                value = sites[atom] = (None if v1 is None and v2 is None
+                                       else atom_with(atom, v1, v2))
+            if value is not None:
+                return (idx,), value ** exp
+    if power_then_atom_rules:
+        for idx, entry in enumerate(mono):
+            if not entry[0].is_symbol:
+                rules = power_then_atom_rules if entry[1] >= 2 else atom_rules
+                value = _site(sites, entry, rules, symbols)
+                if value is not None:
+                    return (idx,), value
+    if product_rules:
+        for drop, pair in _b_pairs(mono):
+            value = _site(sites, pair, product_rules, symbols)
+            if value is not None:
+                return drop, value
+    return None
 
 
 def apply_once(e: Expr, rs: RuleSet, symbols: SymbolTable,
@@ -384,8 +378,15 @@ def apply_once(e: Expr, rs: RuleSet, symbols: SymbolTable,
     split = _split_rules(rs.rules)
     out: dict = {}
     for word, mono, coeff in units(e):
-        if not _rewrite_unit(out, coeff, mono, word, split, symbols, memo):
+        unit = mono if word is None else (mono, word)
+        hit = unit not in memo.normal and _first_rewrite(mono, word, split, symbols, memo.sites)
+        if not hit:
+            memo.normal.add(unit)
             add_terms(out.setdefault(word, {}), {mono: coeff})
+            continue
+        drop, value = hit
+        rest = tuple(entry for k, entry in enumerate(mono) if k not in drop) if drop else mono
+        add_unit(out, coeff, rest, word, value)
     return from_units(out, is_vector(e))
 
 

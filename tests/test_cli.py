@@ -246,3 +246,14 @@ def test_oracle_sort_error_names_its_span(capsys, source, where):
     code, _ = run_cli("oracle", source)
     assert code == 2
     assert f"symcomp: error: {where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source, where", [
+    ("q(x)^²", "1:6: unexpected character '²'"),
+    ("²*q(x)", "1:1: unexpected character '²'"),
+    ("7" * 5000 + "*q(x)", "1:1: integer literal of 5000 digits is too long"),
+], ids=["superscript-exponent", "superscript-factor", "over-conversion-limit"])
+def test_oracle_bad_number_is_a_parse_error(capsys, source, where):
+    code, _ = run_cli("oracle", source)
+    assert code == 2
+    assert f"symcomp: error: {where}" in capsys.readouterr().err

@@ -2,8 +2,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symcomp import (
+    Env,
     ScalarExpr,
     canonicalize,
     coeff,
@@ -11,12 +13,19 @@ from symcomp import (
     equal,
     factored_equal,
     parse_expr,
+    print_expr,
     subst,
     subst_raw,
 )
 from symcomp.errors import ExprTypeError
 from symcomp.oracle import Assignment, eval_expr
-from helpers import random_ctx_assignment, random_scalar_raw
+from helpers import (
+    Ctx,
+    random_ctx_assignment,
+    random_raw,
+    random_scalar_raw,
+    random_vector_raw,
+)
 
 
 def test_subst_empty_is_identity(greek):
@@ -83,6 +92,27 @@ def test_subst_oracle_compatibility(greek):
             scalars={**a.scalars, "mu": eval_expr(sigma["mu"], a)},
         )
         assert eval_expr(substituted, a) == eval_expr(e, composed)
+
+
+# --- property: subst agrees with canonicalizing under the bindings ------------
+
+SUBST_CTX = Ctx(scalars=("alpha", "beta"), vectors=("x", "y", "z"))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32),
+       names=st.sets(st.sampled_from(SUBST_CTX.scalars + SUBST_CTX.vectors)))
+def test_subst_agrees_with_canonicalize_under_bindings_property(seed, names):
+    # Exact comparison of canonical forms, not of model values: a swapped
+    # b argument or a lost exponent fails it.
+    ctx, rng = SUBST_CTX, random.Random(seed)
+    e = canonicalize(random_raw(rng, ctx, depth=3), ctx.env)
+    bindings = {}
+    for name in sorted(names):
+        make = random_scalar_raw if name in ctx.scalars else random_vector_raw
+        bindings[name] = canonicalize(make(rng, ctx, 2), ctx.env)
+    expected = canonicalize(parse_expr(print_expr(e)), Env(ctx.table, bindings))
+    assert equal(subst(e, bindings, ctx.table), expected)
 
 
 def test_coeff_exact_degree(greek):

@@ -247,6 +247,9 @@ def test_product_pattern_uses_first_pair_in_atom_order(xy):
     ("((x.y).x)*q((y.z).y)", "q(x)*q((y.z).y)*y"),
     # an atom site comes before the b-pair sites
     ("b(x.y, x.z)*b(y,z)", "q(x)*b(y,z)^2"),
+    # a dot site in the second argument of a squared atom rewrites the
+    # whole power
+    ("b(x, (y.x).y)^2", "q(y)^2*b(x,x)^2"),
 ])
 def test_site_order_at_each_site_kind_boundary(xyz, source, expected):
     rules1 = builtin_ruleset("rules1")
