@@ -59,12 +59,8 @@ from .rules import (
 )
 from .sessions import (
     CheckpointResult,
-    CubicElement,
     SessionReport,
     builtin_session_names,
-    commutator,
-    cubic_form,
-    cubic_norm,
     load_builtin_session,
     run_builtin_session,
     run_session,

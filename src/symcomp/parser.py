@@ -36,14 +36,25 @@ Script statements (each terminated by `;`):
 
 `@GOLDEN` references an expression (or coefficient-matrix JSON) stored in
 the script's goldens directory.  In rule patterns, uppercase identifiers
-(X, Y, Z, U) are pattern variables ranging over dot-words.
+(X, Y, Z, U) are pattern variables ranging over dot-words.  Identifiers
+are ASCII letters, digits and `_`.
+
+`parse_script` resolves the whole script, so running it needs no second
+look-up: declarations go into the session's SymbolTable; each `let` name
+is an expression or, after `coeffmatrix`, a coefficient matrix, as of its
+latest binding; `assert_matrix` takes a matrix name and every other use
+takes an expression name, and a wrong kind or an unknown name is a
+ParseError at the name's span.  An `apply` holds its resolved RuleSet:
+the catalog set, or the rules of the local set defined before it.
 """
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rawexpr as rx
+from .core import SCALAR, VECTOR, SymbolTable
 from .errors import (
     ArityError,
     ChainedDotError,
@@ -53,7 +64,7 @@ from .errors import (
     UndefinedName,
 )
 from .oracle import MAX_TRIALS
-from .rules import RewriteRule, builtin_ruleset_names, compile_rule
+from .rules import RewriteRule, RuleSet, builtin_ruleset, builtin_ruleset_names, compile_rule
 
 _GREEK = {"α": "alpha", "β": "beta", "λ": "lambda", "μ": "mu"}
 _KEYWORDS = {
@@ -62,6 +73,8 @@ _KEYWORDS = {
     "assert_factored", "assert_matrix", "oracle_check",
 }
 _RESERVED = _KEYWORDS | {"q", "b"}
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | frozenset(string.digits)
 MAX_NESTING = 100
 
 
@@ -100,9 +113,9 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _IDENT_START:  # ASCII only: "x²" is x then an unexpected "²"
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _IDENT_CHARS:
                 j += 1
             push("IDENT", text[i:j])
             col += j - i
@@ -325,6 +338,9 @@ def parse_rule_source(text: str) -> tuple[rx.RawExpr, rx.RawExpr]:
 
 # --- session scripts -------------------------------------------------------
 
+_EXPR = "an expression"
+_MATRIX = "a coefficient matrix"
+
 
 @dataclass(frozen=True)
 class Statement:
@@ -344,36 +360,38 @@ class DefRule(Statement):
 
 
 @dataclass(frozen=True)
-class LetExpr(Statement):
+class Let(Statement):
+    """A `let` step: binds `name` to the value the runner computes."""
+
     name: str
+
+
+@dataclass(frozen=True)
+class LetExpr(Let):
     raw: rx.RawExpr
 
 
 @dataclass(frozen=True)
-class LetApply(Statement):
-    name: str
+class LetApply(Let):
     source: str
-    ruleset: str
+    ruleset: RuleSet  # the catalog set, or the local rules defined before this step
     once: bool
 
 
 @dataclass(frozen=True)
-class LetSubst(Statement):
-    name: str
+class LetSubst(Let):
     source: str
     bindings: tuple[tuple[str, rx.RawExpr], ...]
 
 
 @dataclass(frozen=True)
-class LetCoeff(Statement):
-    name: str
+class LetCoeff(Let):
     source: str
     key: tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
-class LetMatrix(Statement):
-    name: str
+class LetMatrix(Let):
     source: str
     vars: tuple[str, str]
 
@@ -390,10 +408,12 @@ class Assertion(Statement):
 
 @dataclass(frozen=True)
 class Session:
-    """A named sequence of script statements with labeled checkpoints."""
+    """A named sequence of script statements with labeled checkpoints, and
+    the table of every symbol the script declares."""
 
     name: str
     statements: tuple[Statement, ...]
+    symbols: SymbolTable
 
     @property
     def checkpoints(self) -> list[Assertion]:
@@ -404,16 +424,16 @@ class _ScriptParser:
     def __init__(self, text: str, name: str):
         self.ts = _TokenStream(tokenize(text))
         self.name = name
-        self.symbol_sorts: dict[str, str] = {}
-        self.defined: set[str] = set()
-        self.local_rulesets: dict[str, list[RewriteRule]] = {}
+        self.symbols = SymbolTable()
+        self.kinds: dict[str, str] = {}  # let name -> _EXPR or _MATRIX
+        self.local_rules: dict[str, list[RewriteRule]] = {}
         self.statements: list[Statement] = []
         self.n_checkpoints = 0
 
     def parse(self) -> Session:
         while self.ts.peek().kind != "EOF":
             self.statements.append(self._statement())
-        return Session(self.name, tuple(self.statements))
+        return Session(self.name, tuple(self.statements), self.symbols)
 
     # helpers ---------------------------------------------------------------
 
@@ -423,26 +443,32 @@ class _ScriptParser:
     def _check_fresh_symbol(self, tok: Token):
         if tok.text in _RESERVED:
             raise ParseError(f"{tok.text!r} is reserved", tok.span)
-        if tok.text in self.defined:
+        if tok.text in self.kinds:
             raise ParseError(f"{tok.text!r} already names a session value", tok.span)
 
-    def _check_defined(self, tok: Token):
-        if tok.text not in self.defined:
-            raise UndefinedName(f"undefined name {tok.text!r}", tok.span)
+    def _check_name(self, name: str, span: SourceSpan, kind: str = _EXPR):
+        """`name` must be a `let` name whose current value is of `kind`."""
+        found = self.kinds.get(name)
+        if found is None:
+            raise UndefinedName(f"undefined name {name!r}", span)
+        if found != kind:
+            raise ParseError(f"{name!r} is {found}, not {kind}", span)
 
     def _validate_expr_names(self, raw: rx.RawExpr):
         for node in rx.idents(raw):
-            name = node.name
-            if name not in self.symbol_sorts and name not in self.defined:
-                raise UndefinedName(f"undefined name {name!r}", node.span)
+            if self.symbols.sort_of(node.name) is None:
+                self._check_name(node.name, node.span)
 
     def _next_label(self) -> str:
         self.n_checkpoints += 1
         return f"C{self.n_checkpoints}"
 
-    def _ruleset_name(self, tok: Token) -> str:
-        if tok.text in self.local_rulesets or tok.text in builtin_ruleset_names():
-            return tok.text
+    def _ruleset(self, tok: Token) -> RuleSet:
+        local = self.local_rules.get(tok.text)
+        if local is not None:
+            return RuleSet(tok.text, tuple(local))
+        if tok.text in builtin_ruleset_names():
+            return builtin_ruleset(tok.text)
         raise RuleSetUnknown(f"{tok.span}: unknown rule set {tok.text!r}")
 
     # statements ------------------------------------------------------------
@@ -470,14 +496,14 @@ class _ScriptParser:
 
     def _decl(self) -> Statement:
         head = self.ts.advance()
-        sort = "scalar" if head.text == "scalars" else "vector"
+        sort = SCALAR if head.text == "scalars" else VECTOR
         names = []
         while True:
             tok = self._ident("a symbol name")
             self._check_fresh_symbol(tok)
-            if tok.text in self.symbol_sorts and self.symbol_sorts[tok.text] != sort:
+            if self.symbols.sort_of(tok.text) not in (None, sort):
                 raise ParseError(f"{tok.text!r} already declared with a different sort", tok.span)
-            self.symbol_sorts[tok.text] = sort
+            self.symbols.declare(tok.text, sort)
             names.append(tok.text)
             if not self.ts.accept("COMMA"):
                 break
@@ -490,9 +516,9 @@ class _ScriptParser:
             raise ParseError(f"rule set name {name.text!r} is reserved", name.span)
         self.ts.expect("COLON", "':'")
         lhs, rhs = _parse_rule_sides(self.ts)
-        ordinal = len(self.local_rulesets.get(name.text, [])) + 1
-        rule = compile_rule(f"{name.text}#{ordinal}", lhs, rhs)
-        self.local_rulesets.setdefault(name.text, []).append(rule)
+        rules = self.local_rules.setdefault(name.text, [])
+        rule = compile_rule(f"{name.text}#{len(rules) + 1}", lhs, rhs)
+        rules.append(rule)
         return DefRule(head.span, name.text, rule)
 
     def _let(self) -> Statement:
@@ -500,7 +526,7 @@ class _ScriptParser:
         name = self._ident("a name")
         if name.text in _RESERVED:
             raise ParseError(f"{name.text!r} is reserved", name.span)
-        if name.text in self.symbol_sorts:
+        if self.symbols.sort_of(name.text) is not None:
             raise ParseError(f"{name.text!r} is a declared symbol", name.span)
         self.ts.expect("EQ", "'='")
         tok = self.ts.peek()
@@ -511,17 +537,17 @@ class _ScriptParser:
             raw = _parse_expr(self.ts)
             self._validate_expr_names(raw)
             stmt = LetExpr(head.span, name.text, raw)
-        self.defined.add(name.text)
+        self.kinds[name.text] = _MATRIX if isinstance(stmt, LetMatrix) else _EXPR
         return stmt
 
     def _let_builtin(self, span: SourceSpan, name: str, op: str) -> Statement:
         self.ts.advance()
         self.ts.expect("LPAREN", "'('")
         source = self._ident("a defined name")
-        self._check_defined(source)
+        self._check_name(source.text, source.span)
         self.ts.expect("COMMA", "','")
         if op == "apply":
-            rset = self._ruleset_name(self._ident("a rule set name"))
+            rset = self._ruleset(self._ident("a rule set name"))
             once = False
             if self.ts.accept("COMMA"):
                 flag = self._ident("'once'")
@@ -534,7 +560,7 @@ class _ScriptParser:
             bindings = []
             while True:
                 sym = self._ident("a symbol name")
-                if sym.text not in self.symbol_sorts:
+                if self.symbols.sort_of(sym.text) is None:
                     raise UndefinedName(f"undefined symbol {sym.text!r}", sym.span)
                 self.ts.expect("ARROW", "'->'")
                 raw = _parse_expr(self.ts)
@@ -558,7 +584,7 @@ class _ScriptParser:
 
     def _scalar_symbol(self) -> str:
         tok = self._ident("a scalar symbol")
-        if self.symbol_sorts.get(tok.text) != "scalar":
+        if self.symbols.sort_of(tok.text) != SCALAR:
             raise UndefinedName(f"{tok.text!r} is not a declared scalar symbol", tok.span)
         return tok.text
 
@@ -580,7 +606,8 @@ class _ScriptParser:
     def _assertion(self) -> Statement:
         head = self.ts.advance()
         target = self._ident("a defined name")
-        self._check_defined(target)
+        self._check_name(target.text, target.span,
+                         _MATRIX if head.text == "assert_matrix" else _EXPR)
         label = self._next_label()
         if head.text == "assert_zero":
             return Assertion(head.span, label, target.text, "zero")

@@ -7,9 +7,11 @@ nested dot is parenthesized.  Distinct canonical values print differently.
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .core import Atom, Expr, Monomial, ScalarExpr, VectorExpr, Word, is_scalar
+from .errors import SymcompError
 
 
 def word_text(w: Word) -> str:
@@ -41,9 +43,13 @@ def _mono_factors(mono: Monomial) -> str:
 
 
 def _coeff_text(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+    """`p` or `p/q`; a part past Python's integer-string conversion limit
+    is a SymcompError, as the parser could not read it back either."""
+    try:
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    except ValueError:
+        raise SymcompError(f"coefficient too long to print: over "
+                           f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _product_text(mag: Fraction, *factors: str) -> str:

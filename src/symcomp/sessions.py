@@ -1,10 +1,13 @@
 """Session execution: replays checkpointed derivations against the engine.
 
-A session is a parsed script (declarations, `let` steps, assertions).
-Assertions become labeled checkpoints (C1, C2, ...) in a report.  The
-built-in catalog ships the linearization sessions (L1, L2), the four
-zero-identity sessions (Z1-Z4), and the main cubic-norm session (M)
-with its ten checkpoints.
+A session is a parsed script (declarations, `let` steps, assertions)
+together with its symbol table.  The parser resolves every name, its
+kind (expression or coefficient matrix) and every rule set, so the
+runner only computes each `let` value into one name -> value map and
+evaluates the assertions.  Assertions become labeled checkpoints (C1,
+C2, ...) in a report.  The built-in catalog ships the linearization
+sessions (L1, L2), the four zero-identity sessions (Z1-Z4), and the main
+cubic-norm session (M) with its ten checkpoints.
 """
 from __future__ import annotations
 
@@ -13,28 +16,15 @@ from dataclasses import dataclass
 from importlib.resources import files
 from typing import Callable
 
-from .core import (
-    Env,
-    Expr,
-    ScalarExpr,
-    SymbolTable,
-    VectorExpr,
-    b_of,
-    canonicalize,
-    dot,
-    equal,
-    q_of,
-)
+from .core import Env, Expr, SymbolTable, canonicalize, equal
 from .errors import EngineError, SymcompError
 from .oracle import check_identity
 from .parser import (
     Assertion,
-    DeclSymbols,
-    DefRule,
+    Let,
     LetApply,
     LetCoeff,
     LetExpr,
-    LetMatrix,
     LetSubst,
     Session,
     parse_expr,
@@ -42,34 +32,8 @@ from .parser import (
 )
 from .polyops import CoeffMatrix, coeff, coeff_matrix, subst_raw
 from .printer import print_expr
-from .rules import RuleSet, apply_fixpoint, apply_once, builtin_ruleset
+from .rules import apply_fixpoint, apply_once
 from . import polyops
-
-
-# --- cubic-composition constructions ----------------------------------------
-
-
-def cubic_form(v: VectorExpr) -> ScalarExpr:
-    """The cubic scalar b(v, v.v)."""
-    return b_of(v, dot(v, v))
-
-
-def commutator(u: VectorExpr, v: VectorExpr) -> VectorExpr:
-    return dot(u, v) - dot(v, u)
-
-
-@dataclass(frozen=True)
-class CubicElement:
-    """An element of the cubic composition built on scalars plus vectors."""
-
-    scalar_part: ScalarExpr
-    vector_part: VectorExpr
-
-
-def cubic_norm(e: CubicElement) -> ScalarExpr:
-    """Norm of a cubic element: s^3 - 3 s q(v) + b(v, v.v)."""
-    s, v = e.scalar_part, e.vector_part
-    return s ** 3 - 3 * (s * q_of(v)) + cubic_form(v)
 
 
 # --- reports -----------------------------------------------------------------
@@ -143,18 +107,12 @@ GoldenLoader = Callable[[str], str]
 def run_session(session: Session, *, goldens: GoldenLoader | None = None,
                 seed: int = 42, default_trials: int = 100,
                 trace: Callable[[str], None] | None = None) -> SessionReport:
-    """Execute a session's steps in order and evaluate its checkpoints."""
-    symbols = SymbolTable()
-    values: dict[str, Expr] = {}
-    matrices: dict[str, CoeffMatrix] = {}
-    local_rulesets: dict[str, list] = {}
+    """Execute a session's `let` steps in order and evaluate its
+    checkpoints.  The parser has already resolved every name, kind and
+    rule set, so declarations and rule definitions are not steps here."""
+    symbols = session.symbols
+    values: dict[str, Expr | CoeffMatrix] = {}
     results: list[CheckpointResult] = []
-
-    def ruleset(name: str) -> RuleSet:
-        local = local_rulesets.get(name)
-        if local is not None:
-            return RuleSet(name, tuple(local))
-        return builtin_ruleset(name)
 
     def golden_text(name: str) -> str:
         if goldens is None:
@@ -168,35 +126,15 @@ def run_session(session: Session, *, goldens: GoldenLoader | None = None,
 
     for step_index, stmt in enumerate(session.statements):
         try:
-            if isinstance(stmt, DeclSymbols):
-                for name in stmt.names:
-                    symbols.declare(name, stmt.sort)
-            elif isinstance(stmt, DefRule):
-                local_rulesets.setdefault(stmt.set_name, []).append(stmt.rule)
-            elif isinstance(stmt, (LetExpr, LetApply, LetSubst, LetCoeff)):
-                if isinstance(stmt, LetExpr):
-                    value = canonicalize(stmt.raw, Env(symbols, values))
-                elif isinstance(stmt, LetApply):
-                    rs = ruleset(stmt.ruleset)
-                    source = values[stmt.source]
-                    value = apply_once(source, rs, symbols) if stmt.once \
-                        else apply_fixpoint(source, rs, symbols)
-                elif isinstance(stmt, LetSubst):
-                    value = subst_raw(values[stmt.source], dict(stmt.bindings), symbols,
-                                      Env(symbols, values))
-                else:
-                    value = coeff(values[stmt.source], dict(stmt.key))
+            if isinstance(stmt, Let):
+                value = _let_value(stmt, symbols, values)
                 values[stmt.name] = value
-                emit(lambda: f"{stmt.name} = {print_expr(value)}")
-            elif isinstance(stmt, LetMatrix):
-                matrices[stmt.name] = coeff_matrix(values[stmt.source], stmt.vars)
-                emit(lambda: f"{stmt.name} = {matrices[stmt.name].to_json()}")
+                emit(lambda: f"{stmt.name} = "
+                     + (value.to_json() if isinstance(value, CoeffMatrix) else print_expr(value)))
             elif isinstance(stmt, Assertion):
                 results.append(_run_assertion(
-                    stmt, symbols, values, matrices, golden_text, seed, default_trials))
+                    stmt, symbols, values, golden_text, seed, default_trials))
                 emit(lambda: f"{stmt.label}: {'pass' if results[-1].passed else 'FAIL'}")
-            else:
-                raise EngineError(f"unsupported statement {type(stmt).__name__}")
         except SymcompError as err:
             if isinstance(err, SessionExecutionError):
                 raise
@@ -204,21 +142,29 @@ def run_session(session: Session, *, goldens: GoldenLoader | None = None,
     return SessionReport(session.name, tuple(results))
 
 
+def _let_value(stmt: Let, symbols: SymbolTable, values: dict) -> Expr | CoeffMatrix:
+    if isinstance(stmt, LetExpr):
+        return canonicalize(stmt.raw, Env(symbols, values))
+    source = values[stmt.source]
+    if isinstance(stmt, LetApply):
+        rewrite = apply_once if stmt.once else apply_fixpoint
+        return rewrite(source, stmt.ruleset, symbols)
+    if isinstance(stmt, LetSubst):
+        return subst_raw(source, dict(stmt.bindings), symbols, Env(symbols, values))
+    if isinstance(stmt, LetCoeff):
+        return coeff(source, dict(stmt.key))
+    return coeff_matrix(source, stmt.vars)
+
+
 def _run_assertion(stmt: Assertion, symbols: SymbolTable, values: dict,
-                   matrices: dict, golden_text: GoldenLoader,
-                   seed: int, default_trials: int) -> CheckpointResult:
+                   golden_text: GoldenLoader, seed: int,
+                   default_trials: int) -> CheckpointResult:
+    value = values[stmt.name]
     if stmt.kind == "matrix":
-        actual_matrix = matrices.get(stmt.name)
-        if actual_matrix is None:
-            raise EngineError(f"{stmt.name!r} is not a coefficient matrix")
         payload = json.loads(golden_text(stmt.golden))
-        ok, expected_text, actual_text = _compare_matrix(actual_matrix, payload, symbols)
+        ok, expected_text, actual_text = _compare_matrix(value, payload, symbols)
         return CheckpointResult(stmt.label, stmt.kind, ok, expected_text, actual_text,
                                 note=payload.get("note", ""))
-
-    value = values.get(stmt.name)
-    if value is None:
-        raise EngineError(f"{stmt.name!r} is not an expression value")
     if stmt.kind == "zero":
         return CheckpointResult(stmt.label, stmt.kind, value.is_zero, "0", print_expr(value))
     if stmt.kind == "oracle":
@@ -233,7 +179,10 @@ def _run_assertion(stmt: Assertion, symbols: SymbolTable, values: dict,
         raw = parse_expr(golden_text(stmt.golden))
     else:
         raw = stmt.expected_raw
-    expected = canonicalize(raw, Env(symbols, values))
+    # A golden is read only now, so it may name a matrix: such a name
+    # stays unbound and fails as an undeclared identifier.
+    expressions = {n: v for n, v in values.items() if not isinstance(v, CoeffMatrix)}
+    expected = canonicalize(raw, Env(symbols, expressions))
     ok = polyops.factored_equal(value, expected, symbols) if stmt.kind == "factored" \
         else equal(value, expected)
     return CheckpointResult(stmt.label, stmt.kind, ok,

@@ -4,19 +4,24 @@ cross-checking canonicalization)."""
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import symcomp.rawexpr as rx
 from symcomp import (
     Env,
     ParaQuaternion,
+    ScalarExpr,
     SymbolTable,
     VectorExpr,
+    b_of,
     canonicalize,
+    dot,
     parse_expr,
     pq_bilinear,
     pq_mul,
     pq_norm,
+    q_of,
 )
 from symcomp.oracle import Assignment
 
@@ -69,6 +74,34 @@ def stores_no_zero(e) -> bool:
     if isinstance(e, VectorExpr):
         return all(c.terms and stores_no_zero(c) for c in e.terms.values())
     return all(c != 0 for c in e.terms.values())
+
+
+# --- cubic-composition constructions ------------------------------------------
+# Built with the operator API (dot, q_of, b_of, +, *, **), so comparing them
+# with parsed text checks that API against canonicalization.
+
+
+def cubic_form(v: VectorExpr) -> ScalarExpr:
+    """The cubic scalar b(v, v.v)."""
+    return b_of(v, dot(v, v))
+
+
+def commutator(u: VectorExpr, v: VectorExpr) -> VectorExpr:
+    return dot(u, v) - dot(v, u)
+
+
+@dataclass(frozen=True)
+class CubicElement:
+    """An element of the cubic composition built on scalars plus vectors."""
+
+    scalar_part: ScalarExpr
+    vector_part: VectorExpr
+
+
+def cubic_norm(e: CubicElement) -> ScalarExpr:
+    """Norm of a cubic element: s^3 - 3 s q(v) + b(v, v.v)."""
+    s, v = e.scalar_part, e.vector_part
+    return s ** 3 - 3 * (s * q_of(v)) + cubic_form(v)
 
 
 # --- random raw expressions ---------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, determinism."""
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -252,8 +253,65 @@ def test_oracle_sort_error_names_its_span(capsys, source, where):
     ("q(x)^²", "1:6: unexpected character '²'"),
     ("²*q(x)", "1:1: unexpected character '²'"),
     ("7" * 5000 + "*q(x)", "1:1: integer literal of 5000 digits is too long"),
-], ids=["superscript-exponent", "superscript-factor", "over-conversion-limit"])
+    ("x²", "1:2: unexpected character '²'"),
+], ids=["superscript-exponent", "superscript-factor", "over-conversion-limit",
+        "superscript-identifier"])
 def test_oracle_bad_number_is_a_parse_error(capsys, source, where):
     code, _ = run_cli("oracle", source)
     assert code == 2
     assert f"symcomp: error: {where}" in capsys.readouterr().err
+
+
+def test_oracle_coefficient_too_long_to_print_is_an_error(capsys):
+    code, _ = run_cli("oracle", "99999^1000*q(x) - q(x)")
+    assert code == 2
+    assert "symcomp: error: coefficient too long to print" in capsys.readouterr().err
+
+
+def test_paper_all_verbose_matches_recorded_trace():
+    recorded = Path(__file__).parent / "data" / "paper_all_verbose.txt"
+    code, output = run_cli("paper", "--all", "--verbose")
+    assert code == 0
+    assert output.encode("utf-8") == recorded.read_bytes()
+
+
+# A script with an expression `e` and a coefficient matrix `m` of it; the
+# golden `g` matches `m`, so a stale matrix would pass `assert_matrix`.
+KINDS_SCRIPT = """scalars alpha, beta;
+vectors x;
+let e = alpha*q(x) + beta*q(x);
+let m = coeffmatrix(e, [alpha, beta]);
+"""
+
+
+@pytest.mark.parametrize("tail, where", [
+    ("let z = apply(m, rules1);", "5:15: 'm' is a coefficient matrix, not an expression"),
+    ("let z = coeff(m, alpha);", "5:15: 'm' is a coefficient matrix, not an expression"),
+    ("let z = m + e;", "5:9: 'm' is a coefficient matrix, not an expression"),
+    ("assert_zero m;", "5:13: 'm' is a coefficient matrix, not an expression"),
+    ("assert_matrix e, @g;", "5:15: 'e' is an expression, not a coefficient matrix"),
+    ("let m = alpha;\nassert_matrix m, @g;",
+     "6:15: 'm' is an expression, not a coefficient matrix"),
+    ("let e = coeffmatrix(e, [alpha, beta]);\nlet z = e - q(x);",
+     "6:9: 'e' is a coefficient matrix, not an expression"),
+], ids=["apply-source", "coeff-source", "sum-operand", "assert-zero", "assert-matrix",
+        "rebound-to-expression", "rebound-to-matrix"])
+def test_run_script_name_of_the_wrong_kind_is_a_parse_error(tmp_path, capsys, tail, where):
+    (tmp_path / "goldens").mkdir()
+    (tmp_path / "goldens" / "g.json").write_text(
+        '{"vars": ["alpha", "beta"], "rows": [["0", "q(x)"], ["q(x)", "0"]]}\n')
+    path = tmp_path / "kinds.scs"
+    path.write_text(KINDS_SCRIPT + tail + "\n")
+    code, _ = run_cli("run", str(path))
+    assert code == 2
+    assert f"symcomp: error: {where}" in capsys.readouterr().err
+
+
+def test_run_script_golden_naming_a_matrix_is_an_error(tmp_path, capsys):
+    (tmp_path / "goldens").mkdir()
+    (tmp_path / "goldens" / "g.expr").write_text("q(x) + m\n")
+    path = tmp_path / "kinds.scs"
+    path.write_text(KINDS_SCRIPT + "assert_equal e, @g;\n")
+    code, _ = run_cli("run", str(path))
+    assert code == 2
+    assert "undeclared identifier 'm'" in capsys.readouterr().err

@@ -4,10 +4,6 @@ import random
 import pytest
 
 from symcomp import (
-    CubicElement,
-    commutator,
-    cubic_form,
-    cubic_norm,
     equal,
     eval_expr,
     parse_script,
@@ -16,6 +12,8 @@ from symcomp import (
 )
 from symcomp.oracle import PQ_I, PQ_J, PQ_K, Assignment, random_assignment
 from symcomp.sessions import SessionExecutionError, builtin_session_names
+
+from helpers import CubicElement, commutator, cubic_form, cubic_norm
 
 
 def unit(ctx, name):
@@ -205,3 +203,18 @@ def test_main_reduction_matches_recorded_final_form():
     closed = apply_fixpoint(closed, builtin_ruleset("move4"), st)
     closed = apply_fixpoint(closed, builtin_ruleset("move5"), st)
     assert closed.is_zero
+
+
+def test_apply_sees_only_the_local_rules_defined_before_it():
+    session = parse_script("""
+    vectors x, y;
+    rule swap: b(y, x) -> b(x, y);
+    let e = b(y,x) - b(x,y) + q(x.y) - q(x)*q(y);
+    let f = apply(e, swap);
+    rule swap: q(x.y) -> q(x)*q(y);
+    let g = apply(e, swap);
+    assert_equal f, q(x.y) - q(x)*q(y);
+    assert_zero g;
+    """, "snapshot")
+    report = run_session(session)
+    assert [c.passed for c in report.checkpoints] == [True, True]
