@@ -228,6 +228,17 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(out)
 
 
+def add_term(terms: dict, mono: Monomial, coeff) -> None:
+    """Add `coeff * mono` into the monomial -> coefficient dict `terms` in
+    place, dropping the monomial if its coefficient cancels to zero."""
+    acc = terms.get(mono)
+    acc = coeff if acc is None else acc + coeff
+    if acc:
+        terms[mono] = acc
+    else:
+        terms.pop(mono, None)
+
+
 def add_terms(out: dict, terms: dict) -> dict:
     """Add the monomial -> coefficient dict `terms` into `out` in place,
     dropping coefficients that cancel to zero; returns `out`."""

@@ -34,10 +34,14 @@ def atom_text(atom: Atom) -> str:
     return f"b({word_text(atom.w1)},{word_text(atom.w2)})"
 
 
-def _mono_factors(mono: Monomial) -> str:
+def _mono_factors(mono: Monomial, texts: dict) -> str:
+    """The factors of a monomial; `texts` memoizes each atom's text for one
+    `print_expr` call."""
     parts = []
     for atom, exp in mono:
-        text = atom_text(atom)
+        text = texts.get(atom)
+        if text is None:
+            text = texts[atom] = atom_text(atom)
         parts.append(text if exp == 1 else f"{text}^{exp}")
     return "*".join(parts)
 
@@ -71,24 +75,25 @@ def _join(parts: list[tuple[bool, str]]) -> str:
     return "".join(out)
 
 
-def scalar_text(e: ScalarExpr) -> str:
-    return _join([(c < 0, _product_text(abs(c), _mono_factors(mono)))
+def scalar_text(e: ScalarExpr, texts: dict) -> str:
+    return _join([(c < 0, _product_text(abs(c), _mono_factors(mono, texts)))
                   for mono, c in e.monomials()])
 
 
-def vector_text(e: VectorExpr) -> str:
+def vector_text(e: VectorExpr, texts: dict) -> str:
     parts: list[tuple[bool, str]] = []
     for word, coeff in e.items():
         wtext = word_text(word) if word.is_leaf else f"({word_text(word)})"
         monos = coeff.monomials()
         if len(monos) == 1:
             mono, c = monos[0]
-            parts.append((c < 0, _product_text(abs(c), _mono_factors(mono), wtext)))
+            parts.append((c < 0, _product_text(abs(c), _mono_factors(mono, texts), wtext)))
         else:
-            parts.append((False, f"({scalar_text(coeff)})*{wtext}"))
+            parts.append((False, f"({scalar_text(coeff, texts)})*{wtext}"))
     return _join(parts)
 
 
 def print_expr(e: Expr) -> str:
     """Deterministic canonical text for a scalar or vector value."""
-    return scalar_text(e) if is_scalar(e) else vector_text(e)
+    texts: dict = {}
+    return scalar_text(e, texts) if is_scalar(e) else vector_text(e, texts)

@@ -76,16 +76,17 @@ class Pow(RawExpr):
     span: SourceSpan = field(default=_NOSPAN, compare=False)
 
 
-def idents(raw: RawExpr):
-    """Yield every Ident node in the tree, in appearance order."""
+def nodes(raw: RawExpr, kind: type):
+    """Yield every node of type `kind` in the tree, each before its
+    children, in appearance order."""
     stack = [raw]
     while stack:
         node = stack.pop()
-        if isinstance(node, Ident):
+        if isinstance(node, kind):
             yield node
-        elif isinstance(node, Num):
-            pass
-        elif isinstance(node, (Sum, Mul)):
+        if isinstance(node, (Ident, Num)):
+            continue
+        if isinstance(node, (Sum, Mul)):
             stack.extend(reversed(node.items))
         elif isinstance(node, Neg):
             stack.append(node.item)
@@ -96,3 +97,8 @@ def idents(raw: RawExpr):
             stack.append(node.arg)
         elif isinstance(node, Pow):
             stack.append(node.base)
+
+
+def idents(raw: RawExpr):
+    """Yield every Ident node in the tree, in appearance order."""
+    return nodes(raw, Ident)

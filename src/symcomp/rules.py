@@ -4,8 +4,9 @@ A rule's patterns are the parse trees (``rawexpr``) of its left-hand
 side, as the parser returns them: an uppercase identifier is a pattern
 variable, a lowercase one a literal leaf, and dots, q and b give the
 structure.  One matcher, ``_match``, walks such a tree against a Word or
-an Atom, and both sides of a rule are built by ``canonicalize`` under one
-binding environment (``instantiate_sides``).
+an Atom.  ``instantiate_sides`` builds both sides of a rule by
+``canonicalize`` under one binding environment; it is the reference the
+engine's own right-hand-side templates are checked against.
 
 Pattern variables range over dot-words: single canonical dot-subtrees,
 never sums.  Matching therefore operates per monomial / per vector term.
@@ -54,6 +55,22 @@ of the unit, straight into the pass's ``word -> {mono: coeff}`` map
 (``core.add_unit``).  The public ``match`` binds with the same per-site
 matcher, ``_bind``, and takes product-rule pairs from the same
 ``_b_pairs``.
+
+A rule's right-hand side is instantiated from a template.  The first time
+a rule binds in a fixpoint, the memo canonicalizes its right-hand side
+once with one private placeholder leaf per pattern variable
+(``Word.leaf(name, -1 - k)``; real symbols have indices >= 0).  Each
+firing then fills that template with the bound words: every word and q/b
+atom is rebuilt through ``Word.pair``/``Atom.q``/``Atom.b``, every
+monomial is re-sorted by atom key with atoms that became equal merged,
+and units that became equal are added.  Substituting words for leaves
+commutes with canonicalization except for the polarization of q over a
+sum, so a rule whose right-hand side has a q of anything but a word
+pattern is instantiated by ``canonicalize`` at every firing instead, as
+is a rule whose template raises a sort error (a scalar summand of a
+vector sum may vanish only when two variables bind the same word).  The
+choice depends on the rule and the sorts of the symbols it names, never
+on a binding.
 """
 from __future__ import annotations
 
@@ -68,7 +85,7 @@ from .core import (
     SymbolTable,
     VectorExpr,
     Word,
-    add_terms,
+    add_term,
     add_unit,
     atom_with,
     canonicalize,
@@ -78,7 +95,7 @@ from .core import (
     units,
     word_with,
 )
-from .errors import EngineError, NonTermination, ParseError, RuleSetUnknown
+from .errors import EngineError, ExprTypeError, NonTermination, ParseError, RuleSetUnknown
 
 
 # --- patterns and rules -----------------------------------------------------
@@ -120,9 +137,12 @@ def _match(pattern: rx.RawExpr, subject: Word | Atom, binds: dict[str, Word]) ->
 class RewriteRule:
     """A typed pattern -> template pair.  `lhs` (and `lhs2`, the second
     factor of a product rule) is a pattern parse tree; a power rule keeps
-    the base in `lhs` and the exponent in `power`."""
+    the base in `lhs` and the exponent in `power`.  `holes` pairs each
+    variable of `rhs` with the placeholder leaf of its template, or is
+    None when `rhs` has a q of anything but a word pattern (see
+    ``_template``)."""
 
-    __slots__ = ("name", "kind", "lhs", "lhs2", "power", "rhs")
+    __slots__ = ("name", "kind", "lhs", "lhs2", "power", "rhs", "holes")
 
     def __init__(self, name, kind, lhs, rhs, lhs2=None, power=None):
         self.name = name
@@ -131,6 +151,7 @@ class RewriteRule:
         self.lhs2 = lhs2
         self.power = power
         self.rhs = rhs
+        self.holes = _holes(rhs)
 
     def __repr__(self):
         return f"RewriteRule({self.name}, {self.kind})"
@@ -230,6 +251,9 @@ def _b_pairs(mono: Monomial):
 # --- application ------------------------------------------------------------
 
 
+_UNSEEN = object()
+
+
 def _split_rules(rules) -> tuple:
     """The rules to try at each site kind, in listing order: dot sites,
     atoms of exponent 1, atoms of a higher exponent (power rules take
@@ -241,11 +265,6 @@ def _split_rules(rules) -> tuple:
     return dot_rules, atom_rules, power_rules + atom_rules, product_rules
 
 
-def _instantiate(rule: RewriteRule, binds: dict[str, Word], symbols: SymbolTable) -> Expr:
-    bindings = {name: VectorExpr.from_word(w) for name, w in binds.items()}
-    return canonicalize(rule.rhs, Env(symbols, bindings))
-
-
 class RewriteMemo:
     """Work shared by the passes of one fixpoint; never changes the result.
 
@@ -255,34 +274,130 @@ class RewriteMemo:
     rewrite in its arguments, an (Atom, exponent) entry or an (Atom, Atom)
     pair to the instantiated right-hand side of the first rule that binds
     there.  `normal` holds the units a pass left unrewritten: a monomial,
-    or a (monomial, word) pair for a vector term.  Both depend only on the
-    rule set and the symbol table, so a memo serves one pair.
+    or a (monomial, word) pair for a vector term.  `templates` maps each
+    rule that has bound to its right-hand-side template, or to None when
+    the rule is instantiated by ``canonicalize``.  All three depend only
+    on the rule set and the symbol table, so a memo serves one pair.
     """
 
-    __slots__ = ("owner", "sites", "normal")
+    __slots__ = ("ruleset", "symbols", "sites", "normal", "templates")
 
     def __init__(self):
-        self.owner = None
+        self.ruleset = None
+        self.symbols = None
         self.sites: dict = {}
         self.normal: set = set()
+        self.templates: dict = {}
 
     def attach(self, rs: RuleSet, symbols: SymbolTable) -> None:
         """Tie the memo to the first rule set and symbol table it serves;
         any other pair raises ValueError."""
-        if self.owner is None:
-            self.owner = (rs, symbols)
-        elif self.owner[0] is not rs or self.owner[1] is not symbols:
+        if self.ruleset is None:
+            self.ruleset, self.symbols = rs, symbols
+        elif self.ruleset is not rs or self.symbols is not symbols:
             raise ValueError("a rewrite memo serves one rule set and one symbol table")
 
 
-def _first_match(rules, subject, symbols: SymbolTable):
+# --- right-hand-side templates ------------------------------------------------
+
+
+def _holes(rhs: rx.RawExpr):
+    """Each pattern variable of a right-hand side paired with a private
+    placeholder leaf, or None when a q argument is not a word pattern:
+    q(X + Y) polarizes differently once X and Y bind the same word, so
+    such a right-hand side has no exact template."""
+    if any(_shape(node.arg) != "word" for node in rx.nodes(rhs, rx.Q)):
+        return None
+    # Real symbols have indices >= 0, so no placeholder equals a real word.
+    return tuple((name, Word.leaf(name, -1 - k))
+                 for k, name in enumerate(sorted(_pattern_vars(rhs))))
+
+
+def _template(rule: RewriteRule, symbols: SymbolTable):
+    """The right-hand side canonicalized once with the rule's placeholder
+    leaves, as `(holes, vector, units)`: `units` lists the template's
+    `(word, mono, coeff)` units.  None when the rule has no holes, or when
+    the template raises a sort error: a scalar summand of a vector sum
+    may be nonzero under placeholders and vanish under a real binding."""
+    holes = rule.holes
+    if holes is None:
+        return None
+    try:
+        value = canonicalize(rule.rhs, Env(symbols, {name: VectorExpr.from_word(hole)
+                                                     for name, hole in holes}))
+    except ExprTypeError:
+        return None
+    return holes, is_vector(value), tuple(units(value))
+
+
+def _fill_word(w: Word, words: dict) -> Word:
+    """`w` with each placeholder leaf replaced by its word in `words`, which
+    also memoizes every subword filled so far."""
+    out = words.get(w)
+    if out is None:
+        out = words[w] = w if w.is_leaf else Word.pair(_fill_word(w.left, words),
+                                                        _fill_word(w.right, words))
+    return out
+
+
+def _atom_key(entry) -> tuple:
+    return entry[0].key
+
+
+def _fill(template, binds: dict[str, Word]) -> Expr:
+    """The template's value under `binds`: each word and q/b atom rebuilt
+    from the bound words, each monomial re-sorted with atoms that became
+    equal merged, and equal units added."""
+    holes, vector, template_units = template
+    words = {hole: binds[name] for name, hole in holes}
+    out: dict = {}
+    for word, mono, coeff in template_units:
+        entries = []
+        for atom, exp in mono:
+            if atom.is_q:
+                atom = Atom.q(_fill_word(atom.w1, words))
+            elif atom.is_b:
+                atom = Atom.b(_fill_word(atom.w1, words), _fill_word(atom.w2, words))
+            entries.append((atom, exp))
+        if len(entries) > 1:
+            entries.sort(key=_atom_key)
+            merged = [entries[0]]
+            for atom, exp in entries[1:]:
+                if atom is merged[-1][0]:
+                    merged[-1] = (atom, merged[-1][1] + exp)
+                else:
+                    merged.append((atom, exp))
+            entries = merged
+        add_term(out.setdefault(None if word is None else _fill_word(word, words), {}),
+                 tuple(entries), coeff)
+    return from_units(out, vector)
+
+
+def _instantiate(rule: RewriteRule, binds: dict[str, Word], memo: RewriteMemo) -> Expr:
+    """The rule's right-hand side under `binds`: its template filled with
+    the bound words, or ``canonicalize`` where the rule has no template.
+    The template is built the first time the rule binds in the memo's
+    fixpoint."""
+    template = memo.templates.get(rule, _UNSEEN)
+    if template is _UNSEEN:
+        template = memo.templates[rule] = _template(rule, memo.symbols)
+    if template is not None:
+        return _fill(template, binds)
+    bindings = {name: VectorExpr.from_word(w) for name, w in binds.items()}
+    return canonicalize(rule.rhs, Env(memo.symbols, bindings))
+
+
+# --- the pass -----------------------------------------------------------------
+
+
+def _first_match(rules, subject, memo: RewriteMemo):
     """The instantiated right-hand side of the first rule that binds at a
     site, raised to the atom's exponent for an atom rule, or None."""
     for rule in rules:
         binds = _bind(rule, subject)
         if binds is None:
             continue
-        repl = _instantiate(rule, binds, symbols)
+        repl = _instantiate(rule, binds, memo)
         if is_vector(repl) != (rule.kind == "dot"):
             what = "a dot-word to a vector" if rule.kind == "dot" else "an atom to a scalar"
             raise EngineError(f"rule {rule.name} must rewrite {what} value")
@@ -290,38 +405,35 @@ def _first_match(rules, subject, symbols: SymbolTable):
     return None
 
 
-_UNSEEN = object()
-
-
-def _site(sites: dict, key, rules, symbols: SymbolTable):
-    """`_first_match` at one site, looked up in and recorded into `sites`."""
-    value = sites.get(key, _UNSEEN)
+def _site(memo: RewriteMemo, key, rules):
+    """`_first_match` at one site, looked up in and recorded into `memo.sites`."""
+    value = memo.sites.get(key, _UNSEEN)
     if value is _UNSEEN:
-        value = sites[key] = _first_match(rules, key, symbols)
+        value = memo.sites[key] = _first_match(rules, key, memo)
     return value
 
 
-def _word_rewrite(w: Word, dot_rules, symbols: SymbolTable, sites: dict):
+def _word_rewrite(w: Word, dot_rules, memo: RewriteMemo):
     """The value of `w` after its first dot rewrite, or None.  Outermost
     first: the node, then the left subtree, then the right subtree."""
     if w.is_leaf:
         return None
+    sites = memo.sites
     value = sites.get(w, _UNSEEN)
     if value is _UNSEEN:
-        value = _first_match(dot_rules, w, symbols)
+        value = _first_match(dot_rules, w, memo)
         if value is None:
-            left = _word_rewrite(w.left, dot_rules, symbols, sites)
+            left = _word_rewrite(w.left, dot_rules, memo)
             if left is not None:
                 value = word_with(w, left, None)
             else:
-                right = _word_rewrite(w.right, dot_rules, symbols, sites)
+                right = _word_rewrite(w.right, dot_rules, memo)
                 value = None if right is None else word_with(w, None, right)
         sites[w] = value
     return value
 
 
-def _first_rewrite(mono: Monomial, word: Word | None, split: tuple,
-                   symbols: SymbolTable, sites: dict):
+def _first_rewrite(mono: Monomial, word: Word | None, split: tuple, memo: RewriteMemo):
     """The first rewrite of one monomial (or vector term `word` times
     `mono`) as `(drop, value)`: `value` replaces the entries of `mono` at
     the indices `drop`, or the word itself when `drop` is empty.  None
@@ -335,17 +447,18 @@ def _first_rewrite(mono: Monomial, word: Word | None, split: tuple,
     dot_rules, atom_rules, power_then_atom_rules, product_rules = split
     if dot_rules:
         if word is not None:
-            value = _word_rewrite(word, dot_rules, symbols, sites)
+            value = _word_rewrite(word, dot_rules, memo)
             if value is not None:
                 return (), value
+        sites = memo.sites
         for idx, (atom, exp) in enumerate(mono):
             if atom.is_symbol:
                 continue
             value = sites.get(atom, _UNSEEN)
             if value is _UNSEEN:
-                v1 = _word_rewrite(atom.w1, dot_rules, symbols, sites)
+                v1 = _word_rewrite(atom.w1, dot_rules, memo)
                 v2 = (None if v1 is not None or atom.is_q
-                      else _word_rewrite(atom.w2, dot_rules, symbols, sites))
+                      else _word_rewrite(atom.w2, dot_rules, memo))
                 value = sites[atom] = (None if v1 is None and v2 is None
                                        else atom_with(atom, v1, v2))
             if value is not None:
@@ -354,12 +467,12 @@ def _first_rewrite(mono: Monomial, word: Word | None, split: tuple,
         for idx, entry in enumerate(mono):
             if not entry[0].is_symbol:
                 rules = power_then_atom_rules if entry[1] >= 2 else atom_rules
-                value = _site(sites, entry, rules, symbols)
+                value = _site(memo, entry, rules)
                 if value is not None:
                     return (idx,), value
     if product_rules:
         for drop, pair in _b_pairs(mono):
-            value = _site(sites, pair, product_rules, symbols)
+            value = _site(memo, pair, product_rules)
             if value is not None:
                 return drop, value
     return None
@@ -379,10 +492,10 @@ def apply_once(e: Expr, rs: RuleSet, symbols: SymbolTable,
     out: dict = {}
     for word, mono, coeff in units(e):
         unit = mono if word is None else (mono, word)
-        hit = unit not in memo.normal and _first_rewrite(mono, word, split, symbols, memo.sites)
+        hit = unit not in memo.normal and _first_rewrite(mono, word, split, memo)
         if not hit:
             memo.normal.add(unit)
-            add_terms(out.setdefault(word, {}), {mono: coeff})
+            add_term(out.setdefault(word, {}), mono, coeff)
             continue
         drop, value = hit
         rest = tuple(entry for k, entry in enumerate(mono) if k not in drop) if drop else mono

@@ -161,7 +161,7 @@ def _run_assertion(stmt: Assertion, symbols: SymbolTable, values: dict,
                    default_trials: int) -> CheckpointResult:
     value = values[stmt.name]
     if stmt.kind == "matrix":
-        payload = json.loads(golden_text(stmt.golden))
+        payload = _matrix_golden(stmt.golden, golden_text(stmt.golden))
         ok, expected_text, actual_text = _compare_matrix(value, payload, symbols)
         return CheckpointResult(stmt.label, stmt.kind, ok, expected_text, actual_text,
                                 note=payload.get("note", ""))
@@ -187,6 +187,25 @@ def _run_assertion(stmt: Assertion, symbols: SymbolTable, values: dict,
         else equal(value, expected)
     return CheckpointResult(stmt.label, stmt.kind, ok,
                             print_expr(expected), print_expr(value))
+
+
+def _matrix_golden(name: str, text: str) -> dict:
+    """The payload of a matrix golden: a JSON object with "vars", a list
+    of two names, and "rows", a list of lists of expression texts."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise EngineError(f"matrix golden @{name} is not JSON: {err}") from None
+    names, rows = (payload.get("vars"), payload.get("rows")) if isinstance(payload, dict) \
+        else (None, None)
+    if not (isinstance(names, list) and len(names) == 2
+            and all(isinstance(n, str) for n in names)
+            and isinstance(rows, list)
+            and all(isinstance(row, list) and all(isinstance(t, str) for t in row)
+                    for row in rows)):
+        raise EngineError(f'matrix golden @{name} must be an object with "vars", '
+                          'a list of two names, and "rows", a list of lists of expressions')
+    return payload
 
 
 def _compare_matrix(actual: CoeffMatrix, payload: dict,

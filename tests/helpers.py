@@ -63,7 +63,7 @@ def greek_ctx() -> Ctx:
 def scaling_family(k: int, template: str = "b(S, S.S) - 3*q(S)*b(S,S)"):
     """The template with S a sum of k generic terms a_i*w_i."""
     ctx = Ctx(scalars=tuple(f"a{i}" for i in range(k)), vectors=("x", "y", "z"))
-    words = ("x", "y", "z", "x.y")[:k]
+    words = ("x", "y", "z", "x.y", "y.x")[:k]
     s = " + ".join(f"a{i}*({w})" for i, w in enumerate(words))
     return ctx, ctx.canon(template.replace("S", f"({s})"))
 

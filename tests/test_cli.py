@@ -307,6 +307,25 @@ def test_run_script_name_of_the_wrong_kind_is_a_parse_error(tmp_path, capsys, ta
     assert f"symcomp: error: {where}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("golden", [
+    '{"rows": []}',
+    "[]",
+    '{"vars": "alpha", "rows": []}',
+    '{"vars": ["alpha", "beta"], "rows": [["0", 1], ["q(x)", "0"]]}',
+    '{"vars": ["alpha", "beta"], "rows": ["0", "q(x)"]}',
+    "not json",
+], ids=["no-vars", "not-an-object", "vars-not-a-list", "entry-not-text", "row-not-a-list",
+        "not-json"])
+def test_run_script_malformed_matrix_golden_is_an_error(tmp_path, capsys, golden):
+    (tmp_path / "goldens").mkdir()
+    (tmp_path / "goldens" / "bad.json").write_text(golden + "\n")
+    path = tmp_path / "kinds.scs"
+    path.write_text(KINDS_SCRIPT + "assert_matrix m, @bad;\n")
+    code, _ = run_cli("run", str(path))
+    assert code == 2
+    assert "matrix golden @bad" in capsys.readouterr().err
+
+
 def test_run_script_golden_naming_a_matrix_is_an_error(tmp_path, capsys):
     (tmp_path / "goldens").mkdir()
     (tmp_path / "goldens" / "g.expr").write_text("q(x) + m\n")

@@ -1,7 +1,9 @@
 """Matching semantics, application strategy, and the built-in catalog."""
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symcomp import (
     apply_fixpoint,
@@ -12,12 +14,13 @@ from symcomp import (
     equal,
     match,
     parse_rule_source,
+    print_expr,
     rules,
 )
 from symcomp.core import ScalarExpr, VectorExpr, Word
-from symcomp.errors import NonTermination, ParseError, RuleSetUnknown
+from symcomp.errors import ExprTypeError, NonTermination, ParseError, RuleSetUnknown
 from symcomp.oracle import eval_expr, random_assignment
-from symcomp.rules import RewriteMemo, instantiate_sides, _pattern_vars
+from symcomp.rules import RewriteMemo, RuleSet, instantiate_sides, _pattern_vars
 from helpers import Ctx, random_raw, scaling_family, stores_no_zero
 
 
@@ -421,3 +424,72 @@ def test_memo_serves_one_rule_set(xy):
     apply_once(e, builtin_ruleset("bsym"), xy.table, memo)
     with pytest.raises(ValueError):
         apply_once(e, builtin_ruleset("rules1"), xy.table, memo)
+
+
+# --- right-hand-side templates ------------------------------------------------
+
+TEMPLATE_CTX = Ctx(vectors=("x", "y", "z", "u"))
+LIVE_RULES = tuple(rule for name in CATALOG for rule in builtin_ruleset(name).rules
+                   if rule.kind != "noop")
+
+
+def random_word(rng, depth):
+    if depth == 0 or rng.random() < 0.4:
+        return TEMPLATE_CTX.word(rng.choice(TEMPLATE_CTX.vectors))
+    return Word.pair(random_word(rng, depth - 1), random_word(rng, depth - 1))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32), pool=st.integers(1, 3))
+def test_template_fill_agrees_with_instantiate_sides_property(seed, pool):
+    # Each variable binds one of `pool` words, so repeated words are common:
+    # they make atoms of one monomial equal (q(X.Y) -> q(X)*q(Y) with X = Y)
+    # and units of one value equal, which the fill must re-sort and merge.
+    rng, table = random.Random(seed), TEMPLATE_CTX.table
+    words = [random_word(rng, 2) for _ in range(pool)]
+    for rule in LIVE_RULES:
+        variables = sorted(_pattern_vars(rule.lhs)
+                           | (_pattern_vars(rule.lhs2) if rule.lhs2 else set()))
+        binds = {v: rng.choice(words) for v in variables}
+        template = rules._template(rule, table)
+        assert template is not None, rule.name
+        filled = rules._fill(template, binds)
+        expected = instantiate_sides(rule, binds, table)[1]
+        assert type(filled) is type(expected), rule.name
+        assert equal(filled, expected), (rule.name, binds)
+        assert stores_no_zero(filled), rule.name
+
+
+def test_q_of_a_sum_is_instantiated_by_canonicalize(xy):
+    # q(X + Y) polarizes to q(X) + q(Y) + b(X,Y) only while X and Y are
+    # distinct words; bound to the same word it is 4*q(X).
+    rule = make_rule("b(X,Y) -> q(X + Y) - q(X) - q(Y)")
+    rs = RuleSet("polar", (rule,))
+    assert equal(apply_once(xy.canon("b(x,x)"), rs, xy.table), xy.canon("2*q(x)"))
+    assert equal(apply_once(xy.canon("b(x,y)"), rs, xy.table), xy.canon("b(x,y)"))
+    assert equal(apply_fixpoint(xy.canon("b(x.y,x.y) + b(x,y)"), rs, xy.table),
+                 xy.canon("2*q(x.y) + b(x,y)"))
+    assert rules._template(rule, xy.table) is None
+
+
+def test_scalar_summand_vanishing_under_a_binding_is_instantiated_by_canonicalize(xyz):
+    # The scalar summand b(X,Z) - b(Z,X) of a vector sum is zero when X and
+    # Z bind the same word and a sort error otherwise.
+    rule = make_rule("(X.Y).Z -> q(X)*Y + (b(X,Z) - b(Z,X))")
+    rs = RuleSet("vanish", (rule,))
+    assert equal(apply_once(xyz.canon("(x.y).x + z"), rs, xyz.table),
+                 xyz.canon("q(x)*y + z"))
+    with pytest.raises(ExprTypeError) as err:
+        apply_once(xyz.canon("(x.y).z"), rs, xyz.table)
+    assert str(err.value) == "1:22: cannot add scalar and vector values"
+    assert rules._template(rule, xyz.table) is None
+
+
+def test_rewrite_scale_k5_normal_form_matches_recorded_text():
+    # b(S,S.S) - 3*q(S)*b(S,S) with S = a0*x + a1*y + a2*z + a3*(x.y) + a4*(y.x)
+    # taken to the rules2 fixpoint: 430 monomials, printed byte for byte.
+    recorded = Path(__file__).parent / "data" / "rewrite_scale_k5.expr"
+    ctx, e = scaling_family(5)
+    result = apply_fixpoint(e, builtin_ruleset("rules2"), ctx.table)
+    assert len(result.terms) == 430
+    assert (print_expr(result) + "\n").encode("utf-8") == recorded.read_bytes()
