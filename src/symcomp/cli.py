@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .core import SCALAR, VECTOR, Env, SymbolTable, canonicalize
 from .errors import SymcompError
-from .oracle import MAX_TRIALS, check_identity
+from .oracle import DEFAULT_SEED, DEFAULT_TRIALS, MAX_TRIALS, check_identity
 from .parser import parse_expr, parse_script
 from .printer import print_expr
 from .rawexpr import idents
@@ -30,14 +30,13 @@ from .sessions import (
     run_session,
 )
 
-DEFAULT_TRIALS = 100
 GREEK_SCALARS = ("alpha", "beta", "lambda", "mu")
 
 
 def _default_seed() -> int:
     raw = os.environ.get("SYMCOMP_SEED")
     if raw is None:
-        return 42
+        return DEFAULT_SEED
     try:
         return int(raw)
     except ValueError:
@@ -47,9 +46,9 @@ def _default_seed() -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
-                        help="seed for oracle trials (default 42 or $SYMCOMP_SEED)")
+                        help=f"seed for oracle trials (default {DEFAULT_SEED} or $SYMCOMP_SEED)")
     common.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                        help="oracle trial count (default 100)")
+                        help=f"oracle trial count (default {DEFAULT_TRIALS})")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--verbose", action="store_true",
                         help="print every intermediate canonical form")

@@ -56,6 +56,12 @@ ONE = 1
 SCALAR = "scalar"
 VECTOR = "vector"
 
+# The largest power of a scalar with more than one term.  A sum's power
+# grows with the exponent ((lambda + 1)^n has n + 1 terms with
+# coefficients of about n bits), so an unbounded one runs for minutes; a
+# single monomial's power is one monomial, so it stays unbounded.
+MAX_POWER = 256
+
 
 class SymbolTable:
     """Declared symbols with their sort and declaration order."""
@@ -338,6 +344,8 @@ class ScalarExpr:
     def __pow__(self, n: int) -> "ScalarExpr":
         if n < 0:
             raise ExprTypeError("negative powers are not supported")
+        if n > MAX_POWER and len(self.terms) > 1:
+            raise ExprTypeError(f"power {n} of a sum exceeds the bound {MAX_POWER}")
         acc = None
         base = self
         while n:
@@ -442,10 +450,13 @@ def equal(a: Expr, b: Expr) -> bool:
     """Structural equality of canonical forms.
 
     The empty scalar and the empty vector are both the canonical zero;
-    they compare equal across sorts (both print as "0").
+    they compare equal across sorts (both print as "0").  Any other pair
+    of values of different sorts raises ExprTypeError.
     """
     if type(a) is not type(b):
-        return a.is_zero and b.is_zero
+        if a.is_zero and b.is_zero:
+            return True
+        raise ExprTypeError("cannot compare scalar and vector values")
     return a == b
 
 
@@ -569,7 +580,10 @@ def canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
         base = canonicalize(raw.base, env)
         if not is_scalar(base):
             raise ExprTypeError("powers apply to scalar expressions only", raw.span)
-        return base ** raw.exponent
+        try:
+            return base ** raw.exponent
+        except ExprTypeError as err:
+            raise ExprTypeError(err.message, raw.span) from None
     if isinstance(raw, rx.Dot):
         left = canonicalize(raw.left, env)
         right = canonicalize(raw.right, env)

@@ -29,6 +29,8 @@ from .printer import print_expr
 _ZERO = Fraction(0)
 COMPONENT_RANGE = 9  # components drawn uniformly from [-9, 9]
 MAX_TRIALS = 10_000  # the most trials `--trials` and `oracle_check` accept
+DEFAULT_TRIALS = 100  # trials when neither `--trials` nor `oracle_check` names a count
+DEFAULT_SEED = 42  # seed when neither `--seed` nor $SYMCOMP_SEED gives one
 
 
 class ParaQuaternion:
@@ -210,7 +212,8 @@ class IdentityReport:
         return json.dumps(self.to_jsonable(), indent=2)
 
 
-def check_identity(e: Expr, trials: int = 100, seed: int = 42) -> IdentityReport:
+def check_identity(e: Expr, trials: int = DEFAULT_TRIALS,
+                   seed: int = DEFAULT_SEED) -> IdentityReport:
     """Evaluate e under pseudo-random assignments; pass iff every
     evaluation is exactly zero.  Identical seeds give identical reports."""
     if trials < 1:

@@ -8,9 +8,13 @@ monomial are kept as they are, and each unit is added back through
 ``core.add_unit``.
 
 Coefficient extraction is exact-degree in the listed symbols jointly;
-symbols absent from the key are left untouched.  Factored displays are
-verified by expanding the claimed factorization and comparing canonical
-forms -- no factorization is ever performed.
+symbols absent from the key are left untouched.  ``coeff`` and
+``coeff_matrix`` share one walk, ``_by_degrees``, which groups each unit
+by its degrees in the key symbols and strips those powers, so a matrix
+costs one pass over the value and not one per cell.  Factored displays
+are verified by expanding the claimed factorization and comparing
+canonical forms with ``core.equal`` -- no factorization is ever
+performed.
 """
 from __future__ import annotations
 
@@ -24,7 +28,6 @@ from .core import (
     Atom,
     Env,
     Expr,
-    Monomial,
     ScalarExpr,
     SymbolTable,
     VectorExpr,
@@ -100,15 +103,22 @@ def subst_raw(e: Expr, raw_bindings: dict[str, rx.RawExpr], symbols: SymbolTable
     return subst(e, {n: canonicalize(r, env) for n, r in raw_bindings.items()}, symbols)
 
 
-def _mono_degree(mono: Monomial, name: str) -> int:
-    for atom, exp in mono:
-        if atom.is_symbol and atom.name == name:
-            return exp
-    return 0
-
-
-def _strip_symbols(mono: Monomial, names: set[str]) -> Monomial:
-    return tuple((a, e) for a, e in mono if not (a.is_symbol and a.name in names))
+def _by_degrees(e: Expr, names: tuple[str, ...]) -> dict[tuple[int, ...], dict]:
+    """The units of `e` grouped by their degrees in the symbols `names`,
+    with those symbol powers stripped: degrees -> word -> {mono: coeff}."""
+    position = {name: k for k, name in enumerate(names)}
+    groups: dict = {}
+    for word, mono, c in units(e):
+        degrees = [0] * len(names)
+        rest = []
+        for entry in mono:
+            k = position.get(entry[0].name) if entry[0].is_symbol else None
+            if k is None:
+                rest.append(entry)
+            else:
+                degrees[k] = entry[1]
+        groups.setdefault(tuple(degrees), {}).setdefault(word, {})[tuple(rest)] = c
+    return groups
 
 
 def coeff(e: Expr, key: dict[str, int]) -> Expr:
@@ -118,12 +128,7 @@ def coeff(e: Expr, key: dict[str, int]) -> Expr:
     key's exponent (0 means degree exactly zero), strips those symbol
     powers, and leaves all other symbols untouched.
     """
-    names = set(key)
-    out: dict = {}
-    for word, mono, c in units(e):
-        if all(_mono_degree(mono, n) == k for n, k in key.items()):
-            out.setdefault(word, {})[_strip_symbols(mono, names)] = c
-    return from_units(out, is_vector(e))
+    return from_units(_by_degrees(e, tuple(key)).get(tuple(key.values()), {}), is_vector(e))
 
 
 @dataclass(frozen=True)
@@ -148,26 +153,22 @@ class CoeffMatrix:
         return (len(self.rows), len(self.rows[0]))
 
 
-def _max_degree(e: Expr, name: str) -> int:
-    return max((_mono_degree(mono, name) for _, mono, _ in units(e)), default=0)
-
-
 def coeff_matrix(e: Expr, variables: tuple[str, str]) -> CoeffMatrix:
     v1, v2 = variables
-    rows = []
-    for i in range(_max_degree(e, v1) + 1):
-        row = []
-        for j in range(_max_degree(e, v2) + 1):
-            row.append(coeff(e, {v1: i, v2: j}))
-        rows.append(tuple(row))
-    return CoeffMatrix((v1, v2), tuple(rows))
+    if v1 == v2:
+        raise ExprTypeError(f"a coefficient matrix needs two distinct symbols, got {v1!r} twice")
+    groups = _by_degrees(e, variables)
+    n1 = 1 + max((i for i, _ in groups), default=0)
+    n2 = 1 + max((j for _, j in groups), default=0)
+    vector = is_vector(e)
+    rows = tuple(tuple(from_units(groups.get((i, j), {}), vector) for j in range(n2))
+                 for i in range(n1))
+    return CoeffMatrix((v1, v2), rows)
 
 
-def factored_equal(e: Expr, target: rx.RawExpr | Expr, symbols: SymbolTable,
-                   env: Env | None = None) -> bool:
-    """Check a factored display by expansion: e == canonicalize(target)."""
+def factored_equal(e: Expr, target: rx.RawExpr | Expr, symbols: SymbolTable) -> bool:
+    """Check a factored display by expansion: ``equal(e, target)``, with a
+    raw target canonicalized first."""
     if isinstance(target, rx.RawExpr):
-        target = canonicalize(target, env or Env(symbols))
-    if type(target) is not type(e) and not (target.is_zero and e.is_zero):
-        raise ExprTypeError("factored target has the wrong sort")
+        target = canonicalize(target, Env(symbols))
     return equal(e, target)

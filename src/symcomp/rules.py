@@ -22,22 +22,23 @@ Rules come in five kinds:
 * ``noop``    -- kept for catalog fidelity: scalar-extraction rules that
   canonical forms make unreachable.
 
-Application strategy (deterministic): ``apply_once`` visits the units
-of a canonical value (``core.units``: monomials, or a monomial times a
+Application strategy (deterministic): ``apply_once`` visits the units of
+a canonical value (``core.units``: monomials, or a monomial times a
 dot-word) in storage order; within each it visits rewrite sites --
 dot-subtrees outermost-first (the term's own word, then inside q/b atom
 arguments in atom order), then whole atoms in atom order, then ordered
-pairs of distinct exponent-1 b atoms.  This order is
-defined in one place, ``_first_rewrite``.  At each site the
-rules of that site's kind are tried in listing order (on an atom of
-exponent >= 2, power rules before atom rules); the first match anywhere
-in a monomial rewrites that site, the produced fragment is left untouched
-for the rest of the pass, and scanning continues with the next unit.
-Each unit is rewritten on its own, so the result of a pass does not
-depend on the order in which units are visited.  Only the choice of
-error may: when a rule set holds two rules whose right-hand sides have
-the wrong sort, the ``EngineError`` names the first one reached in
-storage order, which is still deterministic.
+pairs of distinct exponent-1 b atoms.  This order is defined in one
+place, ``_first_rewrite``.  At each site the rules of that site's kind
+are tried in listing order (on an atom of exponent >= 2, power rules
+before atom rules); a ``RuleSet`` is the compiled form of a rule list
+and builds these site tables once, when it is constructed.  The first
+match anywhere in a monomial rewrites that site, the produced fragment
+is left untouched for the rest of the pass, and scanning continues with
+the next unit.  Each unit is rewritten on its own, so the result of a
+pass does not depend on the order in which units are visited.  Only the
+choice of error may: when a rule set holds two rules whose right-hand
+sides have the wrong sort, the ``EngineError`` names the first one
+reached in storage order, which is still deterministic.
 ``apply_fixpoint`` iterates passes until the canonical form stabilizes.
 
 A rewrite replaces one *root* of a unit: the unit's own word, one q/b
@@ -49,35 +50,35 @@ atoms are rebuilt from the rewritten parts by ``core.word_with`` and
 ``core.atom_with``.  The memo also holds the monomials/terms a pass left
 unrewritten, which later passes skip without scanning their roots.  It
 lives for that call only (a direct ``apply_once`` call gets its own),
-and the result does not depend on it.  Each pass accumulates its results
+is built for one rule set and one symbol table and serves no other, and
+the result does not depend on it.  Each pass accumulates its results
 in place: a rewrite adds its unit, the replacement value times the rest
 of the unit, straight into the pass's ``word -> {mono: coeff}`` map
 (``core.add_unit``).  The public ``match`` binds with the same per-site
 matcher, ``_bind``, and takes product-rule pairs from the same
 ``_b_pairs``.
 
-A rule's right-hand side is instantiated from a template.  The first time
-a rule binds in a fixpoint, the memo canonicalizes its right-hand side
-once with one private placeholder leaf per pattern variable
+A rule's right-hand side is instantiated from a template.  The first
+time a rule binds in a fixpoint, the memo canonicalizes its right-hand
+side once with one private placeholder leaf per pattern variable
 (``Word.leaf(name, -1 - k)``; real symbols have indices >= 0).  Each
 firing then fills that template with the bound words: every word and q/b
 atom is rebuilt through ``Word.pair``/``Atom.q``/``Atom.b``, every
-monomial is re-sorted by atom key with atoms that became equal merged,
-and units that became equal are added.  Substituting words for leaves
-commutes with canonicalization except for the polarization of q over a
-sum, so a rule whose right-hand side has a q of anything but a word
-pattern is instantiated by ``canonicalize`` at every firing instead, as
-is a rule whose template raises a sort error (a scalar summand of a
-vector sum may vanish only when two variables bind the same word).  The
-choice depends on the rule and the sorts of the symbols it names, never
-on a binding.
+monomial is multiplied back together from its rebuilt entries by
+``core.mono_mul`` (which merges atoms that became equal), and units that
+became equal are added.  Substituting words for leaves commutes with
+canonicalization except for the polarization of q over a sum, so a rule
+whose right-hand side has a q of anything but a word pattern is
+instantiated by ``canonicalize`` at every firing instead, as is a rule
+whose template raises a sort error (a scalar summand of a vector sum may
+vanish only when two variables bind the same word).  The choice depends
+on the rule and the sorts of the symbols it names, never on a binding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import rawexpr as rx
 from .core import (
+    EMPTY_MONOMIAL,
     Atom,
     Env,
     Expr,
@@ -92,6 +93,7 @@ from .core import (
     equal,
     from_units,
     is_vector,
+    mono_mul,
     units,
     word_with,
 )
@@ -157,10 +159,23 @@ class RewriteRule:
         return f"RewriteRule({self.name}, {self.kind})"
 
 
-@dataclass(frozen=True)
 class RuleSet:
-    name: str
-    rules: tuple[RewriteRule, ...]
+    """A named rule list compiled for the engine.  Its site tables, built
+    once here, hold the rules to try at each site kind in listing order:
+    dot sites, atoms of exponent 1, atoms of a higher exponent (power rules
+    take precedence over atom rules there), and b-atom pairs."""
+
+    __slots__ = ("name", "rules", "dot_rules", "atom_rules", "power_then_atom_rules",
+                 "product_rules")
+
+    def __init__(self, name: str, rules: tuple[RewriteRule, ...]):
+        self.name = name
+        self.rules = rules
+        self.dot_rules = tuple(r for r in rules if r.kind == "dot")
+        self.atom_rules = tuple(r for r in rules if r.kind == "atom")
+        self.power_then_atom_rules = (tuple(r for r in rules if r.kind == "power")
+                                      + self.atom_rules)
+        self.product_rules = tuple(r for r in rules if r.kind == "product")
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -254,17 +269,6 @@ def _b_pairs(mono: Monomial):
 _UNSEEN = object()
 
 
-def _split_rules(rules) -> tuple:
-    """The rules to try at each site kind, in listing order: dot sites,
-    atoms of exponent 1, atoms of a higher exponent (power rules take
-    precedence over atom rules there), and b-atom pairs."""
-    dot_rules = tuple(r for r in rules if r.kind == "dot")
-    atom_rules = tuple(r for r in rules if r.kind == "atom")
-    power_rules = tuple(r for r in rules if r.kind == "power")
-    product_rules = tuple(r for r in rules if r.kind == "product")
-    return dot_rules, atom_rules, power_rules + atom_rules, product_rules
-
-
 class RewriteMemo:
     """Work shared by the passes of one fixpoint; never changes the result.
 
@@ -277,25 +281,18 @@ class RewriteMemo:
     or a (monomial, word) pair for a vector term.  `templates` maps each
     rule that has bound to its right-hand-side template, or to None when
     the rule is instantiated by ``canonicalize``.  All three depend only
-    on the rule set and the symbol table, so a memo serves one pair.
+    on the rule set and the symbol table, so a memo is built for one pair
+    and serves no other.
     """
 
     __slots__ = ("ruleset", "symbols", "sites", "normal", "templates")
 
-    def __init__(self):
-        self.ruleset = None
-        self.symbols = None
+    def __init__(self, ruleset: RuleSet, symbols: SymbolTable):
+        self.ruleset = ruleset
+        self.symbols = symbols
         self.sites: dict = {}
         self.normal: set = set()
         self.templates: dict = {}
-
-    def attach(self, rs: RuleSet, symbols: SymbolTable) -> None:
-        """Tie the memo to the first rule set and symbol table it serves;
-        any other pair raises ValueError."""
-        if self.ruleset is None:
-            self.ruleset, self.symbols = rs, symbols
-        elif self.ruleset is not rs or self.symbols is not symbols:
-            raise ValueError("a rewrite memo serves one rule set and one symbol table")
 
 
 # --- right-hand-side templates ------------------------------------------------
@@ -313,6 +310,11 @@ def _holes(rhs: rx.RawExpr):
                  for k, name in enumerate(sorted(_pattern_vars(rhs))))
 
 
+def _word_env(symbols: SymbolTable, binds: dict[str, Word]) -> Env:
+    """The environment that binds each variable name to its word."""
+    return Env(symbols, {name: VectorExpr.from_word(w) for name, w in binds.items()})
+
+
 def _template(rule: RewriteRule, symbols: SymbolTable):
     """The right-hand side canonicalized once with the rule's placeholder
     leaves, as `(holes, vector, units)`: `units` lists the template's
@@ -323,8 +325,7 @@ def _template(rule: RewriteRule, symbols: SymbolTable):
     if holes is None:
         return None
     try:
-        value = canonicalize(rule.rhs, Env(symbols, {name: VectorExpr.from_word(hole)
-                                                     for name, hole in holes}))
+        value = canonicalize(rule.rhs, _word_env(symbols, dict(holes)))
     except ExprTypeError:
         return None
     return holes, is_vector(value), tuple(units(value))
@@ -340,36 +341,24 @@ def _fill_word(w: Word, words: dict) -> Word:
     return out
 
 
-def _atom_key(entry) -> tuple:
-    return entry[0].key
-
-
 def _fill(template, binds: dict[str, Word]) -> Expr:
     """The template's value under `binds`: each word and q/b atom rebuilt
-    from the bound words, each monomial re-sorted with atoms that became
-    equal merged, and equal units added."""
+    from the bound words, each monomial multiplied back together from its
+    rebuilt entries by ``mono_mul`` (atoms that became equal merge), and
+    equal units added."""
     holes, vector, template_units = template
     words = {hole: binds[name] for name, hole in holes}
     out: dict = {}
     for word, mono, coeff in template_units:
-        entries = []
+        filled = EMPTY_MONOMIAL
         for atom, exp in mono:
             if atom.is_q:
                 atom = Atom.q(_fill_word(atom.w1, words))
             elif atom.is_b:
                 atom = Atom.b(_fill_word(atom.w1, words), _fill_word(atom.w2, words))
-            entries.append((atom, exp))
-        if len(entries) > 1:
-            entries.sort(key=_atom_key)
-            merged = [entries[0]]
-            for atom, exp in entries[1:]:
-                if atom is merged[-1][0]:
-                    merged[-1] = (atom, merged[-1][1] + exp)
-                else:
-                    merged.append((atom, exp))
-            entries = merged
+            filled = mono_mul(filled, ((atom, exp),))
         add_term(out.setdefault(None if word is None else _fill_word(word, words), {}),
-                 tuple(entries), coeff)
+                 filled, coeff)
     return from_units(out, vector)
 
 
@@ -383,8 +372,7 @@ def _instantiate(rule: RewriteRule, binds: dict[str, Word], memo: RewriteMemo) -
         template = memo.templates[rule] = _template(rule, memo.symbols)
     if template is not None:
         return _fill(template, binds)
-    bindings = {name: VectorExpr.from_word(w) for name, w in binds.items()}
-    return canonicalize(rule.rhs, Env(memo.symbols, bindings))
+    return canonicalize(rule.rhs, _word_env(memo.symbols, binds))
 
 
 # --- the pass -----------------------------------------------------------------
@@ -413,7 +401,7 @@ def _site(memo: RewriteMemo, key, rules):
     return value
 
 
-def _word_rewrite(w: Word, dot_rules, memo: RewriteMemo):
+def _word_rewrite(w: Word, memo: RewriteMemo):
     """The value of `w` after its first dot rewrite, or None.  Outermost
     first: the node, then the left subtree, then the right subtree."""
     if w.is_leaf:
@@ -421,19 +409,19 @@ def _word_rewrite(w: Word, dot_rules, memo: RewriteMemo):
     sites = memo.sites
     value = sites.get(w, _UNSEEN)
     if value is _UNSEEN:
-        value = _first_match(dot_rules, w, memo)
+        value = _first_match(memo.ruleset.dot_rules, w, memo)
         if value is None:
-            left = _word_rewrite(w.left, dot_rules, memo)
+            left = _word_rewrite(w.left, memo)
             if left is not None:
                 value = word_with(w, left, None)
             else:
-                right = _word_rewrite(w.right, dot_rules, memo)
+                right = _word_rewrite(w.right, memo)
                 value = None if right is None else word_with(w, None, right)
         sites[w] = value
     return value
 
 
-def _first_rewrite(mono: Monomial, word: Word | None, split: tuple, memo: RewriteMemo):
+def _first_rewrite(mono: Monomial, word: Word | None, memo: RewriteMemo):
     """The first rewrite of one monomial (or vector term `word` times
     `mono`) as `(drop, value)`: `value` replaces the entries of `mono` at
     the indices `drop`, or the word itself when `drop` is empty.  None
@@ -444,10 +432,10 @@ def _first_rewrite(mono: Monomial, word: Word | None, split: tuple, memo: Rewrit
     order; then ordered pairs of distinct exponent-1 b atoms.  Site kinds
     with no rules are skipped.
     """
-    dot_rules, atom_rules, power_then_atom_rules, product_rules = split
-    if dot_rules:
+    rs = memo.ruleset
+    if rs.dot_rules:
         if word is not None:
-            value = _word_rewrite(word, dot_rules, memo)
+            value = _word_rewrite(word, memo)
             if value is not None:
                 return (), value
         sites = memo.sites
@@ -456,23 +444,22 @@ def _first_rewrite(mono: Monomial, word: Word | None, split: tuple, memo: Rewrit
                 continue
             value = sites.get(atom, _UNSEEN)
             if value is _UNSEEN:
-                v1 = _word_rewrite(atom.w1, dot_rules, memo)
-                v2 = (None if v1 is not None or atom.is_q
-                      else _word_rewrite(atom.w2, dot_rules, memo))
+                v1 = _word_rewrite(atom.w1, memo)
+                v2 = None if v1 is not None or atom.is_q else _word_rewrite(atom.w2, memo)
                 value = sites[atom] = (None if v1 is None and v2 is None
                                        else atom_with(atom, v1, v2))
             if value is not None:
                 return (idx,), value ** exp
-    if power_then_atom_rules:
+    if rs.power_then_atom_rules:
         for idx, entry in enumerate(mono):
             if not entry[0].is_symbol:
-                rules = power_then_atom_rules if entry[1] >= 2 else atom_rules
+                rules = rs.power_then_atom_rules if entry[1] >= 2 else rs.atom_rules
                 value = _site(memo, entry, rules)
                 if value is not None:
                     return (idx,), value
-    if product_rules:
+    if rs.product_rules:
         for drop, pair in _b_pairs(mono):
-            value = _site(memo, pair, product_rules)
+            value = _site(memo, pair, rs.product_rules)
             if value is not None:
                 return drop, value
     return None
@@ -483,16 +470,17 @@ def apply_once(e: Expr, rs: RuleSet, symbols: SymbolTable,
     """One deterministic pass: at most one rewrite per monomial/term.
 
     `memo` is work shared by the passes of one fixpoint; it never changes
-    the result.  Without one, the pass uses a fresh memo.
+    the result.  Without one, the pass uses a fresh memo; a memo built for
+    another rule set or symbol table raises ValueError.
     """
     if memo is None:
-        memo = RewriteMemo()
-    memo.attach(rs, symbols)
-    split = _split_rules(rs.rules)
+        memo = RewriteMemo(rs, symbols)
+    elif memo.ruleset is not rs or memo.symbols is not symbols:
+        raise ValueError("a rewrite memo serves one rule set and one symbol table")
     out: dict = {}
     for word, mono, coeff in units(e):
         unit = mono if word is None else (mono, word)
-        hit = unit not in memo.normal and _first_rewrite(mono, word, split, memo)
+        hit = unit not in memo.normal and _first_rewrite(mono, word, memo)
         if not hit:
             memo.normal.add(unit)
             add_term(out.setdefault(word, {}), mono, coeff)
@@ -506,7 +494,7 @@ def apply_once(e: Expr, rs: RuleSet, symbols: SymbolTable,
 def apply_fixpoint(e: Expr, rs: RuleSet, symbols: SymbolTable, cap: int = 10000) -> Expr:
     """Iterate apply_once until the canonical form is unchanged; the passes
     share one memo."""
-    memo = RewriteMemo()
+    memo = RewriteMemo(rs, symbols)
     current = e
     for _ in range(cap):
         nxt = apply_once(current, rs, symbols, memo)
@@ -642,7 +630,7 @@ def instantiate_sides(rule: RewriteRule, binds: dict[str, Word],
     """Build lhs and rhs values of a rule under a variable binding."""
     if rule.kind == "noop":
         raise EngineError(f"rule {rule.name} is a documented no-op")
-    env = Env(symbols, {name: VectorExpr.from_word(w) for name, w in binds.items()})
+    env = _word_env(symbols, binds)
     lhs = canonicalize(rule.lhs, env)
     if rule.kind == "power":
         lhs = lhs ** rule.power

@@ -18,7 +18,7 @@ from typing import Callable
 
 from .core import Env, Expr, SymbolTable, canonicalize, equal
 from .errors import EngineError, SymcompError
-from .oracle import check_identity
+from .oracle import DEFAULT_SEED, DEFAULT_TRIALS, check_identity
 from .parser import (
     Assertion,
     Let,
@@ -105,7 +105,7 @@ GoldenLoader = Callable[[str], str]
 
 
 def run_session(session: Session, *, goldens: GoldenLoader | None = None,
-                seed: int = 42, default_trials: int = 100,
+                seed: int = DEFAULT_SEED, default_trials: int = DEFAULT_TRIALS,
                 trace: Callable[[str], None] | None = None) -> SessionReport:
     """Execute a session's `let` steps in order and evaluate its
     checkpoints.  The parser has already resolved every name, kind and
@@ -272,7 +272,8 @@ def builtin_golden_loader() -> GoldenLoader:
     return golden_loader(_data_dir().joinpath("goldens"))
 
 
-def run_builtin_session(name: str, *, seed: int = 42, default_trials: int = 100,
+def run_builtin_session(name: str, *, seed: int = DEFAULT_SEED,
+                        default_trials: int = DEFAULT_TRIALS,
                         trace: Callable[[str], None] | None = None) -> SessionReport:
     session = load_builtin_session(name)
     return run_session(session, goldens=builtin_golden_loader(), seed=seed,

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, determinism."""
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,14 @@ def test_run_script_with_goldens(tmp_path):
     assert code == 0, output
 
 
+def test_run_script_assert_equal_across_sorts_is_an_error(tmp_path, capsys):
+    path = tmp_path / "sorts.scs"
+    path.write_text("vectors x, y;\nlet e = q(x);\nassert_equal e, x.y;\n")
+    code, _ = run_cli("run", str(path))
+    assert code == 2
+    assert "cannot compare scalar and vector values" in capsys.readouterr().err
+
+
 def test_run_script_missing_golden(tmp_path, capsys):
     path = tmp_path / "missing.scs"
     path.write_text("vectors x, y;\nlet e = b(x,y);\nassert_equal e, @nope;\n")
@@ -225,6 +234,15 @@ def test_oracle_long_power_chain_is_one_power():
     assert output.startswith("pass: 0 on 100 trials")
     code, output = run_cli("oracle", "q(x)^2^3 - q(x)^6", "--trials", "3")
     assert code == 0, output
+
+
+def test_oracle_power_of_a_sum_is_an_error(capsys):
+    start = time.perf_counter()
+    code, _ = run_cli("oracle", "(lambda+1)^3000 - (lambda+1)^3000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert ("symcomp: error: 1:11: power 3000 of a sum exceeds the bound 256"
+            in capsys.readouterr().err)
 
 
 def test_nesting_at_the_bound_still_parses():

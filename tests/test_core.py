@@ -88,6 +88,15 @@ def test_equality_is_reflexive_and_structural(xy):
     assert equal(xy.canon("q(x+y)"), xy.canon("q(x)+q(y)+b(x,y)"))
 
 
+def test_equality_across_sorts(xy):
+    from symcomp.core import VectorExpr
+    assert equal(ScalarExpr(), VectorExpr()) and equal(VectorExpr(), ScalarExpr())
+    for a, b in ((xy.canon("q(x)"), xy.canon("x")), (xy.canon("x.y"), xy.canon("b(x,y)")),
+                 (ScalarExpr(), xy.canon("x")), (xy.canon("q(x)"), VectorExpr())):
+        with pytest.raises(ExprTypeError, match="cannot compare scalar and vector values"):
+            equal(a, b)
+
+
 def test_atom_order_examples(xy):
     x = xy.word("x")
     x_dot_y = xy.word("x.y")
@@ -159,6 +168,21 @@ def test_huge_power_is_one_monomial(greek):
     ((mono, coeff),) = value.terms.items()
     ((atom, exp),) = mono
     assert (atom.name, exp, coeff) == ("lambda", 1000000, 1)
+
+
+def test_power_of_a_sum_is_bounded(greek):
+    from symcomp.core import MAX_POWER
+    base = greek.canon("1 + lambda")
+    assert len((base ** MAX_POWER).terms) == MAX_POWER + 1
+    with pytest.raises(ExprTypeError) as err:
+        base ** (MAX_POWER + 1)
+    assert err.value.span is None
+    with pytest.raises(ExprTypeError) as err:
+        greek.canon("mu*(lambda - 1)^300")
+    assert str(err.value) == f"1:16: power 300 of a sum exceeds the bound {MAX_POWER}"
+    # subst raises a power of a bound value through the same bound.
+    with pytest.raises(ExprTypeError):
+        subst(greek.canon("lambda^300"), {"lambda": base}, greek.table)
 
 
 def test_power_equals_repeated_product(greek):

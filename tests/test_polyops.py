@@ -17,6 +17,7 @@ from symcomp import (
     subst,
     subst_raw,
 )
+from symcomp.core import scalar_symbols_of, units
 from symcomp.errors import ExprTypeError
 from symcomp.oracle import Assignment, eval_expr
 from helpers import (
@@ -172,6 +173,33 @@ def test_coeff_matrix_of_zero():
     assert matrix.shape() == (1, 1)
     assert matrix.rows[0][0].is_zero
     assert matrix.vars == ("alpha", "beta")
+
+
+def test_coeff_matrix_needs_two_distinct_symbols(greek):
+    with pytest.raises(ExprTypeError):
+        coeff_matrix(greek.canon("alpha*q(x)"), ("alpha", "alpha"))
+
+
+MATRIX_CTX = Ctx(scalars=("alpha", "beta", "lambda"), vectors=("x", "y"))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), names=st.permutations(MATRIX_CTX.scalars))
+def test_coeff_matrix_cells_are_coefficients_property(seed, names):
+    # One walk fills the whole matrix; each cell must be the coefficient that
+    # `coeff` extracts on its own, free of both symbols, and every unit of
+    # `e` lands in one cell.
+    ctx, rng = MATRIX_CTX, random.Random(seed)
+    e = canonicalize(random_raw(rng, ctx, depth=3), ctx.env)
+    u, v = names[:2]
+    matrix = coeff_matrix(e, (u, v))
+    for i, row in enumerate(matrix.rows):
+        for j, entry in enumerate(row):
+            assert type(entry) is type(e)
+            assert not {u, v} & scalar_symbols_of(entry)
+            assert equal(entry, coeff(e, {u: i, v: j})), (i, j)
+    cells = [entry for row in matrix.rows for entry in row]
+    assert sum(len(list(units(c))) for c in cells) == len(list(units(e)))
 
 
 def test_coeff_matrix_reconstruction(greek):

@@ -419,7 +419,7 @@ def test_fixpoint_keeps_no_memo_between_calls(monkeypatch):
 
 
 def test_memo_serves_one_rule_set(xy):
-    memo = RewriteMemo()
+    memo = RewriteMemo(builtin_ruleset("bsym"), xy.table)
     e = xy.canon("b(y,x)")
     apply_once(e, builtin_ruleset("bsym"), xy.table, memo)
     with pytest.raises(ValueError):
