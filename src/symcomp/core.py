@@ -36,7 +36,7 @@ returns the one shared object for its value.  Equality is therefore
 identity and the hash is Python's default one, so a monomial tuple or a
 word hashes without walking its atoms.  The intern tables live for the
 process and hold each distinct word and atom once.  ``key`` serves
-ordering only (``mono_key``, ``atom_order``, the printer).
+ordering only (``ScalarExpr.monomials``, ``atom_order``, the printer).
 
 Coefficients are exact: an ``int`` when the value is integral, else a
 ``Fraction``.  Python's arithmetic mixes the two exactly (a sum of
@@ -46,6 +46,8 @@ Fractions may be an integral Fraction, which equals and hashes like the
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 from . import rawexpr as rx
@@ -61,6 +63,11 @@ VECTOR = "vector"
 # coefficients of about n bits), so an unbounded one runs for minutes; a
 # single monomial's power is one monomial, so it stays unbounded.
 MAX_POWER = 256
+# The most terms a power (exponent 2 or more) of a sum may have.  A
+# t-term base to the n has up to C(n + t - 1, t - 1) terms, so three or
+# more terms grow far faster than the exponent: (s+t+u)^128 has 8385 and
+# took 11 s.  The worst power under this bound, (s+t+u)^89, takes about 1 s.
+MAX_POWER_TERMS = 4096
 
 
 class SymbolTable:
@@ -148,7 +155,7 @@ class Atom:
     """A scalar atom: a scalar symbol, q(word), or b(word, word).  Build
     one only with `symbol`, `q` or `b`, which return the interned instance."""
 
-    __slots__ = ("kind", "name", "index", "w1", "w2", "key")
+    __slots__ = ("kind", "name", "index", "w1", "w2", "key", "is_symbol", "is_q", "is_b")
 
     def __init__(self, kind, name, index, w1, w2, key):
         self.kind = kind
@@ -157,6 +164,11 @@ class Atom:
         self.w1 = w1
         self.w2 = w2
         self.key = key
+        # Plain flags, not properties: the rewrite pass and the oracle read
+        # them once per monomial entry.
+        self.is_symbol = kind == _KIND_SYM
+        self.is_q = kind == _KIND_Q
+        self.is_b = kind == _KIND_B
 
     @staticmethod
     def symbol(name: str, index: int) -> "Atom":
@@ -182,18 +194,6 @@ class Atom:
                 _KIND_B, None, None, w1, w2, (_KIND_B, w1.key, w2.key)))
         return atom
 
-    @property
-    def is_symbol(self) -> bool:
-        return self.kind == _KIND_SYM
-
-    @property
-    def is_q(self) -> bool:
-        return self.kind == _KIND_Q
-
-    @property
-    def is_b(self) -> bool:
-        return self.kind == _KIND_B
-
     def __repr__(self):
         if self.is_symbol:
             return f"Atom({self.name})"
@@ -203,7 +203,11 @@ class Atom:
 
 
 # A monomial is a tuple of (atom, exponent) pairs sorted by atom key;
-# the empty tuple is the constant monomial.
+# the empty tuple is the constant monomial.  An atom key starts with its
+# kind (symbol 0, q 1, b 2), so a monomial's scalar symbols come first,
+# as a prefix, and its q/b atoms after them.  The rewrite pass relies on
+# this: no rule rewrites a scalar symbol, so it starts its site walk past
+# the prefix.
 Monomial = tuple
 
 EMPTY_MONOMIAL: Monomial = ()
@@ -281,11 +285,6 @@ def _coefficient(value) -> int | Fraction:
     return f.numerator if f.denominator == 1 else f
 
 
-def mono_key(m: Monomial):
-    """Graded-lexicographic sort key: total degree, then atom keys."""
-    return (sum(e for _, e in m), tuple((a.key, e) for a, e in m))
-
-
 class ScalarExpr:
     """Canonical scalar value: monomial -> nonzero rational coefficient."""
 
@@ -308,7 +307,24 @@ class ScalarExpr:
         return not self.terms
 
     def monomials(self) -> list[tuple[Monomial, int | Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
+        """The terms in graded-lexicographic order: total degree, then the
+        `(atom.key, exponent)` entries in turn.  Each distinct atom is ranked
+        by its key once per call, and the sort compares flat integer lists
+        `[degree, rank1, exp1, rank2, exp2, ...]`, which order the same way."""
+        terms = self.terms
+        atoms = {atom for mono in terms for atom, _ in mono}
+        rank = {atom: r for r, atom in enumerate(sorted(atoms, key=attrgetter("key")))}
+
+        def flat(item):
+            out = [0]
+            degree = 0
+            for atom, exp in item[0]:
+                out += (rank[atom], exp)
+                degree += exp
+            out[0] = degree
+            return out
+
+        return sorted(terms.items(), key=flat)
 
     def by_word(self) -> Iterable[tuple[None, dict]]:
         """The terms as one `(word, terms)` pair, with no word."""
@@ -344,8 +360,14 @@ class ScalarExpr:
     def __pow__(self, n: int) -> "ScalarExpr":
         if n < 0:
             raise ExprTypeError("negative powers are not supported")
-        if n > MAX_POWER and len(self.terms) > 1:
-            raise ExprTypeError(f"power {n} of a sum exceeds the bound {MAX_POWER}")
+        t = len(self.terms)
+        if t > 1 and n > 1:
+            if n > MAX_POWER:
+                raise ExprTypeError(f"power {n} of a sum exceeds the bound {MAX_POWER}")
+            size = comb(n + t - 1, t - 1)
+            if size > MAX_POWER_TERMS:
+                raise ExprTypeError(f"power {n} of a sum of {t} terms has up to {size} "
+                                    f"terms, over the bound {MAX_POWER_TERMS}")
         acc = None
         base = self
         while n:

@@ -16,14 +16,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    MAX_POWER,
     Expr,
     ScalarExpr,
     Word,
     is_scalar,
     scalar_symbols_of,
+    units,
     vector_symbols_of,
 )
-from .errors import MissingSymbol
+from .errors import ExprTypeError, MissingSymbol
 from .printer import print_expr
 
 _ZERO = Fraction(0)
@@ -212,12 +214,22 @@ class IdentityReport:
         return json.dumps(self.to_jsonable(), indent=2)
 
 
+def _check_exponents(e: Expr) -> None:
+    """Raise ExprTypeError if a monomial exponent of `e` exceeds
+    `core.MAX_POWER`: a trial raises each atom's exact value to its
+    exponent, so q(x)^99999999999999999999 would never finish."""
+    top = max((exp for _, mono, _ in units(e) for _, exp in mono), default=0)
+    if top > MAX_POWER:
+        raise ExprTypeError(f"exponent {top} exceeds the oracle's bound {MAX_POWER}")
+
+
 def check_identity(e: Expr, trials: int = DEFAULT_TRIALS,
                    seed: int = DEFAULT_SEED) -> IdentityReport:
     """Evaluate e under pseudo-random assignments; pass iff every
     evaluation is exactly zero.  Identical seeds give identical reports."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _check_exponents(e)
     vector_names = sorted(vector_symbols_of(e))
     scalar_names = sorted(scalar_symbols_of(e))
     for trial in range(trials):

@@ -28,7 +28,11 @@ dot-word) in storage order; within each it visits rewrite sites --
 dot-subtrees outermost-first (the term's own word, then inside q/b atom
 arguments in atom order), then whole atoms in atom order, then ordered
 pairs of distinct exponent-1 b atoms.  This order is defined in one
-place, ``_first_rewrite``.  At each site the rules of that site's kind
+place, ``_first_rewrite``.  A monomial's scalar symbols sort before its
+q/b atoms (``core.Monomial``) and are never sites, so the walk finds the
+end of that symbol prefix once per unit and runs each of the three
+phases over the entries past it only; the pair phase is skipped when
+fewer than two entries remain.  At each site the rules of that site's kind
 are tried in listing order (on an atom of exponent >= 2, power rules
 before atom rules); a ``RuleSet`` is the compiled form of a rule list
 and builds these site tables once, when it is constructed.  The first
@@ -253,10 +257,12 @@ def _bind(rule: RewriteRule, subject) -> dict[str, Word] | None:
     return binds if ok else None
 
 
-def _b_pairs(mono: Monomial):
+def _b_pairs(mono: Monomial, start: int = 0):
     """Ordered pairs of distinct exponent-1 b atoms of a monomial, in site
-    order, as `((idx1, idx2), (atom1, atom2))`."""
-    bs = [(idx, atom) for idx, (atom, exp) in enumerate(mono) if atom.is_b and exp == 1]
+    order, as `((idx1, idx2), (atom1, atom2))`; entries before `start` (the
+    scalar-symbol prefix, or part of it) are not looked at."""
+    bs = [(idx, atom) for idx, (atom, exp) in enumerate(mono[start:], start)
+          if atom.is_b and exp == 1]
     for idx1, a1 in bs:
         for idx2, a2 in bs:
             if idx1 != idx2:
@@ -430,18 +436,23 @@ def _first_rewrite(mono: Monomial, word: Word | None, memo: RewriteMemo):
     This defines the site order: dot-subtrees outermost first, of the term
     word, then of the q/b arguments in atom order; then atoms in atom
     order; then ordered pairs of distinct exponent-1 b atoms.  Site kinds
-    with no rules are skipped.
+    with no rules are skipped.  The monomial's scalar symbols form a prefix
+    (see ``core.Monomial``) and are never sites, so the prefix is found
+    once and each phase walks only the entries past it.
     """
     rs = memo.ruleset
+    n = len(mono)
+    start = 0
+    while start < n and mono[start][0].is_symbol:
+        start += 1
     if rs.dot_rules:
         if word is not None:
             value = _word_rewrite(word, memo)
             if value is not None:
                 return (), value
         sites = memo.sites
-        for idx, (atom, exp) in enumerate(mono):
-            if atom.is_symbol:
-                continue
+        for idx in range(start, n):
+            atom, exp = mono[idx]
             value = sites.get(atom, _UNSEEN)
             if value is _UNSEEN:
                 v1 = _word_rewrite(atom.w1, memo)
@@ -451,14 +462,14 @@ def _first_rewrite(mono: Monomial, word: Word | None, memo: RewriteMemo):
             if value is not None:
                 return (idx,), value ** exp
     if rs.power_then_atom_rules:
-        for idx, entry in enumerate(mono):
-            if not entry[0].is_symbol:
-                rules = rs.power_then_atom_rules if entry[1] >= 2 else rs.atom_rules
-                value = _site(memo, entry, rules)
-                if value is not None:
-                    return (idx,), value
-    if rs.product_rules:
-        for drop, pair in _b_pairs(mono):
+        for idx in range(start, n):
+            entry = mono[idx]
+            rules = rs.power_then_atom_rules if entry[1] >= 2 else rs.atom_rules
+            value = _site(memo, entry, rules)
+            if value is not None:
+                return (idx,), value
+    if rs.product_rules and n - start >= 2:
+        for drop, pair in _b_pairs(mono, start):
             value = _site(memo, pair, rs.product_rules)
             if value is not None:
                 return drop, value
@@ -486,7 +497,13 @@ def apply_once(e: Expr, rs: RuleSet, symbols: SymbolTable,
             add_term(out.setdefault(word, {}), mono, coeff)
             continue
         drop, value = hit
-        rest = tuple(entry for k, entry in enumerate(mono) if k not in drop) if drop else mono
+        if not drop:
+            rest = mono
+        elif len(drop) == 1:
+            i = drop[0]
+            rest = mono[:i] + mono[i + 1:]
+        else:
+            rest = tuple(entry for k, entry in enumerate(mono) if k not in drop)
         add_unit(out, coeff, rest, word, value)
     return from_units(out, is_vector(e))
 

@@ -17,6 +17,8 @@ from symcomp import (
     b_of,
     canonicalize,
     dot,
+    equal,
+    match,
     parse_expr,
     pq_bilinear,
     pq_mul,
@@ -24,6 +26,7 @@ from symcomp import (
     q_of,
 )
 from symcomp.oracle import Assignment
+from symcomp.rules import instantiate_sides
 
 
 class Ctx:
@@ -213,3 +216,78 @@ def values_agree(lhs, rhs) -> bool:
         rz = rhs.is_zero if isinstance(rhs, ParaQuaternion) else rhs == 0
         return lz and rz
     return lhs == rhs
+
+
+# --- reference site walk -----------------------------------------------------
+# The first rewrite of a unit found the slow way: every site in the order
+# the `rules` docstring documents, every rule bound by the public `match`
+# and instantiated by `instantiate_sides`, with no memo, no site tables and
+# no skipping of the scalar-symbol prefix.
+
+
+def _word_env(symbols: SymbolTable, binds) -> Env:
+    return Env(symbols, {name: VectorExpr.from_word(w) for name, w in binds.items()})
+
+
+def _first_dot_rewrite(w, dot_rules, symbols):
+    """The value of the word `w` after its first dot rewrite, or None:
+    the node, then its left subtree, then its right subtree."""
+    if w.is_leaf:
+        return None
+    for rule in dot_rules:
+        binds = match(rule, w)
+        if binds is not None:
+            return instantiate_sides(rule, binds, symbols)[1]
+    left = _first_dot_rewrite(w.left, dot_rules, symbols)
+    if left is not None:
+        return dot(left, VectorExpr.from_word(w.right))
+    right = _first_dot_rewrite(w.right, dot_rules, symbols)
+    return None if right is None else dot(VectorExpr.from_word(w.left), right)
+
+
+def first_rewrite_reference(mono, word, ruleset, symbols):
+    """`(drop, value)` for the first site of the unit `word` times `mono`
+    that a rule of `ruleset` rewrites, as ``rules._first_rewrite`` returns
+    it, or None: dot sites of the word, then of each q/b atom's arguments
+    in atom order; then each q/b atom (power rules before atom rules);
+    then ordered pairs of distinct exponent-1 b atoms."""
+    by_kind = {kind: [r for r in ruleset.rules if r.kind == kind]
+               for kind in ("dot", "atom", "power", "product")}
+    dots = by_kind["dot"]
+    if word is not None:
+        value = _first_dot_rewrite(word, dots, symbols)
+        if value is not None:
+            return (), value
+    for idx, (atom, exp) in enumerate(mono):
+        if atom.is_symbol:
+            continue
+        v1 = _first_dot_rewrite(atom.w1, dots, symbols)
+        if v1 is not None:
+            value = q_of(v1) if atom.is_q else b_of(v1, VectorExpr.from_word(atom.w2))
+            return (idx,), value ** exp
+        v2 = None if atom.is_q else _first_dot_rewrite(atom.w2, dots, symbols)
+        if v2 is not None:
+            return (idx,), b_of(VectorExpr.from_word(atom.w1), v2) ** exp
+    for idx, (atom, exp) in enumerate(mono):
+        if atom.is_symbol:
+            continue
+        # A power rule binds only at its own exponent, so trying it at
+        # every atom keeps it first where the exponent is 2 or more.
+        for rule in by_kind["power"] + by_kind["atom"]:
+            binds = match(rule, (atom, exp))
+            if binds is not None:
+                rhs = instantiate_sides(rule, binds, symbols)[1]
+                return (idx,), rhs if rule.kind == "power" else rhs ** exp
+    bs = [(idx, atom) for idx, (atom, exp) in enumerate(mono) if atom.is_b and exp == 1]
+    for idx1, a1 in bs:
+        for idx2, a2 in bs:
+            if idx1 == idx2:
+                continue
+            for rule in by_kind["product"]:
+                # `match` tries (a1, a2) before (a2, a1); keep only a
+                # binding whose first factor is a1.
+                binds = match(rule, ((a1, 1), (a2, 1)))
+                if binds is not None and equal(canonicalize(rule.lhs, _word_env(symbols, binds)),
+                                               ScalarExpr.from_atom(a1)):
+                    return (idx1, idx2), instantiate_sides(rule, binds, symbols)[1]
+    return None

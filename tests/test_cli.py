@@ -245,6 +245,31 @@ def test_oracle_power_of_a_sum_is_an_error(capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("source, caret, size", [
+    ("(alpha+beta+lambda)^128", "1:20", 8385),
+    ("(alpha+beta+lambda+mu)^48", "1:23", 20825),
+])
+def test_oracle_power_of_a_wide_sum_is_an_error(capsys, source, caret, size):
+    start = time.perf_counter()
+    code, _ = run_cli("oracle", source)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"symcomp: error: {caret}: power ")
+    assert f"has up to {size} terms, over the bound 4096" in err
+
+
+def test_oracle_bounds_the_exponent_of_a_monomial(capsys):
+    # canonicalize keeps a monomial's power unbounded; a trial would raise
+    # q(x)'s value to it and never finish.
+    start = time.perf_counter()
+    code, _ = run_cli("oracle", "q(x)^99999999999999999999")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert ("symcomp: error: exponent 99999999999999999999 exceeds the oracle's bound 256"
+            in capsys.readouterr().err)
+
+
 def test_nesting_at_the_bound_still_parses():
     from symcomp.parser import MAX_NESTING, parse_expr
     for source in ("(" * MAX_NESTING + "x" + ")" * MAX_NESTING,

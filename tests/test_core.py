@@ -185,6 +185,24 @@ def test_power_of_a_sum_is_bounded(greek):
         subst(greek.canon("lambda^300"), {"lambda": base}, greek.table)
 
 
+def test_power_of_a_sum_bounds_its_term_count():
+    from symcomp.core import MAX_POWER_TERMS
+    # A t-term square has t(t + 1)/2 terms: 4095 for t = 90 is under the
+    # bound, 4186 for t = 91 over it.
+    names = [f"a{i}" for i in range(91)]
+    wide = Ctx(scalars=tuple(names), vectors=())
+    assert len((wide.canon(" + ".join(names[:90])) ** 2).terms) == 4095
+    with pytest.raises(ExprTypeError) as err:
+        wide.canon(" + ".join(names)) ** 2
+    assert str(err.value) == (f"power 2 of a sum of 91 terms has up to 4186 terms, "
+                              f"over the bound {MAX_POWER_TERMS}")
+    # A product is not bounded, and a first power is its base, however
+    # many terms it has.
+    big = wide.canon("(" + " + ".join(names) + ")*(" + " + ".join(names) + ")")
+    assert len(big.terms) == 4186
+    assert big ** 1 is big
+
+
 def test_power_equals_repeated_product(greek):
     base = greek.canon("1 + lambda")
     product = ScalarExpr.const(1)

@@ -2,7 +2,7 @@
 import random
 
 from symcomp import canonicalize, equal, print_expr
-from symcomp.core import ScalarExpr, VectorExpr
+from symcomp.core import Atom, ScalarExpr, VectorExpr, Word, mono_mul
 from helpers import Ctx, random_raw
 
 
@@ -67,3 +67,37 @@ def test_printing_injective_on_random_pairs():
             assert type(seen[text]) is type(value) and equal(seen[text], value)
         else:
             seen[text] = value
+
+
+def nested_mono_key(mono):
+    """The graded-lexicographic order as a nested key: total degree, then
+    the `(atom.key, exponent)` entries."""
+    return (sum(exp for _, exp in mono), tuple((atom.key, exp) for atom, exp in mono))
+
+
+def test_monomial_order_equals_the_nested_key_order():
+    # Words share prefixes (x, x.y, (x.y).x, ...), so atom keys do too;
+    # degrees 2 to 4 over few atoms give many equal-degree ties, and
+    # exponents above 1 tie against longer monomials.
+    ctx = Ctx(scalars=("alpha", "beta"), vectors=("x", "y"))
+    x, y = ctx.word("x"), ctx.word("y")
+    xy, yx = Word.pair(x, y), Word.pair(y, x)
+    words = [x, y, xy, yx, Word.pair(xy, x), Word.pair(x, xy), Word.pair(xy, xy)]
+    atoms = [Atom.symbol(name, ctx.table.index_of(name)) for name in ctx.scalars]
+    atoms += [Atom.q(w) for w in words]
+    atoms += [Atom.b(w1, w2) for w1 in words[:4] for w2 in words]
+    rng = random.Random(57)
+    for _ in range(200):
+        terms = {}
+        for _ in range(rng.randint(1, 40)):
+            mono = ()
+            for atom in rng.sample(atoms, rng.randint(0, 3)):
+                mono = mono_mul(mono, ((atom, rng.randint(1, 3)),))
+            terms[mono] = rng.randint(-3, 3) or 1
+        value = ScalarExpr(terms)
+        assert [m for m, _ in value.monomials()] == sorted(terms, key=nested_mono_key)
+    for _ in range(200):
+        value = canonicalize(random_raw(rng, ctx, depth=3), ctx.env)
+        coeffs = [value] if isinstance(value, ScalarExpr) else value.terms.values()
+        for c in coeffs:
+            assert [m for m, _ in c.monomials()] == sorted(c.terms, key=nested_mono_key)

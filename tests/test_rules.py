@@ -17,11 +17,12 @@ from symcomp import (
     print_expr,
     rules,
 )
-from symcomp.core import ScalarExpr, VectorExpr, Word
+from symcomp import core
+from symcomp.core import Atom, ScalarExpr, VectorExpr, Word, mono_mul
 from symcomp.errors import ExprTypeError, NonTermination, ParseError, RuleSetUnknown
 from symcomp.oracle import eval_expr, random_assignment
 from symcomp.rules import RewriteMemo, RuleSet, instantiate_sides, _pattern_vars
-from helpers import Ctx, random_raw, scaling_family, stores_no_zero
+from helpers import Ctx, first_rewrite_reference, random_raw, scaling_family, stores_no_zero
 
 
 def make_rule(src: str, name: str = "r"):
@@ -433,10 +434,10 @@ LIVE_RULES = tuple(rule for name in CATALOG for rule in builtin_ruleset(name).ru
                    if rule.kind != "noop")
 
 
-def random_word(rng, depth):
+def random_word(rng, depth, ctx=TEMPLATE_CTX):
     if depth == 0 or rng.random() < 0.4:
-        return TEMPLATE_CTX.word(rng.choice(TEMPLATE_CTX.vectors))
-    return Word.pair(random_word(rng, depth - 1), random_word(rng, depth - 1))
+        return ctx.word(rng.choice(ctx.vectors))
+    return Word.pair(random_word(rng, depth - 1, ctx), random_word(rng, depth - 1, ctx))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -458,6 +459,56 @@ def test_template_fill_agrees_with_instantiate_sides_property(seed, pool):
         assert type(filled) is type(expected), rule.name
         assert equal(filled, expected), (rule.name, binds)
         assert stores_no_zero(filled), rule.name
+
+
+# --- the site walk -------------------------------------------------------------
+
+WALK_CTX = Ctx(scalars=("a0", "a1", "a2"), vectors=("x", "y", "z"))
+
+
+def random_unit(rng, words):
+    """A monomial of scalar symbols and q/b atoms over `words`, each at an
+    exponent from 1 to 3, and a word from `words` or None."""
+    table = WALK_CTX.table
+    mono = ()
+    for name in rng.sample(WALK_CTX.scalars, rng.randint(0, 3)):
+        mono = mono_mul(mono, ((Atom.symbol(name, table.index_of(name)), rng.randint(1, 3)),))
+    for _ in range(rng.randint(0, 4)):
+        w1 = rng.choice(words)
+        atom = Atom.q(w1) if rng.random() < 0.3 else Atom.b(w1, rng.choice(words))
+        mono = mono_mul(mono, ((atom, rng.randint(1, 3)),))
+    return mono, rng.choice(words) if rng.random() < 0.5 else None
+
+
+def test_site_walk_agrees_with_reference_order():
+    # Words come from a small pool, so the nonlinear patterns of rules1
+    # (b(X.Y, X.Z), (X.Y).X) find repeated subwords.
+    rng, table = random.Random(1207), WALK_CTX.table
+    drops = set()
+    for _ in range(150):
+        words = [random_word(rng, 3, WALK_CTX) for _ in range(4)]
+        memos = {name: RewriteMemo(builtin_ruleset(name), table)
+                 for name in ("rules1", "rules2", "assleft")}
+        for _ in range(4):
+            mono, word = random_unit(rng, words)
+            coeff = ScalarExpr({mono: 1})
+            unit = coeff if word is None else VectorExpr({word: coeff})
+            for name, memo in memos.items():
+                got = rules._first_rewrite(mono, word, memo)
+                expected = first_rewrite_reference(mono, word, memo.ruleset, table)
+                if expected is None:
+                    assert got is None, (name, mono, word)
+                    continue
+                assert got is not None and got[0] == expected[0], (name, mono, word)
+                assert equal(got[1], expected[1]), (name, mono, word)
+                drops.add(len(got[0]))
+                for _, m, _ in core.units(apply_once(unit, memo.ruleset, table)):
+                    keys = [atom.key for atom, _ in m]
+                    assert keys == sorted(keys), (name, m)
+                    kinds = [atom.is_symbol for atom, _ in m]
+                    assert kinds == sorted(kinds, reverse=True), (name, m)
+    # Word, single-entry and pair sites all fired.
+    assert drops == {0, 1, 2}
 
 
 def test_q_of_a_sum_is_instantiated_by_canonicalize(xy):
