@@ -13,7 +13,6 @@ from .core import (
     SymbolTable,
     VectorExpr,
     Word,
-    atom_order,
     b_of,
     canonicalize,
     dot,

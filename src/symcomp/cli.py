@@ -24,6 +24,7 @@ from .printer import print_expr
 from .rawexpr import idents
 from .sessions import (
     SessionReport,
+    _read_text,
     builtin_session_names,
     golden_loader,
     run_builtin_session,
@@ -80,8 +81,7 @@ def _emit_report(report: SessionReport, as_json: bool, out) -> None:
 
 def _cmd_run(args, seed: int, out) -> int:
     path = Path(args.path)
-    text = path.read_text(encoding="utf-8")
-    session = parse_script(text, path.stem)
+    session = parse_script(_read_text(path), path.stem)
     trace = (lambda line: out.write(line + "\n")) if args.verbose else None
     report = run_session(session, goldens=golden_loader(path.parent / "goldens"),
                          seed=seed, default_trials=args.trials, trace=trace)
@@ -117,7 +117,7 @@ def _cmd_oracle(args, seed: int, out) -> int:
     except (OSError, ValueError):
         is_file = False
     if is_file:
-        source = Path(source).read_text(encoding="utf-8")
+        source = _read_text(Path(source))
     raw = parse_expr(source)
     # Bare expressions carry no declarations: the conventional Greek
     # names are scalars, everything else is a vector symbol.
@@ -154,7 +154,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         if args.command == "paper":
             return _cmd_paper(args, seed, out)
         return _cmd_oracle(args, seed, out)
-    except (SymcompError, OSError, json.JSONDecodeError) as err:
+    except (SymcompError, OSError) as err:
         print(f"symcomp: error: {err}", file=sys.stderr)
         return 2
 

@@ -36,7 +36,7 @@ returns the one shared object for its value.  Equality is therefore
 identity and the hash is Python's default one, so a monomial tuple or a
 word hashes without walking its atoms.  The intern tables live for the
 process and hold each distinct word and atom once.  ``key`` serves
-ordering only (``ScalarExpr.monomials``, ``atom_order``, the printer).
+ordering only (``ScalarExpr.monomials``, the printer).
 
 Coefficients are exact: an ``int`` when the value is integral, else a
 ``Fraction``.  Python's arithmetic mixes the two exactly (a sum of
@@ -68,6 +68,12 @@ MAX_POWER = 256
 # more terms grow far faster than the exponent: (s+t+u)^128 has 8385 and
 # took 11 s.  The worst power under this bound, (s+t+u)^89, takes about 1 s.
 MAX_POWER_TERMS = 4096
+# The most term pairs one product may multiply, so that a product of
+# bounded powers is bounded too: (s+t+u)^64 * (s+t+u)^64 has 2145 * 2145
+# pairs and does the work of the rejected (s+t+u)^128.  The largest
+# product inside a power under MAX_POWER_TERMS, 351 * 2145 pairs in
+# (s+t+u)^89, stays under it.
+MAX_PRODUCT_PAIRS = 2**20
 
 
 class SymbolTable:
@@ -264,7 +270,11 @@ def add_terms(out: dict, terms: dict) -> dict:
 
 def add_product(out: dict, a: dict, b: dict) -> dict:
     """Add the product of the monomial -> coefficient dicts `a` and `b` into
-    `out` in place, dropping coefficients that cancel to zero; returns `out`."""
+    `out` in place, dropping coefficients that cancel to zero; returns `out`.
+    Raises ExprTypeError past `MAX_PRODUCT_PAIRS` term pairs."""
+    if len(a) * len(b) > MAX_PRODUCT_PAIRS:
+        raise ExprTypeError(f"product of {len(a)} and {len(b)} terms has "
+                            f"{len(a) * len(b)} term pairs, over the bound {MAX_PRODUCT_PAIRS}")
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = mono_mul(m1, m2)
@@ -564,77 +574,71 @@ def canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
     """Reduce an unrestricted parse tree to its canonical form.
 
     A sort error carries the span of the offending summand or factor of a
-    sum or product, and of the operator of a power, dot, q or b.
+    sum or product.  Any other ExprTypeError raised while reducing a node,
+    such as a power or a product past its bound, gets the span of that
+    node: the operator of a power, dot, q or b, or the start of a product.
     """
-    if isinstance(raw, rx.Num):
-        return ScalarExpr.const(raw.value)
-    if isinstance(raw, rx.Ident):
-        return env.resolve(raw.name)
-    if isinstance(raw, rx.Neg):
-        return -canonicalize(raw.item, env)
-    if isinstance(raw, rx.Sum):
-        parts = [canonicalize(item, env) for item in raw.items]
-        vectors = [p for p in parts if is_vector(p)]
-        if vectors and len(vectors) != len(parts):
-            # A scalar summand that is exactly zero is harmless in a vector sum.
-            for item, p in zip(raw.items, parts):
-                if is_scalar(p) and not p.is_zero:
-                    raise ExprTypeError("cannot add scalar and vector values", item.span)
-            parts = vectors
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = acc + p
-        return acc
-    if isinstance(raw, rx.Mul):
-        parts = [canonicalize(item, env) for item in raw.items]
-        vectors = [p for p in parts if is_vector(p)]
-        if len(vectors) > 1:
-            second = [item for item, p in zip(raw.items, parts) if is_vector(p)][1]
-            raise ExprTypeError("vector*vector is not defined; use the dot product", second.span)
-        scalar = ScalarExpr.const(1)
-        for p in parts:
-            if is_scalar(p):
-                scalar = scalar * p
-        if vectors:
-            return vectors[0].scaled_by(scalar)
-        return scalar
-    if isinstance(raw, rx.Pow):
-        base = canonicalize(raw.base, env)
-        if not is_scalar(base):
-            raise ExprTypeError("powers apply to scalar expressions only", raw.span)
-        try:
+    try:
+        if isinstance(raw, rx.Num):
+            return ScalarExpr.const(raw.value)
+        if isinstance(raw, rx.Ident):
+            return env.resolve(raw.name)
+        if isinstance(raw, rx.Neg):
+            return -canonicalize(raw.item, env)
+        if isinstance(raw, rx.Sum):
+            parts = [canonicalize(item, env) for item in raw.items]
+            vectors = [p for p in parts if is_vector(p)]
+            if vectors and len(vectors) != len(parts):
+                # A scalar summand that is exactly zero is harmless in a vector sum.
+                for item, p in zip(raw.items, parts):
+                    if is_scalar(p) and not p.is_zero:
+                        raise ExprTypeError("cannot add scalar and vector values", item.span)
+                parts = vectors
+            acc = parts[0]
+            for p in parts[1:]:
+                acc = acc + p
+            return acc
+        if isinstance(raw, rx.Mul):
+            parts = [canonicalize(item, env) for item in raw.items]
+            vectors = [p for p in parts if is_vector(p)]
+            if len(vectors) > 1:
+                second = [item for item, p in zip(raw.items, parts) if is_vector(p)][1]
+                raise ExprTypeError("vector*vector is not defined; use the dot product",
+                                    second.span)
+            scalar = ScalarExpr.const(1)
+            for p in parts:
+                if is_scalar(p):
+                    scalar = scalar * p
+            if vectors:
+                return vectors[0].scaled_by(scalar)
+            return scalar
+        if isinstance(raw, rx.Pow):
+            base = canonicalize(raw.base, env)
+            if not is_scalar(base):
+                raise ExprTypeError("powers apply to scalar expressions only")
             return base ** raw.exponent
-        except ExprTypeError as err:
-            raise ExprTypeError(err.message, raw.span) from None
-    if isinstance(raw, rx.Dot):
-        left = canonicalize(raw.left, env)
-        right = canonicalize(raw.right, env)
-        if not (is_vector(left) and is_vector(right)):
-            raise ExprTypeError("dot product requires vector operands", raw.span)
-        return dot(left, right)
-    if isinstance(raw, rx.Q):
-        arg = canonicalize(raw.arg, env)
-        if not is_vector(arg):
-            raise ExprTypeError("q applies to vector expressions", raw.span)
-        return q_of(arg)
-    if isinstance(raw, rx.B):
-        left = canonicalize(raw.left, env)
-        right = canonicalize(raw.right, env)
-        if not (is_vector(left) and is_vector(right)):
-            raise ExprTypeError("b applies to vector expressions", raw.span)
-        return b_of(left, right)
+        if isinstance(raw, rx.Dot):
+            left = canonicalize(raw.left, env)
+            right = canonicalize(raw.right, env)
+            if not (is_vector(left) and is_vector(right)):
+                raise ExprTypeError("dot product requires vector operands")
+            return dot(left, right)
+        if isinstance(raw, rx.Q):
+            arg = canonicalize(raw.arg, env)
+            if not is_vector(arg):
+                raise ExprTypeError("q applies to vector expressions")
+            return q_of(arg)
+        if isinstance(raw, rx.B):
+            left = canonicalize(raw.left, env)
+            right = canonicalize(raw.right, env)
+            if not (is_vector(left) and is_vector(right)):
+                raise ExprTypeError("b applies to vector expressions")
+            return b_of(left, right)
+    except ExprTypeError as err:
+        if err.span is not None:
+            raise
+        raise ExprTypeError(err.message, raw.span) from None
     raise ExprTypeError(f"unsupported raw node {type(raw).__name__}")
-
-
-def atom_order(a: Atom | Word, b: Atom | Word) -> int:
-    """Total order on atoms (symbol < q < b) and on dot-words."""
-    if isinstance(a, Word) != isinstance(b, Word):
-        raise ExprTypeError("cannot order a dot-word against a scalar atom")
-    if a.key < b.key:
-        return -1
-    if a.key > b.key:
-        return 1
-    return 0
 
 
 def scalar_symbols_of(e: Expr) -> set[str]:

@@ -10,23 +10,24 @@ class SourceSpan:
 
     line: int
     column: int
-    length: int = 1
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
 
 
 class SymcompError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  `span`, when
+    given, locates the error in its input and prefixes the text as
+    `line:column: message`."""
+
+    def __init__(self, message: str, span: SourceSpan | None = None):
+        super().__init__(message if span is None else f"{span}: {message}")
+        self.message = message
+        self.span = span
 
 
 class ParseError(SymcompError):
     """Syntax error; always carries a span inside the offending input."""
-
-    def __init__(self, message: str, span: SourceSpan):
-        super().__init__(f"{span}: {message}")
-        self.message = message
-        self.span = span
 
 
 class ChainedDotError(ParseError):
@@ -50,13 +51,9 @@ class UnknownSymbol(SymcompError):
 
 
 class ExprTypeError(SymcompError, TypeError):
-    """Scalar and vector values were mixed illegally; carries the span of
-    the offending node when it comes from a parse tree."""
-
-    def __init__(self, message: str, span: SourceSpan | None = None):
-        super().__init__(message if span is None else f"{span}: {message}")
-        self.message = message
-        self.span = span
+    """Scalar and vector values were mixed illegally, or a value grew past
+    a bound; carries the span of the offending node when it comes from a
+    parse tree."""
 
 
 class NonTermination(SymcompError):

@@ -25,12 +25,12 @@ from .core import (
     units,
     vector_symbols_of,
 )
-from .errors import ExprTypeError, MissingSymbol
+from .errors import ExprTypeError, MissingSymbol, SymcompError
 from .printer import print_expr
 
 _ZERO = Fraction(0)
 COMPONENT_RANGE = 9  # components drawn uniformly from [-9, 9]
-MAX_TRIALS = 10_000  # the most trials `--trials` and `oracle_check` accept
+MAX_TRIALS = 10_000  # the most trials `check_identity`, `--trials` and `oracle_check` accept
 DEFAULT_TRIALS = 100  # trials when neither `--trials` nor `oracle_check` names a count
 DEFAULT_SEED = 42  # seed when neither `--seed` nor $SYMCOMP_SEED gives one
 
@@ -226,9 +226,10 @@ def _check_exponents(e: Expr) -> None:
 def check_identity(e: Expr, trials: int = DEFAULT_TRIALS,
                    seed: int = DEFAULT_SEED) -> IdentityReport:
     """Evaluate e under pseudo-random assignments; pass iff every
-    evaluation is exactly zero.  Identical seeds give identical reports."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    evaluation is exactly zero.  Identical seeds give identical reports.
+    `trials` must lie in 1..MAX_TRIALS."""
+    if not 1 <= trials <= MAX_TRIALS:
+        raise SymcompError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     _check_exponents(e)
     vector_names = sorted(vector_symbols_of(e))
     scalar_names = sorted(scalar_symbols_of(e))

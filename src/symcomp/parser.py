@@ -49,7 +49,7 @@ the catalog set, or the rules of the local set defined before it.
 """
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,15 +66,26 @@ from .errors import (
 from .oracle import MAX_TRIALS
 from .rules import RewriteRule, RuleSet, builtin_ruleset, builtin_ruleset_names, compile_rule
 
-_GREEK = {"α": "alpha", "β": "beta", "λ": "lambda", "μ": "mu"}
+# Every single-character token: punctuation, the center dot (a synonym
+# for `.`) and the Greek glyphs (synonyms for their ASCII names).
+_CHARS = {
+    "+": ("PLUS", "+"), "-": ("MINUS", "-"), "*": ("STAR", "*"), "^": ("CARET", "^"),
+    ".": ("DOT", "."), "·": ("DOT", "."), "(": ("LPAREN", "("), ")": ("RPAREN", ")"),
+    ",": ("COMMA", ","), ";": ("SEMI", ";"), "=": ("EQ", "="), "[": ("LBRACKET", "["),
+    "]": ("RBRACKET", "]"), "@": ("AT", "@"), ":": ("COLON", ":"), "/": ("SLASH", "/"),
+    "α": ("IDENT", "alpha"), "β": ("IDENT", "beta"), "λ": ("IDENT", "lambda"),
+    "μ": ("IDENT", "mu"),
+}
+# Identifiers and numbers are ASCII only: "x²" is x then an unexpected "²"
+# (str.isdigit() would take "²", which int() rejects).
+_TOKEN = re.compile(r"(?P<SKIP>[ \t\r]+|#.*)|(?P<NEWLINE>\n)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<NUM>[0-9]+)|(?P<ARROW>->)|(?P<CHAR>.)")
 _KEYWORDS = {
     "scalars", "vectors", "let", "rule", "apply", "subst", "coeff",
     "coeffmatrix", "once", "trials", "assert_zero", "assert_equal",
     "assert_factored", "assert_matrix", "oracle_check",
 }
 _RESERVED = _KEYWORDS | {"q", "b"}
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT_CHARS = _IDENT_START | frozenset(string.digits)
 MAX_NESTING = 100
 
 
@@ -86,71 +97,28 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, ending with EOF; a column is the offset from
+    the start of its line, plus one."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def push(kind: str, lexeme: str, length: int | None = None):
-        tokens.append(Token(kind, lexeme, SourceSpan(line, col, length or len(lexeme))))
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "SKIP":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _GREEK:
-            push("IDENT", _GREEK[ch], 1)
-            i += 1
-            col += 1
-            continue
-        if ch in _IDENT_START:  # ASCII only: "x²" is x then an unexpected "²"
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            push("IDENT", text[i:j])
-            col += j - i
-            i = j
-            continue
-        if "0" <= ch <= "9":  # ASCII only: str.isdigit() also takes "²", which int() rejects
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            push("NUM", text[i:j])
-            col += j - i
-            i = j
-            continue
-        if ch == "-" and text[i:i + 2] == "->":
-            push("ARROW", "->")
-            i += 2
-            col += 2
-            continue
-        if ch == "·":  # center dot
-            push("DOT", ".", 1)
-            i += 1
-            col += 1
-            continue
-        punct = {
-            "+": "PLUS", "-": "MINUS", "*": "STAR", "^": "CARET", ".": "DOT",
-            "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ";": "SEMI",
-            "=": "EQ", "[": "LBRACKET", "]": "RBRACKET", "@": "AT",
-            ":": "COLON", "/": "SLASH",
-        }.get(ch)
-        if punct is None:
-            raise ParseError(f"unexpected character {ch!r}", SourceSpan(line, col))
-        push(punct, ch)
-        i += 1
-        col += 1
-    tokens.append(Token("EOF", "", SourceSpan(line, col, 0)))
+        span = SourceSpan(line, m.start() - line_start + 1)
+        lexeme = m.group()
+        if kind == "CHAR":
+            kind, lexeme = _CHARS.get(lexeme, (None, lexeme))
+            if kind is None:
+                raise ParseError(f"unexpected character {lexeme!r}", span)
+        tokens.append(Token(kind, lexeme, span))
+    # EOF follows the text of the last line, before its comment if it has one.
+    end = text.find("#", line_start)
+    end = len(text) if end < 0 else end
+    tokens.append(Token("EOF", "", SourceSpan(line, end - line_start + 1)))
     return tokens
 
 
@@ -469,7 +437,7 @@ class _ScriptParser:
             return RuleSet(tok.text, tuple(local))
         if tok.text in builtin_ruleset_names():
             return builtin_ruleset(tok.text)
-        raise RuleSetUnknown(f"{tok.span}: unknown rule set {tok.text!r}")
+        raise RuleSetUnknown(f"unknown rule set {tok.text!r}", tok.span)
 
     # statements ------------------------------------------------------------
 

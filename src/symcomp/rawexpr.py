@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import SourceSpan
 
-_NOSPAN = SourceSpan(1, 1, 0)
+_NOSPAN = SourceSpan(1, 1)
 
 
 @dataclass(frozen=True)

@@ -210,11 +210,10 @@ def compile_rule(name: str, raw_lhs: rx.RawExpr, raw_rhs: rx.RawExpr,
     if rule is None:
         if allow_noop:
             return RewriteRule(name, "noop", None, raw_rhs)
-        span = getattr(raw_lhs, "span", None)
         raise ParseError(
             "rule pattern must be a dot-word, a q/b atom, a power of a b atom, "
             "or a product of two b atoms over dot-word patterns",
-            span,
+            raw_lhs.span,
         )
     lhs_vars = _pattern_vars(raw_lhs)
     for node in rx.idents(raw_rhs):

@@ -136,8 +136,6 @@ def run_session(session: Session, *, goldens: GoldenLoader | None = None,
                     stmt, symbols, values, golden_text, seed, default_trials))
                 emit(lambda: f"{stmt.label}: {'pass' if results[-1].passed else 'FAIL'}")
         except SymcompError as err:
-            if isinstance(err, SessionExecutionError):
-                raise
             raise SessionExecutionError(session.name, step_index, err) from err
     return SessionReport(session.name, tuple(results))
 
@@ -228,6 +226,16 @@ def _compare_matrix(actual: CoeffMatrix, payload: dict,
     return True, expected_text, actual_text
 
 
+def _read_text(path) -> str:
+    """The text of a script, expression or golden file, which must be
+    UTF-8; otherwise a SymcompError that names the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise SymcompError(
+            f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+
+
 # --- built-in catalog ---------------------------------------------------------
 
 SESSION_ORDER = ("L1", "L2", "Z1", "Z2", "Z3", "Z4", "M")
@@ -262,7 +270,7 @@ def golden_loader(base) -> GoldenLoader:
         for suffix in (".expr", ".json"):
             candidate = base.joinpath(name + suffix)
             if candidate.is_file():
-                return candidate.read_text(encoding="utf-8")
+                return _read_text(candidate)
         raise EngineError(f"missing golden {name!r} under {base}")
 
     return load

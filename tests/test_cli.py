@@ -259,6 +259,19 @@ def test_oracle_power_of_a_wide_sum_is_an_error(capsys, source, caret, size):
     assert f"has up to {size} terms, over the bound 4096" in err
 
 
+def test_oracle_product_of_wide_powers_is_an_error(capsys):
+    # Each factor (2145 terms) is under MAX_POWER_TERMS; their product did
+    # the work of the rejected (alpha+beta+lambda)^128 and took 11 s.
+    power = "(alpha+beta+lambda)^64"
+    start = time.perf_counter()
+    code, _ = run_cli("oracle", f"{power}*{power} - {power}*{power}")
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "symcomp: error: 1:1: product of 2145 and 2145 terms has 4601025 term pairs, "
+        "over the bound 1048576\n")
+
+
 def test_oracle_bounds_the_exponent_of_a_monomial(capsys):
     # canonicalize keeps a monomial's power unbounded; a trial would raise
     # q(x)'s value to it and never finish.
@@ -369,6 +382,22 @@ def test_run_script_malformed_matrix_golden_is_an_error(tmp_path, capsys, golden
     assert "matrix golden @bad" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["script", "oracle-file", "golden"])
+def test_input_file_that_is_not_utf8_is_an_error(tmp_path, capsys, kind):
+    script = tmp_path / "s.scs"
+    script.write_text("vectors x;\nlet e = q(x) - q(x);\nassert_equal e, @g;\n")
+    (tmp_path / "goldens").mkdir()
+    bad = {"script": script, "oracle-file": tmp_path / "e.expr",
+           "golden": tmp_path / "goldens" / "g.expr"}[kind]
+    bad.write_bytes("q(x) - q(x)  # zéro\n".encode("latin-1"))
+    code, output = run_cli(*(("oracle", str(bad)) if kind == "oracle-file"
+                             else ("run", str(script))))
+    assert (code, output) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("symcomp: error: ")
+    assert f"{bad} is not UTF-8 text: invalid continuation byte at byte 16\n" in err
+
+
 def test_run_script_golden_naming_a_matrix_is_an_error(tmp_path, capsys):
     (tmp_path / "goldens").mkdir()
     (tmp_path / "goldens" / "g.expr").write_text("q(x) + m\n")
@@ -377,3 +406,48 @@ def test_run_script_golden_naming_a_matrix_is_an_error(tmp_path, capsys):
     code, _ = run_cli("run", str(path))
     assert code == 2
     assert "undeclared identifier 'm'" in capsys.readouterr().err
+
+
+ERRORS_HEAD = "scalars alpha;\nvectors x;\nlet e = alpha*q(x);\n"
+
+
+@pytest.mark.parametrize("tail, where", [
+    ("vectors q;", "4:9: 'q' is reserved"),
+    ("let b = q(x);", "4:5: 'b' is reserved"),
+    ("scalars e;", "4:9: 'e' already names a session value"),
+    ("scalars x;", "4:9: 'x' already declared with a different sort"),
+    ("let x = q(x);", "4:5: 'x' is a declared symbol"),
+    ("let f = apply(e, rules1, twice);", "4:26: expected 'once', found 'twice'"),
+    ("let f = apply(e, nope);", "4:18: unknown rule set 'nope'"),
+    ("let f = subst(e, w -> x);", "4:18: undefined symbol 'w'"),
+    ("let f = coeff(e, x);", "4:18: 'x' is not a declared scalar symbol"),
+    ("let f = coeff(e, alpha^0);", "4:24: exponent must be at least 1"),
+    ("oracle_check e, tries=3;", "4:17: expected 'trials', found 'tries'"),
+    ("oracle_check e, trials=0;", "4:24: trials must be at least 1"),
+    ("let m = coeffmatrix(e, [alpha, alpha]);\nassert_matrix m, q(x);",
+     "5:18: assert_matrix expects a @golden reference"),
+    ("rule r: x + y -> x;",
+     "4:9: rule pattern must be a dot-word, a q/b atom, a power of a b atom, "
+     "or a product of two b atoms over dot-word patterns"),
+], ids=["reserved-symbol", "reserved-let", "symbol-names-a-value", "sort-clash",
+        "let-of-a-symbol", "once", "unknown-rule-set", "subst-undefined-symbol",
+        "coeff-not-a-scalar", "coeff-exponent-below-1", "trials-keyword", "trials-zero",
+        "assert-matrix-without-golden", "bad-rule-pattern"])
+def test_run_script_error_names_its_span(tmp_path, capsys, tail, where):
+    path = tmp_path / "errors.scs"
+    path.write_text(ERRORS_HEAD + tail + "\n")
+    code, output = run_cli("run", str(path))
+    assert (code, output) == (2, "")
+    assert capsys.readouterr().err == f"symcomp: error: {where}\n"
+
+
+@pytest.mark.parametrize("env, argv, message", [
+    ("abc", (), "SYMCOMP_SEED must be an integer, got 'abc'"),
+    (None, ("--trials", "0"), "--trials must be at least 1"),
+], ids=["seed-env", "trials-zero"])
+def test_bad_setting_is_an_error(monkeypatch, capsys, env, argv, message):
+    if env is not None:
+        monkeypatch.setenv("SYMCOMP_SEED", env)
+    code, output = run_cli("oracle", "q(x) - q(x)", *argv)
+    assert (code, output) == (2, "")
+    assert capsys.readouterr().err == f"symcomp: error: {message}\n"

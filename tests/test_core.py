@@ -9,7 +9,6 @@ import symcomp.rawexpr as rx
 from symcomp import (
     ScalarExpr,
     apply_fixpoint,
-    atom_order,
     builtin_ruleset,
     builtin_session_names,
     canonicalize,
@@ -100,13 +99,13 @@ def test_equality_across_sorts(xy):
 def test_atom_order_examples(xy):
     x = xy.word("x")
     x_dot_y = xy.word("x.y")
-    assert atom_order(x, x_dot_y) < 0                      # leaf count first
+    assert x.key < x_dot_y.key                             # leaf count first
     bxy = Atom.b(xy.word("x"), xy.word("y"))
     byx = Atom.b(xy.word("y"), xy.word("x"))
-    assert atom_order(bxy, byx) < 0                        # declaration order
+    assert bxy.key < byx.key                               # declaration order
     qx = Atom.q(xy.word("x"))
     bxx = Atom.b(xy.word("x"), xy.word("x"))
-    assert atom_order(qx, bxx) < 0                         # kind order: q < b
+    assert qx.key < bxx.key                                # kind order: q < b
 
 
 def test_type_errors(xy):
@@ -196,11 +195,27 @@ def test_power_of_a_sum_bounds_its_term_count():
         wide.canon(" + ".join(names)) ** 2
     assert str(err.value) == (f"power 2 of a sum of 91 terms has up to 4186 terms, "
                               f"over the bound {MAX_POWER_TERMS}")
-    # A product is not bounded, and a first power is its base, however
-    # many terms it has.
+    # A product is bounded by its term pairs, not by MAX_POWER_TERMS, and a
+    # first power is its base, however many terms it has.
     big = wide.canon("(" + " + ".join(names) + ")*(" + " + ".join(names) + ")")
     assert len(big.terms) == 4186
     assert big ** 1 is big
+
+
+def test_product_bounds_its_term_pairs(greek):
+    from symcomp.core import MAX_PRODUCT_PAIRS, add_product
+    # The check comes before any work, so these keys need not be monomials.
+    with pytest.raises(ExprTypeError) as err:
+        add_product({}, dict.fromkeys(range(1025), 1), dict.fromkeys(range(1024), 1))
+    assert str(err.value) == ("product of 1025 and 1024 terms has 1049600 term pairs, "
+                              f"over the bound {MAX_PRODUCT_PAIRS}")
+    # The largest power under MAX_POWER_TERMS multiplies 351 by 2145 terms
+    # ((s+t+u)^25 by (s+t+u)^64) and stays under the bound.
+    assert len(greek.canon("(alpha+beta+lambda)^89").terms) == 4095
+    # canonicalize gives the error the span of the product it reduces.
+    with pytest.raises(ExprTypeError) as err:
+        greek.canon("mu + (alpha+beta+lambda)^44*(alpha+beta+lambda)^44")
+    assert str(err.value).startswith("1:6: product of 1035 and 1035 terms")
 
 
 def test_power_equals_repeated_product(greek):

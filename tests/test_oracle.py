@@ -14,7 +14,7 @@ from symcomp.oracle import (
     ParaQuaternion,
     random_assignment,
 )
-from symcomp.errors import MissingSymbol
+from symcomp.errors import MissingSymbol, SymcompError
 from helpers import random_pq
 
 
@@ -119,6 +119,13 @@ def test_check_identity_deterministic(xy):
 def test_single_trial(xy):
     report = check_identity(xy.canon("b(x,y) - b(y,x)"), 1, 42)
     assert report.passed and report.trials == 1
+
+
+@pytest.mark.parametrize("trials", [0, -1, 10_001, 10**9])
+def test_check_identity_bounds_its_trial_count(xy, trials):
+    with pytest.raises(SymcompError) as err:
+        check_identity(xy.canon("b(x,y) - b(y,x)"), trials, 42)
+    assert str(err.value) == f"trials must be between 1 and 10000, got {trials}"
 
 
 def test_component_range(xy):

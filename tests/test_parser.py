@@ -11,7 +11,7 @@ from symcomp.errors import (
     UndefinedName,
 )
 from symcomp.oracle import MAX_TRIALS
-from symcomp.parser import DeclSymbols, LetApply, LetExpr
+from symcomp.parser import DeclSymbols, LetApply, LetExpr, tokenize
 
 
 def test_single_identifier():
@@ -68,6 +68,43 @@ def test_spans_lie_within_input():
     span = err.value.span
     assert 1 <= span.line <= len(lines)
     assert 1 <= span.column <= len(lines[span.line - 1]) + 1
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("αx", [("IDENT", "alpha", 1, 1), ("IDENT", "x", 1, 2), ("EOF", "", 1, 3)]),
+    ("x·y", [("IDENT", "x", 1, 1), ("DOT", ".", 1, 2), ("IDENT", "y", 1, 3),
+             ("EOF", "", 1, 4)]),
+    ("a->b", [("IDENT", "a", 1, 1), ("ARROW", "->", 1, 2), ("IDENT", "b", 1, 4),
+              ("EOF", "", 1, 5)]),
+    ("-->", [("MINUS", "-", 1, 1), ("ARROW", "->", 1, 2), ("EOF", "", 1, 4)]),
+    ("2x", [("NUM", "2", 1, 1), ("IDENT", "x", 1, 2), ("EOF", "", 1, 3)]),
+    ("ab12_c 007", [("IDENT", "ab12_c", 1, 1), ("NUM", "007", 1, 8), ("EOF", "", 1, 11)]),
+    ("x\t+\r\n y_1", [("IDENT", "x", 1, 1), ("PLUS", "+", 1, 3), ("IDENT", "y_1", 2, 2),
+                       ("EOF", "", 2, 5)]),
+    # A trailing comment takes no columns: EOF sits where the comment starts.
+    ("x # note", [("IDENT", "x", 1, 1), ("EOF", "", 1, 3)]),
+    ("x # note\n", [("IDENT", "x", 1, 1), ("EOF", "", 2, 1)]),
+    ("  # only\n\tq(β)^2 # end", [("IDENT", "q", 2, 2), ("LPAREN", "(", 2, 3),
+                                 ("IDENT", "beta", 2, 4), ("RPAREN", ")", 2, 5),
+                                 ("CARET", "^", 2, 6), ("NUM", "2", 2, 7),
+                                 ("EOF", "", 2, 9)]),
+    ("", [("EOF", "", 1, 1)]),
+], ids=["greek-then-ascii", "center-dot", "arrow", "minus-arrow", "digits-then-letters",
+        "identifier-and-number", "tab-and-cr", "comment-at-eof", "comment-then-newline",
+        "comment-lines", "empty"])
+def test_token_table(text, expected):
+    assert [(t.kind, t.text, t.span.line, t.span.column) for t in tokenize(text)] == expected
+
+
+@pytest.mark.parametrize("text, where", [
+    ("x²", "1:2: unexpected character '²'"),
+    ("x +\n\t%", "2:2: unexpected character '%'"),
+    ("x\u00a0y", "1:2: unexpected character '\\xa0'"),
+], ids=["superscript", "second-line", "no-break-space"])
+def test_tokenize_rejects_an_unknown_character(text, where):
+    with pytest.raises(ParseError) as err:
+        tokenize(text)
+    assert str(err.value) == where
 
 
 def test_greek_and_centerdot_synonyms():
@@ -156,8 +193,10 @@ def test_script_undefined_name():
 
 
 def test_script_unknown_ruleset():
-    with pytest.raises(RuleSetUnknown):
+    with pytest.raises(RuleSetUnknown) as err:
         parse_script("vectors x; let e = b(x,x); let e = apply(e, nope);")
+    assert (err.value.span.line, err.value.span.column) == (1, 45)
+    assert err.value.message == "unknown rule set 'nope'"
 
 
 def test_script_undefined_symbol_in_expr():
