@@ -577,6 +577,7 @@ def canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
     sum or product.  Any other ExprTypeError raised while reducing a node,
     such as a power or a product past its bound, gets the span of that
     node: the operator of a power, dot, q or b, or the start of a product.
+    An undeclared name (UnknownSymbol) gets the span of its identifier.
     """
     try:
         if isinstance(raw, rx.Num):
@@ -634,32 +635,8 @@ def canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
             if not (is_vector(left) and is_vector(right)):
                 raise ExprTypeError("b applies to vector expressions")
             return b_of(left, right)
-    except ExprTypeError as err:
+    except (ExprTypeError, UnknownSymbol) as err:
         if err.span is not None:
             raise
-        raise ExprTypeError(err.message, raw.span) from None
+        raise type(err)(err.message, raw.span) from None
     raise ExprTypeError(f"unsupported raw node {type(raw).__name__}")
-
-
-def scalar_symbols_of(e: Expr) -> set[str]:
-    """Names of scalar symbols occurring in a canonical value."""
-    return {atom.name for _, mono, _ in units(e) for atom, _ in mono if atom.is_symbol}
-
-
-def vector_symbols_of(e: Expr) -> set[str]:
-    """Names of vector symbols occurring in a canonical value: in its
-    dot-words and in the arguments of its q/b atoms."""
-    words: set = set()
-    for word, mono, _ in units(e):
-        words.add(word)
-        for atom, _ in mono:
-            words.update((atom.w1, atom.w2))
-    words.discard(None)
-    out: set[str] = set()
-    while words:
-        w = words.pop()
-        if w.is_leaf:
-            out.add(w.name)
-        else:
-            words.update((w.left, w.right))
-    return out

@@ -6,7 +6,11 @@ b(u, v) = q(u+v) - q(u) - q(v) its polar form.  This is a symmetric
 composition algebra, so every axiom-derived rewrite rule must evaluate
 to an exact identity here; a single nonzero evaluation refutes a claim.
 
-Everything is exact: components are Fractions, no floating point.
+Everything is exact, with no floating point.  A checked value is compiled
+once into a plan: straight-line lists of slots for its distinct words and
+atoms and of its units.  Each trial runs the plan on plain int components;
+a rational coefficient makes its sum a Fraction, and an `Assignment`
+(Fraction components) is evaluated by the same plan.
 """
 from __future__ import annotations
 
@@ -15,20 +19,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    MAX_POWER,
-    Expr,
-    ScalarExpr,
-    Word,
-    is_scalar,
-    scalar_symbols_of,
-    units,
-    vector_symbols_of,
-)
+from .core import MAX_POWER, Expr, Word, is_vector
 from .errors import ExprTypeError, MissingSymbol, SymcompError
 from .printer import print_expr
 
-_ZERO = Fraction(0)
 COMPONENT_RANGE = 9  # components drawn uniformly from [-9, 9]
 MAX_TRIALS = 10_000  # the most trials `check_identity`, `--trials` and `oracle_check` accept
 DEFAULT_TRIALS = 100  # trials when neither `--trials` nor `oracle_check` names a count
@@ -86,31 +80,43 @@ PQ_J = ParaQuaternion(0, 0, 1)
 PQ_K = ParaQuaternion(0, 0, 0, 1)
 
 
-def _conj(u: ParaQuaternion) -> ParaQuaternion:
-    return ParaQuaternion(u.a, -u.b, -u.c, -u.d)
+# The model arithmetic, on 4-tuples of exact numbers of any one kind:
+# ints in a trial, Fractions for an `Assignment`.
+
+def _product(u: tuple, v: tuple) -> tuple:
+    """The para-Hurwitz product conj(u) conj(v), written out."""
+    a1, b1, c1, d1 = u
+    a2, b2, c2, d2 = v
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            c1 * d2 - d1 * c2 - a1 * b2 - b1 * a2,
+            d1 * b2 - b1 * d2 - a1 * c2 - c1 * a2,
+            b1 * c2 - c1 * b2 - a1 * d2 - d1 * a2)
 
 
-def _hamilton(u: ParaQuaternion, v: ParaQuaternion) -> ParaQuaternion:
-    return ParaQuaternion(
-        u.a * v.a - u.b * v.b - u.c * v.c - u.d * v.d,
-        u.a * v.b + u.b * v.a + u.c * v.d - u.d * v.c,
-        u.a * v.c - u.b * v.d + u.c * v.a + u.d * v.b,
-        u.a * v.d + u.b * v.c - u.c * v.b + u.d * v.a,
-    )
+def _norm(u: tuple):
+    a, b, c, d = u
+    return a * a + b * b + c * c + d * d
+
+
+def _polar(u: tuple, v: tuple):
+    """Polar form of the norm: q(u+v) - q(u) - q(v)."""
+    a1, b1, c1, d1 = u
+    a2, b2, c2, d2 = v
+    return 2 * (a1 * a2 + b1 * b2 + c1 * c2 + d1 * d2)
 
 
 def pq_mul(u: ParaQuaternion, v: ParaQuaternion) -> ParaQuaternion:
     """The para-Hurwitz product conj(u) conj(v)."""
-    return _hamilton(_conj(u), _conj(v))
+    return ParaQuaternion(*_product(u.components(), v.components()))
 
 
 def pq_norm(u: ParaQuaternion) -> Fraction:
-    return u.a * u.a + u.b * u.b + u.c * u.c + u.d * u.d
+    return _norm(u.components())
 
 
 def pq_bilinear(u: ParaQuaternion, v: ParaQuaternion) -> Fraction:
     """Polar form of the norm: q(u+v) - q(u) - q(v)."""
-    return 2 * (u.a * v.a + u.b * v.b + u.c * v.c + u.d * v.d)
+    return _polar(u.components(), v.components())
 
 
 @dataclass(frozen=True)
@@ -128,53 +134,128 @@ class Assignment:
         }
 
 
-def _eval_word(w: Word, a: Assignment, memo: dict) -> ParaQuaternion:
-    cached = memo.get(w)
-    if cached is not None:
-        return cached
-    if w.is_leaf:
-        try:
-            value = a.vectors[w.name]
-        except KeyError:
-            raise MissingSymbol(f"no value assigned to vector symbol {w.name!r}") from None
-    else:
-        value = pq_mul(_eval_word(w.left, a, memo), _eval_word(w.right, a, memo))
-    memo[w] = value
-    return value
+@dataclass(frozen=True)
+class _Plan:
+    """A canonical value compiled for evaluation: straight-line slot lists
+    over its interned words and atoms, which are evaluated once per run
+    however many units share them."""
+
+    vectors: list   # vector symbol names, sorted: the vector positions
+    scalars: list   # scalar symbol names, sorted: the scalar positions
+    words: list     # per word slot, post-order: (vector position, None) or (left, right slot)
+    atoms: list     # per atom slot: (None, scalar position), (word slot, None) for q,
+                    # or (word slot, word slot) for b
+    units: list     # (word slot or None, [(coeff, ((atom slot, exp), ...)), ...])
+    vector: bool
 
 
-def _eval_scalar(e: ScalarExpr, a: Assignment, memo: dict) -> Fraction:
-    total = _ZERO
-    for mono, coeff in e.terms.items():
-        acc = coeff
-        for atom, exp in mono:
+def _compile(e: Expr) -> _Plan:
+    """One walk over the units of `e`.  Raises ExprTypeError if an exponent
+    exceeds `core.MAX_POWER`: a run raises each atom's exact value to its
+    exponent, so q(x)^99999999999999999999 would never finish."""
+    word_slots: dict = {}
+    words: list = []
+    atom_slots: dict = {}
+    atoms: list = []
+
+    def word_slot(w: Word) -> int:
+        slot = word_slots.get(w)
+        if slot is None:
+            op = (w.name, None) if w.is_leaf else (word_slot(w.left), word_slot(w.right))
+            slot = word_slots[w] = len(words)
+            words.append(op)
+        return slot
+
+    def atom_slot(atom) -> int:
+        slot = atom_slots.get(atom)
+        if slot is None:
             if atom.is_symbol:
-                try:
-                    value = a.scalars[atom.name]
-                except KeyError:
-                    raise MissingSymbol(
-                        f"no value assigned to scalar symbol {atom.name!r}") from None
-            elif atom.is_q:
-                value = pq_norm(_eval_word(atom.w1, a, memo))
+                op = (None, atom.name)
             else:
-                value = pq_bilinear(_eval_word(atom.w1, a, memo),
-                                    _eval_word(atom.w2, a, memo))
-            acc *= value ** exp
-        total += acc
-    return total
+                op = (word_slot(atom.w1), None if atom.is_q else word_slot(atom.w2))
+            slot = atom_slots[atom] = len(atoms)
+            atoms.append(op)
+        return slot
+
+    # One shared (atom slot, exp) pair per distinct (atom, exp) entry: a
+    # plan of thousands of monomials then holds few small objects.
+    factor_of: dict = {}
+    top = 0
+    units = []
+    for word, terms in e.by_word():
+        monomials = []
+        for mono, coeff in terms.items():
+            factors = []
+            for entry in mono:
+                factor = factor_of.get(entry)
+                if factor is None:
+                    atom, exp = entry
+                    factor = factor_of[entry] = (atom_slot(atom), exp)
+                    top = max(top, exp)
+                factors.append(factor)
+            monomials.append((coeff, tuple(factors)))
+        units.append((None if word is None else word_slot(word), monomials))
+    if top > MAX_POWER:
+        raise ExprTypeError(f"exponent {top} exceeds the oracle's bound {MAX_POWER}")
+
+    vectors = sorted(name for name, right in words if right is None)
+    scalars = sorted(name for left, name in atoms if left is None)
+    vector_at = {name: i for i, name in enumerate(vectors)}
+    scalar_at = {name: i for i, name in enumerate(scalars)}
+    words = [(vector_at[left], None) if right is None else (left, right)
+             for left, right in words]
+    atoms = [(None, scalar_at[right]) if left is None else (left, right)
+             for left, right in atoms]
+    return _Plan(vectors, scalars, words, atoms, units, is_vector(e))
 
 
-def eval_expr(e: Expr, a: Assignment) -> Fraction | ParaQuaternion:
+def _run(plan: _Plan, vectors: list, scalars: list) -> tuple:
+    """The value of a plan for the given vector 4-tuples and scalars, in
+    plan position order: a 1-tuple for a scalar value, a 4-tuple for a
+    vector.  Exact in whatever number type the inputs have."""
+    wv = []
+    for left, right in plan.words:
+        wv.append(vectors[left] if right is None else _product(wv[left], wv[right]))
+    av = []
+    for left, right in plan.atoms:
+        if left is None:
+            av.append(scalars[right])
+        elif right is None:
+            av.append(_norm(wv[left]))
+        else:
+            av.append(_polar(wv[left], wv[right]))
+    s0 = s1 = s2 = s3 = 0
+    for slot, monomials in plan.units:
+        total = 0
+        for coeff, factors in monomials:
+            value = 1
+            for atom, exp in factors:
+                value *= av[atom] ** exp
+            total += coeff * value
+        if slot is None:
+            s0 += total
+        else:
+            w0, w1, w2, w3 = wv[slot]
+            s0 += total * w0
+            s1 += total * w1
+            s2 += total * w2
+            s3 += total * w3
+    return (s0, s1, s2, s3) if plan.vector else (s0,)
+
+
+def eval_expr(e: Expr, a: Assignment) -> int | Fraction | ParaQuaternion:
     """Homomorphic evaluation: dot -> para-Hurwitz product, q -> norm,
-    b -> polar form; scalar expressions yield Fractions, vector
+    b -> polar form; scalar expressions yield numbers, vector
     expressions yield para-quaternions."""
-    memo: dict = {}
-    if is_scalar(e):
-        return _eval_scalar(e, a, memo)
-    total = PQ_ZERO
-    for word, coeff in e.terms.items():
-        total = total + _eval_word(word, a, memo).scaled(_eval_scalar(coeff, a, memo))
-    return total
+    plan = _compile(e)
+    for kind, names, values in (("vector", plan.vectors, a.vectors),
+                                ("scalar", plan.scalars, a.scalars)):
+        for name in names:
+            if name not in values:
+                raise MissingSymbol(f"no value assigned to {kind} symbol {name!r}")
+    value = _run(plan, [a.vectors[n].components() for n in plan.vectors],
+                 [a.scalars[n] for n in plan.scalars])
+    return ParaQuaternion(*value) if plan.vector else value[0]
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:
@@ -183,15 +264,23 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(seed * 1_000_003 + trial)
 
 
-def random_assignment(vector_names, scalar_names, seed: int, trial: int) -> Assignment:
+def _draw(vector_count: int, scalar_count: int, seed: int, trial: int) -> tuple[list, list]:
+    """The integer components of one trial: a 4-tuple per vector, then
+    one number per scalar, in that order from the trial's generator."""
     rng = _trial_rng(seed, trial)
+    randint = rng.randint
     r = COMPONENT_RANGE
-    vectors = {
-        name: ParaQuaternion(*(rng.randint(-r, r) for _ in range(4)))
-        for name in sorted(vector_names)
-    }
-    scalars = {name: Fraction(rng.randint(-r, r)) for name in sorted(scalar_names)}
-    return Assignment(vectors, scalars)
+    vectors = [(randint(-r, r), randint(-r, r), randint(-r, r), randint(-r, r))
+               for _ in range(vector_count)]
+    return vectors, [randint(-r, r) for _ in range(scalar_count)]
+
+
+def random_assignment(vector_names, scalar_names, seed: int, trial: int) -> Assignment:
+    vector_names = sorted(vector_names)
+    scalar_names = sorted(scalar_names)
+    vectors, scalars = _draw(len(vector_names), len(scalar_names), seed, trial)
+    return Assignment({n: ParaQuaternion(*c) for n, c in zip(vector_names, vectors)},
+                      {n: Fraction(v) for n, v in zip(scalar_names, scalars)})
 
 
 @dataclass(frozen=True)
@@ -214,15 +303,6 @@ class IdentityReport:
         return json.dumps(self.to_jsonable(), indent=2)
 
 
-def _check_exponents(e: Expr) -> None:
-    """Raise ExprTypeError if a monomial exponent of `e` exceeds
-    `core.MAX_POWER`: a trial raises each atom's exact value to its
-    exponent, so q(x)^99999999999999999999 would never finish."""
-    top = max((exp for _, mono, _ in units(e) for _, exp in mono), default=0)
-    if top > MAX_POWER:
-        raise ExprTypeError(f"exponent {top} exceeds the oracle's bound {MAX_POWER}")
-
-
 def check_identity(e: Expr, trials: int = DEFAULT_TRIALS,
                    seed: int = DEFAULT_SEED) -> IdentityReport:
     """Evaluate e under pseudo-random assignments; pass iff every
@@ -230,13 +310,16 @@ def check_identity(e: Expr, trials: int = DEFAULT_TRIALS,
     `trials` must lie in 1..MAX_TRIALS."""
     if not 1 <= trials <= MAX_TRIALS:
         raise SymcompError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
-    _check_exponents(e)
-    vector_names = sorted(vector_symbols_of(e))
-    scalar_names = sorted(scalar_symbols_of(e))
+    counterexample = _counterexample(e, trials, seed)
+    return IdentityReport(print_expr(e), trials, counterexample is None, counterexample)
+
+
+def _counterexample(e: Expr, trials: int, seed: int) -> Assignment | None:
+    """The assignment of the first trial on which `e` is nonzero, or None.
+    The plan is compiled once and freed before the caller prints `e`."""
+    plan = _compile(e)
     for trial in range(trials):
-        a = random_assignment(vector_names, scalar_names, seed, trial)
-        value = eval_expr(e, a)
-        zero = (value == 0) if isinstance(value, Fraction) else value.is_zero
-        if not zero:
-            return IdentityReport(print_expr(e), trials, False, a)
-    return IdentityReport(print_expr(e), trials, True, None)
+        vectors, scalars = _draw(len(plan.vectors), len(plan.scalars), seed, trial)
+        if any(_run(plan, vectors, scalars)):
+            return random_assignment(plan.vectors, plan.scalars, seed, trial)
+    return None

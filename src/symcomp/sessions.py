@@ -173,18 +173,26 @@ def _run_assertion(stmt: Assertion, symbols: SymbolTable, values: dict,
         return CheckpointResult(stmt.label, stmt.kind, report.passed,
                                 f"0 on {trials} trials", detail)
     # equal / factored
-    if stmt.golden is not None:
-        raw = parse_expr(golden_text(stmt.golden))
-    else:
-        raw = stmt.expected_raw
     # A golden is read only now, so it may name a matrix: such a name
     # stays unbound and fails as an undeclared identifier.
-    expressions = {n: v for n, v in values.items() if not isinstance(v, CoeffMatrix)}
-    expected = canonicalize(raw, Env(symbols, expressions))
+    env = Env(symbols, {n: v for n, v in values.items() if not isinstance(v, CoeffMatrix)})
+    if stmt.golden is None:
+        expected = canonicalize(stmt.expected_raw, env)
+    else:
+        expected = _expr_golden(stmt.golden, golden_text(stmt.golden), env)
     ok = polyops.factored_equal(value, expected, symbols) if stmt.kind == "factored" \
         else equal(value, expected)
     return CheckpointResult(stmt.label, stmt.kind, ok,
                             print_expr(expected), print_expr(value))
+
+
+def _expr_golden(name: str, text: str, env: Env) -> Expr:
+    """The canonical value of an expression golden.  An error in its text
+    names the golden, before its place in the text."""
+    try:
+        return canonicalize(parse_expr(text), env)
+    except SymcompError as err:
+        raise SymcompError(f"golden @{name}: {err}") from err
 
 
 def _matrix_golden(name: str, text: str) -> dict:

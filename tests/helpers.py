@@ -63,12 +63,17 @@ def greek_ctx() -> Ctx:
     return Ctx(scalars=("alpha", "beta", "lambda", "mu"), vectors=("x", "y"))
 
 
-def scaling_family(k: int, template: str = "b(S, S.S) - 3*q(S)*b(S,S)"):
-    """The template with S a sum of k generic terms a_i*w_i."""
-    ctx = Ctx(scalars=tuple(f"a{i}" for i in range(k)), vectors=("x", "y", "z"))
+def scaling_source(k: int, template: str = "b(S, S.S) - 3*q(S)*b(S,S)") -> str:
+    """The text of the template with S a sum of k generic terms a_i*w_i."""
     words = ("x", "y", "z", "x.y", "y.x")[:k]
     s = " + ".join(f"a{i}*({w})" for i, w in enumerate(words))
-    return ctx, ctx.canon(template.replace("S", f"({s})"))
+    return template.replace("S", f"({s})")
+
+
+def scaling_family(k: int, template: str = "b(S, S.S) - 3*q(S)*b(S,S)"):
+    """The context and canonical value of `scaling_source(k, template)`."""
+    ctx = Ctx(scalars=tuple(f"a{i}" for i in range(k)), vectors=("x", "y", "z"))
+    return ctx, ctx.canon(scaling_source(k, template))
 
 
 def stores_no_zero(e) -> bool:

@@ -408,6 +408,17 @@ def test_run_script_golden_naming_a_matrix_is_an_error(tmp_path, capsys):
     assert "undeclared identifier 'm'" in capsys.readouterr().err
 
 
+def test_run_script_undeclared_name_in_golden_names_golden_and_span(tmp_path, capsys):
+    (tmp_path / "goldens").mkdir()
+    (tmp_path / "goldens" / "g.expr").write_text("q(x)\n  + w\n")
+    path = tmp_path / "s.scs"
+    path.write_text("vectors x;\nlet e = q(x);\nassert_equal e, @g;\n")
+    code, output = run_cli("run", str(path))
+    assert (code, output) == (2, "")
+    assert capsys.readouterr().err == (
+        "symcomp: error: session s, step 2: golden @g: 2:5: undeclared identifier 'w'\n")
+
+
 ERRORS_HEAD = "scalars alpha;\nvectors x;\nlet e = alpha*q(x);\n"
 
 

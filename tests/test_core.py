@@ -13,13 +13,14 @@ from symcomp import (
     builtin_session_names,
     canonicalize,
     equal,
+    parse_expr,
     print_expr,
     sessions,
     subst,
 )
 from symcomp.core import Atom, Env, Word, units
 from symcomp.errors import ExprTypeError, UnknownSymbol
-from symcomp.oracle import eval_expr
+from symcomp.oracle import _compile, eval_expr
 from helpers import (
     Ctx,
     eval_raw,
@@ -27,6 +28,7 @@ from helpers import (
     random_ctx_assignment,
     random_raw,
     scaling_family,
+    scaling_source,
     stores_no_zero,
     values_agree,
 )
@@ -120,8 +122,9 @@ def test_type_errors(xy):
 
 
 def test_unknown_symbol(xy):
-    with pytest.raises(UnknownSymbol):
-        xy.canon("q(w)")
+    with pytest.raises(UnknownSymbol) as err:
+        xy.canon("q(x) +\n  q(w)")
+    assert str(err.value) == "2:5: undeclared identifier 'w'"
 
 
 def test_vector_sum_tolerates_scalar_zero(xy):
@@ -136,6 +139,13 @@ def test_canonicalize_agrees_with_direct_evaluation():
     for _ in range(100):
         raw = random_raw(rng, ctx, depth=3)
         value = canonicalize(raw, ctx.env)
+        a = random_ctx_assignment(rng, ctx)
+        assert values_agree(eval_raw(raw, a), eval_expr(value, a))
+    # Words and atoms that share subwords: the oracle evaluates each once
+    # per run, the raw route at every occurrence.
+    ctx, value = scaling_family(3)
+    raw = parse_expr(scaling_source(3))
+    for _ in range(10):
         a = random_ctx_assignment(rng, ctx)
         assert values_agree(eval_raw(raw, a), eval_expr(value, a))
 
@@ -226,23 +236,25 @@ def test_power_equals_repeated_product(greek):
         product = product * base
 
 
+# The oracle's plan names the symbols a trial draws values for.
+
 def test_symbols_of_a_vector_value_include_its_coefficients():
-    from symcomp.core import scalar_symbols_of, vector_symbols_of
     ctx = Ctx(scalars=("lambda", "mu"), vectors=("u", "w", "x", "y", "z"))
     # z, u and w occur only inside the coefficients of the words x and x.y
-    value = ctx.canon("lambda*q(z)*x + b(u,w)*(x.y)")
-    assert vector_symbols_of(value) == {"u", "w", "x", "y", "z"}
-    assert scalar_symbols_of(value) == {"lambda"}
+    plan = _compile(ctx.canon("lambda*q(z)*x + b(u,w)*(x.y)"))
+    assert plan.vectors == ["u", "w", "x", "y", "z"]
+    assert plan.scalars == ["lambda"]
 
 
 def test_symbols_of_scalar_and_zero_values():
-    from symcomp.core import VectorExpr, scalar_symbols_of, vector_symbols_of
+    from symcomp.core import VectorExpr
     ctx = Ctx(scalars=("lambda", "mu"), vectors=("u", "w", "x", "y", "z"))
-    value = ctx.canon("mu*b(x.(y.u), z) + q(w)")
-    assert vector_symbols_of(value) == {"u", "w", "x", "y", "z"}
-    assert scalar_symbols_of(value) == {"mu"}
+    plan = _compile(ctx.canon("mu*b(x.(y.u), z) + q(w)"))
+    assert plan.vectors == ["u", "w", "x", "y", "z"]
+    assert plan.scalars == ["mu"]
     for zero in (ScalarExpr(), VectorExpr()):
-        assert vector_symbols_of(zero) == scalar_symbols_of(zero) == set()
+        plan = _compile(zero)
+        assert plan.vectors == plan.scalars == []
 
 
 # --- interned words and atoms, integer coefficients ---------------------------

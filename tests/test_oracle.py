@@ -1,10 +1,13 @@
 """The para-quaternion model: product table, evaluation, identity checks."""
+import io
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from symcomp import check_identity, eval_expr, pq_bilinear, pq_mul, pq_norm
+from symcomp.cli import main
 from symcomp.oracle import (
     Assignment,
     PQ_I,
@@ -15,7 +18,9 @@ from symcomp.oracle import (
     random_assignment,
 )
 from symcomp.errors import MissingSymbol, SymcompError
-from helpers import random_pq
+from helpers import greek_ctx, random_pq
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_unit_times_unit():
@@ -77,8 +82,22 @@ def test_eval_flexible_law_componentwise(xy):
 
 
 def test_eval_missing_symbol(xy):
-    with pytest.raises(MissingSymbol):
+    with pytest.raises(MissingSymbol) as err:
         eval_expr(xy.canon("q(x)"), Assignment(vectors={}, scalars={}))
+    assert str(err.value) == "no value assigned to vector symbol 'x'"
+    with pytest.raises(MissingSymbol) as err:
+        eval_expr(greek_ctx().canon("alpha*x"), Assignment({"x": PQ_ONE}, {}))
+    assert str(err.value) == "no value assigned to scalar symbol 'alpha'"
+
+
+def test_eval_keeps_rational_values(xy):
+    a = Assignment(vectors={"x": ParaQuaternion(Fraction(1, 2), 0, 0, 0)}, scalars={})
+    assert eval_expr(xy.canon("q(x)"), a) == Fraction(1, 4)
+    assert eval_expr(xy.canon("1/3*(x.x)"), a) == ParaQuaternion(Fraction(1, 12))
+
+
+def test_exact_rational_coefficient_passes(xy):
+    assert check_identity(xy.canon("q(x) - 1/2*b(x,x)"), 100, 42).passed
 
 
 def test_check_identity_pass(xy):
@@ -133,3 +152,24 @@ def test_component_range(xy):
     for pq in a.vectors.values():
         assert all(-9 <= c <= 9 for c in pq.components())
     assert all(-9 <= v <= 9 for v in a.scalars.values())
+
+
+# `symcomp oracle --json --seed 42` reports of failing identities, recorded
+# as files: the counterexample pins the trial that fails first and the order
+# in which a trial draws its components (vectors, then scalars, by name).
+# The last identity is zero unless alpha = 9, so it first fails at trial 21.
+RECORDED_REPORTS = {
+    "commutator": "x.y - y.x",
+    "third_polar": "q(x) - 1/3*b(x,x)",
+    "scalars": "alpha*(x.y) - beta*(y.x) + lambda*q(z)*x",
+    "late_failure": "alpha*(alpha^2-1)*(alpha^2-4)*(alpha^2-9)*(alpha^2-16)*(alpha^2-25)"
+                    "*(alpha^2-36)*(alpha^2-49)*(alpha^2-64)*(alpha+9)*q(x)",
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_REPORTS)
+def test_failing_report_matches_recording(name):
+    out = io.StringIO()
+    code = main(["oracle", "--json", "--seed", "42", RECORDED_REPORTS[name]], out=out)
+    assert code == 1
+    assert out.getvalue().encode("utf-8") == (DATA / f"oracle_report_{name}.json").read_bytes()
