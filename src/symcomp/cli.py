@@ -90,13 +90,7 @@ def _cmd_run(args, seed: int, out) -> int:
 
 
 def _cmd_paper(args, seed: int, out) -> int:
-    if args.all or args.session is None:
-        names = builtin_session_names()
-    else:
-        if args.session not in builtin_session_names():
-            raise SymcompError(f"unknown session {args.session!r}; "
-                               f"catalog: {', '.join(builtin_session_names())}")
-        names = (args.session,)
+    names = builtin_session_names() if args.all or args.session is None else (args.session,)
     trace = (lambda line: out.write(line + "\n")) if args.verbose else None
     reports = [run_builtin_session(name, seed=seed, default_trials=args.trials,
                                    trace=trace) for name in names]

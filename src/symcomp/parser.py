@@ -40,7 +40,9 @@ the script's goldens directory.  In rule patterns, uppercase identifiers
 are ASCII letters, digits and `_`.
 
 `parse_script` resolves the whole script, so running it needs no second
-look-up: declarations go into the session's SymbolTable; each `let` name
+look-up: declarations go into the session's SymbolTable and rule
+definitions into their local rule sets, so a Session holds only the
+steps that run, the `let` steps and assertions; each `let` name
 is an expression or, after `coeffmatrix`, a coefficient matrix, as of its
 latest binding; `assert_matrix` takes a matrix name and every other use
 takes an expression name, and a wrong kind or an unknown name is a
@@ -316,18 +318,6 @@ class Statement:
 
 
 @dataclass(frozen=True)
-class DeclSymbols(Statement):
-    sort: str
-    names: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class DefRule(Statement):
-    set_name: str
-    rule: RewriteRule
-
-
-@dataclass(frozen=True)
 class Let(Statement):
     """A `let` step: binds `name` to the value the runner computes."""
 
@@ -376,11 +366,12 @@ class Assertion(Statement):
 
 @dataclass(frozen=True)
 class Session:
-    """A named sequence of script statements with labeled checkpoints, and
-    the table of every symbol the script declares."""
+    """A named script: the steps that run (`let` steps and assertions, the
+    latter its labeled checkpoints) and the table of every symbol it
+    declares."""
 
     name: str
-    statements: tuple[Statement, ...]
+    statements: tuple[Let | Assertion, ...]
     symbols: SymbolTable
 
     @property
@@ -395,12 +386,13 @@ class _ScriptParser:
         self.symbols = SymbolTable()
         self.kinds: dict[str, str] = {}  # let name -> _EXPR or _MATRIX
         self.local_rules: dict[str, list[RewriteRule]] = {}
-        self.statements: list[Statement] = []
+        self.statements: list[Let | Assertion] = []
         self.n_checkpoints = 0
 
     def parse(self) -> Session:
         while self.ts.peek().kind != "EOF":
-            self.statements.append(self._statement())
+            if (stmt := self._statement()) is not None:
+                self.statements.append(stmt)
         return Session(self.name, tuple(self.statements), self.symbols)
 
     # helpers ---------------------------------------------------------------
@@ -441,7 +433,9 @@ class _ScriptParser:
 
     # statements ------------------------------------------------------------
 
-    def _statement(self) -> Statement:
+    def _statement(self) -> Let | Assertion | None:
+        """The next statement as a step, or None for a declaration or a rule
+        definition, which act on the parser's tables."""
         tok = self.ts.peek()
         if tok.kind != "IDENT":
             raise ParseError(f"expected a statement, found {tok.text!r}", tok.span)
@@ -462,34 +456,28 @@ class _ScriptParser:
         self.ts.expect("SEMI", "';'")
         return stmt
 
-    def _decl(self) -> Statement:
-        head = self.ts.advance()
-        sort = SCALAR if head.text == "scalars" else VECTOR
-        names = []
+    def _decl(self) -> None:
+        sort = SCALAR if self.ts.advance().text == "scalars" else VECTOR
         while True:
             tok = self._ident("a symbol name")
             self._check_fresh_symbol(tok)
             if self.symbols.sort_of(tok.text) not in (None, sort):
                 raise ParseError(f"{tok.text!r} already declared with a different sort", tok.span)
             self.symbols.declare(tok.text, sort)
-            names.append(tok.text)
             if not self.ts.accept("COMMA"):
                 break
-        return DeclSymbols(head.span, sort, tuple(names))
 
-    def _rule(self) -> Statement:
-        head = self.ts.advance()
+    def _rule(self) -> None:
+        self.ts.advance()
         name = self._ident("a rule set name")
         if name.text in _RESERVED or name.text in builtin_ruleset_names():
             raise ParseError(f"rule set name {name.text!r} is reserved", name.span)
         self.ts.expect("COLON", "':'")
         lhs, rhs = _parse_rule_sides(self.ts)
         rules = self.local_rules.setdefault(name.text, [])
-        rule = compile_rule(f"{name.text}#{len(rules) + 1}", lhs, rhs)
-        rules.append(rule)
-        return DefRule(head.span, name.text, rule)
+        rules.append(compile_rule(f"{name.text}#{len(rules) + 1}", lhs, rhs))
 
-    def _let(self) -> Statement:
+    def _let(self) -> Let:
         head = self.ts.advance()
         name = self._ident("a name")
         if name.text in _RESERVED:
@@ -508,7 +496,7 @@ class _ScriptParser:
         self.kinds[name.text] = _MATRIX if isinstance(stmt, LetMatrix) else _EXPR
         return stmt
 
-    def _let_builtin(self, span: SourceSpan, name: str, op: str) -> Statement:
+    def _let_builtin(self, span: SourceSpan, name: str, op: str) -> Let:
         self.ts.advance()
         self.ts.expect("LPAREN", "'('")
         source = self._ident("a defined name")
@@ -525,41 +513,46 @@ class _ScriptParser:
             self.ts.expect("RPAREN", "')'")
             return LetApply(span, name, source.text, rset, once)
         if op == "subst":
-            bindings = []
+            bindings: dict[str, rx.RawExpr] = {}
             while True:
                 sym = self._ident("a symbol name")
                 if self.symbols.sort_of(sym.text) is None:
                     raise UndefinedName(f"undefined symbol {sym.text!r}", sym.span)
+                if sym.text in bindings:
+                    raise ParseError(f"{sym.text!r} is already bound in this subst", sym.span)
                 self.ts.expect("ARROW", "'->'")
                 raw = _parse_expr(self.ts)
                 self._validate_expr_names(raw)
-                bindings.append((sym.text, raw))
+                bindings[sym.text] = raw
                 if not self.ts.accept("COMMA"):
                     break
             self.ts.expect("RPAREN", "')'")
-            return LetSubst(span, name, source.text, tuple(bindings))
+            return LetSubst(span, name, source.text, tuple(bindings.items()))
         if op == "coeff":
             key = self._monomial_key()
             self.ts.expect("RPAREN", "')'")
             return LetCoeff(span, name, source.text, key)
         self.ts.expect("LBRACKET", "'['")
-        v1 = self._scalar_symbol()
+        v1 = self._scalar_symbol().text
         self.ts.expect("COMMA", "','")
-        v2 = self._scalar_symbol()
+        second = self._scalar_symbol()
+        if second.text == v1:
+            raise ParseError("a coefficient matrix needs two distinct symbols, "
+                             f"got {v1!r} twice", second.span)
         self.ts.expect("RBRACKET", "']'")
         self.ts.expect("RPAREN", "')'")
-        return LetMatrix(span, name, source.text, (v1, v2))
+        return LetMatrix(span, name, source.text, (v1, second.text))
 
-    def _scalar_symbol(self) -> str:
+    def _scalar_symbol(self) -> Token:
         tok = self._ident("a scalar symbol")
         if self.symbols.sort_of(tok.text) != SCALAR:
             raise UndefinedName(f"{tok.text!r} is not a declared scalar symbol", tok.span)
-        return tok.text
+        return tok
 
     def _monomial_key(self) -> tuple[tuple[str, int], ...]:
         key: dict[str, int] = {}
         while True:
-            name = self._scalar_symbol()
+            name = self._scalar_symbol().text
             exp = 1
             if self.ts.accept("CARET"):
                 num = self.ts.expect("NUM", "an integer exponent")
@@ -571,7 +564,7 @@ class _ScriptParser:
                 break
         return tuple(sorted(key.items()))
 
-    def _assertion(self) -> Statement:
+    def _assertion(self) -> Assertion:
         head = self.ts.advance()
         target = self._ident("a defined name")
         self._check_name(target.text, target.span,

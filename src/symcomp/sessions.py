@@ -1,13 +1,15 @@
 """Session execution: replays checkpointed derivations against the engine.
 
-A session is a parsed script (declarations, `let` steps, assertions)
-together with its symbol table.  The parser resolves every name, its
-kind (expression or coefficient matrix) and every rule set, so the
-runner only computes each `let` value into one name -> value map and
-evaluates the assertions.  Assertions become labeled checkpoints (C1,
-C2, ...) in a report.  The built-in catalog ships the linearization
-sessions (L1, L2), the four zero-identity sessions (Z1-Z4), and the main
-cubic-norm session (M) with its ten checkpoints.
+A session is a parsed script: its `let` steps and assertions, together
+with its symbol table.  The parser resolves every declaration, name,
+kind (expression or coefficient matrix) and rule set, so the runner
+only computes each `let` value into one name -> value map and evaluates
+the assertions.  Assertions become labeled checkpoints (C1, C2, ...) in
+a report.  A step that fails raises a SessionExecutionError at the
+step's own span: `line:column: session NAME: cause`.  The built-in
+catalog ships the linearization sessions (L1, L2), the four
+zero-identity sessions (Z1-Z4), and the main cubic-norm session (M)
+with its ten checkpoints.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from importlib.resources import files
 from typing import Callable
 
 from .core import Env, Expr, SymbolTable, canonicalize, equal
-from .errors import EngineError, SymcompError
+from .errors import EngineError, SourceSpan, SymcompError
 from .oracle import DEFAULT_SEED, DEFAULT_TRIALS, check_identity
 from .parser import (
     Assertion,
@@ -90,12 +92,12 @@ class SessionReport:
 
 
 class SessionExecutionError(SymcompError):
-    """Wraps an engine error with the index of the failing step."""
+    """Wraps an engine error with the session's name and the span of the
+    failing step."""
 
-    def __init__(self, session: str, step_index: int, cause: Exception):
-        super().__init__(f"session {session}, step {step_index}: {cause}")
+    def __init__(self, session: str, span: SourceSpan, cause: Exception):
+        super().__init__(f"session {session}: {cause}", span)
         self.session = session
-        self.step_index = step_index
         self.cause = cause
 
 
@@ -108,8 +110,7 @@ def run_session(session: Session, *, goldens: GoldenLoader | None = None,
                 seed: int = DEFAULT_SEED, default_trials: int = DEFAULT_TRIALS,
                 trace: Callable[[str], None] | None = None) -> SessionReport:
     """Execute a session's `let` steps in order and evaluate its
-    checkpoints.  The parser has already resolved every name, kind and
-    rule set, so declarations and rule definitions are not steps here."""
+    checkpoints."""
     symbols = session.symbols
     values: dict[str, Expr | CoeffMatrix] = {}
     results: list[CheckpointResult] = []
@@ -124,19 +125,19 @@ def run_session(session: Session, *, goldens: GoldenLoader | None = None,
         if trace is not None:
             trace(text())
 
-    for step_index, stmt in enumerate(session.statements):
+    for stmt in session.statements:
         try:
             if isinstance(stmt, Let):
                 value = _let_value(stmt, symbols, values)
                 values[stmt.name] = value
                 emit(lambda: f"{stmt.name} = "
                      + (value.to_json() if isinstance(value, CoeffMatrix) else print_expr(value)))
-            elif isinstance(stmt, Assertion):
+            else:
                 results.append(_run_assertion(
                     stmt, symbols, values, golden_text, seed, default_trials))
                 emit(lambda: f"{stmt.label}: {'pass' if results[-1].passed else 'FAIL'}")
         except SymcompError as err:
-            raise SessionExecutionError(session.name, step_index, err) from err
+            raise SessionExecutionError(session.name, stmt.span, err) from err
     return SessionReport(session.name, tuple(results))
 
 
@@ -160,7 +161,7 @@ def _run_assertion(stmt: Assertion, symbols: SymbolTable, values: dict,
     value = values[stmt.name]
     if stmt.kind == "matrix":
         payload = _matrix_golden(stmt.golden, golden_text(stmt.golden))
-        ok, expected_text, actual_text = _compare_matrix(value, payload, symbols)
+        ok, expected_text, actual_text = _compare_matrix(stmt.golden, value, payload, symbols)
         return CheckpointResult(stmt.label, stmt.kind, ok, expected_text, actual_text,
                                 note=payload.get("note", ""))
     if stmt.kind == "zero":
@@ -197,7 +198,8 @@ def _expr_golden(name: str, text: str, env: Env) -> Expr:
 
 def _matrix_golden(name: str, text: str) -> dict:
     """The payload of a matrix golden: a JSON object with "vars", a list
-    of two names, and "rows", a list of lists of expression texts."""
+    of two names, "rows", a list of lists of expression texts, and
+    optionally "note", a text."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
@@ -208,14 +210,19 @@ def _matrix_golden(name: str, text: str) -> dict:
             and all(isinstance(n, str) for n in names)
             and isinstance(rows, list)
             and all(isinstance(row, list) and all(isinstance(t, str) for t in row)
-                    for row in rows)):
+                    for row in rows)
+            and isinstance(payload.get("note", ""), str)):
         raise EngineError(f'matrix golden @{name} must be an object with "vars", '
-                          'a list of two names, and "rows", a list of lists of expressions')
+                          'a list of two names, "rows", a list of lists of expressions, '
+                          'and optionally "note", a text')
     return payload
 
 
-def _compare_matrix(actual: CoeffMatrix, payload: dict,
+def _compare_matrix(name: str, actual: CoeffMatrix, payload: dict,
                     symbols: SymbolTable) -> tuple[bool, str, str]:
+    """Compare a matrix with the payload of golden `name`, cell by cell;
+    an error in the text of cell [i][j] (indices from 0, the degrees of
+    the two symbols) names it as golden @NAME[i][j]."""
     expected_vars = tuple(payload["vars"])
     rows = payload["rows"]
     expected_text = json.dumps(payload, indent=2)
@@ -226,9 +233,9 @@ def _compare_matrix(actual: CoeffMatrix, payload: dict,
             len(r) != len(ar) for r, ar in zip(rows, actual.rows)):
         return False, expected_text, actual_text
     env = Env(symbols)
-    for row, actual_row in zip(rows, actual.rows):
-        for entry_text, actual_entry in zip(row, actual_row):
-            expected_entry = canonicalize(parse_expr(entry_text), env)
+    for i, (row, actual_row) in enumerate(zip(rows, actual.rows)):
+        for j, (entry_text, actual_entry) in enumerate(zip(row, actual_row)):
+            expected_entry = _expr_golden(f"{name}[{i}][{j}]", entry_text, env)
             if not equal(expected_entry, actual_entry):
                 return False, expected_text, actual_text
     return True, expected_text, actual_text
@@ -261,7 +268,7 @@ def _data_dir():
 
 def load_builtin_session(name: str) -> Session:
     if name not in SESSION_ORDER:
-        raise EngineError(f"unknown session {name!r}")
+        raise EngineError(f"unknown session {name!r}; catalog: {', '.join(SESSION_ORDER)}")
     cached = _session_cache.get(name)
     if cached is None:
         text = _data_dir().joinpath(f"{name}.scs").read_text(encoding="utf-8")

@@ -370,8 +370,9 @@ def test_run_script_name_of_the_wrong_kind_is_a_parse_error(tmp_path, capsys, ta
     '{"vars": ["alpha", "beta"], "rows": [["0", 1], ["q(x)", "0"]]}',
     '{"vars": ["alpha", "beta"], "rows": ["0", "q(x)"]}',
     "not json",
+    '{"vars": ["alpha", "beta"], "rows": [["0", "q(x)"], ["q(x)", "0"]], "note": 7}',
 ], ids=["no-vars", "not-an-object", "vars-not-a-list", "entry-not-text", "row-not-a-list",
-        "not-json"])
+        "not-json", "note-not-text"])
 def test_run_script_malformed_matrix_golden_is_an_error(tmp_path, capsys, golden):
     (tmp_path / "goldens").mkdir()
     (tmp_path / "goldens" / "bad.json").write_text(golden + "\n")
@@ -416,7 +417,29 @@ def test_run_script_undeclared_name_in_golden_names_golden_and_span(tmp_path, ca
     code, output = run_cli("run", str(path))
     assert (code, output) == (2, "")
     assert capsys.readouterr().err == (
-        "symcomp: error: session s, step 2: golden @g: 2:5: undeclared identifier 'w'\n")
+        "symcomp: error: 3:1: session s: golden @g: 2:5: undeclared identifier 'w'\n")
+
+
+def test_run_script_undeclared_name_in_matrix_cell_names_golden_and_cell(tmp_path, capsys):
+    (tmp_path / "goldens").mkdir()
+    (tmp_path / "goldens" / "mg.json").write_text(
+        '{"vars": ["alpha", "beta"], "rows": [["0", "q(x)"], ["q(x)", "w"]]}\n')
+    path = tmp_path / "kinds.scs"
+    path.write_text(KINDS_SCRIPT + "assert_matrix m, @mg;\n")
+    code, output = run_cli("run", str(path))
+    assert (code, output) == (2, "")
+    assert capsys.readouterr().err == (
+        "symcomp: error: 5:1: session kinds: golden @mg[1][1]: 1:1: undeclared identifier 'w'\n")
+
+
+def test_run_script_looping_apply_names_its_line(tmp_path, capsys):
+    path = tmp_path / "loop.scs"
+    path.write_text("vectors x, y;\nrule flip: b(X, Y) -> b(Y, X);\n"
+                    "let e = b(x, y);\nlet e = apply(e, flip);\n")
+    code, output = run_cli("run", str(path))
+    assert (code, output) == (2, "")
+    assert capsys.readouterr().err == ("symcomp: error: 4:1: session loop: "
+                                       "rule set 'flip' did not stabilize within 10000 passes\n")
 
 
 ERRORS_HEAD = "scalars alpha;\nvectors x;\nlet e = alpha*q(x);\n"
@@ -435,15 +458,20 @@ ERRORS_HEAD = "scalars alpha;\nvectors x;\nlet e = alpha*q(x);\n"
     ("let f = coeff(e, alpha^0);", "4:24: exponent must be at least 1"),
     ("oracle_check e, tries=3;", "4:17: expected 'trials', found 'tries'"),
     ("oracle_check e, trials=0;", "4:24: trials must be at least 1"),
-    ("let m = coeffmatrix(e, [alpha, alpha]);\nassert_matrix m, q(x);",
-     "5:18: assert_matrix expects a @golden reference"),
+    ("scalars beta;\nlet m = coeffmatrix(e, [alpha, beta]);\nassert_matrix m, q(x);",
+     "6:18: assert_matrix expects a @golden reference"),
+    ("let f = subst(e, alpha -> 1, alpha -> 2);",
+     "4:30: 'alpha' is already bound in this subst"),
+    ("let m = coeffmatrix(e, [alpha, alpha]);",
+     "4:32: a coefficient matrix needs two distinct symbols, got 'alpha' twice"),
     ("rule r: x + y -> x;",
      "4:9: rule pattern must be a dot-word, a q/b atom, a power of a b atom, "
      "or a product of two b atoms over dot-word patterns"),
 ], ids=["reserved-symbol", "reserved-let", "symbol-names-a-value", "sort-clash",
         "let-of-a-symbol", "once", "unknown-rule-set", "subst-undefined-symbol",
         "coeff-not-a-scalar", "coeff-exponent-below-1", "trials-keyword", "trials-zero",
-        "assert-matrix-without-golden", "bad-rule-pattern"])
+        "assert-matrix-without-golden", "subst-symbol-bound-twice", "coeffmatrix-same-symbol",
+        "bad-rule-pattern"])
 def test_run_script_error_names_its_span(tmp_path, capsys, tail, where):
     path = tmp_path / "errors.scs"
     path.write_text(ERRORS_HEAD + tail + "\n")

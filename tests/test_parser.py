@@ -11,7 +11,7 @@ from symcomp.errors import (
     UndefinedName,
 )
 from symcomp.oracle import MAX_TRIALS
-from symcomp.parser import DeclSymbols, LetApply, LetExpr, tokenize
+from symcomp.parser import Assertion, LetApply, LetExpr, tokenize
 
 
 def test_single_identifier():
@@ -173,14 +173,12 @@ def test_script_zero_identity_session():
     """
     session = parse_script(text, "Z1")
     assert session.name == "Z1"
+    # six steps: the definition, four rule applications, one assertion;
+    # the declaration is not a step
     kinds = [type(s) for s in session.statements]
-    assert kinds[0] is DeclSymbols
-    assert kinds[1] is LetExpr
-    assert kinds.count(LetApply) == 4
+    assert kinds == [LetExpr, LetApply, LetApply, LetApply, LetApply, Assertion]
     assert [c.label for c in session.checkpoints] == ["C1"]
-    # six engine steps: the definition, four rule applications, one assertion
-    engine_steps = [s for s in session.statements if not isinstance(s, DeclSymbols)]
-    assert len(engine_steps) == 6
+    assert session.symbols.sort_of("x") == "vector"
 
 
 def test_script_empty():

@@ -1,0 +1,32 @@
+"""The README's examples run as shown."""
+import contextlib
+import io
+import re
+from pathlib import Path
+
+from symcomp.cli import main
+
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def fenced_block(start: str) -> str:
+    """The text of the README's fenced block whose first line starts with `start`."""
+    m = re.search(r"^```[a-z]*\n(" + re.escape(start) + r".*?)^```$", README,
+                  re.MULTILINE | re.DOTALL)
+    assert m is not None, start
+    return m.group(1)
+
+
+def test_readme_session_script_passes(tmp_path):
+    path = tmp_path / "flip.scs"
+    path.write_text(fenced_block("# flip.scs"), encoding="utf-8")
+    out = io.StringIO()
+    assert main(["run", str(path)], out=out) == 0
+    assert out.getvalue().endswith("  => PASS\n")
+
+
+def test_readme_library_example_prints_true():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(fenced_block("from symcomp import"), {})
+    assert out.getvalue().splitlines()[-1] == "True"

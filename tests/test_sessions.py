@@ -127,7 +127,7 @@ def test_run_session_local_rule():
     assert run_session(session).passed
 
 
-def test_run_session_error_carries_step_index():
+def test_run_session_error_carries_step_span():
     session = parse_script("""
     scalars alpha;
     vectors x;
@@ -136,8 +136,9 @@ def test_run_session_error_carries_step_index():
     """, "broken")
     with pytest.raises(SessionExecutionError) as err:
         run_session(session)
-    assert err.value.step_index == 3
+    assert (err.value.span.line, err.value.span.column) == (5, 5)
     assert err.value.session == "broken"
+    assert str(err.value).startswith("5:5: session broken: ")
 
 
 def test_zero_session_inputs_hold_in_the_model(xy):
