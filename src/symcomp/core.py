@@ -95,6 +95,10 @@ class SymbolTable:
     def declare_vector(self, name: str) -> None:
         self.declare(name, VECTOR)
 
+    def entry(self, name: str) -> tuple[str, int] | None:
+        """The `(sort, index)` a name is declared with, or None."""
+        return self._entries.get(name)
+
     def sort_of(self, name: str) -> str | None:
         entry = self._entries.get(name)
         return entry[0] if entry else None

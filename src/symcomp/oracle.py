@@ -264,15 +264,26 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(seed * 1_000_003 + trial)
 
 
+# A component is `randint(-COMPONENT_RANGE, COMPONENT_RANGE)`, which
+# CPython draws as -COMPONENT_RANGE plus `_DRAW_BITS` random bits, drawn
+# again while they reach `_DRAW_WIDTH`; `_draw` does the same directly.
+_DRAW_WIDTH = 2 * COMPONENT_RANGE + 1
+_DRAW_BITS = _DRAW_WIDTH.bit_length()
+
+
 def _draw(vector_count: int, scalar_count: int, seed: int, trial: int) -> tuple[list, list]:
     """The integer components of one trial: a 4-tuple per vector, then
-    one number per scalar, in that order from the trial's generator."""
-    rng = _trial_rng(seed, trial)
-    randint = rng.randint
-    r = COMPONENT_RANGE
-    vectors = [(randint(-r, r), randint(-r, r), randint(-r, r), randint(-r, r))
-               for _ in range(vector_count)]
-    return vectors, [randint(-r, r) for _ in range(scalar_count)]
+    one number per scalar, in that order from the trial's generator; the
+    values of `randint(-COMPONENT_RANGE, COMPONENT_RANGE)` at each draw."""
+    getrandbits = _trial_rng(seed, trial).getrandbits
+    values = []
+    for _ in range(4 * vector_count + scalar_count):
+        v = getrandbits(_DRAW_BITS)
+        while v >= _DRAW_WIDTH:
+            v = getrandbits(_DRAW_BITS)
+        values.append(v - COMPONENT_RANGE)
+    cut = 4 * vector_count
+    return [tuple(values[k:k + 4]) for k in range(0, cut, 4)], values[cut:]
 
 
 def random_assignment(vector_names, scalar_names, seed: int, trial: int) -> Assignment:

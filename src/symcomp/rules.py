@@ -62,15 +62,21 @@ of the unit, straight into the pass's ``word -> {mono: coeff}`` map
 matcher, ``_bind``, and takes product-rule pairs from the same
 ``_b_pairs``.
 
-A rule's right-hand side is instantiated from a template.  The first
-time a rule binds in a fixpoint, the memo canonicalizes its right-hand
-side once with one private placeholder leaf per pattern variable
-(``Word.leaf(name, -1 - k)``; real symbols have indices >= 0).  Each
-firing then fills that template with the bound words: every word and q/b
-atom is rebuilt through ``Word.pair``/``Atom.q``/``Atom.b``, every
-monomial is multiplied back together from its rebuilt entries by
-``core.mono_mul`` (which merges atoms that became equal), and units that
-became equal are added.  Substituting words for leaves commutes with
+A rule's right-hand side is instantiated from a template: the
+right-hand side canonicalized once with one private placeholder leaf per
+pattern variable (``Word.leaf(name, -1 - k)``; real symbols have indices
+>= 0).  A template depends only on the rule and on how the symbol table
+declares the literal (lowercase) names of the right-hand side, so the
+rule itself keeps its templates, keyed by the `(sort, index)` entry of
+each such name (the empty key for a rule with variables only): one is
+built per rule and name layout per process, the first time the rule
+binds under that layout, and serves every later fixpoint, session and
+symbol table that declares those names alike.  Each firing then fills
+that template with the bound words: every word and q/b atom is rebuilt
+through ``Word.pair``/``Atom.q``/``Atom.b``, every monomial is
+multiplied back together from its rebuilt entries by ``core.mono_mul``
+(which merges atoms that became equal), and units that became equal are
+added.  Substituting words for leaves commutes with
 canonicalization except for the polarization of q over a sum, so a rule
 whose right-hand side has a q of anything but a word pattern is
 instantiated by ``canonicalize`` at every firing instead, as is a rule
@@ -146,9 +152,12 @@ class RewriteRule:
     the base in `lhs` and the exponent in `power`.  `holes` pairs each
     variable of `rhs` with the placeholder leaf of its template, or is
     None when `rhs` has a q of anything but a word pattern (see
-    ``_template``)."""
+    ``_template``).  `literals` are the sorted lowercase names of `rhs`,
+    and `templates` maps the `(sort, index)` entries a symbol table gives
+    them to the template built under that table (see ``_instantiate``)."""
 
-    __slots__ = ("name", "kind", "lhs", "lhs2", "power", "rhs", "holes")
+    __slots__ = ("name", "kind", "lhs", "lhs2", "power", "rhs", "holes", "literals",
+                 "templates")
 
     def __init__(self, name, kind, lhs, rhs, lhs2=None, power=None):
         self.name = name
@@ -158,6 +167,9 @@ class RewriteRule:
         self.power = power
         self.rhs = rhs
         self.holes = _holes(rhs)
+        self.literals = tuple(sorted({node.name for node in rx.idents(rhs)
+                                      if not node.name.isupper()}))
+        self.templates: dict = {}
 
     def __repr__(self):
         return f"RewriteRule({self.name}, {self.kind})"
@@ -284,10 +296,12 @@ class RewriteMemo:
     pair to the instantiated right-hand side of the first rule that binds
     there.  `normal` holds the units a pass left unrewritten: a monomial,
     or a (monomial, word) pair for a vector term.  `templates` maps each
-    rule that has bound to its right-hand-side template, or to None when
-    the rule is instantiated by ``canonicalize``.  All three depend only
-    on the rule set and the symbol table, so a memo is built for one pair
-    and serves no other.
+    rule that has bound to the template the rule keeps for this symbol
+    table's layout of its literal names (``_instantiate``), or to None when
+    the rule is instantiated by ``canonicalize``; it only saves the layout
+    lookup at each firing, and the rule owns the templates.  All three
+    depend only on the rule set and the symbol table, so a memo is built
+    for one pair and serves no other.
     """
 
     __slots__ = ("ruleset", "symbols", "sites", "normal", "templates")
@@ -370,11 +384,20 @@ def _fill(template, binds: dict[str, Word]) -> Expr:
 def _instantiate(rule: RewriteRule, binds: dict[str, Word], memo: RewriteMemo) -> Expr:
     """The rule's right-hand side under `binds`: its template filled with
     the bound words, or ``canonicalize`` where the rule has no template.
-    The template is built the first time the rule binds in the memo's
-    fixpoint."""
+
+    The rule keeps its templates under the `(sort, index)` entries of its
+    literal names, which a declaration never changes; a template is built
+    on the first miss, and an undeclared name raises and leaves nothing
+    behind.  The memo keeps the template it found for each rule.
+    """
     template = memo.templates.get(rule, _UNSEEN)
     if template is _UNSEEN:
-        template = memo.templates[rule] = _template(rule, memo.symbols)
+        symbols = memo.symbols
+        layout = tuple(map(symbols.entry, rule.literals))
+        template = rule.templates.get(layout, _UNSEEN)
+        if template is _UNSEEN:
+            template = rule.templates[layout] = _template(rule, symbols)
+        memo.templates[rule] = template
     if template is not None:
         return _fill(template, binds)
     return canonicalize(rule.rhs, _word_env(memo.symbols, binds))

@@ -10,11 +10,21 @@ step's own span: `line:column: session NAME: cause`.  The built-in
 catalog ships the linearization sessions (L1, L2), the four
 zero-identity sessions (Z1-Z4), and the main cubic-norm session (M)
 with its ten checkpoints.
+
+Goldens are read by kind: `assert_equal` and `assert_factored` read the
+expression golden NAME.expr, `assert_matrix` the matrix golden
+NAME.json.  A golden file is read again at every run, so an edit shows
+at the next run, but the parse tree of each golden text (an expression
+golden, or one cell of a matrix golden) is built once per process and
+kept by its text.  Parse trees are frozen and canonicalization never
+changes them, so runs share them; a text that does not parse is not
+kept, and every run reports its error again.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib.resources import files
 from typing import Callable
 
@@ -36,6 +46,7 @@ from .polyops import CoeffMatrix, coeff, coeff_matrix, subst_raw
 from .printer import print_expr
 from .rules import apply_fixpoint, apply_once
 from . import polyops
+from . import rawexpr as rx
 
 
 # --- reports -----------------------------------------------------------------
@@ -103,7 +114,9 @@ class SessionExecutionError(SymcompError):
 
 # --- execution ---------------------------------------------------------------
 
-GoldenLoader = Callable[[str], str]
+# `load(name)` is the text of the expression golden NAME.expr,
+# `load(name, matrix=True)` that of the matrix golden NAME.json.
+GoldenLoader = Callable[..., str]
 
 
 def run_session(session: Session, *, goldens: GoldenLoader | None = None,
@@ -115,10 +128,10 @@ def run_session(session: Session, *, goldens: GoldenLoader | None = None,
     values: dict[str, Expr | CoeffMatrix] = {}
     results: list[CheckpointResult] = []
 
-    def golden_text(name: str) -> str:
+    def golden_text(name: str, matrix: bool = False) -> str:
         if goldens is None:
             raise EngineError(f"no goldens directory available for @{name}")
-        return goldens(name)
+        return goldens(name, matrix=matrix)
 
     def emit(text: Callable[[], str]):
         # The line is built only when someone reads the trace.
@@ -160,7 +173,7 @@ def _run_assertion(stmt: Assertion, symbols: SymbolTable, values: dict,
                    default_trials: int) -> CheckpointResult:
     value = values[stmt.name]
     if stmt.kind == "matrix":
-        payload = _matrix_golden(stmt.golden, golden_text(stmt.golden))
+        payload = _matrix_golden(stmt.golden, golden_text(stmt.golden, matrix=True))
         ok, expected_text, actual_text = _compare_matrix(stmt.golden, value, payload, symbols)
         return CheckpointResult(stmt.label, stmt.kind, ok, expected_text, actual_text,
                                 note=payload.get("note", ""))
@@ -187,11 +200,23 @@ def _run_assertion(stmt: Assertion, symbols: SymbolTable, values: dict,
                             print_expr(expected), print_expr(value))
 
 
+# Golden texts whose parse trees are kept; a replay of the built-in
+# catalog parses 20.
+_GOLDEN_TREES = 256
+
+
+@lru_cache(maxsize=_GOLDEN_TREES)
+def _golden_tree(text: str) -> rx.RawExpr:
+    """The parse tree of a golden text, built once per text.  A parse
+    error propagates and is not kept."""
+    return parse_expr(text)
+
+
 def _expr_golden(name: str, text: str, env: Env) -> Expr:
     """The canonical value of an expression golden.  An error in its text
     names the golden, before its place in the text."""
     try:
-        return canonicalize(parse_expr(text), env)
+        return canonicalize(_golden_tree(text), env)
     except SymcompError as err:
         raise SymcompError(f"golden @{name}: {err}") from err
 
@@ -278,15 +303,16 @@ def load_builtin_session(name: str) -> Session:
 
 
 def golden_loader(base) -> GoldenLoader:
-    """Goldens under `base` (a Path or an importlib Traversable):
-    NAME.expr, else NAME.json."""
+    """Goldens under `base` (a Path or an importlib Traversable): the
+    expression golden NAME.expr, or with `matrix=True` the matrix golden
+    NAME.json.  The other suffix is never tried."""
 
-    def load(name: str) -> str:
-        for suffix in (".expr", ".json"):
-            candidate = base.joinpath(name + suffix)
-            if candidate.is_file():
-                return _read_text(candidate)
-        raise EngineError(f"missing golden {name!r} under {base}")
+    def load(name: str, matrix: bool = False) -> str:
+        kind, file = ("matrix", f"{name}.json") if matrix else ("expression", f"{name}.expr")
+        path = base.joinpath(file)
+        if not path.is_file():
+            raise EngineError(f"missing golden @{name}: no {kind} golden {file} under {base}")
+        return _read_text(path)
 
     return load
 

@@ -197,6 +197,28 @@ def test_run_script_missing_golden(tmp_path, capsys):
     assert "missing golden" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("present, tail, message", [
+    ("g.json", "assert_equal e, @g;", "5:1: session kinds: missing golden @g: "
+     "no expression golden g.expr under {goldens}"),
+    ("g.json", "assert_factored e, @g;", "5:1: session kinds: missing golden @g: "
+     "no expression golden g.expr under {goldens}"),
+    ("g.expr", "assert_matrix m, @g;", "5:1: session kinds: missing golden @g: "
+     "no matrix golden g.json under {goldens}"),
+], ids=["equal-with-only-json", "factored-with-only-json", "matrix-with-only-expr"])
+def test_run_script_reads_the_golden_suffix_of_its_assertion(tmp_path, capsys, present, tail,
+                                                              message):
+    goldens = tmp_path / "goldens"
+    goldens.mkdir()
+    (goldens / present).write_text(
+        "alpha*q(x) + beta*q(x)\n" if present == "g.expr"
+        else '{"vars": ["alpha", "beta"], "rows": [["0", "q(x)"], ["q(x)", "0"]]}\n')
+    path = tmp_path / "kinds.scs"
+    path.write_text(KINDS_SCRIPT + tail + "\n")
+    code, output = run_cli("run", str(path))
+    assert (code, output) == (2, "")
+    assert capsys.readouterr().err == f"symcomp: error: {message.format(goldens=goldens)}\n"
+
+
 @pytest.mark.parametrize("rule, message", [
     ("(X.Y).X -> q(X)", "rule r#1 must rewrite a dot-word to a vector value"),
     ("q(X) -> X", "rule r#1 must rewrite an atom to a scalar value"),

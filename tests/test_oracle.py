@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from symcomp import check_identity, eval_expr, pq_bilinear, pq_mul, pq_norm
+from symcomp import oracle
 from symcomp.cli import main
 from symcomp.oracle import (
     Assignment,
@@ -145,6 +146,20 @@ def test_check_identity_bounds_its_trial_count(xy, trials):
     with pytest.raises(SymcompError) as err:
         check_identity(xy.canon("b(x,y) - b(y,x)"), trials, 42)
     assert str(err.value) == f"trials must be between 1 and 10000, got {trials}"
+
+
+def test_draw_gives_the_values_of_randint():
+    # A trial's components are, in order, the values of randint(-9, 9) on
+    # the trial's own generator: 4 per vector, then 1 per scalar.
+    for seed in (14, 42, 2718):
+        for trial in range(200):
+            for vectors in range(5):
+                for scalars in range(4):
+                    rng = random.Random(seed * 1_000_003 + trial)
+                    values = [rng.randint(-9, 9) for _ in range(4 * vectors + scalars)]
+                    expected = ([tuple(values[4 * k:4 * k + 4]) for k in range(vectors)],
+                                values[4 * vectors:])
+                    assert oracle._draw(vectors, scalars, seed, trial) == expected
 
 
 def test_component_range(xy):

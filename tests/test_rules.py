@@ -19,7 +19,13 @@ from symcomp import (
 )
 from symcomp import core
 from symcomp.core import Atom, ScalarExpr, VectorExpr, Word, mono_mul
-from symcomp.errors import ExprTypeError, NonTermination, ParseError, RuleSetUnknown
+from symcomp.errors import (
+    ExprTypeError,
+    NonTermination,
+    ParseError,
+    RuleSetUnknown,
+    UnknownSymbol,
+)
 from symcomp.oracle import eval_expr, random_assignment
 from symcomp.rules import RewriteMemo, RuleSet, instantiate_sides, _pattern_vars
 from helpers import Ctx, first_rewrite_reference, random_raw, scaling_family, stores_no_zero
@@ -534,6 +540,73 @@ def test_scalar_summand_vanishing_under_a_binding_is_instantiated_by_canonicaliz
         apply_once(xyz.canon("(x.y).z"), rs, xyz.table)
     assert str(err.value) == "1:22: cannot add scalar and vector values"
     assert rules._template(rule, xyz.table) is None
+
+
+def counting_template_builds(monkeypatch) -> list:
+    """Patch ``rules._template`` to record each rule it builds a template for."""
+    built = []
+    template = rules._template
+
+    def counting(rule, symbols):
+        built.append(rule.name)
+        return template(rule, symbols)
+
+    monkeypatch.setattr(rules, "_template", counting)
+    return built
+
+
+def test_rule_set_builds_each_template_once_per_name_layout(monkeypatch):
+    built = counting_template_builds(monkeypatch)
+    rs = RuleSet("fresh", (make_rule("b(x, (x.y).y) -> b(x.y, y.x)", "fresh#1"),
+                           make_rule("b(X.Y, X.Z) -> q(X)*b(Y, Z)", "fresh#2")))
+    source = "b(x, (x.y).y) + b(x.(y.x), x.y) + b(y.x, y.(x.y))"
+    xy = Ctx(vectors=("x", "y"))
+    first = apply_fixpoint(xy.canon(source), rs, xy.table)
+    assert sorted(built) == ["fresh#1", "fresh#2"]
+    assert equal(apply_fixpoint(xy.canon(source), rs, xy.table), first)
+    # Another table that declares x and y alike, with more names after them.
+    xyz = Ctx(vectors=("x", "y", "z"))
+    assert equal(apply_fixpoint(xyz.canon(source), rs, xyz.table), xyz.canon(print_expr(first)))
+    assert sorted(built) == ["fresh#1", "fresh#2"]
+    # Declared in the other order, x and y get other indices: the literal
+    # rule builds a template of its own, the variables-only rule does not.
+    yx = Ctx(vectors=("y", "x"))
+    assert equal(apply_fixpoint(yx.canon(source), rs, yx.table), yx.canon(print_expr(first)))
+    assert sorted(built) == ["fresh#1", "fresh#1", "fresh#2"]
+    assert [len(rule.templates) for rule in rs.rules] == [2, 1]
+    assert list(rs.rules[1].templates) == [()]
+
+
+@pytest.mark.parametrize("scalars, vectors", [
+    ((), ("y", "x")), (("x",), ("y",)), (("u",), ("y", "x")), (("x", "u"), ("y",)),
+], ids=["x-second", "x-scalar", "x-third", "x-scalar-of-two"])
+def test_template_under_another_name_layout_agrees_with_instantiate_sides(
+        monkeypatch, scalars, vectors):
+    built = counting_template_builds(monkeypatch)
+    rule = make_rule("q(X.Y) -> x*q(X)*q(Y.y)")
+    rs = RuleSet("layout", (rule,))
+    for ctx in (Ctx(vectors=("x", "y")), Ctx(scalars=scalars, vectors=vectors)):
+        binds = {"X": ctx.word("y.y"), "Y": ctx.word("y")}
+        for _ in range(2):
+            got = rules._instantiate(rule, binds, RewriteMemo(rs, ctx.table))
+            expected = instantiate_sides(rule, binds, ctx.table)[1]
+            assert type(got) is type(expected)
+            assert equal(got, expected)
+    assert len(built) == len(rule.templates) == 2
+
+
+def test_template_of_an_undeclared_name_is_not_kept():
+    rule = make_rule("q(X.Y) -> q(X)*q(Y.w)")
+    rs = RuleSet("undeclared", (rule,))
+    xy = Ctx(vectors=("x", "y"))
+    binds = {"X": xy.word("x"), "Y": xy.word("y")}
+    for _ in range(2):
+        with pytest.raises(UnknownSymbol, match="undeclared identifier 'w'"):
+            rules._instantiate(rule, binds, RewriteMemo(rs, xy.table))
+    assert rule.templates == {}
+    xyw = Ctx(vectors=("x", "y", "w"))
+    got = rules._instantiate(rule, binds, RewriteMemo(rs, xyw.table))
+    assert equal(got, xyw.canon("q(x)*q(y.w)"))
 
 
 def test_rewrite_scale_k5_normal_form_matches_recorded_text():

@@ -11,7 +11,8 @@ from symcomp import (
     run_session,
 )
 from symcomp.oracle import PQ_I, PQ_J, PQ_K, Assignment, random_assignment
-from symcomp.sessions import SessionExecutionError, builtin_session_names
+from symcomp import sessions
+from symcomp.sessions import SessionExecutionError, builtin_session_names, golden_loader
 
 from helpers import CubicElement, commutator, cubic_form, cubic_norm
 
@@ -219,3 +220,59 @@ def test_apply_sees_only_the_local_rules_defined_before_it():
     """, "snapshot")
     report = run_session(session)
     assert [c.passed for c in report.checkpoints] == [True, True]
+
+
+GOLDEN_SCRIPT = "vectors x, y;\nlet e = q(x) + q(x);\nassert_equal e, @g;\n"
+
+
+def counting_parses(monkeypatch) -> list:
+    """Empty the golden parse memo and record each golden text parsed."""
+    parsed = []
+    parse_expr = sessions.parse_expr
+
+    def counting(text):
+        parsed.append(text)
+        return parse_expr(text)
+
+    sessions._golden_tree.cache_clear()
+    monkeypatch.setattr(sessions, "parse_expr", counting)
+    return parsed
+
+
+def test_golden_edited_between_runs_is_parsed_again(tmp_path, monkeypatch):
+    parsed = counting_parses(monkeypatch)
+    session = parse_script(GOLDEN_SCRIPT, "s")
+    golden = tmp_path / "g.expr"
+    for text, passed in [("2*q(x)", True), ("2*q(x)", True), ("3*q(x)", False),
+                         ("2*q(x)", True)]:
+        golden.write_text(text + "\n")
+        report = run_session(session, goldens=golden_loader(tmp_path))
+        assert report.passed is passed
+        assert report.checkpoints[0].expected == text
+    assert parsed == ["2*q(x)\n", "3*q(x)\n"]
+
+
+MATRIX_SCRIPT = ("scalars alpha, beta;\nvectors x;\nlet e = alpha*beta*q(x);\n"
+                 "let m = coeffmatrix(e, [alpha, beta]);\nassert_matrix m, @g;\n")
+
+
+@pytest.mark.parametrize("script, file, text, message, parses", [
+    (GOLDEN_SCRIPT, "g.expr", "q(x) +\n",
+     "3:1: session s: golden @g: 2:1: expected an expression, found 'end of input'",
+     ["q(x) +\n"] * 2),
+    (MATRIX_SCRIPT, "g.json",
+     '{"vars": ["alpha", "beta"], "rows": [["0", "0"], ["0", "q(x)*"]]}\n',
+     "5:1: session s: golden @g[1][1]: 1:6: expected an expression, found 'end of input'",
+     ["0", "q(x)*", "q(x)*"]),
+], ids=["expression", "matrix-cell"])
+def test_golden_that_does_not_parse_fails_at_its_step_on_every_run(
+        tmp_path, monkeypatch, script, file, text, message, parses):
+    parsed = counting_parses(monkeypatch)
+    (tmp_path / file).write_text(text)
+    session = parse_script(script, "s")
+    for _ in range(2):
+        with pytest.raises(SessionExecutionError) as err:
+            run_session(session, goldens=golden_loader(tmp_path))
+        assert str(err.value) == message
+    # A parse error is raised again, never kept; the good cell "0" is kept.
+    assert parsed == parses
