@@ -51,7 +51,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 from . import rawexpr as rx
-from .errors import ExprTypeError, UnknownSymbol
+from .errors import ExprTypeError, UnknownSymbol, int_text
 
 ONE = 1
 
@@ -61,8 +61,15 @@ VECTOR = "vector"
 # The largest power of a scalar with more than one term.  A sum's power
 # grows with the exponent ((lambda + 1)^n has n + 1 terms with
 # coefficients of about n bits), so an unbounded one runs for minutes; a
-# single monomial's power is one monomial, so it stays unbounded.
+# single monomial's power is one monomial, so its exponent stays unbounded
+# (its coefficient is bounded by MAX_POWER_BITS).
 MAX_POWER = 256
+# The most bits a power may give a coefficient, reckoned as the exponent
+# times the bit length of the base's largest numerator or denominator.
+# Squaring doubles a coefficient's size, so 3^99999999999 would never
+# finish; 3^661000, about this size, takes 0.08 s.  Coefficients of +-1
+# do not grow, so a power of a monomial with one stays unbounded.
+MAX_POWER_BITS = 2**20
 # The most terms a power (exponent 2 or more) of a sum may have.  A
 # t-term base to the n has up to C(n + t - 1, t - 1) terms, so three or
 # more terms grow far faster than the exponent: (s+t+u)^128 has 8385 and
@@ -377,11 +384,17 @@ class ScalarExpr:
         t = len(self.terms)
         if t > 1 and n > 1:
             if n > MAX_POWER:
-                raise ExprTypeError(f"power {n} of a sum exceeds the bound {MAX_POWER}")
+                raise ExprTypeError(f"power {int_text(n)} of a sum exceeds the bound {MAX_POWER}")
             size = comb(n + t - 1, t - 1)
             if size > MAX_POWER_TERMS:
                 raise ExprTypeError(f"power {n} of a sum of {t} terms has up to {size} "
                                     f"terms, over the bound {MAX_POWER_TERMS}")
+        if n > 1:
+            bits = max((max(abs(c.numerator), c.denominator).bit_length()
+                        for c in self.terms.values()), default=0)
+            if bits > 1 and n * bits > MAX_POWER_BITS:
+                raise ExprTypeError(f"power {int_text(n)} of a {bits}-bit coefficient exceeds "
+                                    f"the bound of {MAX_POWER_BITS} bits")
         acc = None
         base = self
         while n:

@@ -1,18 +1,82 @@
-"""Exception types shared across the package."""
+"""The record base and the exception types shared across the package.
+
+`Record` is the base of every immutable value the package defines (spans,
+tokens, parse trees, session steps and reports): a slotted class compared,
+hashed and shown by value, whose fields cannot be assigned or deleted.
+`int_text` writes an integer into an error message, naming one too long
+for Python's integer-string conversion by its digit count.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
+# Record constructors set their fields through the base setter, which a
+# record's own `__setattr__` refuses.
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class Record:
+    """An immutable value with slots.  A subclass declares its new fields
+    in `__slots__`, sets them in its `__init__` with `_set`, and names in
+    `_compared` the fields that equality, hashing and the repr read,
+    inherited ones first.  Records are equal when they are of one class and
+    their compared fields are equal; assigning or deleting a field raises
+    AttributeError."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+
+class SourceSpan(Record):
     """Location of a token or node in an input text (1-based line/column)."""
 
-    line: int
-    column: int
+    __slots__ = ("line", "column")
+    _compared = __slots__
+
+    def __init__(self, line: int, column: int):
+        _set(self, "line", line)
+        _set(self, "column", column)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
+
+
+def digit_count(n: int) -> int:
+    """The number of decimal digits of `n`, without converting it to a string."""
+    n = abs(n)
+    # 30102 / 100000 is just under log10(2), so 10^k <= n to start with.
+    k = max(n.bit_length() - 1, 0) * 30102 // 100000
+    while 10 ** (k + 1) <= n:
+        k += 1
+    return k + 1
+
+
+def int_text(n: int) -> str:
+    """`n` in decimal or, past Python's integer-string conversion limit,
+    `of D digits`: "exponent 300" or "exponent of 4516 digits"."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"of {digit_count(n)} digits"
 
 
 class SymcompError(Exception):

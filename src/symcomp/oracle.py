@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import MAX_POWER, Expr, Word, is_vector
-from .errors import ExprTypeError, MissingSymbol, SymcompError
+from .errors import ExprTypeError, MissingSymbol, Record, SymcompError, _set, int_text
 from .printer import print_expr
 
 COMPONENT_RANGE = 9  # components drawn uniformly from [-9, 9]
@@ -73,7 +72,6 @@ class ParaQuaternion:
         return f"ParaQuaternion({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-PQ_ZERO = ParaQuaternion(0)
 PQ_ONE = ParaQuaternion(1)
 PQ_I = ParaQuaternion(0, 1)
 PQ_J = ParaQuaternion(0, 0, 1)
@@ -119,12 +117,15 @@ def pq_bilinear(u: ParaQuaternion, v: ParaQuaternion) -> Fraction:
     return _polar(u.components(), v.components())
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Record):
     """Values for every symbol used by the expression under evaluation."""
 
-    vectors: dict[str, ParaQuaternion]
-    scalars: dict[str, Fraction]
+    __slots__ = ("vectors", "scalars")
+    _compared = __slots__
+
+    def __init__(self, vectors: dict[str, ParaQuaternion], scalars: dict[str, Fraction]):
+        _set(self, "vectors", vectors)
+        _set(self, "scalars", scalars)
 
     def to_jsonable(self) -> dict:
         return {
@@ -134,19 +135,31 @@ class Assignment:
         }
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(Record):
     """A canonical value compiled for evaluation: straight-line slot lists
     over its interned words and atoms, which are evaluated once per run
-    however many units share them."""
+    however many units share them.
 
-    vectors: list   # vector symbol names, sorted: the vector positions
-    scalars: list   # scalar symbol names, sorted: the scalar positions
-    words: list     # per word slot, post-order: (vector position, None) or (left, right slot)
-    atoms: list     # per atom slot: (None, scalar position), (word slot, None) for q,
-                    # or (word slot, word slot) for b
-    units: list     # (word slot or None, [(coeff, ((atom slot, exp), ...)), ...])
-    vector: bool
+    - `vectors`, `scalars`: the symbol names, sorted; a name's index is its
+      position in a trial's values.
+    - `words`: per word slot, in post-order, (vector position, None) or
+      (left slot, right slot).
+    - `atoms`: per atom slot, (None, scalar position), (word slot, None)
+      for q, or (word slot, word slot) for b.
+    - `units`: (word slot or None, [(coeff, ((atom slot, exp), ...)), ...]).
+    """
+
+    __slots__ = ("vectors", "scalars", "words", "atoms", "units", "vector")
+    _compared = __slots__
+
+    def __init__(self, vectors: list, scalars: list, words: list, atoms: list, units: list,
+                 vector: bool):
+        _set(self, "vectors", vectors)
+        _set(self, "scalars", scalars)
+        _set(self, "words", words)
+        _set(self, "atoms", atoms)
+        _set(self, "units", units)
+        _set(self, "vector", vector)
 
 
 def _compile(e: Expr) -> _Plan:
@@ -196,7 +209,7 @@ def _compile(e: Expr) -> _Plan:
             monomials.append((coeff, tuple(factors)))
         units.append((None if word is None else word_slot(word), monomials))
     if top > MAX_POWER:
-        raise ExprTypeError(f"exponent {top} exceeds the oracle's bound {MAX_POWER}")
+        raise ExprTypeError(f"exponent {int_text(top)} exceeds the oracle's bound {MAX_POWER}")
 
     vectors = sorted(name for name, right in words if right is None)
     scalars = sorted(name for left, name in atoms if left is None)
@@ -294,12 +307,16 @@ def random_assignment(vector_names, scalar_names, seed: int, trial: int) -> Assi
                       {n: Fraction(v) for n, v in zip(scalar_names, scalars)})
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity: str
-    trials: int
-    passed: bool
-    counterexample: Assignment | None
+class IdentityReport(Record):
+    __slots__ = ("identity", "trials", "passed", "counterexample")
+    _compared = __slots__
+
+    def __init__(self, identity: str, trials: int, passed: bool,
+                 counterexample: Assignment | None):
+        _set(self, "identity", identity)
+        _set(self, "trials", trials)
+        _set(self, "passed", passed)
+        _set(self, "counterexample", counterexample)
 
     def to_jsonable(self) -> dict:
         return {

@@ -52,7 +52,6 @@ the catalog set, or the rules of the local set defined before it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rawexpr as rx
@@ -61,9 +60,11 @@ from .errors import (
     ArityError,
     ChainedDotError,
     ParseError,
+    Record,
     RuleSetUnknown,
     SourceSpan,
     UndefinedName,
+    _set,
 )
 from .oracle import MAX_TRIALS
 from .rules import RewriteRule, RuleSet, builtin_ruleset, builtin_ruleset_names, compile_rule
@@ -91,11 +92,14 @@ _RESERVED = _KEYWORDS | {"q", "b"}
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    span: SourceSpan
+class Token(Record):
+    __slots__ = ("kind", "text", "span")
+    _compared = __slots__
+
+    def __init__(self, kind: str, text: str, span: SourceSpan):
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "span", span)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -312,67 +316,111 @@ _EXPR = "an expression"
 _MATRIX = "a coefficient matrix"
 
 
-@dataclass(frozen=True)
-class Statement:
-    span: SourceSpan
+class Statement(Record):
+    __slots__ = ("span",)
+    _compared = __slots__
+
+    def __init__(self, span: SourceSpan):
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Let(Statement):
     """A `let` step: binds `name` to the value the runner computes."""
 
-    name: str
+    __slots__ = ("name",)
+    _compared = Statement._compared + __slots__
+
+    def __init__(self, span: SourceSpan, name: str):
+        _set(self, "span", span)
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class LetExpr(Let):
-    raw: rx.RawExpr
+    __slots__ = ("raw",)
+    _compared = Let._compared + __slots__
+
+    def __init__(self, span: SourceSpan, name: str, raw: rx.RawExpr):
+        Let.__init__(self, span, name)
+        _set(self, "raw", raw)
 
 
-@dataclass(frozen=True)
 class LetApply(Let):
-    source: str
-    ruleset: RuleSet  # the catalog set, or the local rules defined before this step
-    once: bool
+    """`ruleset` is the catalog set, or the local rules defined before this step."""
+
+    __slots__ = ("source", "ruleset", "once")
+    _compared = Let._compared + __slots__
+
+    def __init__(self, span: SourceSpan, name: str, source: str, ruleset: RuleSet,
+                 once: bool):
+        Let.__init__(self, span, name)
+        _set(self, "source", source)
+        _set(self, "ruleset", ruleset)
+        _set(self, "once", once)
 
 
-@dataclass(frozen=True)
 class LetSubst(Let):
-    source: str
-    bindings: tuple[tuple[str, rx.RawExpr], ...]
+    __slots__ = ("source", "bindings")
+    _compared = Let._compared + __slots__
+
+    def __init__(self, span: SourceSpan, name: str, source: str,
+                 bindings: tuple[tuple[str, rx.RawExpr], ...]):
+        Let.__init__(self, span, name)
+        _set(self, "source", source)
+        _set(self, "bindings", bindings)
 
 
-@dataclass(frozen=True)
 class LetCoeff(Let):
-    source: str
-    key: tuple[tuple[str, int], ...]
+    __slots__ = ("source", "key")
+    _compared = Let._compared + __slots__
+
+    def __init__(self, span: SourceSpan, name: str, source: str,
+                 key: tuple[tuple[str, int], ...]):
+        Let.__init__(self, span, name)
+        _set(self, "source", source)
+        _set(self, "key", key)
 
 
-@dataclass(frozen=True)
 class LetMatrix(Let):
-    source: str
-    vars: tuple[str, str]
+    __slots__ = ("source", "vars")
+    _compared = Let._compared + __slots__
+
+    def __init__(self, span: SourceSpan, name: str, source: str, vars: tuple[str, str]):
+        Let.__init__(self, span, name)
+        _set(self, "source", source)
+        _set(self, "vars", vars)
 
 
-@dataclass(frozen=True)
 class Assertion(Statement):
-    label: str
-    name: str
-    kind: str  # zero | equal | factored | matrix | oracle
-    expected_raw: rx.RawExpr | None = None
-    golden: str | None = None
-    trials: int | None = None
+    """A checkpoint; `kind` is zero, equal, factored, matrix or oracle."""
+
+    __slots__ = ("label", "name", "kind", "expected_raw", "golden", "trials")
+    _compared = Statement._compared + __slots__
+
+    def __init__(self, span: SourceSpan, label: str, name: str, kind: str,
+                 expected_raw: rx.RawExpr | None = None, golden: str | None = None,
+                 trials: int | None = None):
+        _set(self, "span", span)
+        _set(self, "label", label)
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "expected_raw", expected_raw)
+        _set(self, "golden", golden)
+        _set(self, "trials", trials)
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(Record):
     """A named script: the steps that run (`let` steps and assertions, the
     latter its labeled checkpoints) and the table of every symbol it
     declares."""
 
-    name: str
-    statements: tuple[Let | Assertion, ...]
-    symbols: SymbolTable
+    __slots__ = ("name", "statements", "symbols")
+    _compared = __slots__
+
+    def __init__(self, name: str, statements: tuple[Let | Assertion, ...],
+                 symbols: SymbolTable):
+        _set(self, "name", name)
+        _set(self, "statements", statements)
+        _set(self, "symbols", symbols)
 
     @property
     def checkpoints(self) -> list[Assertion]:

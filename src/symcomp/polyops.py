@@ -19,7 +19,6 @@ performed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import rawexpr as rx
 from .core import (
@@ -41,7 +40,7 @@ from .core import (
     units,
     word_with,
 )
-from .errors import ExprTypeError
+from .errors import ExprTypeError, Record, _set
 from .printer import print_expr
 
 
@@ -131,16 +130,19 @@ def coeff(e: Expr, key: dict[str, int]) -> Expr:
     return from_units(_by_degrees(e, tuple(key)).get(tuple(key.values()), {}), is_vector(e))
 
 
-@dataclass(frozen=True)
-class CoeffMatrix:
+class CoeffMatrix(Record):
     """Coefficients of powers of an ordered pair of scalar symbols.
 
     rows[i][j] is the coefficient of vars[0]^i * vars[1]^j; dimensions
     cover every degree that occurs, so the matrix is rectangular.
     """
 
-    vars: tuple[str, str]
-    rows: tuple[tuple[Expr, ...], ...]
+    __slots__ = ("vars", "rows")
+    _compared = __slots__
+
+    def __init__(self, vars: tuple[str, str], rows: tuple[tuple[Expr, ...], ...]):
+        _set(self, "vars", vars)
+        _set(self, "rows", rows)
 
     def to_json(self) -> str:
         payload = {

@@ -7,11 +7,10 @@ nested dot is parenthesized.  Distinct canonical values print differently.
 """
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 from .core import Atom, Expr, Monomial, ScalarExpr, VectorExpr, Word, is_scalar
-from .errors import SymcompError
+from .errors import SymcompError, digit_count
 
 
 def word_text(w: Word) -> str:
@@ -38,22 +37,29 @@ def _mono_factors(mono: Monomial, texts: dict) -> str:
     """The factors of a monomial; `texts` memoizes each atom's text for one
     `print_expr` call."""
     parts = []
-    for atom, exp in mono:
-        text = texts.get(atom)
-        if text is None:
-            text = texts[atom] = atom_text(atom)
-        parts.append(text if exp == 1 else f"{text}^{exp}")
+    try:
+        for atom, exp in mono:
+            text = texts.get(atom)
+            if text is None:
+                text = texts[atom] = atom_text(atom)
+            parts.append(text if exp == 1 else f"{text}^{exp}")
+    except ValueError:
+        raise _too_long("exponent", max(exp for _, exp in mono)) from None
     return "*".join(parts)
 
 
 def _coeff_text(c: Fraction) -> str:
-    """`p` or `p/q`; a part past Python's integer-string conversion limit
-    is a SymcompError, as the parser could not read it back either."""
+    """`p` or `p/q`."""
     try:
         return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
     except ValueError:
-        raise SymcompError(f"coefficient too long to print: over "
-                           f"{sys.get_int_max_str_digits()} digits") from None
+        raise _too_long("coefficient", max(abs(c.numerator), c.denominator)) from None
+
+
+def _too_long(what: str, n: int) -> SymcompError:
+    """The error for a number past Python's integer-string conversion
+    limit, which the parser could not read back either."""
+    return SymcompError(f"{what} too long to print: {digit_count(n)} digits")
 
 
 def _product_text(mag: Fraction, *factors: str) -> str:

@@ -3,77 +3,106 @@
 A RawExpr is whatever the grammar accepts: sums, negations, products,
 powers, dots of arbitrary subexpressions.  Canonicalization turns a
 RawExpr into a typed canonical value and is the only consumer.
+
+Nodes are immutable records (see `errors.Record`), so trees can be shared:
+every node carries the `span` of its source text, and two nodes are equal
+when they are of one type with equal fields other than their spans.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import SourceSpan
+from .errors import Record, SourceSpan, _set
 
 _NOSPAN = SourceSpan(1, 1)
 
 
-@dataclass(frozen=True)
-class RawExpr:
-    pass
+class RawExpr(Record):
+    __slots__ = ("span",)
 
 
-@dataclass(frozen=True)
 class Num(RawExpr):
-    value: Fraction
-    span: SourceSpan = field(default=_NOSPAN, compare=False)
+    __slots__ = ("value",)
+    _compared = __slots__
+
+    def __init__(self, value: Fraction, span: SourceSpan = _NOSPAN):
+        _set(self, "value", value)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Ident(RawExpr):
-    name: str
-    span: SourceSpan = field(default=_NOSPAN, compare=False)
+    __slots__ = ("name",)
+    _compared = __slots__
+
+    def __init__(self, name: str, span: SourceSpan = _NOSPAN):
+        _set(self, "name", name)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Sum(RawExpr):
-    items: tuple[RawExpr, ...]
-    span: SourceSpan = field(default=_NOSPAN, compare=False)
+    __slots__ = ("items",)
+    _compared = __slots__
+
+    def __init__(self, items: tuple[RawExpr, ...], span: SourceSpan = _NOSPAN):
+        _set(self, "items", items)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Neg(RawExpr):
-    item: RawExpr
-    span: SourceSpan = field(default=_NOSPAN, compare=False)
+    __slots__ = ("item",)
+    _compared = __slots__
+
+    def __init__(self, item: RawExpr, span: SourceSpan = _NOSPAN):
+        _set(self, "item", item)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Mul(RawExpr):
-    items: tuple[RawExpr, ...]
-    span: SourceSpan = field(default=_NOSPAN, compare=False)
+    __slots__ = ("items",)
+    _compared = __slots__
+
+    def __init__(self, items: tuple[RawExpr, ...], span: SourceSpan = _NOSPAN):
+        _set(self, "items", items)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Dot(RawExpr):
-    left: RawExpr
-    right: RawExpr
-    span: SourceSpan = field(default=_NOSPAN, compare=False)
+    __slots__ = ("left", "right")
+    _compared = __slots__
+
+    def __init__(self, left: RawExpr, right: RawExpr, span: SourceSpan = _NOSPAN):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Q(RawExpr):
-    arg: RawExpr
-    span: SourceSpan = field(default=_NOSPAN, compare=False)
+    __slots__ = ("arg",)
+    _compared = __slots__
+
+    def __init__(self, arg: RawExpr, span: SourceSpan = _NOSPAN):
+        _set(self, "arg", arg)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class B(RawExpr):
-    left: RawExpr
-    right: RawExpr
-    span: SourceSpan = field(default=_NOSPAN, compare=False)
+    __slots__ = ("left", "right")
+    _compared = __slots__
+
+    def __init__(self, left: RawExpr, right: RawExpr, span: SourceSpan = _NOSPAN):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Pow(RawExpr):
-    base: RawExpr
-    exponent: int
-    span: SourceSpan = field(default=_NOSPAN, compare=False)
+    __slots__ = ("base", "exponent")
+    _compared = __slots__
+
+    def __init__(self, base: RawExpr, exponent: int, span: SourceSpan = _NOSPAN):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        _set(self, "span", span)
 
 
 def nodes(raw: RawExpr, kind: type):

@@ -23,13 +23,12 @@ kept, and every run reports its error again.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib.resources import files
 from typing import Callable
 
 from .core import Env, Expr, SymbolTable, canonicalize, equal
-from .errors import EngineError, SourceSpan, SymcompError
+from .errors import EngineError, Record, SourceSpan, SymcompError, _set
 from .oracle import DEFAULT_SEED, DEFAULT_TRIALS, check_identity
 from .parser import (
     Assertion,
@@ -52,14 +51,18 @@ from . import rawexpr as rx
 # --- reports -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckpointResult:
-    label: str
-    kind: str
-    passed: bool
-    expected: str
-    actual: str
-    note: str = ""
+class CheckpointResult(Record):
+    __slots__ = ("label", "kind", "passed", "expected", "actual", "note")
+    _compared = __slots__
+
+    def __init__(self, label: str, kind: str, passed: bool, expected: str, actual: str,
+                 note: str = ""):
+        _set(self, "label", label)
+        _set(self, "kind", kind)
+        _set(self, "passed", passed)
+        _set(self, "expected", expected)
+        _set(self, "actual", actual)
+        _set(self, "note", note)
 
     def to_jsonable(self) -> dict:
         return {
@@ -72,10 +75,13 @@ class CheckpointResult:
         }
 
 
-@dataclass(frozen=True)
-class SessionReport:
-    name: str
-    checkpoints: tuple[CheckpointResult, ...]
+class SessionReport(Record):
+    __slots__ = ("name", "checkpoints")
+    _compared = __slots__
+
+    def __init__(self, name: str, checkpoints: tuple[CheckpointResult, ...]):
+        _set(self, "name", name)
+        _set(self, "checkpoints", checkpoints)
 
     @property
     def passed(self) -> bool:

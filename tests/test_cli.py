@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, reports, determinism."""
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -344,6 +347,51 @@ def test_oracle_coefficient_too_long_to_print_is_an_error(capsys):
     code, _ = run_cli("oracle", "99999^1000*q(x) - q(x)")
     assert code == 2
     assert "symcomp: error: coefficient too long to print" in capsys.readouterr().err
+
+
+# A chain of carets folds into one exponent: 2^15000, of 4516 digits, past
+# Python's integer-string conversion limit.
+LONG_EXPONENT = "^2" * 15000
+
+
+def test_oracle_exponent_too_long_to_print_is_an_error(capsys):
+    code, _ = run_cli("oracle", f"alpha{LONG_EXPONENT}*x")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "symcomp: error: exponent of 4516 digits exceeds the oracle's bound 256\n")
+
+
+@pytest.mark.parametrize("flags, let, cause", [
+    ((), f"(alpha+1){LONG_EXPONENT}", "2:18: power of 4516 digits of a sum exceeds the bound 256"),
+    (("--verbose",), f"alpha{LONG_EXPONENT}", "exponent too long to print: 4516 digits"),
+], ids=["power-of-a-sum", "verbose-print"])
+def test_run_exponent_too_long_to_print_is_an_error(tmp_path, capsys, flags, let, cause):
+    path = tmp_path / "s.scs"
+    path.write_text(f"scalars alpha;\nlet e = {let};\n")
+    code, _ = run_cli("run", *flags, str(path))
+    assert code == 2
+    assert capsys.readouterr().err == f"symcomp: error: 2:1: session s: {cause}\n"
+
+
+def test_oracle_power_of_a_large_coefficient_is_an_error(capsys):
+    start = time.perf_counter()
+    code, _ = run_cli("oracle", "3^99999999999*x")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "symcomp: error: 1:2: power 99999999999 of a 2-bit coefficient exceeds "
+        "the bound of 1048576 bits\n")
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # Records are slotted classes; building dataclasses took about a fifth
+    # of a cold `symcomp paper --all`.  Only dataclasses is checked:
+    # importlib.resources imports inspect on Python 3.12 and later.
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, symcomp.cli; print('dataclasses' in sys.modules)"
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                            text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.stdout == "False\n"
 
 
 def test_paper_all_verbose_matches_recorded_trace():

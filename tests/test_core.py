@@ -1,5 +1,6 @@
 """Canonical forms: ordering, bilinearity, polarization, equality."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,37 @@ def test_power_of_a_sum_is_bounded(greek):
     # subst raises a power of a bound value through the same bound.
     with pytest.raises(ExprTypeError):
         subst(greek.canon("lambda^300"), {"lambda": base}, greek.table)
+
+
+@pytest.mark.parametrize("source, caret", [
+    ("3^99999999999", "1:2"),
+    ("(2*alpha)^99999999999", "1:10"),
+], ids=["number", "monomial"])
+def test_power_bounds_the_bits_of_its_coefficient(greek, source, caret):
+    from symcomp.core import MAX_POWER_BITS
+    # Each squaring doubles the coefficient: this ran for minutes.
+    start = time.perf_counter()
+    with pytest.raises(ExprTypeError) as err:
+        greek.canon(source)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == (f"{caret}: power 99999999999 of a 2-bit coefficient exceeds "
+                              f"the bound of {MAX_POWER_BITS} bits")
+
+
+def test_power_of_a_small_or_unit_coefficient_passes(greek):
+    from symcomp.core import MAX_POWER_BITS
+    assert greek.canon("2^1000*x - 2^1000*x").is_zero
+    # 2 has 2 bits: the largest power under the bound, and one past it.
+    half = MAX_POWER_BITS // 2
+    ((_, coeff),) = greek.canon(f"2^{half}").terms.items()
+    assert coeff == 2 ** half
+    with pytest.raises(ExprTypeError):
+        greek.canon(f"2^{half + 1}")
+    # Coefficients of +-1 never grow, so their monomials stay unbounded.
+    for source, sign in [("alpha^99999999999", 1), ("(-alpha)^99999999999", -1),
+                         ("(-1)^99999999999", -1)]:
+        ((_, coeff),) = greek.canon(source).terms.items()
+        assert coeff == sign
 
 
 def test_power_of_a_sum_bounds_its_term_count():

@@ -1,4 +1,6 @@
 """Expression grammar, rule DSL, and session script parsing."""
+from fractions import Fraction
+
 import pytest
 
 import symcomp.rawexpr as rx
@@ -8,10 +10,11 @@ from symcomp.errors import (
     ChainedDotError,
     ParseError,
     RuleSetUnknown,
+    SourceSpan,
     UndefinedName,
 )
 from symcomp.oracle import MAX_TRIALS
-from symcomp.parser import Assertion, LetApply, LetExpr, tokenize
+from symcomp.parser import Assertion, LetApply, LetExpr, Token, tokenize
 
 
 def test_single_identifier():
@@ -229,3 +232,58 @@ def test_script_statement_spans():
         assert err.span.line == 2
     else:
         pytest.fail("expected a ParseError")
+
+
+def test_raw_nodes_compare_by_type_and_fields_not_spans():
+    here, there = SourceSpan(1, 1), SourceSpan(3, 7)
+    near = rx.Dot(rx.Ident("x", here), rx.Pow(rx.Num(Fraction(2), here), 3, here), here)
+    far = rx.Dot(rx.Ident("x", there), rx.Pow(rx.Num(Fraction(2), there), 3, there), there)
+    assert near == far and hash(near) == hash(far)
+    assert parse_expr("x.y + 2") == parse_expr("\n  x.y+2")
+    items = (rx.Ident("x"), rx.Num(Fraction(2)))
+    assert rx.Sum(items) != rx.Mul(items)
+    assert rx.Dot(*items) != rx.B(*items)
+    assert rx.Pow(rx.Ident("x"), 2) != rx.Pow(rx.Ident("x"), 3)
+    assert rx.Ident("x") != "x"
+    assert len({near, far, rx.Sum(items), rx.Mul(items), rx.Sum(items)}) == 3
+
+
+def test_tokens_and_spans_compare_by_value():
+    assert SourceSpan(1, 2) == SourceSpan(1, 2) and hash(SourceSpan(1, 2)) == hash(SourceSpan(1, 2))
+    assert SourceSpan(1, 2) != SourceSpan(2, 1)
+    x = tokenize("x")[0]
+    assert x == Token("IDENT", "x", SourceSpan(1, 1))
+    assert x == Token(kind="IDENT", text="x", span=SourceSpan(1, 1))
+    assert x != Token("IDENT", "x", SourceSpan(1, 2))  # a token's span is compared
+    assert repr(x) == "Token(kind='IDENT', text='x', span=SourceSpan(line=1, column=1))"
+
+
+def test_assertion_defaults_and_keyword_fields():
+    span = SourceSpan(4, 1)
+    zero = Assertion(span, "C1", "e", "zero")
+    assert (zero.expected_raw, zero.golden, zero.trials) == (None, None, None)
+    assert zero == Assertion(span=span, label="C1", name="e", kind="zero")
+    assert zero != Assertion(span, "C1", "e", "zero", trials=5)
+    raw = parse_expr("x")
+    assert LetExpr(span, "e", raw) == LetExpr(span=span, name="e", raw=raw)
+    assert LetExpr(span, "e", raw) != LetExpr(SourceSpan(5, 1), "e", raw)
+
+
+@pytest.mark.parametrize("record, field", [
+    (SourceSpan(1, 1), "line"),
+    (Token("IDENT", "x", SourceSpan(1, 1)), "text"),
+    (rx.Ident("x"), "name"),
+    (rx.Ident("x"), "span"),
+    (rx.Sum((rx.Ident("x"), rx.Ident("y"))), "items"),
+    (Assertion(SourceSpan(1, 1), "C1", "e", "zero"), "trials"),
+    (LetExpr(SourceSpan(1, 1), "e", rx.Ident("x")), "raw"),
+], ids=["span", "token", "ident-name", "ident-span", "sum", "assertion", "let"])
+def test_records_are_frozen(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, before)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, field) is before

@@ -276,3 +276,18 @@ def test_golden_that_does_not_parse_fails_at_its_step_on_every_run(
         assert str(err.value) == message
     # A parse error is raised again, never kept; the good cell "0" is kept.
     assert parsed == parses
+
+
+def test_reports_are_frozen_values():
+    report = run_builtin_session("Z1")
+    again = run_builtin_session("Z1")
+    assert report == again and hash(report) == hash(again)
+    first = report.checkpoints[0]
+    assert first == sessions.CheckpointResult(first.label, first.kind, first.passed,
+                                              first.expected, first.actual)
+    assert first.note == ""
+    for record, field in [(report, "checkpoints"), (first, "passed")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
