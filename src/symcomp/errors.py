@@ -2,7 +2,9 @@
 
 `Record` is the base of every immutable value the package defines (spans,
 tokens, parse trees, session steps and reports): a slotted class compared,
-hashed and shown by value, whose fields cannot be assigned or deleted.
+hashed and shown by value, whose fields cannot be assigned or deleted.  A
+record declares its fields only in `__slots__` (and trailing defaults in
+`_defaults`); `Record` generates its constructor from them.
 `int_text` writes an integer into an error message, naming one too long
 for Python's integer-string conversion by its digit count.
 """
@@ -15,14 +17,35 @@ _set = object.__setattr__
 
 class Record:
     """An immutable value with slots.  A subclass declares its new fields
-    in `__slots__`, sets them in its `__init__` with `_set`, and names in
-    `_compared` the fields that equality, hashing and the repr read,
-    inherited ones first.  Records are equal when they are of one class and
-    their compared fields are equal; assigning or deleting a field raises
-    AttributeError."""
+    in `__slots__` and nothing else: its `_fields` are the inherited fields
+    followed by its own, and its generated constructor takes `_fields` in
+    order, each positional or keyword, the last ones defaulting to the
+    values in `_defaults`.  `_compared`, the fields that equality, hashing
+    and the repr read, defaults to `_fields`.  Records are equal when they
+    are of one class and their compared fields are equal; assigning or
+    deleting a field raises AttributeError."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
     _compared: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__base__._fields + tuple(cls.__dict__.get("__slots__", ()))
+        if "_compared" not in cls.__dict__:
+            cls._compared = cls._fields
+        # Python has checked that slot names are identifiers, so the
+        # source below holds nothing else.  A generated body costs what a
+        # hand-written one does; a generic *args constructor is slower.
+        body = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls._fields)
+        namespace = {"_set": _set, "__name__": cls.__module__}
+        exec(f"def __init__(self, {', '.join(cls._fields)}):{body}", namespace)
+        init = namespace["__init__"]
+        init.__defaults__ = cls._defaults or None
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._compared])
@@ -50,11 +73,6 @@ class SourceSpan(Record):
     """Location of a token or node in an input text (1-based line/column)."""
 
     __slots__ = ("line", "column")
-    _compared = __slots__
-
-    def __init__(self, line: int, column: int):
-        _set(self, "line", line)
-        _set(self, "column", column)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"

@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 
 from .core import MAX_POWER, Expr, Word, is_vector
-from .errors import ExprTypeError, MissingSymbol, Record, SymcompError, _set, int_text
+from .errors import ExprTypeError, MissingSymbol, Record, SymcompError, int_text
 from .printer import print_expr
 
 COMPONENT_RANGE = 9  # components drawn uniformly from [-9, 9]
@@ -121,11 +121,6 @@ class Assignment(Record):
     """Values for every symbol used by the expression under evaluation."""
 
     __slots__ = ("vectors", "scalars")
-    _compared = __slots__
-
-    def __init__(self, vectors: dict[str, ParaQuaternion], scalars: dict[str, Fraction]):
-        _set(self, "vectors", vectors)
-        _set(self, "scalars", scalars)
 
     def to_jsonable(self) -> dict:
         return {
@@ -150,16 +145,6 @@ class _Plan(Record):
     """
 
     __slots__ = ("vectors", "scalars", "words", "atoms", "units", "vector")
-    _compared = __slots__
-
-    def __init__(self, vectors: list, scalars: list, words: list, atoms: list, units: list,
-                 vector: bool):
-        _set(self, "vectors", vectors)
-        _set(self, "scalars", scalars)
-        _set(self, "words", words)
-        _set(self, "atoms", atoms)
-        _set(self, "units", units)
-        _set(self, "vector", vector)
 
 
 def _compile(e: Expr) -> _Plan:
@@ -309,14 +294,6 @@ def random_assignment(vector_names, scalar_names, seed: int, trial: int) -> Assi
 
 class IdentityReport(Record):
     __slots__ = ("identity", "trials", "passed", "counterexample")
-    _compared = __slots__
-
-    def __init__(self, identity: str, trials: int, passed: bool,
-                 counterexample: Assignment | None):
-        _set(self, "identity", identity)
-        _set(self, "trials", trials)
-        _set(self, "passed", passed)
-        _set(self, "counterexample", counterexample)
 
     def to_jsonable(self) -> dict:
         return {

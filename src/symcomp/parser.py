@@ -64,7 +64,6 @@ from .errors import (
     RuleSetUnknown,
     SourceSpan,
     UndefinedName,
-    _set,
 )
 from .oracle import MAX_TRIALS
 from .rules import RewriteRule, RuleSet, builtin_ruleset, builtin_ruleset_names, compile_rule
@@ -94,12 +93,6 @@ MAX_NESTING = 100
 
 class Token(Record):
     __slots__ = ("kind", "text", "span")
-    _compared = __slots__
-
-    def __init__(self, kind: str, text: str, span: SourceSpan):
-        _set(self, "kind", kind)
-        _set(self, "text", text)
-        _set(self, "span", span)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -318,94 +311,41 @@ _MATRIX = "a coefficient matrix"
 
 class Statement(Record):
     __slots__ = ("span",)
-    _compared = __slots__
-
-    def __init__(self, span: SourceSpan):
-        _set(self, "span", span)
 
 
 class Let(Statement):
     """A `let` step: binds `name` to the value the runner computes."""
 
     __slots__ = ("name",)
-    _compared = Statement._compared + __slots__
-
-    def __init__(self, span: SourceSpan, name: str):
-        _set(self, "span", span)
-        _set(self, "name", name)
 
 
 class LetExpr(Let):
     __slots__ = ("raw",)
-    _compared = Let._compared + __slots__
-
-    def __init__(self, span: SourceSpan, name: str, raw: rx.RawExpr):
-        Let.__init__(self, span, name)
-        _set(self, "raw", raw)
 
 
 class LetApply(Let):
     """`ruleset` is the catalog set, or the local rules defined before this step."""
 
     __slots__ = ("source", "ruleset", "once")
-    _compared = Let._compared + __slots__
-
-    def __init__(self, span: SourceSpan, name: str, source: str, ruleset: RuleSet,
-                 once: bool):
-        Let.__init__(self, span, name)
-        _set(self, "source", source)
-        _set(self, "ruleset", ruleset)
-        _set(self, "once", once)
 
 
 class LetSubst(Let):
     __slots__ = ("source", "bindings")
-    _compared = Let._compared + __slots__
-
-    def __init__(self, span: SourceSpan, name: str, source: str,
-                 bindings: tuple[tuple[str, rx.RawExpr], ...]):
-        Let.__init__(self, span, name)
-        _set(self, "source", source)
-        _set(self, "bindings", bindings)
 
 
 class LetCoeff(Let):
     __slots__ = ("source", "key")
-    _compared = Let._compared + __slots__
-
-    def __init__(self, span: SourceSpan, name: str, source: str,
-                 key: tuple[tuple[str, int], ...]):
-        Let.__init__(self, span, name)
-        _set(self, "source", source)
-        _set(self, "key", key)
 
 
 class LetMatrix(Let):
     __slots__ = ("source", "vars")
-    _compared = Let._compared + __slots__
-
-    def __init__(self, span: SourceSpan, name: str, source: str, vars: tuple[str, str]):
-        Let.__init__(self, span, name)
-        _set(self, "source", source)
-        _set(self, "vars", vars)
 
 
 class Assertion(Statement):
     """A checkpoint; `kind` is zero, equal, factored, matrix or oracle."""
 
     __slots__ = ("label", "name", "kind", "expected_raw", "golden", "trials")
-    _compared = Statement._compared + __slots__
-
-    def __init__(self, span: SourceSpan, label: str, name: str, kind: str,
-                 expected_raw: rx.RawExpr | None = None, golden: str | None = None,
-                 trials: int | None = None):
-        _set(self, "span", span)
-        _set(self, "label", label)
-        _set(self, "name", name)
-        _set(self, "kind", kind)
-        _set(self, "expected_raw", expected_raw)
-        _set(self, "golden", golden)
-        _set(self, "trials", trials)
+    _defaults = (None, None, None)
 
 
 class Session(Record):
@@ -414,13 +354,6 @@ class Session(Record):
     declares."""
 
     __slots__ = ("name", "statements", "symbols")
-    _compared = __slots__
-
-    def __init__(self, name: str, statements: tuple[Let | Assertion, ...],
-                 symbols: SymbolTable):
-        _set(self, "name", name)
-        _set(self, "statements", statements)
-        _set(self, "symbols", symbols)
 
     @property
     def checkpoints(self) -> list[Assertion]:

@@ -40,7 +40,7 @@ from .core import (
     units,
     word_with,
 )
-from .errors import ExprTypeError, Record, _set
+from .errors import ExprTypeError, Record
 from .printer import print_expr
 
 
@@ -138,11 +138,6 @@ class CoeffMatrix(Record):
     """
 
     __slots__ = ("vars", "rows")
-    _compared = __slots__
-
-    def __init__(self, vars: tuple[str, str], rows: tuple[tuple[Expr, ...], ...]):
-        _set(self, "vars", vars)
-        _set(self, "rows", rows)
 
     def to_json(self) -> str:
         payload = {

@@ -9,7 +9,10 @@ a report.  A step that fails raises a SessionExecutionError at the
 step's own span: `line:column: session NAME: cause`.  The built-in
 catalog ships the linearization sessions (L1, L2), the four
 zero-identity sessions (Z1-Z4), and the main cubic-norm session (M)
-with its ten checkpoints.
+with its ten checkpoints.  Its scripts NAME.scs and their goldens
+(under goldens/) are plain files in the `sessions` directory beside
+this module, found through `__file__` and read as UTF-8 like any user
+script.
 
 Goldens are read by kind: `assert_equal` and `assert_factored` read the
 expression golden NAME.expr, `assert_matrix` the matrix golden
@@ -24,11 +27,11 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from importlib.resources import files
+from pathlib import Path
 from typing import Callable
 
 from .core import Env, Expr, SymbolTable, canonicalize, equal
-from .errors import EngineError, Record, SourceSpan, SymcompError, _set
+from .errors import EngineError, Record, SourceSpan, SymcompError
 from .oracle import DEFAULT_SEED, DEFAULT_TRIALS, check_identity
 from .parser import (
     Assertion,
@@ -53,16 +56,7 @@ from . import rawexpr as rx
 
 class CheckpointResult(Record):
     __slots__ = ("label", "kind", "passed", "expected", "actual", "note")
-    _compared = __slots__
-
-    def __init__(self, label: str, kind: str, passed: bool, expected: str, actual: str,
-                 note: str = ""):
-        _set(self, "label", label)
-        _set(self, "kind", kind)
-        _set(self, "passed", passed)
-        _set(self, "expected", expected)
-        _set(self, "actual", actual)
-        _set(self, "note", note)
+    _defaults = ("",)
 
     def to_jsonable(self) -> dict:
         return {
@@ -77,11 +71,6 @@ class CheckpointResult(Record):
 
 class SessionReport(Record):
     __slots__ = ("name", "checkpoints")
-    _compared = __slots__
-
-    def __init__(self, name: str, checkpoints: tuple[CheckpointResult, ...]):
-        _set(self, "name", name)
-        _set(self, "checkpoints", checkpoints)
 
     @property
     def passed(self) -> bool:
@@ -272,7 +261,7 @@ def _compare_matrix(name: str, actual: CoeffMatrix, payload: dict,
     return True, expected_text, actual_text
 
 
-def _read_text(path) -> str:
+def _read_text(path: Path) -> str:
     """The text of a script, expression or golden file, which must be
     UTF-8; otherwise a SymcompError that names the file."""
     try:
@@ -293,8 +282,8 @@ def builtin_session_names() -> tuple[str, ...]:
     return SESSION_ORDER
 
 
-def _data_dir():
-    return files(__package__).joinpath("sessions")
+def _data_dir() -> Path:
+    return Path(__file__).with_name("sessions")
 
 
 def load_builtin_session(name: str) -> Session:
@@ -302,20 +291,19 @@ def load_builtin_session(name: str) -> Session:
         raise EngineError(f"unknown session {name!r}; catalog: {', '.join(SESSION_ORDER)}")
     cached = _session_cache.get(name)
     if cached is None:
-        text = _data_dir().joinpath(f"{name}.scs").read_text(encoding="utf-8")
-        cached = parse_script(text, name)
+        cached = parse_script(_read_text(_data_dir() / f"{name}.scs"), name)
         _session_cache[name] = cached
     return cached
 
 
-def golden_loader(base) -> GoldenLoader:
-    """Goldens under `base` (a Path or an importlib Traversable): the
-    expression golden NAME.expr, or with `matrix=True` the matrix golden
-    NAME.json.  The other suffix is never tried."""
+def golden_loader(base: Path) -> GoldenLoader:
+    """Goldens in the directory `base`: the expression golden NAME.expr,
+    or with `matrix=True` the matrix golden NAME.json.  The other suffix
+    is never tried."""
 
     def load(name: str, matrix: bool = False) -> str:
         kind, file = ("matrix", f"{name}.json") if matrix else ("expression", f"{name}.expr")
-        path = base.joinpath(file)
+        path = base / file
         if not path.is_file():
             raise EngineError(f"missing golden @{name}: no {kind} golden {file} under {base}")
         return _read_text(path)
@@ -324,7 +312,7 @@ def golden_loader(base) -> GoldenLoader:
 
 
 def builtin_golden_loader() -> GoldenLoader:
-    return golden_loader(_data_dir().joinpath("goldens"))
+    return golden_loader(_data_dir() / "goldens")
 
 
 def run_builtin_session(name: str, *, seed: int = DEFAULT_SEED,

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from symcomp.cli import main
+from symcomp.parser import parse_script
+from symcomp.sessions import run_session
 
 Z_SCRIPT = """
 vectors x, y;
@@ -38,6 +40,15 @@ def test_run_passing_script(tmp_path):
     code, output = run_cli("run", str(path))
     assert code == 0
     assert "PASS" in output
+
+
+def test_run_json_prints_the_session_report(tmp_path):
+    path = tmp_path / "zero.scs"
+    path.write_text(Z_SCRIPT)
+    code, output = run_cli("run", "--json", str(path))
+    report = run_session(parse_script(Z_SCRIPT, "zero"))
+    assert report.passed and code == 0
+    assert output == json.dumps(report.to_jsonable(), indent=2) + "\n"
 
 
 def test_run_failing_script(tmp_path):
@@ -383,12 +394,14 @@ def test_oracle_power_of_a_large_coefficient_is_an_error(capsys):
         "the bound of 1048576 bits\n")
 
 
-def test_cli_import_leaves_out_dataclasses():
-    # Records are slotted classes; building dataclasses took about a fifth
-    # of a cold `symcomp paper --all`.  Only dataclasses is checked:
-    # importlib.resources imports inspect on Python 3.12 and later.
+@pytest.mark.parametrize("module", ["dataclasses", "importlib.resources", "inspect"])
+def test_cli_import_leaves_out(module):
+    # Records are slotted classes with generated constructors, and the
+    # catalog is found by path: building dataclasses took about a fifth of
+    # a cold `symcomp paper --all`, and importlib.resources pulled in
+    # tempfile, zipfile and, on Python 3.12 and later, inspect.
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import sys, symcomp.cli; print('dataclasses' in sys.modules)"
+    probe = f"import sys, symcomp.cli; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                             text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert result.stdout == "False\n"
@@ -451,6 +464,27 @@ def test_run_script_malformed_matrix_golden_is_an_error(tmp_path, capsys, golden
     code, _ = run_cli("run", str(path))
     assert code == 2
     assert "matrix golden @bad" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("golden", [
+    {"vars": ["beta", "alpha"], "rows": [["0", "q(x)"], ["q(x)", "0"]]},
+    {"vars": ["alpha", "beta"], "rows": [["0", "q(x)"]]},
+    {"vars": ["alpha", "beta"], "rows": [["0", "q(x)"], ["q(x)", "q(x)"]]},
+], ids=["other-vars", "other-shape", "one-cell"])
+def test_run_script_matrix_unlike_its_golden_fails(tmp_path, golden):
+    (tmp_path / "goldens").mkdir()
+    (tmp_path / "goldens" / "g.json").write_text(json.dumps(golden) + "\n")
+    path = tmp_path / "kinds.scs"
+    path.write_text(KINDS_SCRIPT + "assert_matrix m, @g;\n")
+    code, output = run_cli("run", str(path))
+    actual = {"vars": ["alpha", "beta"], "rows": [["0", "q(x)"], ["q(x)", "0"]]}
+    assert code == 1
+    assert output == (
+        "session kinds\n"
+        "  C1   matrix    FAIL\n"
+        f"       expected: {json.dumps(golden, indent=2)}\n"
+        f"       actual:   {json.dumps(actual, indent=2)}\n"
+        "  => FAIL\n")
 
 
 @pytest.mark.parametrize("kind", ["script", "oracle-file", "golden"])
