@@ -1,10 +1,13 @@
 """Canonical two-sorted expression algebra.
 
-Values come in two sorts.  A ScalarExpr is a sum of rational-coefficient
-monomials over scalar atoms (scalar symbols, q(w) and b(w1,w2) applications
-with exponents).  A VectorExpr is a sum of dot-words, each carrying a
-ScalarExpr coefficient.  A dot-word is a fully parenthesized, *unflattened*
-binary product of vector symbols: (u.v).w and u.(v.w) are distinct values.
+Values come in two sorts, both subclasses of one base, ``Expr``.  A
+ScalarExpr is a sum of rational-coefficient monomials over scalar atoms
+(scalar symbols, q(w) and b(w1,w2) applications with exponents).  A
+VectorExpr is a sum of dot-words, each carrying a ScalarExpr coefficient.
+A dot-word is a fully parenthesized, *unflattened* binary product of
+vector symbols: (u.v).w and u.(v.w) are distinct values.  ``Expr`` holds
+what the sorts share: the ``terms`` map, ``is_zero``, equality (same sort
+and same terms), ``+``, ``-`` and negation.
 
 Canonical form is fully multilinear: the dot product and b distribute over
 sums and extract scalar factors bilinearly, q polarizes over sums
@@ -21,8 +24,14 @@ a scalar monomial, or a monomial times one dot-word.  ``units(e)`` yields
 ``(word, mono, coeff)`` in storage order, with ``word`` None for a scalar;
 ``add_units(out, e)`` adds a value into a ``word -> {mono: coeff}`` map,
 dropping cancelled terms; ``from_units(out, vector)`` rebuilds the value.
+Every sum, ``a + b`` or a sum of n parts in ``canonicalize``, copies the
+first part's map, adds the others into it and rebuilds the value once,
+not once per part.
 Every product of term dicts (``*``, ``dot``, ``b_of``, ``q_of``, a rule
-rewrite) is one multiply-accumulate, ``add_product(out, a, b)``.
+rewrite) is one multiply-accumulate, ``add_product(out, a, b)``.  Each
+multiply-accumulate, and each whole product of vectors (``dot``, ``b_of``,
+``q_of``, a scalar factor of a vector), counts its term pairs before any
+work and refuses more than ``MAX_PRODUCT_PAIRS``.
 
 Rewriting and substitution replace parts of a unit the same way:
 ``word_with(w, left, right)`` and ``atom_with(atom, v1, v2)`` rebuild a
@@ -48,7 +57,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import attrgetter
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from . import rawexpr as rx
 from .errors import ExprTypeError, UnknownSymbol, int_text
@@ -266,26 +275,24 @@ def add_term(terms: dict, mono: Monomial, coeff) -> None:
         terms.pop(mono, None)
 
 
-def add_terms(out: dict, terms: dict) -> dict:
-    """Add the monomial -> coefficient dict `terms` into `out` in place,
-    dropping coefficients that cancel to zero; returns `out`."""
-    for m, c in terms.items():
-        acc = out.get(m)
-        acc = c if acc is None else acc + c
-        if acc:
-            out[m] = acc
-        else:
-            out.pop(m, None)
-    return out
+def _bound_pairs(m: int, n: int, pairs: int | None = None) -> None:
+    """Raise ExprTypeError if a product of an m-term and an n-term value,
+    which multiplies `pairs` (default m * n) term pairs, is past
+    `MAX_PRODUCT_PAIRS`.  A product of vectors over one pair of words is
+    one `add_product`, whose own check is the same, so it is not counted
+    again."""
+    pairs = m * n if pairs is None else pairs
+    if pairs > MAX_PRODUCT_PAIRS:
+        raise ExprTypeError(f"product of {m} and {n} terms has {pairs} term pairs, "
+                            f"over the bound {MAX_PRODUCT_PAIRS}")
 
 
 def add_product(out: dict, a: dict, b: dict) -> dict:
     """Add the product of the monomial -> coefficient dicts `a` and `b` into
     `out` in place, dropping coefficients that cancel to zero; returns `out`.
     Raises ExprTypeError past `MAX_PRODUCT_PAIRS` term pairs."""
-    if len(a) * len(b) > MAX_PRODUCT_PAIRS:
-        raise ExprTypeError(f"product of {len(a)} and {len(b)} terms has "
-                            f"{len(a) * len(b)} term pairs, over the bound {MAX_PRODUCT_PAIRS}")
+    if len(a) * len(b) > MAX_PRODUCT_PAIRS:  # checked inline on this hot path
+        _bound_pairs(len(a), len(b))
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = mono_mul(m1, m2)
@@ -306,13 +313,41 @@ def _coefficient(value) -> int | Fraction:
     return f.numerator if f.denominator == 1 else f
 
 
-class ScalarExpr:
-    """Canonical scalar value: monomial -> nonzero rational coefficient."""
+class Expr:
+    """A canonical value, either sort: `terms` maps a monomial (scalar) or
+    a dot-word (vector) to a nonzero coefficient.  Adding, negating and
+    comparing are the same for both sorts; a sum accumulates both operands
+    into one `word -> {mono: coeff}` map and is rebuilt once."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
         self.terms = terms if terms is not None else {}
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __add__(self, other: "Expr") -> "Expr":
+        return _sum((self, other))
+
+    def __neg__(self) -> "Expr":
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: "Expr") -> "Expr":
+        return self + (-other)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({len(self.terms)} terms)"
+
+
+class ScalarExpr(Expr):
+    """Canonical scalar value: monomial -> nonzero rational coefficient."""
+
+    __slots__ = ()
 
     @staticmethod
     def const(value) -> "ScalarExpr":
@@ -322,10 +357,6 @@ class ScalarExpr:
     @staticmethod
     def from_atom(atom: Atom) -> "ScalarExpr":
         return ScalarExpr({((atom, 1),): ONE})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def monomials(self) -> list[tuple[Monomial, int | Fraction]]:
         """The terms in graded-lexicographic order: total degree, then the
@@ -351,29 +382,11 @@ class ScalarExpr:
         """The terms as one `(word, terms)` pair, with no word."""
         return ((None, self.terms),)
 
-    def __eq__(self, other):
-        return isinstance(other, ScalarExpr) and self.terms == other.terms
-
-    def __add__(self, other: "ScalarExpr") -> "ScalarExpr":
-        return ScalarExpr(add_terms(dict(self.terms), other.terms))
-
-    def __neg__(self) -> "ScalarExpr":
-        return ScalarExpr({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "ScalarExpr") -> "ScalarExpr":
-        return self + (-other)
-
-    def scaled(self, factor) -> "ScalarExpr":
-        f = _coefficient(factor)
-        if not f:
-            return ScalarExpr()
-        return ScalarExpr({m: c * f for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, VectorExpr):
             return other.scaled_by(self)
         if not isinstance(other, ScalarExpr):
-            return self.scaled(other)
+            other = ScalarExpr.const(other)
         return ScalarExpr(add_product({}, self.terms, other.terms))
 
     __rmul__ = __mul__
@@ -405,25 +418,15 @@ class ScalarExpr:
                 base = base * base
         return ScalarExpr.const(1) if acc is None else acc
 
-    def __repr__(self):
-        return f"ScalarExpr({len(self.terms)} terms)"
 
-
-class VectorExpr:
+class VectorExpr(Expr):
     """Canonical vector value: dot-word -> nonzero ScalarExpr coefficient."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = terms if terms is not None else {}
+    __slots__ = ()
 
     @staticmethod
     def from_word(w: Word) -> "VectorExpr":
         return VectorExpr({w: ScalarExpr.const(1)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def items(self) -> list[tuple[Word, ScalarExpr]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].key)
@@ -433,27 +436,11 @@ class VectorExpr:
         for w, c in self.terms.items():
             yield w, c.terms
 
-    def __eq__(self, other):
-        return isinstance(other, VectorExpr) and self.terms == other.terms
-
-    def __add__(self, other: "VectorExpr") -> "VectorExpr":
-        return from_units(add_units(add_units({}, self), other), True)
-
-    def __neg__(self) -> "VectorExpr":
-        return VectorExpr({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "VectorExpr") -> "VectorExpr":
-        return self + (-other)
-
     def scaled_by(self, factor: ScalarExpr) -> "VectorExpr":
+        if len(self.terms) > 1:
+            _bound_pairs(_size(self), len(factor.terms))
         return from_units({w: add_product({}, c.terms, factor.terms)
                            for w, c in self.terms.items()}, True)
-
-    def __repr__(self):
-        return f"VectorExpr({len(self.terms)} terms)"
-
-
-Expr = Union[ScalarExpr, VectorExpr]
 
 
 def is_scalar(e: Expr) -> bool:
@@ -476,8 +463,30 @@ def add_units(out: dict, e: Expr) -> dict:
     """Add `e` into the `word -> {mono: coeff}` map `out` in place, dropping
     terms that cancel; a scalar goes under the word None.  Returns `out`."""
     for word, terms in e.by_word():
-        add_terms(out.setdefault(word, {}), terms)
+        acc_terms = out.setdefault(word, {})
+        for m, c in terms.items():
+            acc = acc_terms.get(m)
+            acc = c if acc is None else acc + c
+            if acc:
+                acc_terms[m] = acc
+            else:
+                acc_terms.pop(m, None)
     return out
+
+
+def _sum(parts) -> Expr:
+    """The sum of values of one sort, accumulated in one unit map: a copy
+    of the first part's map, then each further part added in place."""
+    out = {w: dict(t) for w, t in parts[0].by_word()}
+    for p in parts[1:]:
+        add_units(out, p)
+    return from_units(out, is_vector(parts[0]))
+
+
+def _size(v: VectorExpr) -> int:
+    """The number of terms of a vector, counting every term of each
+    coefficient."""
+    return sum([len(c.terms) for c in v.terms.values()])
 
 
 def add_unit(out: dict, coeff, rest: Monomial, word: Word | None, value: Expr) -> None:
@@ -511,6 +520,8 @@ def equal(a: Expr, b: Expr) -> bool:
 
 def dot(u: VectorExpr, v: VectorExpr) -> VectorExpr:
     """Bilinear dot product of canonical vector values."""
+    if len(u.terms) * len(v.terms) > 1:
+        _bound_pairs(_size(u), _size(v))
     out: dict = {}
     for w1, c1 in u.terms.items():
         for w2, c2 in v.terms.items():
@@ -520,6 +531,8 @@ def dot(u: VectorExpr, v: VectorExpr) -> VectorExpr:
 
 def b_of(u: VectorExpr, v: VectorExpr) -> ScalarExpr:
     """Bilinear extension of the b atom; argument order is preserved."""
+    if len(u.terms) * len(v.terms) > 1:
+        _bound_pairs(_size(u), _size(v))
     out: dict = {}
     for w1, c1 in u.terms.items():
         for w2, c2 in v.terms.items():
@@ -532,8 +545,12 @@ def q_of(v: VectorExpr) -> ScalarExpr:
 
     Polarizes over sums pairwise: q(sum ci.wi) = sum ci^2 q(wi)
     + sum_{i<j} ci cj b(wi, wj), pairs taken in canonical word order
-    with the earlier word as the first b argument.
+    with the earlier word as the first b argument, so it multiplies
+    (T^2 + sum |ci|^2) / 2 term pairs for a T-term value.
     """
+    if len(v.terms) > 1:
+        t = _size(v)
+        _bound_pairs(t, t, (t * t + sum(len(c.terms) ** 2 for c in v.terms.values())) // 2)
     items = v.items()
     out: dict = {}
     for i, (wi, ci) in enumerate(items):
@@ -612,10 +629,7 @@ def canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
                     if is_scalar(p) and not p.is_zero:
                         raise ExprTypeError("cannot add scalar and vector values", item.span)
                 parts = vectors
-            acc = parts[0]
-            for p in parts[1:]:
-                acc = acc + p
-            return acc
+            return _sum(parts)
         if isinstance(raw, rx.Mul):
             parts = [canonicalize(item, env) for item in raw.items]
             vectors = [p for p in parts if is_vector(p)]

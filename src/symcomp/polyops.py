@@ -40,7 +40,7 @@ from .core import (
     units,
     word_with,
 )
-from .errors import ExprTypeError, Record
+from .errors import ExprTypeError, Record, int_text
 from .printer import print_expr
 
 
@@ -150,6 +150,12 @@ class CoeffMatrix(Record):
         return (len(self.rows), len(self.rows[0]))
 
 
+# The most cells a coefficient matrix may have.  Every cell is built and
+# kept, and a matrix has (degree1 + 1) x (degree2 + 1) of them, so
+# lambda^300*mu^300*q(x) alone asks for 90601 cells.
+MAX_MATRIX_CELLS = 2**16
+
+
 def coeff_matrix(e: Expr, variables: tuple[str, str]) -> CoeffMatrix:
     v1, v2 = variables
     if v1 == v2:
@@ -157,6 +163,9 @@ def coeff_matrix(e: Expr, variables: tuple[str, str]) -> CoeffMatrix:
     groups = _by_degrees(e, variables)
     n1 = 1 + max((i for i, _ in groups), default=0)
     n2 = 1 + max((j for _, j in groups), default=0)
+    if n1 * n2 > MAX_MATRIX_CELLS:
+        raise ExprTypeError(f"coefficient matrix shape {int_text(n1)} x {int_text(n2)} is "
+                            f"over the bound of {MAX_MATRIX_CELLS} cells")
     vector = is_vector(e)
     rows = tuple(tuple(from_units(groups.get((i, j), {}), vector) for j in range(n2))
                  for i in range(n1))

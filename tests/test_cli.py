@@ -546,6 +546,40 @@ def test_run_script_looping_apply_names_its_line(tmp_path, capsys):
                                        "rule set 'flip' did not stabilize within 10000 passes\n")
 
 
+@pytest.mark.parametrize("last, where, pairs", [
+    ("let s = s.s;", "7:10", 4294967296),
+    ("let t = q(s);", "7:9", 2147516416),
+], ids=["dot", "q"])
+def test_run_script_product_of_many_words_is_bounded(tmp_path, capsys, last, where, pairs):
+    # s doubles its word count at every dot, so each pair of words
+    # multiplies one term by one: only the count over the whole product
+    # stops the 2^32 (dot) or 2^31 (q) term pairs that ran for minutes.
+    path = tmp_path / "dotblow.scs"
+    path.write_text("vectors x, y;\nlet s = x + y;\n" + "let s = s.s;\n" * 4
+                    + last + "\nassert_zero s;\n")
+    start = time.perf_counter()
+    code, output = run_cli("run", str(path))
+    assert time.perf_counter() - start < 10.0
+    assert (code, output) == (2, "")
+    assert capsys.readouterr().err == (
+        f"symcomp: error: 7:1: session dotblow: {where}: product of 65536 and 65536 terms "
+        f"has {pairs} term pairs, over the bound 1048576\n")
+
+
+def test_run_script_coefficient_matrix_is_bounded(tmp_path, capsys):
+    path = tmp_path / "matrix.scs"
+    path.write_text("scalars lambda, mu;\nvectors x;\n"
+                    "let e = lambda^100000000*mu^100000000*q(x);\n"
+                    "let m = coeffmatrix(e, [lambda, mu]);\n")
+    start = time.perf_counter()
+    code, output = run_cli("run", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert (code, output) == (2, "")
+    assert capsys.readouterr().err == (
+        "symcomp: error: 4:1: session matrix: coefficient matrix shape 100000001 x 100000001 "
+        "is over the bound of 65536 cells\n")
+
+
 ERRORS_HEAD = "scalars alpha;\nvectors x;\nlet e = alpha*q(x);\n"
 
 

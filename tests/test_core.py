@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 import symcomp.rawexpr as rx
 from symcomp import (
     ScalarExpr,
+    SymbolTable,
+    VectorExpr,
     apply_fixpoint,
     builtin_ruleset,
     builtin_session_names,
@@ -19,7 +21,7 @@ from symcomp import (
     sessions,
     subst,
 )
-from symcomp.core import Atom, Env, Word, units
+from symcomp.core import MAX_PRODUCT_PAIRS, Atom, Env, Word, b_of, dot, q_of, units
 from symcomp.errors import ExprTypeError, UnknownSymbol
 from symcomp.oracle import _compile, eval_expr
 from helpers import (
@@ -28,6 +30,8 @@ from helpers import (
     greek_ctx,
     random_ctx_assignment,
     random_raw,
+    random_scalar_raw,
+    random_vector_raw,
     scaling_family,
     scaling_source,
     stores_no_zero,
@@ -130,6 +134,53 @@ def test_unknown_symbol(xy):
 
 def test_vector_sum_tolerates_scalar_zero(xy):
     assert equal(xy.canon("0 + x"), xy.canon("x"))
+
+
+def _fold_reference(raw, env):
+    """A sum's value as the left fold of `+` over its canonicalized parts,
+    dropping zero scalars from a vector sum."""
+    parts = [canonicalize(item, env) for item in raw.items]
+    if any(isinstance(p, VectorExpr) for p in parts):
+        parts = [p for p in parts if isinstance(p, VectorExpr)]
+    acc = parts[0]
+    for p in parts[1:]:
+        acc = acc + p
+    return acc
+
+
+def test_sum_equals_left_fold_of_its_parts():
+    ctx = Ctx(scalars=("alpha", "beta"), vectors=("x", "y"))
+    rng = random.Random(19)
+    sums = [parse_expr("x + y - x + x"), parse_expr("x - x + 0 + y - y"),
+            parse_expr("0*alpha + x.y"), parse_expr("(alpha - alpha) + x")]
+    for _ in range(60):
+        make = rng.choice((random_scalar_raw, random_vector_raw))
+        sums.append(rx.Sum(tuple(make(rng, ctx, 2) for _ in range(rng.randint(2, 6)))))
+    for raw in sums:
+        value = canonicalize(raw, ctx.env)
+        assert value == _fold_reference(raw, ctx.env)
+        assert stores_no_zero(value)
+    assert print_expr(ctx.canon("x + y - x + x")) == "x + y"
+
+
+def test_sum_of_mixed_sorts_names_the_summand(xy):
+    with pytest.raises(ExprTypeError) as err:
+        xy.canon("q(x) + x")
+    assert (err.value.span.line, err.value.span.column) == (1, 1)
+    assert str(err.value) == "1:1: cannot add scalar and vector values"
+
+
+def test_redeclaring_a_symbol_with_the_other_sort_is_an_error():
+    table = SymbolTable()
+    table.declare_vector("x")
+    table.declare_vector("x")
+    with pytest.raises(ExprTypeError, match="symbol 'x' redeclared with a different sort"):
+        table.declare_scalar("x")
+
+
+def test_negative_power_is_an_error(greek):
+    with pytest.raises(ExprTypeError, match="negative powers are not supported"):
+        greek.canon("lambda + 1") ** -1
 
 
 def test_canonicalize_agrees_with_direct_evaluation():
@@ -245,7 +296,7 @@ def test_power_of_a_sum_bounds_its_term_count():
 
 
 def test_product_bounds_its_term_pairs(greek):
-    from symcomp.core import MAX_PRODUCT_PAIRS, add_product
+    from symcomp.core import add_product
     # The check comes before any work, so these keys need not be monomials.
     with pytest.raises(ExprTypeError) as err:
         add_product({}, dict.fromkeys(range(1025), 1), dict.fromkeys(range(1024), 1))
@@ -258,6 +309,27 @@ def test_product_bounds_its_term_pairs(greek):
     with pytest.raises(ExprTypeError) as err:
         greek.canon("mu + (alpha+beta+lambda)^44*(alpha+beta+lambda)^44")
     assert str(err.value).startswith("1:6: product of 1035 and 1035 terms")
+
+
+def _words(n):
+    # The whole-product checks come before any work, so these keys need
+    # not be words.
+    return VectorExpr(dict.fromkeys(range(n), ScalarExpr.const(1)))
+
+
+@pytest.mark.parametrize("product, m, n, pairs", [
+    (lambda: dot(_words(1025), _words(1024)), 1025, 1024, 1049600),
+    (lambda: b_of(_words(1024), _words(1025)), 1024, 1025, 1049600),
+    (lambda: q_of(_words(1448)), 1448, 1448, 1049076),
+    (lambda: _words(1025) * ScalarExpr(dict.fromkeys(range(1024), 1)), 1025, 1024, 1049600),
+], ids=["dot", "b", "q", "scalar-factor"])
+def test_whole_vector_product_bounds_its_term_pairs(product, m, n, pairs):
+    # Each pair of words multiplies one term by one, under the bound of a
+    # single multiplication; the whole product is counted up front.
+    with pytest.raises(ExprTypeError) as err:
+        product()
+    assert str(err.value) == (f"product of {m} and {n} terms has {pairs} term pairs, "
+                              f"over the bound {MAX_PRODUCT_PAIRS}")
 
 
 def test_power_equals_repeated_product(greek):

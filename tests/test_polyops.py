@@ -180,6 +180,18 @@ def test_coeff_matrix_needs_two_distinct_symbols(greek):
         coeff_matrix(greek.canon("alpha*q(x)"), ("alpha", "alpha"))
 
 
+def test_coeff_matrix_bounds_its_cell_count(greek):
+    from symcomp.polyops import MAX_MATRIX_CELLS
+    at_bound = coeff_matrix(greek.canon(f"lambda^{MAX_MATRIX_CELLS - 1}*q(x)"), ("lambda", "mu"))
+    assert at_bound.shape() == (MAX_MATRIX_CELLS, 1)
+    with pytest.raises(ExprTypeError) as err:
+        coeff_matrix(greek.canon(f"lambda^{MAX_MATRIX_CELLS}*q(x)"), ("lambda", "mu"))
+    assert str(err.value) == (f"coefficient matrix shape {MAX_MATRIX_CELLS + 1} x 1 is over "
+                              f"the bound of {MAX_MATRIX_CELLS} cells")
+    with pytest.raises(ExprTypeError, match="shape 256 x 257 is over"):
+        coeff_matrix(greek.canon("lambda^255*mu^256*q(x)"), ("lambda", "mu"))
+
+
 MATRIX_CTX = Ctx(scalars=("alpha", "beta", "lambda"), vectors=("x", "y"))
 
 

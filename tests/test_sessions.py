@@ -142,6 +142,16 @@ def test_run_session_error_carries_step_span():
     assert str(err.value).startswith("5:5: session broken: ")
 
 
+def test_run_session_without_goldens_fails_at_a_golden_step():
+    session = parse_script("""vectors x;
+let e = q(x);
+assert_equal e, @g;
+""", "nogold")
+    with pytest.raises(SessionExecutionError) as err:
+        run_session(session)
+    assert str(err.value) == "3:1: session nogold: no goldens directory available for @g"
+
+
 def test_zero_session_inputs_hold_in_the_model(xy):
     # Whatever the rule chains reduce to zero must already evaluate to
     # zero in the model: symbolic zero implies oracle zero.
