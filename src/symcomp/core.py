@@ -27,11 +27,13 @@ dropping cancelled terms; ``from_units(out, vector)`` rebuilds the value.
 Every sum, ``a + b`` or a sum of n parts in ``canonicalize``, copies the
 first part's map, adds the others into it and rebuilds the value once,
 not once per part.
-Every product of term dicts (``*``, ``dot``, ``b_of``, ``q_of``, a rule
-rewrite) is one multiply-accumulate, ``add_product(out, a, b)``.  Each
-multiply-accumulate, and each whole product of vectors (``dot``, ``b_of``,
-``q_of``, a scalar factor of a vector), counts its term pairs before any
-work and refuses more than ``MAX_PRODUCT_PAIRS``.
+Every product of term dicts (``*``, ``dot``, ``b_of``, ``q_of``) is one
+multiply-accumulate, ``add_product(out, a, b)``; a rule rewrite or a
+substitution multiplies one monomial into a value the same way in
+``add_unit``.  Each multiply-accumulate, and each whole product of
+vectors (``dot``, ``b_of``, ``q_of``, a scalar factor of a vector),
+counts its term pairs before any work and refuses more than
+``MAX_PRODUCT_PAIRS``.
 
 Rewriting and substitution replace parts of a unit the same way:
 ``word_with(w, left, right)`` and ``atom_with(atom, v1, v2)`` rebuild a
@@ -240,10 +242,18 @@ EMPTY_MONOMIAL: Monomial = ()
 
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """The product of two monomials: their entries merged by atom key, the
+    exponents of a shared atom added."""
     if not m1:
         return m2
     if not m2:
         return m1
+    # Both are sorted with unique atoms, so when m1's last atom sorts
+    # before m2's first the product is the concatenation; an atom shared
+    # at that seam has equal keys and is merged below.  This is the common
+    # case: a symbol prefix times q/b atoms.
+    if m1[-1][0].key < m2[0][0].key:
+        return m1 + m2
     out = []
     i = j = 0
     while i < len(m1) and j < len(m2):
@@ -317,7 +327,9 @@ class Expr:
     """A canonical value, either sort: `terms` maps a monomial (scalar) or
     a dot-word (vector) to a nonzero coefficient.  Adding, negating and
     comparing are the same for both sorts; a sum accumulates both operands
-    into one `word -> {mono: coeff}` map and is rebuilt once."""
+    into one `word -> {mono: coeff}` map and is rebuilt once.  A sum of a
+    nonzero scalar and a nonzero vector raises ExprTypeError; a zero of
+    either sort adds as nothing."""
 
     __slots__ = ("terms",)
 
@@ -332,6 +344,14 @@ class Expr:
         return type(other) is type(self) and self.terms == other.terms
 
     def __add__(self, other: "Expr") -> "Expr":
+        if type(other) is not type(self):
+            # The canonical zero has no sort (see `equal`), so a zero of
+            # either sort adds as nothing.
+            if other.is_zero:
+                return self
+            if not self.is_zero:
+                raise ExprTypeError("cannot add scalar and vector values")
+            return other
         return _sum((self, other))
 
     def __neg__(self) -> "Expr":
@@ -492,9 +512,21 @@ def _size(v: VectorExpr) -> int:
 def add_unit(out: dict, coeff, rest: Monomial, word: Word | None, value: Expr) -> None:
     """Add `coeff * rest * value` into the `word -> {mono: coeff}` map `out`
     in place, dropping terms that cancel; a scalar `value` stays on `word`,
-    a vector one brings its own words.  `value` is never mutated."""
+    a vector one brings its own words.  `rest` is multiplied into each
+    term of `value` directly, under the same `MAX_PRODUCT_PAIRS` bound as
+    ``add_product``.  `value` is never mutated."""
     for w, terms in value.by_word():
-        add_product(out.setdefault(word if w is None else w, {}), {rest: coeff}, terms)
+        if len(terms) > MAX_PRODUCT_PAIRS:
+            _bound_pairs(1, len(terms))
+        acc_terms = out.setdefault(word if w is None else w, {})
+        for m, c in terms.items():
+            m = mono_mul(rest, m)
+            acc = acc_terms.get(m)
+            acc = coeff * c if acc is None else acc + coeff * c
+            if acc:
+                acc_terms[m] = acc
+            else:
+                acc_terms.pop(m, None)
 
 
 def from_units(out: dict, vector: bool) -> Expr:

@@ -3,10 +3,12 @@
 A rule's patterns are the parse trees (``rawexpr``) of its left-hand
 side, as the parser returns them: an uppercase identifier is a pattern
 variable, a lowercase one a literal leaf, and dots, q and b give the
-structure.  One matcher, ``_match``, walks such a tree against a Word or
-an Atom.  ``instantiate_sides`` builds both sides of a rule by
-``canonicalize`` under one binding environment; it is the reference the
-engine's own right-hand-side templates are checked against.
+structure.  Each rule compiles its patterns once, when it is built, into
+one matcher, ``rule.bind`` (``_binder``): a closure per pattern node, so
+that a match runs no type dispatch and no name test at any node.
+``instantiate_sides`` builds both sides of a rule by ``canonicalize``
+under one binding environment; it is the reference the engine's own
+right-hand-side templates are checked against.
 
 Pattern variables range over dot-words: single canonical dot-subtrees,
 never sums.  Matching therefore operates per monomial / per vector term.
@@ -59,7 +61,7 @@ the result does not depend on it.  Each pass accumulates its results
 in place: a rewrite adds its unit, the replacement value times the rest
 of the unit, straight into the pass's ``word -> {mono: coeff}`` map
 (``core.add_unit``).  The public ``match`` binds with the same per-site
-matcher, ``_bind``, and takes product-rule pairs from the same
+matcher, ``rule.bind``, and takes product-rule pairs from the same
 ``_b_pairs``.
 
 A rule's right-hand side is instantiated from a template: the
@@ -129,35 +131,96 @@ def _shape(raw: rx.RawExpr) -> str | None:
     return shape if all(_shape(part) == "word" for part in parts) else None
 
 
-def _match(pattern: rx.RawExpr, subject: Word | Atom, binds: dict[str, Word]) -> bool:
-    """Tree-match a pattern of shape "word" against a Word, or of shape
-    "q"/"b" against an Atom, extending `binds`; repeated variables require
-    exact dot-word equality.  On failure `binds` is left partly filled."""
+def _matcher(pattern: rx.RawExpr, bound: set[str]):
+    """Compile a pattern tree of shape "word" (matched against a Word) or
+    "q"/"b" (against an Atom) into one closure per node, `m(subject,
+    binds) -> bool`, which extends `binds`; on failure `binds` is left
+    partly filled.  `bound` collects the variables of the nodes compiled
+    so far.  Nodes are compiled in the order a match visits them (left to
+    right, stopping at the first failure), so the first occurrence of a
+    variable stores its word and a repeated one compares with `is` (words
+    are interned)."""
     if isinstance(pattern, rx.Ident):
-        if not pattern.name.isupper():
-            return subject.is_leaf and subject.name == pattern.name
-        return binds.setdefault(pattern.name, subject) == subject
-    if isinstance(pattern, rx.Dot):
-        return (not subject.is_leaf and _match(pattern.left, subject.left, binds)
-                and _match(pattern.right, subject.right, binds))
+        name = pattern.name
+        if not name.isupper():
+            def literal(w, binds):
+                return w.left is None and w.name == name
+            return literal
+        if name in bound:
+            def repeated(w, binds):
+                return binds[name] is w
+            return repeated
+        bound.add(name)
+
+        def variable(w, binds):
+            binds[name] = w
+            return True
+        return variable
     if isinstance(pattern, rx.Q):
-        return subject.is_q and _match(pattern.arg, subject.w1, binds)
-    return (subject.is_b and _match(pattern.left, subject.w1, binds)
-            and _match(pattern.right, subject.w2, binds))
+        arg = _matcher(pattern.arg, bound)
+
+        def q(atom, binds):
+            return atom.is_q and arg(atom.w1, binds)
+        return q
+    left = _matcher(pattern.left, bound)
+    right = _matcher(pattern.right, bound)
+    if isinstance(pattern, rx.Dot):
+        def dot(w, binds):
+            return w.left is not None and left(w.left, binds) and right(w.right, binds)
+        return dot
+
+    def b(atom, binds):
+        return atom.is_b and left(atom.w1, binds) and right(atom.w2, binds)
+    return b
+
+
+def _binder(kind: str, lhs, lhs2, power):
+    """The rule's matcher, `bind(site) -> binds | None`, for a site of its
+    kind: a Word for a dot rule, an (Atom, exponent) entry for an atom or
+    power rule (a power rule checks the exponent first), an (Atom, Atom)
+    pair for a product rule.  A no-op rule binds nothing."""
+    if kind == "noop":
+        return lambda site: None
+    bound: set[str] = set()
+    first = _matcher(lhs, bound)
+    if kind == "dot":
+        def bind(w):
+            binds = {}
+            return binds if first(w, binds) else None
+    elif kind == "atom":
+        def bind(entry):
+            binds = {}
+            return binds if first(entry[0], binds) else None
+    elif kind == "power":
+        def bind(entry):
+            if entry[1] != power:
+                return None
+            binds = {}
+            return binds if first(entry[0], binds) else None
+    else:
+        second = _matcher(lhs2, bound)
+
+        def bind(pair):
+            binds = {}
+            return binds if first(pair[0], binds) and second(pair[1], binds) else None
+    return bind
 
 
 class RewriteRule:
     """A typed pattern -> template pair.  `lhs` (and `lhs2`, the second
     factor of a product rule) is a pattern parse tree; a power rule keeps
-    the base in `lhs` and the exponent in `power`.  `holes` pairs each
+    the base in `lhs` and the exponent in `power`.  `bind` is the rule's
+    one matcher, compiled from those patterns when the rule is built (see
+    ``_binder``): `bind(site)` returns the binding of the pattern
+    variables at a site of the rule's kind, or None.  `holes` pairs each
     variable of `rhs` with the placeholder leaf of its template, or is
     None when `rhs` has a q of anything but a word pattern (see
     ``_template``).  `literals` are the sorted lowercase names of `rhs`,
     and `templates` maps the `(sort, index)` entries a symbol table gives
     them to the template built under that table (see ``_instantiate``)."""
 
-    __slots__ = ("name", "kind", "lhs", "lhs2", "power", "rhs", "holes", "literals",
-                 "templates")
+    __slots__ = ("name", "kind", "lhs", "lhs2", "power", "bind", "rhs", "holes",
+                 "literals", "templates")
 
     def __init__(self, name, kind, lhs, rhs, lhs2=None, power=None):
         self.name = name
@@ -165,6 +228,7 @@ class RewriteRule:
         self.lhs = lhs
         self.lhs2 = lhs2
         self.power = power
+        self.bind = _binder(kind, lhs, lhs2, power)
         self.rhs = rhs
         self.holes = _holes(rhs)
         self.literals = tuple(sorted({node.name for node in rx.idents(rhs)
@@ -240,32 +304,16 @@ def match(rule: RewriteRule, site) -> dict[str, Word] | None:
 
     Site kinds: a Word for dot rules, an Atom (or (Atom, exponent) pair)
     for atom and power rules, a monomial for product rules.  Binding is
-    done by the engine's own matcher; a product rule tries the monomial's
-    b-atom pairs in the engine's site order.
+    done by the engine's own matcher, `rule.bind`; a product rule tries
+    the monomial's b-atom pairs in the engine's site order.
     """
-    if rule.kind in ("dot", "atom", "power"):
-        return _bind(rule, (site, 1) if isinstance(site, Atom) else site)
+    if rule.kind != "product":
+        return rule.bind((site, 1) if isinstance(site, Atom) else site)
     for _, pair in _b_pairs(site):
-        binds = _bind(rule, pair)
+        binds = rule.bind(pair)
         if binds is not None:
             return binds
     return None
-
-
-def _bind(rule: RewriteRule, subject) -> dict[str, Word] | None:
-    """Bind a rule at one site of its kind: a Word for dot rules, an
-    (Atom, exponent) entry for atom and power rules, an (Atom, Atom) pair
-    for product rules."""
-    binds: dict[str, Word] = {}
-    kind = rule.kind
-    if kind == "dot":
-        ok = _match(rule.lhs, subject, binds)
-    elif kind == "product":
-        ok = _match(rule.lhs, subject[0], binds) and _match(rule.lhs2, subject[1], binds)
-    else:
-        atom, exp = subject
-        ok = (kind == "atom" or exp == rule.power) and _match(rule.lhs, atom, binds)
-    return binds if ok else None
 
 
 def _b_pairs(mono: Monomial, start: int = 0):
@@ -410,7 +458,7 @@ def _first_match(rules, subject, memo: RewriteMemo):
     """The instantiated right-hand side of the first rule that binds at a
     site, raised to the atom's exponent for an atom rule, or None."""
     for rule in rules:
-        binds = _bind(rule, subject)
+        binds = rule.bind(subject)
         if binds is None:
             continue
         repl = _instantiate(rule, binds, memo)

@@ -296,3 +296,43 @@ def first_rewrite_reference(mono, word, ruleset, symbols):
                                                ScalarExpr.from_atom(a1)):
                     return (idx1, idx2), instantiate_sides(rule, binds, symbols)[1]
     return None
+
+
+# --- reference matcher -------------------------------------------------------
+# The interpretive matcher that rules compile into closures: it walks the
+# pattern tree at every match, dispatching on the node type and on the
+# case of each identifier.  ``rule.bind`` must agree with it everywhere.
+
+
+def reference_match(pattern: rx.RawExpr, subject, binds: dict) -> bool:
+    """Tree-match a pattern of shape "word" against a Word, or of shape
+    "q"/"b" against an Atom, extending `binds`; repeated variables require
+    the same word.  On failure `binds` is left partly filled."""
+    if isinstance(pattern, rx.Ident):
+        if not pattern.name.isupper():
+            return subject.is_leaf and subject.name == pattern.name
+        return binds.setdefault(pattern.name, subject) == subject
+    if isinstance(pattern, rx.Dot):
+        return (not subject.is_leaf and reference_match(pattern.left, subject.left, binds)
+                and reference_match(pattern.right, subject.right, binds))
+    if isinstance(pattern, rx.Q):
+        return subject.is_q and reference_match(pattern.arg, subject.w1, binds)
+    return (subject.is_b and reference_match(pattern.left, subject.w1, binds)
+            and reference_match(pattern.right, subject.w2, binds))
+
+
+def reference_bind(rule, subject):
+    """Bind a rule at one site of its kind, as ``rule.bind`` does: a Word
+    for dot rules, an (Atom, exponent) entry for atom and power rules, an
+    (Atom, Atom) pair for product rules."""
+    binds: dict = {}
+    kind = rule.kind
+    if kind == "dot":
+        ok = reference_match(rule.lhs, subject, binds)
+    elif kind == "product":
+        ok = (reference_match(rule.lhs, subject[0], binds)
+              and reference_match(rule.lhs2, subject[1], binds))
+    else:
+        atom, exp = subject
+        ok = (kind == "atom" or exp == rule.power) and reference_match(rule.lhs, atom, binds)
+    return binds if ok else None

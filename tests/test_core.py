@@ -21,7 +21,7 @@ from symcomp import (
     sessions,
     subst,
 )
-from symcomp.core import MAX_PRODUCT_PAIRS, Atom, Env, Word, b_of, dot, q_of, units
+from symcomp.core import MAX_PRODUCT_PAIRS, Atom, Env, Word, b_of, dot, mono_mul, q_of, units
 from symcomp.errors import ExprTypeError, UnknownSymbol
 from symcomp.oracle import _compile, eval_expr
 from helpers import (
@@ -168,6 +168,20 @@ def test_sum_of_mixed_sorts_names_the_summand(xy):
         xy.canon("q(x) + x")
     assert (err.value.span.line, err.value.span.column) == (1, 1)
     assert str(err.value) == "1:1: cannot add scalar and vector values"
+
+
+def test_library_sum_of_mixed_sorts_is_an_error(xy):
+    scalar, vector = xy.canon("q(x)"), xy.canon("x")
+    for bad in (lambda: scalar + vector, lambda: vector + scalar,
+                lambda: scalar - vector, lambda: vector - scalar):
+        with pytest.raises(ExprTypeError, match="cannot add scalar and vector values"):
+            bad()
+    # A zero of either sort adds as nothing, as in a parsed sum.
+    scalar_zero, vector_zero = xy.canon("q(x) - q(x)"), xy.canon("x - x")
+    assert vector + scalar_zero == vector and scalar_zero + vector == vector
+    assert vector - scalar_zero == vector and print_expr(scalar_zero - vector) == "-x"
+    assert scalar + vector_zero == scalar and vector_zero - scalar == -scalar
+    assert equal(scalar_zero + vector_zero, vector_zero)
 
 
 def test_redeclaring_a_symbol_with_the_other_sort_is_an_error():
@@ -489,3 +503,59 @@ def test_cross_terms_cancel_inside_one_product(source, expected):
     assert print_expr(value) == expected
     assert stores_no_zero(value)
     assert len(list(units(value))) == 2
+
+
+# --- monomial products --------------------------------------------------------
+
+_MONO_ATOMS = sorted(
+    [Atom.symbol(name, k) for k, name in enumerate(("alpha", "beta", "gamma"))]
+    + [Atom.q(w) for w in (Word.leaf("x", 0), Word.pair(Word.leaf("x", 0), Word.leaf("y", 1)))]
+    + [Atom.b(Word.leaf("x", 0), Word.leaf("y", 1)), Atom.b(Word.leaf("y", 1), Word.leaf("x", 0)),
+       Atom.b(Word.leaf("x", 0), Word.pair(Word.leaf("y", 1), Word.leaf("x", 0)))],
+    key=lambda atom: atom.key)
+
+
+def _mono_reference(m1, m2):
+    """The product the slow way: exponents summed in a dict, then sorted by key."""
+    exps: dict = {}
+    for atom, exp in m1 + m2:
+        exps[atom] = exps.get(atom, 0) + exp
+    return tuple(sorted(exps.items(), key=lambda entry: entry[0].key))
+
+
+def _mono(ranks, exps=None):
+    return tuple((_MONO_ATOMS[r], 1 if exps is None else exps[k]) for k, r in enumerate(ranks))
+
+
+@pytest.mark.parametrize("ranks1, ranks2", [
+    ((0, 1), (3, 5)),        # disjoint, ascending: a concatenation
+    ((4, 6), (0, 2)),        # disjoint, descending
+    ((0, 3, 6), (1, 4, 7)),  # interleaved
+    ((1, 3), (3, 6)),        # m1's last atom is m2's first: merged, not concatenated
+    ((2, 5), (0, 2, 5, 7)),  # shared atoms among others
+    ((), (1, 2)), ((1, 2), ()),
+], ids=["ascending", "descending", "interleaved", "shared-seam", "shared", "empty-left",
+        "empty-right"])
+def test_mono_mul_cases(ranks1, ranks2):
+    m1, m2 = _mono(ranks1), _mono(ranks2)
+    product = mono_mul(m1, m2)
+    assert product == _mono_reference(m1, m2)
+    assert len({atom for atom, _ in product}) == len(product)
+
+
+def test_mono_mul_merges_an_atom_shared_at_the_seam():
+    m1, m2 = _mono((1, 3), (1, 2)), _mono((3, 6), (4, 1))
+    assert mono_mul(m1, m2) == _mono((1, 3, 6), (1, 6, 1))
+
+
+_monos = st.lists(st.tuples(st.integers(0, len(_MONO_ATOMS) - 1), st.integers(1, 3)),
+                  max_size=len(_MONO_ATOMS)).map(
+    lambda entries: tuple(sorted({_MONO_ATOMS[r]: e for r, e in entries}.items(),
+                                 key=lambda entry: entry[0].key)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(m1=_monos, m2=_monos)
+def test_mono_mul_agrees_with_a_reference_merge_property(m1, m2):
+    assert mono_mul(m1, m2) == _mono_reference(m1, m2)
+    assert mono_mul(m2, m1) == _mono_reference(m1, m2)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import symcomp.rawexpr as rx
 from symcomp import (
     apply_fixpoint,
     apply_once,
@@ -28,7 +29,14 @@ from symcomp.errors import (
 )
 from symcomp.oracle import eval_expr, random_assignment
 from symcomp.rules import RewriteMemo, RuleSet, instantiate_sides, _pattern_vars
-from helpers import Ctx, first_rewrite_reference, random_raw, scaling_family, stores_no_zero
+from helpers import (
+    Ctx,
+    first_rewrite_reference,
+    random_raw,
+    reference_bind,
+    scaling_family,
+    stores_no_zero,
+)
 
 
 def make_rule(src: str, name: str = "r"):
@@ -353,6 +361,119 @@ def test_match_binds_every_instantiated_left_hand_side(xy):
 
 
 CATALOG = sorted(rules.builtin_ruleset_names())
+
+
+# User rules beyond the catalog: variables repeated within one pattern and
+# across the factors of a product, next to lowercase literals.
+USER_MATCH_RULES = [make_rule(src, f"user#{k}") for k, src in enumerate([
+    "(X.x).(Y.X) -> q(X)*Y",
+    "X.(X.X) -> q(X)*X",
+    "q((X.y).X) -> q(X)*q(y)",
+    "b(X.y, (X.X).x) -> q(X)*b(y, x)",
+    "b(X, x.X)^2 -> q(X)*q(x)",
+    "q(X.X)^3 -> q(X)^6",
+    "b(X, Y)*b(Y.x, X) -> b(X.Y, x)",
+    "b(x.X, Y)*b(Y, x.X) -> q(X)*q(Y)",
+], start=1)]
+
+
+def _build(pattern, words, leaves):
+    """The site a pattern tree describes, each variable occurrence taken
+    from `words` in turn (so a repeated variable may get different words)
+    and each literal from `leaves`."""
+    if isinstance(pattern, rx.Ident):
+        return words.pop(0) if pattern.name.isupper() else leaves[pattern.name]
+    if isinstance(pattern, rx.Dot):
+        left = _build(pattern.left, words, leaves)
+        return Word.pair(left, _build(pattern.right, words, leaves))
+    if isinstance(pattern, rx.Q):
+        return Atom.q(_build(pattern.arg, words, leaves))
+    w1 = _build(pattern.left, words, leaves)
+    return Atom.b(w1, _build(pattern.right, words, leaves))
+
+
+def _word_mutants(w, leaves):
+    """Words one change away from `w`: a leaf swapped for another, a dot
+    where a leaf was, or a leaf where a dot was."""
+    if w.is_leaf:
+        return [leaf for leaf in leaves if leaf is not w] + [Word.pair(w, leaves[0])]
+    return ([leaves[0]] + [Word.pair(m, w.right) for m in _word_mutants(w.left, leaves)]
+            + [Word.pair(w.left, m) for m in _word_mutants(w.right, leaves)])
+
+
+def _atom_mutants(atom, leaves):
+    """Atoms one change away from `atom`: a changed argument word, or the
+    wrong atom kind."""
+    if atom.is_q:
+        return ([Atom.q(m) for m in _word_mutants(atom.w1, leaves)]
+                + [Atom.b(atom.w1, atom.w1), Atom.b(atom.w1, leaves[0]),
+                   Atom.symbol("alpha", 0)])
+    return ([Atom.b(m, atom.w2) for m in _word_mutants(atom.w1, leaves)]
+            + [Atom.b(atom.w1, m) for m in _word_mutants(atom.w2, leaves)]
+            + [Atom.b(atom.w2, atom.w1), Atom.q(atom.w1), Atom.q(atom.w2),
+               Atom.symbol("alpha", 0)])
+
+
+def test_compiled_matcher_agrees_with_the_reference_matcher():
+    # Every live catalog rule and the user rules above, at instantiated
+    # left-hand sides and at sites one change away from them: each site is
+    # bound by the compiled matcher and by the interpretive reference in
+    # tests/helpers.py, which must give the same binding, in the same order.
+    ctx = Ctx(scalars=("alpha",), vectors=("x", "y", "z"))
+    leaves = {name: ctx.word(name) for name in ctx.vectors}
+    base = list(leaves.values())
+    rng = random.Random(41)
+
+    def random_word(depth):
+        if depth == 0 or rng.random() < 0.4:
+            return rng.choice(base)
+        return Word.pair(random_word(depth - 1), random_word(depth - 1))
+
+    def check(rule, site, binds=False):
+        found, expected = rule.bind(site), reference_bind(rule, site)
+        assert (found and list(found.items())) == (expected and list(expected.items())), \
+            (rule.name, site)
+        assert found is not None or not binds, (rule.name, site)
+        outcomes[found is not None] += 1
+
+    live = [r for name in CATALOG for r in builtin_ruleset(name).rules if r.kind != "noop"]
+    outcomes = [0, 0]
+    for rule in live + USER_MATCH_RULES:
+        patterns = [rule.lhs] + ([rule.lhs2] if rule.lhs2 is not None else [])
+        occurrences = sum(node.name.isupper() for p in patterns for node in rx.idents(p))
+        for trial in range(12):
+            # An instantiated left-hand side binds; one whose variable
+            # occurrences each get their own word may not.
+            instantiated = trial % 3 != 2
+            if not instantiated:
+                words = [random_word(2) for _ in range(occurrences)]
+            else:
+                one = {v: random_word(2) for p in patterns for v in sorted(_pattern_vars(p))}
+                words = [one[node.name] for p in patterns for node in rx.idents(p)
+                         if node.name.isupper()]
+            parts = [_build(p, words, leaves) for p in patterns]
+            if rule.kind == "dot":
+                check(rule, parts[0], instantiated)
+                for w in _word_mutants(parts[0], base):
+                    check(rule, w)
+            elif rule.kind == "product":
+                a1, a2 = parts
+                check(rule, (a1, a2), instantiated)
+                check(rule, (a2, a1))
+                for m in _atom_mutants(a1, base):
+                    check(rule, (m, a2))
+                    check(rule, (a2, m))
+                for m in _atom_mutants(a2, base):
+                    check(rule, (a1, m))
+                    check(rule, (m, a1))
+            else:
+                exps = (1, 2, 3) if rule.kind == "atom" else (rule.power, rule.power + 1, 1)
+                check(rule, (parts[0], exps[0]), instantiated)
+                for exp in exps[1:]:
+                    check(rule, (parts[0], exp))
+                for m in _atom_mutants(parts[0], base):
+                    check(rule, (m, exps[0]))
+    assert outcomes[True] > 3000 and outcomes[False] > 10000, outcomes
 
 
 def memo_inputs():
