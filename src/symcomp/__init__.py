@@ -39,9 +39,6 @@ from .oracle import (
     ParaQuaternion,
     check_identity,
     eval_expr,
-    pq_bilinear,
-    pq_mul,
-    pq_norm,
 )
 from .parser import Session, parse_expr, parse_rule_source, parse_script
 from .polyops import CoeffMatrix, coeff, coeff_matrix, factored_equal, subst, subst_raw
@@ -54,7 +51,6 @@ from .rules import (
     builtin_ruleset,
     builtin_ruleset_names,
     compile_rule,
-    match,
 )
 from .sessions import (
     CheckpointResult,

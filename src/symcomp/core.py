@@ -92,6 +92,11 @@ MAX_POWER_TERMS = 4096
 # product inside a power under MAX_POWER_TERMS, 351 * 2145 pairs in
 # (s+t+u)^89, stays under it.
 MAX_PRODUCT_PAIRS = 2**20
+# The most leaves a dot-word may have.  The printer, the oracle's plan and
+# the rewrite pass walk a word recursively, so a chain of 1300 dots
+# overflowed Python's stack, and a word doubled 39 times has 2^40 leaves
+# and never finished printing.  A 256-leaf chain goes through every one.
+MAX_WORD_LEAVES = 256
 
 
 class SymbolTable:
@@ -157,9 +162,13 @@ class Word:
 
     @staticmethod
     def pair(left: "Word", right: "Word") -> "Word":
+        """Raises ExprTypeError past `MAX_WORD_LEAVES` leaves."""
         w = _WORDS.get((left, right))
         if w is None:
             leaves = left.leaves + right.leaves
+            if leaves > MAX_WORD_LEAVES:
+                raise ExprTypeError(f"dot-word of {leaves} leaves exceeds the bound "
+                                    f"{MAX_WORD_LEAVES}")
             w = _WORDS.setdefault((left, right), Word(None, None, left, right, leaves,
                                                       (leaves, 1, left.key, right.key)))
         return w
@@ -327,9 +336,10 @@ class Expr:
     """A canonical value, either sort: `terms` maps a monomial (scalar) or
     a dot-word (vector) to a nonzero coefficient.  Adding, negating and
     comparing are the same for both sorts; a sum accumulates both operands
-    into one `word -> {mono: coeff}` map and is rebuilt once.  A sum of a
-    nonzero scalar and a nonzero vector raises ExprTypeError; a zero of
-    either sort adds as nothing."""
+    into one `word -> {mono: coeff}` map and is rebuilt once.  A number on
+    either side of `+` or `-` is the scalar `ScalarExpr.const` makes of it.
+    A sum of a nonzero scalar and a nonzero vector raises ExprTypeError; a
+    zero of either sort adds as nothing."""
 
     __slots__ = ("terms",)
 
@@ -343,8 +353,10 @@ class Expr:
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
 
-    def __add__(self, other: "Expr") -> "Expr":
+    def __add__(self, other) -> "Expr":
         if type(other) is not type(self):
+            if not isinstance(other, Expr):
+                return self + ScalarExpr.const(other)
             # The canonical zero has no sort (see `equal`), so a zero of
             # either sort adds as nothing.
             if other.is_zero:
@@ -354,11 +366,17 @@ class Expr:
             return other
         return _sum((self, other))
 
+    def __radd__(self, other) -> "Expr":
+        return ScalarExpr.const(other) + self
+
     def __neg__(self) -> "Expr":
         return type(self)({k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other: "Expr") -> "Expr":
+    def __sub__(self, other) -> "Expr":
         return self + (-other)
+
+    def __rsub__(self, other) -> "Expr":
+        return ScalarExpr.const(other) - self
 
     def __repr__(self):
         return f"{type(self).__name__}({len(self.terms)} terms)"

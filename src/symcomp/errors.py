@@ -139,7 +139,7 @@ class ExprTypeError(SymcompError, TypeError):
 
 
 class NonTermination(SymcompError):
-    """A rule set did not reach a fixpoint within the pass cap."""
+    """A rule set did not reach a fixpoint within `rules.MAX_PASSES` passes."""
 
 
 class MissingSymbol(SymcompError):

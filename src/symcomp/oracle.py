@@ -6,11 +6,14 @@ b(u, v) = q(u+v) - q(u) - q(v) its polar form.  This is a symmetric
 composition algebra, so every axiom-derived rewrite rule must evaluate
 to an exact identity here; a single nonzero evaluation refutes a claim.
 
-Everything is exact, with no floating point.  A checked value is compiled
-once into a plan: straight-line lists of slots for its distinct words and
-atoms and of its units.  Each trial runs the plan on plain int components;
-a rational coefficient makes its sum a Fraction, and an `Assignment`
-(Fraction components) is evaluated by the same plan.
+Everything is exact, with no floating point.  The model arithmetic is
+written once, on plain 4-tuples (``_product``, ``_norm``, ``_polar``).  A
+checked value is compiled once into a plan: straight-line lists of slots
+for its distinct words and atoms and of its units.  Each trial runs the
+plan on plain int components; a rational coefficient makes its sum a
+Fraction, and an `Assignment` (Fraction components) is evaluated by the
+same plan.  ``ParaQuaternion`` is a value type only, for the vectors of an
+`Assignment` and a vector result of ``eval_expr``: it has no arithmetic.
 """
 from __future__ import annotations
 
@@ -29,7 +32,9 @@ DEFAULT_SEED = 42  # seed when neither `--seed` nor $SYMCOMP_SEED gives one
 
 
 class ParaQuaternion:
-    """Four exact-rational components over the 1, i, j, k basis."""
+    """Four exact-rational components over the 1, i, j, k basis.  A value
+    type with no arithmetic: the model's operations act on the tuple that
+    `components` returns."""
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -46,21 +51,6 @@ class ParaQuaternion:
     def __hash__(self):
         return hash((self.a, self.b, self.c, self.d))
 
-    def __add__(self, other):
-        return ParaQuaternion(self.a + other.a, self.b + other.b,
-                              self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other):
-        return ParaQuaternion(self.a - other.a, self.b - other.b,
-                              self.c - other.c, self.d - other.d)
-
-    def __neg__(self):
-        return ParaQuaternion(-self.a, -self.b, -self.c, -self.d)
-
-    def scaled(self, factor: Fraction) -> "ParaQuaternion":
-        return ParaQuaternion(self.a * factor, self.b * factor,
-                              self.c * factor, self.d * factor)
-
     @property
     def is_zero(self) -> bool:
         return not (self.a or self.b or self.c or self.d)
@@ -70,12 +60,6 @@ class ParaQuaternion:
 
     def __repr__(self):
         return f"ParaQuaternion({self.a}, {self.b}, {self.c}, {self.d})"
-
-
-PQ_ONE = ParaQuaternion(1)
-PQ_I = ParaQuaternion(0, 1)
-PQ_J = ParaQuaternion(0, 0, 1)
-PQ_K = ParaQuaternion(0, 0, 0, 1)
 
 
 # The model arithmetic, on 4-tuples of exact numbers of any one kind:
@@ -101,20 +85,6 @@ def _polar(u: tuple, v: tuple):
     a1, b1, c1, d1 = u
     a2, b2, c2, d2 = v
     return 2 * (a1 * a2 + b1 * b2 + c1 * c2 + d1 * d2)
-
-
-def pq_mul(u: ParaQuaternion, v: ParaQuaternion) -> ParaQuaternion:
-    """The para-Hurwitz product conj(u) conj(v)."""
-    return ParaQuaternion(*_product(u.components(), v.components()))
-
-
-def pq_norm(u: ParaQuaternion) -> Fraction:
-    return _norm(u.components())
-
-
-def pq_bilinear(u: ParaQuaternion, v: ParaQuaternion) -> Fraction:
-    """Polar form of the norm: q(u+v) - q(u) - q(v)."""
-    return _polar(u.components(), v.components())
 
 
 class Assignment(Record):

@@ -60,9 +60,9 @@ is built for one rule set and one symbol table and serves no other, and
 the result does not depend on it.  Each pass accumulates its results
 in place: a rewrite adds its unit, the replacement value times the rest
 of the unit, straight into the pass's ``word -> {mono: coeff}`` map
-(``core.add_unit``).  The public ``match`` binds with the same per-site
-matcher, ``rule.bind``, and takes product-rule pairs from the same
-``_b_pairs``.
+(``core.add_unit``).  ``rule.bind`` is the library's only matcher.  A
+fixpoint that has not stabilized within ``MAX_PASSES`` passes raises
+``NonTermination``.
 
 A rule's right-hand side is instantiated from a template: the
 right-hand side canonicalized once with one private placeholder leaf per
@@ -110,6 +110,8 @@ from .core import (
     word_with,
 )
 from .errors import EngineError, ExprTypeError, NonTermination, ParseError, RuleSetUnknown
+
+MAX_PASSES = 10_000  # the most passes `apply_fixpoint` runs before raising NonTermination
 
 
 # --- patterns and rules -----------------------------------------------------
@@ -299,27 +301,10 @@ def compile_rule(name: str, raw_lhs: rx.RawExpr, raw_rhs: rx.RawExpr,
     return rule
 
 
-def match(rule: RewriteRule, site) -> dict[str, Word] | None:
-    """First binding of a rule against a site, or None.
-
-    Site kinds: a Word for dot rules, an Atom (or (Atom, exponent) pair)
-    for atom and power rules, a monomial for product rules.  Binding is
-    done by the engine's own matcher, `rule.bind`; a product rule tries
-    the monomial's b-atom pairs in the engine's site order.
-    """
-    if rule.kind != "product":
-        return rule.bind((site, 1) if isinstance(site, Atom) else site)
-    for _, pair in _b_pairs(site):
-        binds = rule.bind(pair)
-        if binds is not None:
-            return binds
-    return None
-
-
-def _b_pairs(mono: Monomial, start: int = 0):
+def _b_pairs(mono: Monomial, start: int):
     """Ordered pairs of distinct exponent-1 b atoms of a monomial, in site
     order, as `((idx1, idx2), (atom1, atom2))`; entries before `start` (the
-    scalar-symbol prefix, or part of it) are not looked at."""
+    scalar-symbol prefix) are not looked at."""
     bs = [(idx, atom) for idx, (atom, exp) in enumerate(mono[start:], start)
           if atom.is_b and exp == 1]
     for idx1, a1 in bs:
@@ -578,17 +563,17 @@ def apply_once(e: Expr, rs: RuleSet, symbols: SymbolTable,
     return from_units(out, is_vector(e))
 
 
-def apply_fixpoint(e: Expr, rs: RuleSet, symbols: SymbolTable, cap: int = 10000) -> Expr:
+def apply_fixpoint(e: Expr, rs: RuleSet, symbols: SymbolTable) -> Expr:
     """Iterate apply_once until the canonical form is unchanged; the passes
-    share one memo."""
+    share one memo.  Raises NonTermination after `MAX_PASSES` passes."""
     memo = RewriteMemo(rs, symbols)
     current = e
-    for _ in range(cap):
+    for _ in range(MAX_PASSES):
         nxt = apply_once(current, rs, symbols, memo)
         if equal(nxt, current):
             return current
         current = nxt
-    raise NonTermination(f"rule set {rs.name!r} did not stabilize within {cap} passes")
+    raise NonTermination(f"rule set {rs.name!r} did not stabilize within {MAX_PASSES} passes")
 
 
 # --- built-in catalog -------------------------------------------------------

@@ -17,15 +17,10 @@ from symcomp import (
     b_of,
     canonicalize,
     dot,
-    equal,
-    match,
     parse_expr,
-    pq_bilinear,
-    pq_mul,
-    pq_norm,
     q_of,
 )
-from symcomp.oracle import Assignment
+from symcomp.oracle import Assignment, _norm, _polar, _product
 from symcomp.rules import instantiate_sides
 
 
@@ -163,13 +158,14 @@ def random_raw(rng: random.Random, ctx: Ctx, depth: int = 3) -> rx.RawExpr:
     return random_vector_raw(rng, ctx, depth)
 
 
-def random_pq(rng: random.Random, bound: int = 9) -> ParaQuaternion:
-    return ParaQuaternion(*(rng.randint(-bound, bound) for _ in range(4)))
+def random_components(rng: random.Random, bound: int = 9) -> tuple:
+    """An integer 4-tuple of the model, components in [-bound, bound]."""
+    return tuple(rng.randint(-bound, bound) for _ in range(4))
 
 
 def random_ctx_assignment(rng: random.Random, ctx: Ctx) -> Assignment:
     return Assignment(
-        vectors={name: random_pq(rng) for name in ctx.vectors},
+        vectors={name: ParaQuaternion(*random_components(rng)) for name in ctx.vectors},
         scalars={name: Fraction(rng.randint(-9, 9)) for name in ctx.scalars},
     )
 
@@ -178,39 +174,47 @@ def random_ctx_assignment(rng: random.Random, ctx: Ctx) -> Assignment:
 
 
 def eval_raw(raw: rx.RawExpr, a: Assignment):
-    """Direct recursive evaluation of a raw tree, bypassing canonical forms."""
+    """Direct recursive evaluation of a raw tree, bypassing canonical forms:
+    a number for a scalar, a ParaQuaternion for a vector, as ``eval_expr``
+    returns them."""
+    value = _eval_raw(raw, a)
+    return ParaQuaternion(*value) if isinstance(value, tuple) else value
+
+
+def _eval_raw(raw: rx.RawExpr, a: Assignment):
+    """`eval_raw` with each vector value a 4-tuple of components."""
     if isinstance(raw, rx.Num):
         return raw.value
     if isinstance(raw, rx.Ident):
         if raw.name in a.scalars:
             return a.scalars[raw.name]
-        return a.vectors[raw.name]
+        return a.vectors[raw.name].components()
     if isinstance(raw, rx.Neg):
-        return -eval_raw(raw.item, a)
+        value = _eval_raw(raw.item, a)
+        return tuple(-c for c in value) if isinstance(value, tuple) else -value
     if isinstance(raw, rx.Sum):
-        parts = [eval_raw(item, a) for item in raw.items]
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = acc + p
-        return acc
+        parts = [_eval_raw(item, a) for item in raw.items]
+        if isinstance(parts[0], tuple):
+            return tuple(map(sum, zip(*parts)))
+        return sum(parts)
     if isinstance(raw, rx.Mul):
         scalar = Fraction(1)
         vector = None
         for item in raw.items:
-            value = eval_raw(item, a)
-            if isinstance(value, ParaQuaternion):
+            value = _eval_raw(item, a)
+            if isinstance(value, tuple):
                 vector = value
             else:
                 scalar *= value
-        return vector.scaled(scalar) if vector is not None else scalar
+        return tuple(scalar * c for c in vector) if vector is not None else scalar
     if isinstance(raw, rx.Pow):
-        return eval_raw(raw.base, a) ** raw.exponent
+        return _eval_raw(raw.base, a) ** raw.exponent
     if isinstance(raw, rx.Dot):
-        return pq_mul(eval_raw(raw.left, a), eval_raw(raw.right, a))
+        return _product(_eval_raw(raw.left, a), _eval_raw(raw.right, a))
     if isinstance(raw, rx.Q):
-        return pq_norm(eval_raw(raw.arg, a))
+        return _norm(_eval_raw(raw.arg, a))
     if isinstance(raw, rx.B):
-        return pq_bilinear(eval_raw(raw.left, a), eval_raw(raw.right, a))
+        return _polar(_eval_raw(raw.left, a), _eval_raw(raw.right, a))
     raise AssertionError(f"unhandled node {type(raw).__name__}")
 
 
@@ -225,13 +229,9 @@ def values_agree(lhs, rhs) -> bool:
 
 # --- reference site walk -----------------------------------------------------
 # The first rewrite of a unit found the slow way: every site in the order
-# the `rules` docstring documents, every rule bound by the public `match`
-# and instantiated by `instantiate_sides`, with no memo, no site tables and
-# no skipping of the scalar-symbol prefix.
-
-
-def _word_env(symbols: SymbolTable, binds) -> Env:
-    return Env(symbols, {name: VectorExpr.from_word(w) for name, w in binds.items()})
+# the `rules` docstring documents, every rule bound by the reference
+# matcher below and instantiated by `instantiate_sides`, with no memo, no
+# site tables and no skipping of the scalar-symbol prefix.
 
 
 def _first_dot_rewrite(w, dot_rules, symbols):
@@ -240,7 +240,7 @@ def _first_dot_rewrite(w, dot_rules, symbols):
     if w.is_leaf:
         return None
     for rule in dot_rules:
-        binds = match(rule, w)
+        binds = reference_bind(rule, w)
         if binds is not None:
             return instantiate_sides(rule, binds, symbols)[1]
     left = _first_dot_rewrite(w.left, dot_rules, symbols)
@@ -279,7 +279,7 @@ def first_rewrite_reference(mono, word, ruleset, symbols):
         # A power rule binds only at its own exponent, so trying it at
         # every atom keeps it first where the exponent is 2 or more.
         for rule in by_kind["power"] + by_kind["atom"]:
-            binds = match(rule, (atom, exp))
+            binds = reference_bind(rule, (atom, exp))
             if binds is not None:
                 rhs = instantiate_sides(rule, binds, symbols)[1]
                 return (idx,), rhs if rule.kind == "power" else rhs ** exp
@@ -289,11 +289,8 @@ def first_rewrite_reference(mono, word, ruleset, symbols):
             if idx1 == idx2:
                 continue
             for rule in by_kind["product"]:
-                # `match` tries (a1, a2) before (a2, a1); keep only a
-                # binding whose first factor is a1.
-                binds = match(rule, ((a1, 1), (a2, 1)))
-                if binds is not None and equal(canonicalize(rule.lhs, _word_env(symbols, binds)),
-                                               ScalarExpr.from_atom(a1)):
+                binds = reference_bind(rule, (a1, a2))
+                if binds is not None:
                     return (idx1, idx2), instantiate_sides(rule, binds, symbols)[1]
     return None
 

@@ -546,6 +546,38 @@ def test_run_script_looping_apply_names_its_line(tmp_path, capsys):
                                        "rule set 'flip' did not stabilize within 10000 passes\n")
 
 
+def _deep_words():
+    # a1299 = (((x.y).y) ... ).y, one dot per line: 1300 leaves.
+    lets = [f"let a{i} = a{i - 1}.y;" for i in range(1, 1300)]
+    return (["vectors x, y;", "let a0 = x;"] + lets
+            + ["let e = q(a1299);", "oracle_check e;", "let r = apply(e, rules2);",
+               "assert_zero a1299;"])
+
+
+def _wide_words():
+    # a39 = a38.a38, doubled 39 times from x.y: 2^40 leaves.
+    lets = [f"let a{i} = a{i - 1}.a{i - 1};" for i in range(1, 40)]
+    return ["vectors x, y;", "let a0 = x.y;"] + lets + ["let e = q(a39);", "assert_zero e;"]
+
+
+@pytest.mark.parametrize("lines, where, leaves", [
+    (_deep_words(), "258:1: session words: 258:16", 257),
+    (_wide_words(), "10:1: session words: 10:12", 512),
+], ids=["deep", "wide"])
+def test_run_script_word_past_the_leaf_bound_is_an_error(tmp_path, capsys, lines, where, leaves):
+    # Deep words overflowed the stack of the printer, the oracle and the
+    # rewrite pass; wide ones never finished printing.  The let that first
+    # builds a word of more than core.MAX_WORD_LEAVES leaves fails at its dot.
+    path = tmp_path / "words.scs"
+    path.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    code, output = run_cli("run", str(path), "--verbose")
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert capsys.readouterr().err == (f"symcomp: error: {where}: dot-word of {leaves} "
+                                       "leaves exceeds the bound 256\n")
+
+
 @pytest.mark.parametrize("last, where, pairs", [
     ("let s = s.s;", "7:10", 4294967296),
     ("let t = q(s);", "7:9", 2147516416),

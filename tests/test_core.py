@@ -21,9 +21,20 @@ from symcomp import (
     sessions,
     subst,
 )
-from symcomp.core import MAX_PRODUCT_PAIRS, Atom, Env, Word, b_of, dot, mono_mul, q_of, units
+from symcomp.core import (
+    MAX_PRODUCT_PAIRS,
+    MAX_WORD_LEAVES,
+    Atom,
+    Env,
+    Word,
+    b_of,
+    dot,
+    mono_mul,
+    q_of,
+    units,
+)
 from symcomp.errors import ExprTypeError, UnknownSymbol
-from symcomp.oracle import _compile, eval_expr
+from symcomp.oracle import _compile, check_identity, eval_expr
 from helpers import (
     Ctx,
     eval_raw,
@@ -182,6 +193,21 @@ def test_library_sum_of_mixed_sorts_is_an_error(xy):
     assert vector - scalar_zero == vector and print_expr(scalar_zero - vector) == "-x"
     assert scalar + vector_zero == scalar and vector_zero - scalar == -scalar
     assert equal(scalar_zero + vector_zero, vector_zero)
+
+
+def test_library_sum_with_a_number(xy):
+    # A number on either side of + or - is the scalar constant it names.
+    x = xy.canon("x")
+    qx = q_of(x)
+    for value, source in ((qx + 1, "q(x) + 1"), (qx - 1, "q(x) - 1"),
+                          (1 + qx, "1 + q(x)"), (1 - qx, "1 - q(x)"),
+                          (Fraction(1, 2) + qx, "1/2 + q(x)"), (2 - qx - 2, "-q(x)")):
+        assert equal(value, xy.canon(source)), source
+    for bad in (lambda: x + 1, lambda: 1 + x, lambda: x - 1, lambda: 1 - x):
+        with pytest.raises(ExprTypeError, match="cannot add scalar and vector values"):
+            bad()
+    # 0 is a zero of either sort, which adds as nothing.
+    assert x + 0 == x and 0 + x == x and x - 0 == x and equal(0 - x, xy.canon("-x"))
 
 
 def test_redeclaring_a_symbol_with_the_other_sort_is_an_error():
@@ -389,6 +415,27 @@ def test_words_and_atoms_are_built_once(xy):
     ((first, _),) = xy.mono("b(x.y, x)")
     ((second, _),) = xy.mono("b(x.y, x)")
     assert first is second is Atom.b(Word.pair(x, y), x)
+
+
+def test_words_are_bounded_in_leaves(xy):
+    # A chain of MAX_WORD_LEAVES leaves is built, printed, evaluated and
+    # rewritten; one more leaf is an error, at the dot in a parsed value.
+    y = xy.canon("y")
+    chain = xy.canon("x")
+    for _ in range(MAX_WORD_LEAVES - 1):
+        chain = dot(chain, y)
+    ((w, _),) = chain.terms.items()
+    assert w.leaves == MAX_WORD_LEAVES
+    assert print_expr(chain) == "(" * (MAX_WORD_LEAVES - 1) + "x" + ".y)" * (MAX_WORD_LEAVES - 1)
+    expected = xy.canon(f"q(x)*q(y)^{MAX_WORD_LEAVES - 1}")
+    assert check_identity(q_of(chain) - expected, 3, 42).passed
+    assert equal(apply_fixpoint(q_of(chain), builtin_ruleset("rules2"), xy.table), expected)
+    message = f"dot-word of {MAX_WORD_LEAVES + 1} leaves exceeds the bound {MAX_WORD_LEAVES}"
+    with pytest.raises(ExprTypeError, match=message):
+        Word.pair(w, xy.word("y"))
+    with pytest.raises(ExprTypeError, match=message) as err:
+        canonicalize(parse_expr("q(c.y)"), Env(xy.table, {"c": chain}))
+    assert (err.value.span.line, err.value.span.column) == (1, 4)
 
 
 def test_declaration_order_tells_words_apart():

@@ -13,7 +13,6 @@ from symcomp import (
     canonicalize,
     compile_rule,
     equal,
-    match,
     parse_rule_source,
     print_expr,
     rules,
@@ -49,34 +48,43 @@ PRODUCT = make_rule("b(X,Y)*b(Z,U) -> b(X.Z, Y.U) + b(X.U, Y.Z)")
 
 
 def test_match_flexible_pattern(xy):
-    binds = match(FLEX, xy.word("(x.y).x"))
+    binds = FLEX.bind(xy.word("(x.y).x"))
     assert binds == {"X": xy.word("x"), "Y": xy.word("y")}
 
 
 def test_nonlinear_variable_mismatch(xyz):
-    assert match(FLEX, xyz.word("(x.y).z")) is None
+    assert FLEX.bind(xyz.word("(x.y).z")) is None
 
 
 def test_match_product_pattern_enumeration_order(xy):
-    binds = match(PRODUCT, xy.mono("b(x.y, y)*b(y.x, x)"))
-    assert binds == {
+    # The pairs of a monomial's b atoms are sites in storage order, so the
+    # first factor of the first pair is the atom stored first.
+    (a1, _), (a2, _) = xy.mono("b(x.y, y)*b(y.x, x)")
+    assert PRODUCT.bind((a1, a2)) == {
         "X": xy.word("x.y"),
         "Y": xy.word("y"),
         "Z": xy.word("y.x"),
         "U": xy.word("x"),
     }
+    product = RuleSet("product", (PRODUCT,))
+    out = apply_once(xy.canon("b(x.y, y)*b(y.x, x)"), product, xy.table)
+    assert equal(out, xy.canon("b((x.y).(y.x), y.x) + b((x.y).x, y.(y.x))"))
 
 
 def test_power_atoms_do_not_match_the_product_pattern(xy):
-    assert match(PRODUCT, xy.mono("b(x,y)^2")) is None
+    # Two equal b atoms are stored as a square, which no product rule reads.
+    product = RuleSet("product", (PRODUCT,))
+    for source in ("b(x,y)^2", "b(x,y)^2*b(y,x)", "b(x,y)^2*b(y,x)^3"):
+        e = xy.canon(source)
+        assert equal(apply_once(e, product, xy.table), e), source
 
 
 def test_power_pattern_requires_exact_exponent(xy):
     square = make_rule("b(X,Y)^2 -> b(X.X, Y.Y) + b(X.Y, Y.X)")
-    ((atom, exp),) = xy.mono("b(x,y)^2")
-    assert match(square, (atom, exp)) is not None
-    ((atom3, exp3),) = xy.mono("b(x,y)^3")
-    assert match(square, (atom3, exp3)) is None
+    (entry,) = xy.mono("b(x,y)^2")
+    assert square.bind(entry) is not None
+    (entry3,) = xy.mono("b(x,y)^3")
+    assert square.bind(entry3) is None
 
 
 def test_apply_once_examples(xy, xyz):
@@ -135,9 +143,11 @@ def test_fixpoint_is_a_fixpoint(xy):
 
 def test_nontermination_cap(xy):
     swap = make_rule("b(X, Y) -> b(Y, X)")
-    rs = type(builtin_ruleset("bsym"))("swap", (swap,))
-    with pytest.raises(NonTermination):
-        apply_fixpoint(xy.canon("b(x,y)"), rs, xy.table, cap=25)
+    rs = RuleSet("swap", (swap,))
+    with pytest.raises(NonTermination) as err:
+        apply_fixpoint(xy.canon("b(x,y)"), rs, xy.table)
+    assert str(err.value) == "rule set 'swap' did not stabilize within 10000 passes"
+    assert rules.MAX_PASSES == 10_000
 
 
 def test_builtin_catalog_counts():
@@ -178,9 +188,9 @@ def test_chained_power_pattern_is_one_power_rule(xy):
     rule = make_rule("b(X,Y)^2^2 -> q(X)^2*q(Y)^2")
     assert (rule.kind, rule.power) == ("power", 4)
     (entry,) = xy.mono("b(x,y)^4")
-    assert match(rule, entry) == {"X": xy.word("x"), "Y": xy.word("y")}
+    assert rule.bind(entry) == {"X": xy.word("x"), "Y": xy.word("y")}
     (entry,) = xy.mono("b(x,y)^2")
-    assert match(rule, entry) is None
+    assert rule.bind(entry) is None
 
 
 def test_unknown_ruleset():
@@ -290,7 +300,7 @@ def test_fixpoint_preserves_oracle_value_on_random_expressions():
         raw = random_raw(rng, ctx, depth=4)
         e = canonicalize(raw, ctx.env)
         for rs in sets:
-            out = apply_fixpoint(e, rs, ctx.table, cap=500)
+            out = apply_fixpoint(e, rs, ctx.table)
             a = random_ctx_assignment(rng, ctx)
             v1, v2 = eval_expr(e, a), eval_expr(out, a)
             assert type(v1) is type(v2) and v1 == v2, rs.name
@@ -324,7 +334,9 @@ def test_rule_soundness_sample(xy):
 def test_match_binds_every_instantiated_left_hand_side(xy):
     # The matcher and the instantiation of a rule's left-hand side read the
     # same pattern: the site of an instantiated lhs binds, and the binding
-    # rebuilds the same lhs.
+    # rebuilds the same lhs.  A product rule's site is the pair of its two
+    # instantiated factors, which the engine visits among the monomial's
+    # b-atom pairs.
     rng = random.Random(5)
     base = [xy.word("x"), xy.word("y")]
 
@@ -351,9 +363,14 @@ def test_match_binds_every_instantiated_left_hand_side(xy):
                     if rule.kind == "product":
                         if len(site) == 1:
                             continue    # two equal atoms are stored as a square
+                        env = rules._word_env(xy.table, binds)
+                        (((a1, _),),) = canonicalize(rule.lhs, env).terms
+                        (((a2, _),),) = canonicalize(rule.lhs2, env).terms
+                        assert (a1, a2) in [pair for _, pair in rules._b_pairs(site, 0)]
+                        site = (a1, a2)
                     else:
                         (site,) = site
-                found = match(rule, site)
+                found = rule.bind(site)
                 assert found is not None, (rule.name, binds)
                 assert equal(instantiate_sides(rule, found, xy.table)[0], lhs), rule.name
                 checked += 1
@@ -503,7 +520,7 @@ def test_fixpoint_memo_gives_the_result_of_fresh_passes():
     for ctx, e in memo_inputs():
         for name in CATALOG:
             rs = builtin_ruleset(name)
-            result = apply_fixpoint(e, rs, ctx.table, cap=500)
+            result = apply_fixpoint(e, rs, ctx.table)
             assert equal(result, fresh_passes(e, rs, ctx.table)), name
             assert stores_no_zero(result), name
 

@@ -10,7 +10,7 @@ from symcomp import (
     run_builtin_session,
     run_session,
 )
-from symcomp.oracle import PQ_I, PQ_J, PQ_K, Assignment, random_assignment
+from symcomp.oracle import Assignment, ParaQuaternion, _polar, _product, random_assignment
 from symcomp import sessions
 from symcomp.sessions import SessionExecutionError, builtin_session_names, golden_loader
 
@@ -35,9 +35,8 @@ def test_cubic_form_matches_direct_evaluation(greek):
     value = cubic_form(s)
     for trial in range(3):
         a = random_assignment(["x", "y"], ["alpha", "beta", "lambda", "mu"], 61, trial)
-        sval = eval_expr(s, a)
-        from symcomp import pq_bilinear, pq_mul
-        assert eval_expr(value, a) == pq_bilinear(sval, pq_mul(sval, sval))
+        sval = eval_expr(s, a).components()
+        assert eval_expr(value, a) == _polar(sval, _product(sval, sval))
 
 
 def test_commutator(xy):
@@ -47,8 +46,9 @@ def test_commutator(xy):
 
 def test_commutator_of_units_in_model(xy):
     value = commutator(unit(xy, "x"), unit(xy, "y"))
-    a = Assignment(vectors={"x": PQ_I, "y": PQ_J}, scalars={})
-    assert eval_expr(value, a) == PQ_K.scaled(2)
+    a = Assignment(vectors={"x": ParaQuaternion(0, 1), "y": ParaQuaternion(0, 0, 1)},
+                   scalars={})
+    assert eval_expr(value, a) == ParaQuaternion(0, 0, 0, 2)
 
 
 def test_cubic_norm(greek):
