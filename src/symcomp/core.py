@@ -118,10 +118,6 @@ class SymbolTable:
     def declare_vector(self, name: str) -> None:
         self.declare(name, VECTOR)
 
-    def entry(self, name: str) -> tuple[str, int] | None:
-        """The `(sort, index)` a name is declared with, or None."""
-        return self._entries.get(name)
-
     def sort_of(self, name: str) -> str | None:
         entry = self._entries.get(name)
         return entry[0] if entry else None
@@ -334,12 +330,15 @@ def _coefficient(value) -> int | Fraction:
 
 class Expr:
     """A canonical value, either sort: `terms` maps a monomial (scalar) or
-    a dot-word (vector) to a nonzero coefficient.  Adding, negating and
-    comparing are the same for both sorts; a sum accumulates both operands
-    into one `word -> {mono: coeff}` map and is rebuilt once.  A number on
-    either side of `+` or `-` is the scalar `ScalarExpr.const` makes of it.
-    A sum of a nonzero scalar and a nonzero vector raises ExprTypeError; a
-    zero of either sort adds as nothing."""
+    a dot-word (vector) to a nonzero coefficient.  Adding, negating,
+    multiplying and comparing are defined once for both sorts; a sum
+    accumulates both operands into one `word -> {mono: coeff}` map and is
+    rebuilt once.  An `int` or `Fraction` operand of `+`, `-` or `*` is
+    the scalar `ScalarExpr.const` makes of it; any other non-`Expr`
+    operand gives `NotImplemented`, so Python raises TypeError.  A sum of
+    a nonzero scalar and a nonzero vector raises ExprTypeError; a zero of
+    either sort adds as nothing.  A scalar times a vector scales it, and
+    a vector times a vector raises ExprTypeError."""
 
     __slots__ = ("terms",)
 
@@ -356,6 +355,8 @@ class Expr:
     def __add__(self, other) -> "Expr":
         if type(other) is not type(self):
             if not isinstance(other, Expr):
+                if not isinstance(other, (int, Fraction)):
+                    return NotImplemented
                 return self + ScalarExpr.const(other)
             # The canonical zero has no sort (see `equal`), so a zero of
             # either sort adds as nothing.
@@ -366,17 +367,30 @@ class Expr:
             return other
         return _sum((self, other))
 
-    def __radd__(self, other) -> "Expr":
-        return ScalarExpr.const(other) + self
+    __radd__ = __add__
 
     def __neg__(self) -> "Expr":
         return type(self)({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "Expr":
-        return self + (-other)
+        return self + (-other) if isinstance(other, (Expr, int, Fraction)) else NotImplemented
 
     def __rsub__(self, other) -> "Expr":
-        return ScalarExpr.const(other) - self
+        return -self + other if isinstance(other, (int, Fraction)) else NotImplemented
+
+    def __mul__(self, other) -> "Expr":
+        if not isinstance(other, Expr):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ScalarExpr.const(other)
+        if isinstance(self, ScalarExpr) and isinstance(other, ScalarExpr):
+            return ScalarExpr(add_product({}, self.terms, other.terms))
+        if isinstance(self, VectorExpr) and isinstance(other, VectorExpr):
+            raise ExprTypeError("vector*vector is not defined; use the dot product")
+        vector, factor = (self, other) if isinstance(self, VectorExpr) else (other, self)
+        return vector.scaled_by(factor)
+
+    __rmul__ = __mul__
 
     def __repr__(self):
         return f"{type(self).__name__}({len(self.terms)} terms)"
@@ -420,16 +434,9 @@ class ScalarExpr(Expr):
         """The terms as one `(word, terms)` pair, with no word."""
         return ((None, self.terms),)
 
-    def __mul__(self, other):
-        if isinstance(other, VectorExpr):
-            return other.scaled_by(self)
-        if not isinstance(other, ScalarExpr):
-            other = ScalarExpr.const(other)
-        return ScalarExpr(add_product({}, self.terms, other.terms))
-
-    __rmul__ = __mul__
-
     def __pow__(self, n: int) -> "ScalarExpr":
+        if not isinstance(n, int):
+            return NotImplemented
         if n < 0:
             raise ExprTypeError("negative powers are not supported")
         t = len(self.terms)

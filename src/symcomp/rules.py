@@ -67,13 +67,14 @@ fixpoint that has not stabilized within ``MAX_PASSES`` passes raises
 A rule's right-hand side is instantiated from a template: the
 right-hand side canonicalized once with one private placeholder leaf per
 pattern variable (``Word.leaf(name, -1 - k)``; real symbols have indices
->= 0).  A template depends only on the rule and on how the symbol table
-declares the literal (lowercase) names of the right-hand side, so the
-rule itself keeps its templates, keyed by the `(sort, index)` entry of
-each such name (the empty key for a rule with variables only): one is
-built per rule and name layout per process, the first time the rule
-binds under that layout, and serves every later fixpoint, session and
-symbol table that declares those names alike.  Each firing then fills
+>= 0).  A template depends only on the rule and on the `(sort, index)`
+entries the symbol table gives the literal (lowercase) names of the
+right-hand side.  A declaration never changes an existing name's entry,
+so ``_template`` keeps each template in one bounded cache keyed by the
+rule and the symbol table (``_TEMPLATES`` entries): it is built once per
+rule and table, the first time the rule binds there, and serves every
+later pass, fixpoint and session on that table.  An undeclared name
+raises, and the cache keeps nothing for it.  Each firing then fills
 that template with the bound words: every word and q/b atom is rebuilt
 through ``Word.pair``/``Atom.q``/``Atom.b``, every monomial is
 multiplied back together from its rebuilt entries by ``core.mono_mul``
@@ -87,6 +88,8 @@ vanish only when two variables bind the same word).  The choice depends
 on the rule and the sorts of the symbols it names, never on a binding.
 """
 from __future__ import annotations
+
+from functools import cache, lru_cache
 
 from . import rawexpr as rx
 from .core import (
@@ -214,15 +217,11 @@ class RewriteRule:
     the base in `lhs` and the exponent in `power`.  `bind` is the rule's
     one matcher, compiled from those patterns when the rule is built (see
     ``_binder``): `bind(site)` returns the binding of the pattern
-    variables at a site of the rule's kind, or None.  `holes` pairs each
-    variable of `rhs` with the placeholder leaf of its template, or is
-    None when `rhs` has a q of anything but a word pattern (see
-    ``_template``).  `literals` are the sorted lowercase names of `rhs`,
-    and `templates` maps the `(sort, index)` entries a symbol table gives
-    them to the template built under that table (see ``_instantiate``)."""
+    variables at a site of the rule's kind, or None.  `rhs` is the
+    right-hand side's parse tree; its templates are kept by
+    ``_template``, per rule and symbol table."""
 
-    __slots__ = ("name", "kind", "lhs", "lhs2", "power", "bind", "rhs", "holes",
-                 "literals", "templates")
+    __slots__ = ("name", "kind", "lhs", "lhs2", "power", "bind", "rhs")
 
     def __init__(self, name, kind, lhs, rhs, lhs2=None, power=None):
         self.name = name
@@ -232,10 +231,6 @@ class RewriteRule:
         self.power = power
         self.bind = _binder(kind, lhs, lhs2, power)
         self.rhs = rhs
-        self.holes = _holes(rhs)
-        self.literals = tuple(sorted({node.name for node in rx.idents(rhs)
-                                      if not node.name.isupper()}))
-        self.templates: dict = {}
 
     def __repr__(self):
         return f"RewriteRule({self.name}, {self.kind})"
@@ -328,23 +323,18 @@ class RewriteMemo:
     rewrite in its arguments, an (Atom, exponent) entry or an (Atom, Atom)
     pair to the instantiated right-hand side of the first rule that binds
     there.  `normal` holds the units a pass left unrewritten: a monomial,
-    or a (monomial, word) pair for a vector term.  `templates` maps each
-    rule that has bound to the template the rule keeps for this symbol
-    table's layout of its literal names (``_instantiate``), or to None when
-    the rule is instantiated by ``canonicalize``; it only saves the layout
-    lookup at each firing, and the rule owns the templates.  All three
-    depend only on the rule set and the symbol table, so a memo is built
-    for one pair and serves no other.
+    or a (monomial, word) pair for a vector term.  Both depend only on
+    the rule set and the symbol table, so a memo is built for one pair and
+    serves no other.  Templates are not kept here but by ``_template``.
     """
 
-    __slots__ = ("ruleset", "symbols", "sites", "normal", "templates")
+    __slots__ = ("ruleset", "symbols", "sites", "normal")
 
     def __init__(self, ruleset: RuleSet, symbols: SymbolTable):
         self.ruleset = ruleset
         self.symbols = symbols
         self.sites: dict = {}
         self.normal: set = set()
-        self.templates: dict = {}
 
 
 # --- right-hand-side templates ------------------------------------------------
@@ -367,13 +357,22 @@ def _word_env(symbols: SymbolTable, binds: dict[str, Word]) -> Env:
     return Env(symbols, {name: VectorExpr.from_word(w) for name, w in binds.items()})
 
 
+# Templates kept by `_template`, one per rule and symbol table; a replay
+# of the built-in catalog keeps 52.  An entry holds its rule and table
+# alive, so the bound also caps the tables kept past their last use.
+_TEMPLATES = 256
+
+
+@lru_cache(maxsize=_TEMPLATES)
 def _template(rule: RewriteRule, symbols: SymbolTable):
     """The right-hand side canonicalized once with the rule's placeholder
-    leaves, as `(holes, vector, units)`: `units` lists the template's
-    `(word, mono, coeff)` units.  None when the rule has no holes, or when
-    the template raises a sort error: a scalar summand of a vector sum
-    may be nonzero under placeholders and vanish under a real binding."""
-    holes = rule.holes
+    leaves (``_holes``), as `(holes, vector, units)`: `units` lists the
+    template's `(word, mono, coeff)` units.  None when the rule has no
+    holes, or when the template raises a sort error: a scalar summand of a
+    vector sum may be nonzero under placeholders and vanish under a real
+    binding.  Built once per rule and table; an undeclared name raises
+    UnknownSymbol, which is not kept."""
+    holes = _holes(rule.rhs)
     if holes is None:
         return None
     try:
@@ -414,26 +413,13 @@ def _fill(template, binds: dict[str, Word]) -> Expr:
     return from_units(out, vector)
 
 
-def _instantiate(rule: RewriteRule, binds: dict[str, Word], memo: RewriteMemo) -> Expr:
+def _instantiate(rule: RewriteRule, binds: dict[str, Word], symbols: SymbolTable) -> Expr:
     """The rule's right-hand side under `binds`: its template filled with
-    the bound words, or ``canonicalize`` where the rule has no template.
-
-    The rule keeps its templates under the `(sort, index)` entries of its
-    literal names, which a declaration never changes; a template is built
-    on the first miss, and an undeclared name raises and leaves nothing
-    behind.  The memo keeps the template it found for each rule.
-    """
-    template = memo.templates.get(rule, _UNSEEN)
-    if template is _UNSEEN:
-        symbols = memo.symbols
-        layout = tuple(map(symbols.entry, rule.literals))
-        template = rule.templates.get(layout, _UNSEEN)
-        if template is _UNSEEN:
-            template = rule.templates[layout] = _template(rule, symbols)
-        memo.templates[rule] = template
+    the bound words, or ``canonicalize`` where the rule has no template."""
+    template = _template(rule, symbols)
     if template is not None:
         return _fill(template, binds)
-    return canonicalize(rule.rhs, _word_env(memo.symbols, binds))
+    return canonicalize(rule.rhs, _word_env(symbols, binds))
 
 
 # --- the pass -----------------------------------------------------------------
@@ -446,7 +432,7 @@ def _first_match(rules, subject, memo: RewriteMemo):
         binds = rule.bind(subject)
         if binds is None:
             continue
-        repl = _instantiate(rule, binds, memo)
+        repl = _instantiate(rule, binds, memo.symbols)
         if is_vector(repl) != (rule.kind == "dot"):
             what = "a dot-word to a vector" if rule.kind == "dot" else "an atom to a scalar"
             raise EngineError(f"rule {rule.name} must rewrite {what} value")
@@ -669,29 +655,25 @@ _BUILTIN_SOURCES: dict[str, list[str]] = {
     ],
 }
 
-_catalog_cache: dict[str, RuleSet] = {}
-
 
 def builtin_ruleset_names() -> frozenset[str]:
     return frozenset(_BUILTIN_SOURCES)
 
 
+@cache
 def builtin_ruleset(name: str) -> RuleSet:
-    """The transcribed rule set for a catalog name."""
+    """The transcribed rule set for a catalog name, compiled once per
+    process; an unknown name raises on every call."""
     sources = _BUILTIN_SOURCES.get(name)
     if sources is None:
         raise RuleSetUnknown(f"unknown rule set {name!r}")
-    cached = _catalog_cache.get(name)
-    if cached is None:
-        from .parser import parse_rule_source
+    from .parser import parse_rule_source
 
-        rules = []
-        for k, src in enumerate(sources, start=1):
-            lhs, rhs = parse_rule_source(src)
-            rules.append(compile_rule(f"{name}#{k}", lhs, rhs, allow_noop=True))
-        cached = RuleSet(name, tuple(rules))
-        _catalog_cache[name] = cached
-    return cached
+    rules = []
+    for k, src in enumerate(sources, start=1):
+        lhs, rhs = parse_rule_source(src)
+        rules.append(compile_rule(f"{name}#{k}", lhs, rhs, allow_noop=True))
+    return RuleSet(name, tuple(rules))
 
 
 # --- instantiation of both sides (for soundness checks) ---------------------

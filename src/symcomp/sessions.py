@@ -26,7 +26,7 @@ kept, and every run reports its error again.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -275,8 +275,6 @@ def _read_text(path: Path) -> str:
 
 SESSION_ORDER = ("L1", "L2", "Z1", "Z2", "Z3", "Z4", "M")
 
-_session_cache: dict[str, Session] = {}
-
 
 def builtin_session_names() -> tuple[str, ...]:
     return SESSION_ORDER
@@ -286,14 +284,13 @@ def _data_dir() -> Path:
     return Path(__file__).with_name("sessions")
 
 
+@cache
 def load_builtin_session(name: str) -> Session:
+    """The parsed catalog session `name`, read and parsed once per
+    process; an unknown name raises on every call."""
     if name not in SESSION_ORDER:
         raise EngineError(f"unknown session {name!r}; catalog: {', '.join(SESSION_ORDER)}")
-    cached = _session_cache.get(name)
-    if cached is None:
-        cached = parse_script(_read_text(_data_dir() / f"{name}.scs"), name)
-        _session_cache[name] = cached
-    return cached
+    return parse_script(_read_text(_data_dir() / f"{name}.scs"), name)
 
 
 def golden_loader(base: Path) -> GoldenLoader:

@@ -210,6 +210,33 @@ def test_library_sum_with_a_number(xy):
     assert x + 0 == x and 0 + x == x and x - 0 == x and equal(0 - x, xy.canon("-x"))
 
 
+def test_library_product_with_a_number_or_a_value(xy):
+    # A number or a scalar scales a vector, on either side of *.
+    x, v = xy.canon("x"), xy.canon("x.y")
+    qx = q_of(x)
+    for value, source in ((2 * v, "2*(x.y)"), (v * 2, "2*(x.y)"),
+                          (Fraction(1, 3) * v, "1/3*(x.y)"), (v * Fraction(-1, 2), "-1/2*(x.y)"),
+                          (qx * v, "q(x)*(x.y)"), (v * qx, "q(x)*(x.y)"),
+                          (2 * qx, "2*q(x)"), (qx * 2, "2*q(x)"), (qx * qx, "q(x)^2"),
+                          ((qx + 1) * (qx - 1), "q(x)^2 - 1"), (0 * v, "0*(x.y)")):
+        assert type(value) is type(xy.canon(source)), source
+        assert equal(value, xy.canon(source)), source
+    with pytest.raises(ExprTypeError, match=r"vector\*vector is not defined; use the dot product"):
+        v * v
+
+
+@pytest.mark.parametrize("form", [
+    "q * 0.1", "0.1 * q", "q + 0.1", "0.1 + q", "q - 0.1", "0.1 - q", "q + 'a'", "'a' + q",
+    "q - 'a'", "'a' * q", "q * 'a'", "v * 0.5", "0.5 * v", "q ** 0.5", "q ** Fraction(1, 2)",
+])
+def test_library_operand_that_is_not_an_exact_number_is_a_type_error(xy, form):
+    # Only int and Fraction operands are lifted; a float would carry its
+    # binary fraction into the exact coefficients.
+    q, v = q_of(xy.canon("x")), xy.canon("x.y")
+    with pytest.raises(TypeError):
+        eval(form, {"q": q, "v": v, "Fraction": Fraction})
+
+
 def test_redeclaring_a_symbol_with_the_other_sort_is_an_error():
     table = SymbolTable()
     table.declare_vector("x")

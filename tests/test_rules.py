@@ -194,8 +194,14 @@ def test_chained_power_pattern_is_one_power_rule(xy):
 
 
 def test_unknown_ruleset():
-    with pytest.raises(RuleSetUnknown):
-        builtin_ruleset("nope")
+    # The catalog cache keeps no failure: an unknown name raises every time.
+    for _ in range(2):
+        with pytest.raises(RuleSetUnknown, match="unknown rule set 'nope'"):
+            builtin_ruleset("nope")
+
+
+def test_builtin_ruleset_is_compiled_once():
+    assert builtin_ruleset("rules2") is builtin_ruleset("rules2")
 
 
 def test_noop_rules_never_fire(xy):
@@ -680,71 +686,90 @@ def test_scalar_summand_vanishing_under_a_binding_is_instantiated_by_canonicaliz
     assert rules._template(rule, xyz.table) is None
 
 
-def counting_template_builds(monkeypatch) -> list:
-    """Patch ``rules._template`` to record each rule it builds a template for."""
-    built = []
-    template = rules._template
-
-    def counting(rule, symbols):
-        built.append(rule.name)
-        return template(rule, symbols)
-
-    monkeypatch.setattr(rules, "_template", counting)
-    return built
+def template_builds() -> int:
+    """How many templates ``rules._template`` has built (its cache misses)."""
+    return rules._template.cache_info().misses
 
 
-def test_rule_set_builds_each_template_once_per_name_layout(monkeypatch):
-    built = counting_template_builds(monkeypatch)
+def test_rule_set_builds_each_template_once_per_rule_and_table():
+    rules._template.cache_clear()
     rs = RuleSet("fresh", (make_rule("b(x, (x.y).y) -> b(x.y, y.x)", "fresh#1"),
                            make_rule("b(X.Y, X.Z) -> q(X)*b(Y, Z)", "fresh#2")))
     source = "b(x, (x.y).y) + b(x.(y.x), x.y) + b(y.x, y.(x.y))"
     xy = Ctx(vectors=("x", "y"))
     first = apply_fixpoint(xy.canon(source), rs, xy.table)
-    assert sorted(built) == ["fresh#1", "fresh#2"]
+    assert template_builds() == 2
+    # Later fixpoints and passes on the same table build nothing.
     assert equal(apply_fixpoint(xy.canon(source), rs, xy.table), first)
-    # Another table that declares x and y alike, with more names after them.
-    xyz = Ctx(vectors=("x", "y", "z"))
-    assert equal(apply_fixpoint(xyz.canon(source), rs, xyz.table), xyz.canon(print_expr(first)))
-    assert sorted(built) == ["fresh#1", "fresh#2"]
-    # Declared in the other order, x and y get other indices: the literal
-    # rule builds a template of its own, the variables-only rule does not.
+    once = apply_once(xy.canon(source), rs, xy.table)
+    assert equal(apply_once(xy.canon(source), rs, xy.table), once)
+    assert template_builds() == 2
+    # Declared in the other order, x and y get other indices; another
+    # table builds a template of its own for each rule.
     yx = Ctx(vectors=("y", "x"))
     assert equal(apply_fixpoint(yx.canon(source), rs, yx.table), yx.canon(print_expr(first)))
-    assert sorted(built) == ["fresh#1", "fresh#1", "fresh#2"]
-    assert [len(rule.templates) for rule in rs.rules] == [2, 1]
-    assert list(rs.rules[1].templates) == [()]
+    assert template_builds() == 4
 
 
 @pytest.mark.parametrize("scalars, vectors", [
     ((), ("y", "x")), (("x",), ("y",)), (("u",), ("y", "x")), (("x", "u"), ("y",)),
 ], ids=["x-second", "x-scalar", "x-third", "x-scalar-of-two"])
-def test_template_under_another_name_layout_agrees_with_instantiate_sides(
-        monkeypatch, scalars, vectors):
-    built = counting_template_builds(monkeypatch)
+def test_template_under_another_name_layout_agrees_with_instantiate_sides(scalars, vectors):
+    rules._template.cache_clear()
     rule = make_rule("q(X.Y) -> x*q(X)*q(Y.y)")
-    rs = RuleSet("layout", (rule,))
     for ctx in (Ctx(vectors=("x", "y")), Ctx(scalars=scalars, vectors=vectors)):
         binds = {"X": ctx.word("y.y"), "Y": ctx.word("y")}
         for _ in range(2):
-            got = rules._instantiate(rule, binds, RewriteMemo(rs, ctx.table))
+            got = rules._instantiate(rule, binds, ctx.table)
             expected = instantiate_sides(rule, binds, ctx.table)[1]
             assert type(got) is type(expected)
             assert equal(got, expected)
-    assert len(built) == len(rule.templates) == 2
+    assert template_builds() == 2
 
 
 def test_template_of_an_undeclared_name_is_not_kept():
+    rules._template.cache_clear()
     rule = make_rule("q(X.Y) -> q(X)*q(Y.w)")
-    rs = RuleSet("undeclared", (rule,))
     xy = Ctx(vectors=("x", "y"))
     binds = {"X": xy.word("x"), "Y": xy.word("y")}
-    for _ in range(2):
+    for builds in (1, 2):
         with pytest.raises(UnknownSymbol, match="undeclared identifier 'w'"):
-            rules._instantiate(rule, binds, RewriteMemo(rs, xy.table))
-    assert rule.templates == {}
+            rules._instantiate(rule, binds, xy.table)
+        assert template_builds() == builds
+        assert rules._template.cache_info().currsize == 0
     xyw = Ctx(vectors=("x", "y", "w"))
-    got = rules._instantiate(rule, binds, RewriteMemo(rs, xyw.table))
+    got = rules._instantiate(rule, binds, xyw.table)
     assert equal(got, xyw.canon("q(x)*q(y.w)"))
+    assert rules._template.cache_info().currsize == 1
+
+
+def test_declaring_more_names_keeps_a_tables_templates():
+    # A declaration never changes an existing name's sort or index, so the
+    # template a table built before it still holds after it.
+    rules._template.cache_clear()
+    rs = RuleSet("literal", (make_rule("b(x, (x.y).y) -> b(x.y, y.x)"),))
+    source = "b(x, (x.y).y) + b(x, (x.y).y)*q(x)"
+    later = "a*b(x, (x.y).y) + b(x, (x.y).y)*q(z) + b(z, (x.y).y)"
+    grown = Ctx(vectors=("x", "y"))
+    before = apply_fixpoint(grown.canon(source), rs, grown.table)
+    assert template_builds() == 1
+    grown.table.declare_scalar("a")
+    grown.table.declare_vector("z")
+    assert equal(apply_fixpoint(grown.canon(source), rs, grown.table), before)
+    after = apply_fixpoint(grown.canon(later), rs, grown.table)
+    assert template_builds() == 1
+    fresh = Ctx(vectors=("x", "y"))
+    fresh.table.declare_scalar("a")
+    fresh.table.declare_vector("z")
+    expected = apply_fixpoint(fresh.canon(later), rs, fresh.table)
+    assert equal(after, expected)
+    assert print_expr(after) == print_expr(expected) != print_expr(grown.canon(later))
+    # Redeclaring a name with another sort raises and changes nothing.
+    with pytest.raises(ExprTypeError, match="redeclared with a different sort"):
+        grown.table.declare_scalar("x")
+    assert grown.table.sort_of("x") == "vector" and grown.table.index_of("x") == 0
+    assert equal(apply_fixpoint(grown.canon(source), rs, grown.table), before)
+    assert template_builds() == 2
 
 
 def test_rewrite_scale_k5_normal_form_matches_recorded_text():

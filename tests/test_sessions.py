@@ -12,6 +12,7 @@ from symcomp import (
 )
 from symcomp.oracle import Assignment, ParaQuaternion, _polar, _product, random_assignment
 from symcomp import sessions
+from symcomp.errors import EngineError
 from symcomp.sessions import SessionExecutionError, builtin_session_names, golden_loader
 
 from helpers import CubicElement, commutator, cubic_form, cubic_norm
@@ -174,6 +175,13 @@ def test_sessions_declare_their_own_symbols():
     second = load_builtin_session("M")
     assert first is second
     assert len(first.checkpoints) == 10
+
+
+def test_unknown_builtin_session_raises_on_every_call():
+    from symcomp.sessions import load_builtin_session
+    for _ in range(2):
+        with pytest.raises(EngineError, match="unknown session 'N'"):
+            load_builtin_session("N")
 
 
 def test_main_reduction_matches_recorded_final_form():
