@@ -9,17 +9,23 @@ to an exact identity here; a single nonzero evaluation refutes a claim.
 Everything is exact, with no floating point.  The model arithmetic is
 written once, on plain 4-tuples (``_product``, ``_norm``, ``_polar``).  A
 checked value is compiled once into a plan: straight-line lists of slots
-for its distinct words and atoms and of its units.  Each trial runs the
-plan on plain int components; a rational coefficient makes its sum a
-Fraction, and an `Assignment` (Fraction components) is evaluated by the
-same plan.  ``ParaQuaternion`` is a value type only, for the vectors of an
-`Assignment` and a vector result of ``eval_expr``: it has no arithmetic.
+for its distinct words, atoms and (atom, exponent) factors and of its
+units.  ``check_identity`` runs the plan on blocks of `_BLOCK` trials:
+one generator, reseeded for each trial, draws the block's plain int
+components, and ``_run`` computes each slot as one column over the
+block's trials.  A rational coefficient makes a sum a Fraction.
+``eval_expr`` runs the same plan as a block of one trial on the Fraction
+components of an `Assignment`.  ``ParaQuaternion`` is a value type only,
+for the vectors of an `Assignment` and a vector result of ``eval_expr``:
+it has no arithmetic.
 """
 from __future__ import annotations
 
 import json
 import random
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 from .core import MAX_POWER, Expr, Word, is_vector
 from .errors import ExprTypeError, MissingSymbol, Record, SymcompError, int_text
@@ -29,16 +35,22 @@ COMPONENT_RANGE = 9  # components drawn uniformly from [-9, 9]
 MAX_TRIALS = 10_000  # the most trials `check_identity`, `--trials` and `oracle_check` accept
 DEFAULT_TRIALS = 100  # trials when neither `--trials` nor `oracle_check` names a count
 DEFAULT_SEED = 42  # seed when neither `--seed` nor $SYMCOMP_SEED gives one
+_BLOCK = 32  # trials `check_identity` draws and runs together
 
 
 class ParaQuaternion:
     """Four exact-rational components over the 1, i, j, k basis.  A value
     type with no arithmetic: the model's operations act on the tuple that
-    `components` returns."""
+    `components` returns.  A component must be an int or a Fraction; a
+    float would carry its binary fraction into the exact model."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b=0, c=0, d=0):
+        for value in (a, b, c, d):
+            if not isinstance(value, (int, Fraction)):
+                raise SymcompError(
+                    f"a ParaQuaternion component must be an int or a Fraction, got {value!r}")
         self.a = Fraction(a)
         self.b = Fraction(b)
         self.c = Fraction(c)
@@ -111,10 +123,13 @@ class _Plan(Record):
       (left slot, right slot).
     - `atoms`: per atom slot, (None, scalar position), (word slot, None)
       for q, or (word slot, word slot) for b.
-    - `units`: (word slot or None, [(coeff, ((atom slot, exp), ...)), ...]).
+    - `factors`: per factor slot, (atom slot, exp), one for each distinct
+      (atom, exp) entry of the monomials.
+    - `units`: (word slot or None, [(coeff, (factor slot, ...)), ...]),
+      each with at least one monomial.
     """
 
-    __slots__ = ("vectors", "scalars", "words", "atoms", "units", "vector")
+    __slots__ = ("vectors", "scalars", "words", "atoms", "factors", "units", "vector")
 
 
 def _compile(e: Expr) -> _Plan:
@@ -145,23 +160,27 @@ def _compile(e: Expr) -> _Plan:
             atoms.append(op)
         return slot
 
-    # One shared (atom slot, exp) pair per distinct (atom, exp) entry: a
-    # plan of thousands of monomials then holds few small objects.
-    factor_of: dict = {}
+    # One factor slot per distinct (atom, exp) entry: a run raises an atom
+    # to a power once, however many monomials share the entry.
+    factor_slots: dict = {}
+    factors: list = []
     top = 0
     units = []
     for word, terms in e.by_word():
+        if not terms:
+            continue  # the zero scalar's one unit
         monomials = []
         for mono, coeff in terms.items():
-            factors = []
+            slots = []
             for entry in mono:
-                factor = factor_of.get(entry)
-                if factor is None:
+                slot = factor_slots.get(entry)
+                if slot is None:
                     atom, exp = entry
-                    factor = factor_of[entry] = (atom_slot(atom), exp)
+                    slot = factor_slots[entry] = len(factors)
+                    factors.append((atom_slot(atom), exp))
                     top = max(top, exp)
-                factors.append(factor)
-            monomials.append((coeff, tuple(factors)))
+                slots.append(slot)
+            monomials.append((coeff, tuple(slots)))
         units.append((None if word is None else word_slot(word), monomials))
     if top > MAX_POWER:
         raise ExprTypeError(f"exponent {int_text(top)} exceeds the oracle's bound {MAX_POWER}")
@@ -174,62 +193,81 @@ def _compile(e: Expr) -> _Plan:
              for left, right in words]
     atoms = [(None, scalar_at[right]) if left is None else (left, right)
              for left, right in atoms]
-    return _Plan(vectors, scalars, words, atoms, units, is_vector(e))
+    return _Plan(vectors, scalars, words, atoms, factors, units, is_vector(e))
 
 
-def _run(plan: _Plan, vectors: list, scalars: list) -> tuple:
-    """The value of a plan for the given vector 4-tuples and scalars, in
-    plan position order: a 1-tuple for a scalar value, a 4-tuple for a
+def _run(plan: _Plan, vectors: list, scalars: list, n: int) -> list:
+    """The value of a plan on `n` trials at once.  `vectors` holds one
+    column per vector position (the trials' 4-tuples, in trial order) and
+    `scalars` one per scalar position; `n` is given because a constant
+    plan has no columns.  Every word, atom and (atom, exp) factor slot is
+    one column, computed once however many units share it; a monomial is
+    a column of products, and the units sum column by column.  Returns
+    the value's component columns: one for a scalar value, four for a
     vector.  Exact in whatever number type the inputs have."""
     wv = []
     for left, right in plan.words:
-        wv.append(vectors[left] if right is None else _product(wv[left], wv[right]))
+        wv.append(vectors[left] if right is None else list(map(_product, wv[left], wv[right])))
     av = []
     for left, right in plan.atoms:
         if left is None:
             av.append(scalars[right])
         elif right is None:
-            av.append(_norm(wv[left]))
+            av.append(list(map(_norm, wv[left])))
         else:
-            av.append(_polar(wv[left], wv[right]))
-    s0 = s1 = s2 = s3 = 0
+            av.append(list(map(_polar, wv[left], wv[right])))
+    fv = [av[atom] if exp == 1 else [v ** exp for v in av[atom]]
+          for atom, exp in plan.factors]
+    # Running totals keep the memory of a run to its slot columns, however
+    # many monomials and units the plan has.
+    sums = [[0] * n for _ in range(4 if plan.vector else 1)]
     for slot, monomials in plan.units:
-        total = 0
+        total = [0] * n
         for coeff, factors in monomials:
-            value = 1
-            for atom, exp in factors:
-                value *= av[atom] ** exp
-            total += coeff * value
+            column = repeat(coeff, n)
+            for factor in factors:
+                column = map(mul, column, fv[factor])
+            total = list(map(add, total, column))
         if slot is None:
-            s0 += total
+            sums[0] = list(map(add, sums[0], total))
         else:
-            w0, w1, w2, w3 = wv[slot]
-            s0 += total * w0
-            s1 += total * w1
-            s2 += total * w2
-            s3 += total * w3
-    return (s0, s1, s2, s3) if plan.vector else (s0,)
+            for k, component in enumerate(zip(*wv[slot])):
+                sums[k] = list(map(add, sums[k], map(mul, total, component)))
+    return sums
 
 
 def eval_expr(e: Expr, a: Assignment) -> int | Fraction | ParaQuaternion:
     """Homomorphic evaluation: dot -> para-Hurwitz product, q -> norm,
     b -> polar form; scalar expressions yield numbers, vector
-    expressions yield para-quaternions."""
+    expressions yield para-quaternions.  The plan runs as a block of one
+    trial.  A vector symbol must hold a ParaQuaternion and a scalar symbol
+    an int or a Fraction; a float would carry its binary fraction into
+    the exact value."""
     plan = _compile(e)
-    for kind, names, values in (("vector", plan.vectors, a.vectors),
-                                ("scalar", plan.scalars, a.scalars)):
+    for kind, names, values, types, wanted in (
+            ("vector", plan.vectors, a.vectors, ParaQuaternion, "a ParaQuaternion"),
+            ("scalar", plan.scalars, a.scalars, (int, Fraction), "an int or a Fraction")):
         for name in names:
             if name not in values:
                 raise MissingSymbol(f"no value assigned to {kind} symbol {name!r}")
-    value = _run(plan, [a.vectors[n].components() for n in plan.vectors],
-                 [a.scalars[n] for n in plan.scalars])
+            if not isinstance(values[name], types):
+                raise SymcompError(f"{kind} symbol {name!r} must be {wanted}, "
+                                   f"got {values[name]!r}")
+    columns = _run(plan, [(a.vectors[n].components(),) for n in plan.vectors],
+                   [(a.scalars[n],) for n in plan.scalars], 1)
+    value = [column[0] for column in columns]
     return ParaQuaternion(*value) if plan.vector else value[0]
 
 
-def _trial_rng(seed: int, trial: int) -> random.Random:
-    # Derivation is deterministic per (seed, trial), so trials could be
-    # evaluated in parallel without changing the report.
-    return random.Random(seed * 1_000_003 + trial)
+def _trial_rng(seed: int, trial: int, rng: random.Random | None = None) -> random.Random:
+    # A trial's generator depends on (seed, trial) alone, not on the trials
+    # drawn before it: `check_identity` reseeds one generator for each trial
+    # of a block, and `random_assignment` builds the same state afresh for
+    # the one trial it reports.  Seeding is what costs; the object is cheap.
+    if rng is None:
+        return random.Random(seed * 1_000_003 + trial)
+    rng.seed(seed * 1_000_003 + trial)
+    return rng
 
 
 # A component is `randint(-COMPONENT_RANGE, COMPONENT_RANGE)`, which
@@ -239,11 +277,13 @@ _DRAW_WIDTH = 2 * COMPONENT_RANGE + 1
 _DRAW_BITS = _DRAW_WIDTH.bit_length()
 
 
-def _draw(vector_count: int, scalar_count: int, seed: int, trial: int) -> tuple[list, list]:
+def _draw(vector_count: int, scalar_count: int, seed: int, trial: int,
+          rng: random.Random | None = None) -> tuple[list, list]:
     """The integer components of one trial: a 4-tuple per vector, then
-    one number per scalar, in that order from the trial's generator; the
-    values of `randint(-COMPONENT_RANGE, COMPONENT_RANGE)` at each draw."""
-    getrandbits = _trial_rng(seed, trial).getrandbits
+    one number per scalar, in that order from the trial's generator
+    (`rng` reseeded, or a new one); the values of
+    `randint(-COMPONENT_RANGE, COMPONENT_RANGE)` at each draw."""
+    getrandbits = _trial_rng(seed, trial, rng).getrandbits
     values = []
     for _ in range(4 * vector_count + scalar_count):
         v = getrandbits(_DRAW_BITS)
@@ -278,23 +318,44 @@ class IdentityReport(Record):
         return json.dumps(self.to_jsonable(), indent=2)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_identity(e: Expr, trials: int = DEFAULT_TRIALS,
                    seed: int = DEFAULT_SEED) -> IdentityReport:
     """Evaluate e under pseudo-random assignments; pass iff every
     evaluation is exactly zero.  Identical seeds give identical reports.
-    `trials` must lie in 1..MAX_TRIALS."""
-    if not 1 <= trials <= MAX_TRIALS:
-        raise SymcompError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+    `trials` must be an int in 1..MAX_TRIALS and `seed` an int."""
+    if not (_is_int(trials) and 1 <= trials <= MAX_TRIALS):
+        raise SymcompError(f"trials must be between 1 and {MAX_TRIALS}, got {trials!r}")
+    if not _is_int(seed):
+        raise SymcompError(f"seed must be an integer, got {seed!r}")
     counterexample = _counterexample(e, trials, seed)
     return IdentityReport(print_expr(e), trials, counterexample is None, counterexample)
 
 
 def _counterexample(e: Expr, trials: int, seed: int) -> Assignment | None:
     """The assignment of the first trial on which `e` is nonzero, or None.
-    The plan is compiled once and freed before the caller prints `e`."""
+    Trials run in blocks of `_BLOCK`, so a refutation stops within the
+    block that holds it.  The plan is compiled once and freed before the
+    caller prints `e`."""
     plan = _compile(e)
-    for trial in range(trials):
-        vectors, scalars = _draw(len(plan.vectors), len(plan.scalars), seed, trial)
-        if any(_run(plan, vectors, scalars)):
-            return random_assignment(plan.vectors, plan.scalars, seed, trial)
+    rng = random.Random(0)  # reseeded for every trial
+    for first in range(0, trials, _BLOCK):
+        n = min(_BLOCK, trials - first)
+        vectors, scalars = _block(plan, seed, first, n, rng)
+        for offset, value in enumerate(zip(*_run(plan, vectors, scalars, n))):
+            if any(value):
+                return random_assignment(plan.vectors, plan.scalars, seed, first + offset)
     return None
+
+
+def _block(plan: _Plan, seed: int, first: int, n: int, rng: random.Random) -> tuple[list, list]:
+    """The components of trials `first` .. `first + n - 1`, drawn with `rng`
+    and laid out for `_run`: a column per vector position and a column per
+    scalar position."""
+    draws = [_draw(len(plan.vectors), len(plan.scalars), seed, trial, rng)
+             for trial in range(first, first + n)]
+    return (list(zip(*[vectors for vectors, _ in draws])),
+            list(zip(*[scalars for _, scalars in draws])))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from symcomp import check_identity, eval_expr
+from symcomp import canonicalize, check_identity, eval_expr
 from symcomp import oracle
 from symcomp.cli import main
 from symcomp.oracle import (
@@ -18,7 +18,7 @@ from symcomp.oracle import (
     random_assignment,
 )
 from symcomp.errors import MissingSymbol, SymcompError
-from helpers import greek_ctx, random_components
+from helpers import Ctx, greek_ctx, random_components, random_raw
 
 DATA = Path(__file__).parent / "data"
 
@@ -155,6 +155,36 @@ def test_check_identity_bounds_its_trial_count(xy, trials):
     assert str(err.value) == f"trials must be between 1 and 10000, got {trials}"
 
 
+@pytest.mark.parametrize("trials", [2.5, 3.0, "7", True, Fraction(3), None])
+def test_check_identity_refuses_a_trial_count_that_is_not_an_int(xy, trials):
+    with pytest.raises(SymcompError) as err:
+        check_identity(xy.canon("b(x,y) - b(y,x)"), trials, 42)
+    assert str(err.value) == f"trials must be between 1 and 10000, got {trials!r}"
+
+
+@pytest.mark.parametrize("seed", ["7", 7.0, False, Fraction(7), None])
+def test_check_identity_refuses_a_seed_that_is_not_an_int(xy, seed):
+    with pytest.raises(SymcompError) as err:
+        check_identity(xy.canon("b(x,y) - b(y,x)"), 3, seed)
+    assert str(err.value) == f"seed must be an integer, got {seed!r}"
+
+
+def test_float_values_are_refused_by_name(greek):
+    # A float carries its binary fraction: 0.1 is 3602879701896397/2^55.
+    e = greek.canon("alpha*q(x)")
+    with pytest.raises(SymcompError) as err:
+        eval_expr(e, Assignment({"x": ParaQuaternion(1)}, {"alpha": 0.1}))
+    assert str(err.value) == "scalar symbol 'alpha' must be an int or a Fraction, got 0.1"
+    with pytest.raises(SymcompError) as err:
+        eval_expr(e, Assignment({"x": (1, 0, 0, 0)}, {"alpha": 1}))
+    assert str(err.value) == "vector symbol 'x' must be a ParaQuaternion, got (1, 0, 0, 0)"
+    with pytest.raises(SymcompError) as err:
+        ParaQuaternion(1, 0.1)
+    assert str(err.value) == "a ParaQuaternion component must be an int or a Fraction, got 0.1"
+    a = Assignment({"x": ParaQuaternion(1, Fraction(1, 10))}, {"alpha": Fraction(1, 10)})
+    assert eval_expr(e, a) == Fraction(101, 1000)
+
+
 def test_draw_gives_the_values_of_randint():
     # A trial's components are, in order, the values of randint(-9, 9) on
     # the trial's own generator: 4 per vector, then 1 per scalar.
@@ -179,13 +209,20 @@ def test_component_range(xy):
 # `symcomp oracle --json --seed 42` reports of failing identities, recorded
 # as files: the counterexample pins the trial that fails first and the order
 # in which a trial draws its components (vectors, then scalars, by name).
-# The last identity is zero unless alpha = 9, so it first fails at trial 21.
+# The last three are zero unless alpha takes one value: `late_failure`
+# first fails at trial 21 (alpha = 9), `second_block_vector` at trial 51
+# (alpha = -2) and `third_block_scalar` at trial 71 (alpha = -4), past
+# the first blocks of trials that `check_identity` runs together.
 RECORDED_REPORTS = {
     "commutator": "x.y - y.x",
     "third_polar": "q(x) - 1/3*b(x,x)",
     "scalars": "alpha*(x.y) - beta*(y.x) + lambda*q(z)*x",
     "late_failure": "alpha*(alpha^2-1)*(alpha^2-4)*(alpha^2-9)*(alpha^2-16)*(alpha^2-25)"
                     "*(alpha^2-36)*(alpha^2-49)*(alpha^2-64)*(alpha+9)*q(x)",
+    "second_block_vector": "alpha*(alpha^2-1)*(alpha^2-9)*(alpha^2-16)*(alpha^2-25)"
+                           "*(alpha^2-36)*(alpha^2-49)*(alpha^2-64)*(alpha^2-81)*(alpha-2)*(x.y)",
+    "third_block_scalar": "alpha*(alpha^2-1)*(alpha^2-4)*(alpha^2-9)*(alpha^2-25)"
+                          "*(alpha^2-36)*(alpha^2-49)*(alpha^2-64)*(alpha^2-81)*(alpha-4)",
 }
 
 
@@ -195,3 +232,40 @@ def test_failing_report_matches_recording(name):
     code = main(["oracle", "--json", "--seed", "42", RECORDED_REPORTS[name]], out=out)
     assert code == 1
     assert out.getvalue().encode("utf-8") == (DATA / f"oracle_report_{name}.json").read_bytes()
+
+
+def test_a_refutation_stops_within_its_block(xy, monkeypatch):
+    drawn = set()
+    draw = oracle._draw
+
+    def counting_draw(vector_count, scalar_count, seed, trial, rng=None):
+        drawn.add(trial)
+        return draw(vector_count, scalar_count, seed, trial, rng)
+
+    monkeypatch.setattr(oracle, "_draw", counting_draw)
+    report = check_identity(xy.canon("q(x) - q(y)"), 10_000)
+    assert not report.passed
+    assert len(drawn) <= oracle._BLOCK < 10_000
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33])
+def test_block_run_agrees_with_one_trial_evaluation(n):
+    # Each trial's value from one run over a block equals `eval_expr` on
+    # that trial's assignment, for scalar and vector values, some with
+    # rational coefficients.
+    ctx = Ctx(scalars=("alpha", "beta"), vectors=("x", "y", "z"))
+    rng = random.Random(400 + n)
+    for case in range(12):
+        value = canonicalize(random_raw(rng, ctx, depth=4), ctx.env)
+        if case % 3 == 0:
+            value = value * Fraction(rng.randint(1, 9), rng.randint(2, 9))
+        plan = oracle._compile(value)
+        seed = rng.randint(0, 10**6)
+        vectors, scalars = oracle._block(plan, seed, 0, n, random.Random(0))
+        columns = oracle._run(plan, vectors, scalars, n)
+        assert len(columns) == (4 if plan.vector else 1)
+        assert all(len(column) == n for column in columns)
+        for trial in range(n):
+            expected = eval_expr(value, random_assignment(plan.vectors, plan.scalars, seed, trial))
+            got = [column[trial] for column in columns]
+            assert got == (list(expected.components()) if plan.vector else [expected])
