@@ -20,7 +20,6 @@ from .core import SCALAR, VECTOR, Env, SymbolTable, canonicalize
 from .errors import SymcompError
 from .oracle import DEFAULT_SEED, DEFAULT_TRIALS, MAX_TRIALS, check_identity
 from .parser import parse_expr, parse_script
-from .printer import print_expr
 from .rawexpr import idents
 from .sessions import (
     SessionReport,
@@ -126,7 +125,7 @@ def _cmd_oracle(args, seed: int, out) -> int:
         out.write(report.to_json() + "\n")
     else:
         status = "pass" if report.passed else "FAIL"
-        out.write(f"{status}: {print_expr(value)} on {report.trials} trials\n")
+        out.write(f"{status}: {report.identity} on {report.trials} trials\n")
         if not report.passed:
             out.write("counterexample: "
                       + json.dumps(report.counterexample.to_jsonable()) + "\n")

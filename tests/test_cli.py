@@ -108,6 +108,18 @@ def test_oracle_pass():
     assert output.startswith("pass")
 
 
+def test_oracle_text_reports_byte_for_byte():
+    # The status, the checked value as printed, the trial count and, on a
+    # failure, the counterexample.
+    assert run_cli("oracle", "--seed", "42", "q(x.y) - q(x)*q(y)") == (
+        0, "pass: q(x.y) - q(x)*q(y) on 100 trials\n")
+    assert run_cli("oracle", "--seed", "42", "alpha*(x.y) - beta*(y.x) + lambda*q(z)*x") == (
+        1, "FAIL: lambda*q(z)*x + alpha*(x.y) - beta*(y.x) on 100 trials\n"
+           'counterexample: {"vectors": {"x": ["9", "2", "4", "7"], "y": ["-3", "8", "-5", "6"],'
+           ' "z": ["-9", "-6", "4", "-3"]}, "scalars": {"alpha": "5", "beta": "-7",'
+           ' "lambda": "2"}}\n')
+
+
 def test_oracle_failure_reports_counterexample():
     code, output = run_cli("oracle", "q(x) - q(y)")
     assert code == 1

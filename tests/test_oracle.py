@@ -1,5 +1,6 @@
 """The para-quaternion model: product table, evaluation, identity checks."""
 import io
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from symcomp import canonicalize, check_identity, eval_expr
-from symcomp import oracle
+from symcomp import oracle, parser, polyops, sessions
 from symcomp.cli import main
+from symcomp.core import Env
 from symcomp.oracle import (
     Assignment,
     ParaQuaternion,
@@ -228,10 +230,13 @@ RECORDED_REPORTS = {
 
 @pytest.mark.parametrize("name", RECORDED_REPORTS)
 def test_failing_report_matches_recording(name):
-    out = io.StringIO()
-    code = main(["oracle", "--json", "--seed", "42", RECORDED_REPORTS[name]], out=out)
-    assert code == 1
-    assert out.getvalue().encode("utf-8") == (DATA / f"oracle_report_{name}.json").read_bytes()
+    # The first run draws its blocks and the second reads them.
+    oracle._block.cache_clear()
+    recording = (DATA / f"oracle_report_{name}.json").read_bytes()
+    for _ in range(2):
+        out = io.StringIO()
+        assert main(["oracle", "--json", "--seed", "42", RECORDED_REPORTS[name]], out=out) == 1
+        assert out.getvalue().encode("utf-8") == recording
 
 
 def test_a_refutation_stops_within_its_block(xy, monkeypatch):
@@ -243,6 +248,9 @@ def test_a_refutation_stops_within_its_block(xy, monkeypatch):
         return draw(vector_count, scalar_count, seed, trial, rng)
 
     monkeypatch.setattr(oracle, "_draw", counting_draw)
+    # An empty cache, so that the block is drawn here and not read from an
+    # earlier test.
+    oracle._block.cache_clear()
     report = check_identity(xy.canon("q(x) - q(y)"), 10_000)
     assert not report.passed
     assert len(drawn) <= oracle._BLOCK < 10_000
@@ -261,7 +269,7 @@ def test_block_run_agrees_with_one_trial_evaluation(n):
             value = value * Fraction(rng.randint(1, 9), rng.randint(2, 9))
         plan = oracle._compile(value)
         seed = rng.randint(0, 10**6)
-        vectors, scalars = oracle._block(plan, seed, 0, n, random.Random(0))
+        vectors, scalars = oracle._block(len(plan.vectors), len(plan.scalars), seed, 0, n)
         columns = oracle._run(plan, vectors, scalars, n)
         assert len(columns) == (4 if plan.vector else 1)
         assert all(len(column) == n for column in columns)
@@ -269,3 +277,94 @@ def test_block_run_agrees_with_one_trial_evaluation(n):
             expected = eval_expr(value, random_assignment(plan.vectors, plan.scalars, seed, trial))
             got = [column[trial] for column in columns]
             assert got == (list(expected.components()) if plan.vector else [expected])
+
+
+# Nonzero only at alpha = 4 and only at beta = 7.  A check of one of them
+# times q(x) reports the x of the trial that fails first, so a report
+# tells that trial.  Under seed 42, alpha and beta first take 4 and 7
+# together, with one vector drawn first, at trial 120: in the block of
+# trials 96 .. 127, which a 100-trial check cuts at 99.
+ALPHA_IS_4 = "alpha*(alpha^2-1)*(alpha^2-4)*(alpha^2-9)*(alpha^2-25)*(alpha^2-36)" \
+             "*(alpha^2-49)*(alpha^2-64)*(alpha^2-81)*(alpha+4)"
+BETA_IS_7 = "beta*(beta^2-1)*(beta^2-4)*(beta^2-9)*(beta^2-16)*(beta^2-25)" \
+            "*(beta^2-36)*(beta^2-64)*(beta^2-81)*(beta+7)"
+
+
+def test_block_cache_keys_hold_seed_trial_count_and_shape(greek):
+    # Checks that differ only in the number of vectors or of scalars, in
+    # trial count (so in the length of the last block) or in seed,
+    # interleaved, report what each reports on an empty cache.  The
+    # smaller shape comes first: a trial of one more scalar starts with the
+    # values of the smaller shape, so the smaller shape reading its block
+    # would not show a key that lacks the scalar count.
+    one = greek.canon(f"({ALPHA_IS_4})*q(x)")
+    two_vectors = one * greek.canon("q(y)")
+    two_scalars = one * greek.canon(BETA_IS_7)
+    checks = [(one, 200, 42), (two_vectors, 200, 42),
+              (two_scalars, 100, 42), (two_scalars, 200, 42), (two_scalars, 200, 43)]
+    cold = []
+    for check in checks:
+        oracle._block.cache_clear()
+        cold.append(check_identity(*check).to_json())
+    assert [json.loads(report)["pass"] for report in cold] == [False, False, True, False, False]
+    assert json.loads(cold[3])["counterexample"] == \
+        random_assignment(["x"], ["alpha", "beta"], 42, 120).to_jsonable()
+    oracle._block.cache_clear()
+    for _ in range(2):
+        assert [check_identity(*check).to_json() for check in checks] == cold
+
+
+def test_a_cached_block_is_tuples_that_a_run_leaves_alone(greek):
+    plan = oracle._compile(greek.canon("alpha*(x.y) - beta*q(x)*y"))
+    key = (len(plan.vectors), len(plan.scalars), 42, 0, oracle._BLOCK)
+    block = oracle._block(*key)
+    vectors, scalars = block
+    assert isinstance(block, tuple) and isinstance(vectors, tuple) and isinstance(scalars, tuple)
+    assert all(isinstance(column, tuple) for column in vectors + scalars)
+    assert all(isinstance(value, tuple) for column in vectors for value in column)
+    oracle._run(plan, vectors, scalars, oracle._BLOCK)
+    assert oracle._block(*key) is block
+    assert block == oracle._block.__wrapped__(*key)
+
+
+def c9_identities():
+    """The six identities of C9: session M's main identity on the locus
+    beta = 1 - alpha, and its five residuals."""
+    ctx = Ctx(scalars=("lambda", "mu", "alpha", "beta"), vectors=("x", "y"))
+    s = ctx.canon("lambda*y + mu*x + alpha*(x.y) + beta*(y.x)")
+    left = ctx.canon("(lambda^3 - 3*lambda*q(x) + b(x, x.x)) * (mu^3 - 3*mu*q(y) + b(y, y.y))")
+    left = left - canonicalize(parser.parse_expr(
+        "(lambda*mu + b(x,y))^3 - 3*(lambda*mu + b(x,y))*q(S) + b(S, S.S)"),
+        Env(ctx.table, {"S": s}))
+    right = ctx.canon(
+        "(1 - alpha*beta)*(3*b(x.(x.y), x.(y.y) - (y.y).x)"
+        " + (1 + beta)*b(x.y - y.x, (x.y - y.x).(x.y - y.x)))"
+        " + 3*(1 - alpha*beta)*b(x.y - y.x,"
+        " -lambda*((x.y).y) + mu*((y.x).x) + lambda*mu*(x.y))")
+    main_identity = polyops.subst_raw(left - right, {"beta": parser.parse_expr("1 - alpha")},
+                                      ctx.table)
+    goldens = sessions.builtin_golden_loader()
+    return [main_identity] + [ctx.canon(goldens(f"{name}_residual"))
+                              for name in ("lambda", "mu", "alpha2", "alpha1", "alpha0")]
+
+
+def test_c9_checks_draw_each_block_once():
+    # Seven blocks each; the six identities take three shapes.
+    identities = c9_identities()
+    oracle._block.cache_clear()
+    assert all(check_identity(value, 200, 42).passed for value in identities)
+    info = oracle._block.cache_info()
+    assert (info.misses, info.hits) == (21, 21)
+
+
+def test_oracle_session_matches_recording():
+    # Two checks of one shape, the second first failing at trial 51; one
+    # value at 100 and at 200 trials; a passing identity.  The later checks
+    # read the blocks the earlier ones drew.
+    oracle._block.cache_clear()
+    recording = (DATA / "oracle_blocks_seed42.json").read_bytes()
+    for _ in range(2):
+        out = io.StringIO()
+        assert main(["run", "--json", "--seed", "42", str(DATA / "oracle_blocks.scs")],
+                    out=out) == 1
+        assert out.getvalue().encode("utf-8") == recording
