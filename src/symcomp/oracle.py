@@ -11,9 +11,11 @@ written once, on plain 4-tuples (``_product``, ``_norm``, ``_polar``).  A
 checked value is compiled once into a plan: straight-line lists of slots
 for its distinct words, atoms and (atom, exponent) factors and of its
 units.  ``check_identity`` runs the plan on blocks of `_BLOCK` trials:
-one generator, reseeded for each trial, draws the block's plain int
-components, and ``_run`` computes each slot as one column over the
-block's trials.  A rational coefficient makes a sum a Fraction.
+``_draws`` draws each trial once, from the trial's own generator, into
+the block's columns of plain int components, and ``_run`` computes each
+slot as one column over the block's trials.  A rational coefficient
+makes a sum a Fraction.  A refuted check reads its counterexample from
+the block that refuted it.
 
 A block is drawn once per process for each (shape, seed, block):
 ``_block`` keeps it in a bounded cache of `_BLOCKS` blocks, at most
@@ -268,20 +270,9 @@ def eval_expr(e: Expr, a: Assignment) -> int | Fraction | ParaQuaternion:
     return ParaQuaternion(*value) if plan.vector else value[0]
 
 
-def _trial_rng(seed: int, trial: int, rng: random.Random | None = None) -> random.Random:
-    # A trial's generator depends on (seed, trial) alone, not on the trials
-    # drawn before it: `check_identity` reseeds one generator for each trial
-    # of a block, and `random_assignment` builds the same state afresh for
-    # the one trial it reports.  Seeding is what costs; the object is cheap.
-    if rng is None:
-        return random.Random(seed * 1_000_003 + trial)
-    rng.seed(seed * 1_000_003 + trial)
-    return rng
-
-
 # A component is `randint(-COMPONENT_RANGE, COMPONENT_RANGE)`, which
 # CPython draws as -COMPONENT_RANGE plus `_DRAW_BITS` random bits, drawn
-# again while they reach `_DRAW_WIDTH`; `_draw` does the same directly.
+# again while they reach `_DRAW_WIDTH`; `_draws` does the same directly.
 # It takes the value from `_VALUES`, so the blocks that `_block` keeps
 # share one object for each of -9 .. -6 (CPython shares only -5 .. 256).
 _DRAW_WIDTH = 2 * COMPONENT_RANGE + 1
@@ -289,29 +280,44 @@ _DRAW_BITS = _DRAW_WIDTH.bit_length()
 _VALUES = tuple(range(-COMPONENT_RANGE, COMPONENT_RANGE + 1))
 
 
-def _draw(vector_count: int, scalar_count: int, seed: int, trial: int,
-          rng: random.Random | None = None) -> tuple[list, list]:
-    """The integer components of one trial: a 4-tuple per vector, then
-    one number per scalar, in that order from the trial's generator
-    (`rng` reseeded, or a new one); the values of
-    `randint(-COMPONENT_RANGE, COMPONENT_RANGE)` at each draw."""
-    getrandbits = _trial_rng(seed, trial, rng).getrandbits
-    values = []
-    for _ in range(4 * vector_count + scalar_count):
-        v = getrandbits(_DRAW_BITS)
-        while v >= _DRAW_WIDTH:
-            v = getrandbits(_DRAW_BITS)
-        values.append(_VALUES[v])
+def _draws(vector_count: int, scalar_count: int, seed: int, first: int,
+           n: int) -> tuple[tuple, tuple]:
+    """The int components of trials `first` .. `first + n - 1` under `seed`,
+    laid out for `_run`: a column per vector position (the trials'
+    4-tuples) and one per scalar position, tuples at every level.  Each
+    trial draws once, from its own `random.Random(seed * 1_000_003 +
+    trial)`: 4 values per vector, then 1 per scalar, each the value of
+    `randint(-COMPONENT_RANGE, COMPONENT_RANGE)` at that draw."""
+    vectors = [[] for _ in range(vector_count)]
+    scalars = [[] for _ in range(scalar_count)]
     cut = 4 * vector_count
-    return [tuple(values[k:k + 4]) for k in range(0, cut, 4)], values[cut:]
+    for trial in range(first, first + n):
+        getrandbits = random.Random(seed * 1_000_003 + trial).getrandbits
+        values = []
+        for _ in range(cut + scalar_count):
+            v = getrandbits(_DRAW_BITS)
+            while v >= _DRAW_WIDTH:
+                v = getrandbits(_DRAW_BITS)
+            values.append(_VALUES[v])
+        for k, column in enumerate(vectors):
+            column.append(tuple(values[4 * k:4 * k + 4]))
+        for column, value in zip(scalars, values[cut:]):
+            column.append(value)
+    return tuple(map(tuple, vectors)), tuple(map(tuple, scalars))
+
+
+def _assignment(vector_names, scalar_names, vectors, scalars, offset: int) -> Assignment:
+    """The assignment of the trial at `offset` in columns laid out as
+    `_draws` lays them out, each column named by its sorted name."""
+    return Assignment({n: ParaQuaternion(*c[offset]) for n, c in zip(vector_names, vectors)},
+                      {n: Fraction(c[offset]) for n, c in zip(scalar_names, scalars)})
 
 
 def random_assignment(vector_names, scalar_names, seed: int, trial: int) -> Assignment:
     vector_names = sorted(vector_names)
     scalar_names = sorted(scalar_names)
-    vectors, scalars = _draw(len(vector_names), len(scalar_names), seed, trial)
-    return Assignment({n: ParaQuaternion(*c) for n, c in zip(vector_names, vectors)},
-                      {n: Fraction(v) for n, v in zip(scalar_names, scalars)})
+    vectors, scalars = _draws(len(vector_names), len(scalar_names), seed, trial, 1)
+    return _assignment(vector_names, scalar_names, vectors, scalars, 0)
 
 
 class IdentityReport(Record):
@@ -350,15 +356,15 @@ def check_identity(e: Expr, trials: int = DEFAULT_TRIALS,
 def _counterexample(e: Expr, trials: int, seed: int) -> Assignment | None:
     """The assignment of the first trial on which `e` is nonzero, or None.
     Trials run in blocks of `_BLOCK`, so a refutation stops within the
-    block that holds it.  The plan is compiled once and freed before the
-    caller prints `e`."""
+    block that holds it, and the assignment is read from that block.  The
+    plan is compiled once and freed before the caller prints `e`."""
     plan = _compile(e)
     for first in range(0, trials, _BLOCK):
         n = min(_BLOCK, trials - first)
         vectors, scalars = _block(len(plan.vectors), len(plan.scalars), seed, first, n)
         for offset, value in enumerate(zip(*_run(plan, vectors, scalars, n))):
             if any(value):
-                return random_assignment(plan.vectors, plan.scalars, seed, first + offset)
+                return _assignment(plan.vectors, plan.scalars, vectors, scalars, offset)
     return None
 
 
@@ -373,18 +379,11 @@ _BLOCKS = 256
 @lru_cache(maxsize=_BLOCKS)
 def _block(vector_count: int, scalar_count: int, seed: int, first: int,
            n: int) -> tuple[tuple, tuple]:
-    """The components of trials `first` .. `first + n - 1` under `seed`,
-    laid out for `_run`: a column per vector position and a column per
-    scalar position.  A pure function of its arguments, kept in a bounded
-    cache: a block is drawn once per process, through one generator
-    reseeded for each trial, and every later check of the same shape,
-    seed and block reads it.  Every level is a tuple, so no run can alter
-    a block that another check reads.  A full block of a 4-vector,
-    4-scalar shape holds 12.0 KB with its key (64-bit CPython 3.11, by
-    tracemalloc), so `_BLOCKS` of them hold 3.1 MB; each further vector
-    adds about 3 KB to a block."""
-    rng = random.Random(0)  # reseeded for every trial
-    draws = [_draw(vector_count, scalar_count, seed, trial, rng)
-             for trial in range(first, first + n)]
-    return (tuple(zip(*[vectors for vectors, _ in draws])),
-            tuple(zip(*[scalars for _, scalars in draws])))
+    """The trials `first` .. `first + n - 1` under `seed` as `_draws` lays
+    them out, kept in a bounded cache: a block is drawn once per process,
+    and every later check of the same shape, seed and block reads it.
+    Every level is a tuple, so no run can alter a block that another
+    check reads.  A full block of a 4-vector, 4-scalar shape holds 12.0 KB
+    with its key (64-bit CPython 3.11, by tracemalloc), so `_BLOCKS` of
+    them hold 3.1 MB; each further vector adds about 3 KB to a block."""
+    return _draws(vector_count, scalar_count, seed, first, n)

@@ -146,9 +146,6 @@ class CoeffMatrix(Record):
         }
         return json.dumps(payload, indent=2)
 
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]))
-
 
 # The most cells a coefficient matrix may have.  Every cell is built and
 # kept, and a matrix has (degree1 + 1) x (degree2 + 1) of them, so

@@ -117,7 +117,7 @@ def test_criterion_1_l1_matrix(lin):
          "b(z1.z4, z2.z4) - b(z1,z2)*q(z4)"],
         ["0", "b(z2.z3, z2.z4) - b(z3,z4)*q(z2)", "0"],
     ]
-    ok = matrix.shape() == (3, 3)
+    ok = (len(matrix.rows), len(matrix.rows[0])) == (3, 3)
     for i, row in enumerate(expected):
         for j, text in enumerate(row):
             ok = ok and equal(matrix.rows[i][j], lin.canon(text))
@@ -136,7 +136,7 @@ def test_criterion_2_l2_matrix(lin):
          "(z1.z4).z2 + (z2.z4).z1 - b(z1,z2)*z4"],
         ["(z2.z3).z2 - q(z2)*z3", "(z2.z4).z2 - q(z2)*z4"],
     ]
-    ok = matrix.shape() == (3, 2)
+    ok = (len(matrix.rows), len(matrix.rows[0])) == (3, 2)
     for i, row in enumerate(expected):
         for j, text in enumerate(row):
             ok = ok and equal(matrix.rows[i][j], lin.canon(text))

@@ -187,18 +187,27 @@ def test_float_values_are_refused_by_name(greek):
     assert eval_expr(e, a) == Fraction(101, 1000)
 
 
+def randint_columns(vectors, scalars, seed, first, n):
+    """Trials first .. first + n - 1 as `_run` reads them, each trial the
+    values of randint(-9, 9) on its own generator: 4 per vector, then 1 per
+    scalar."""
+    trials = []
+    for trial in range(first, first + n):
+        rng = random.Random(seed * 1_000_003 + trial)
+        trials.append([rng.randint(-9, 9) for _ in range(4 * vectors + scalars)])
+    return (tuple(tuple(tuple(values[4 * k:4 * k + 4]) for values in trials)
+                  for k in range(vectors)),
+            tuple(tuple(values[4 * vectors + k] for values in trials) for k in range(scalars)))
+
+
 def test_draw_gives_the_values_of_randint():
-    # A trial's components are, in order, the values of randint(-9, 9) on
-    # the trial's own generator: 4 per vector, then 1 per scalar.
-    for seed in (14, 42, 2718):
-        for trial in range(200):
-            for vectors in range(5):
-                for scalars in range(4):
-                    rng = random.Random(seed * 1_000_003 + trial)
-                    values = [rng.randint(-9, 9) for _ in range(4 * vectors + scalars)]
-                    expected = ([tuple(values[4 * k:4 * k + 4]) for k in range(vectors)],
-                                values[4 * vectors:])
-                    assert oracle._draw(vectors, scalars, seed, trial) == expected
+    for n in (1, oracle._BLOCK):
+        for seed in (14, 42, 2718):
+            for first in range(0, 200, n):
+                for vectors in range(5):
+                    for scalars in range(4):
+                        assert oracle._draws(vectors, scalars, seed, first, n) == \
+                            randint_columns(vectors, scalars, seed, first, n)
 
 
 def test_component_range(xy):
@@ -215,17 +224,9 @@ def test_component_range(xy):
 # first fails at trial 21 (alpha = 9), `second_block_vector` at trial 51
 # (alpha = -2) and `third_block_scalar` at trial 71 (alpha = -4), past
 # the first blocks of trials that `check_identity` runs together.
-RECORDED_REPORTS = {
-    "commutator": "x.y - y.x",
-    "third_polar": "q(x) - 1/3*b(x,x)",
-    "scalars": "alpha*(x.y) - beta*(y.x) + lambda*q(z)*x",
-    "late_failure": "alpha*(alpha^2-1)*(alpha^2-4)*(alpha^2-9)*(alpha^2-16)*(alpha^2-25)"
-                    "*(alpha^2-36)*(alpha^2-49)*(alpha^2-64)*(alpha+9)*q(x)",
-    "second_block_vector": "alpha*(alpha^2-1)*(alpha^2-9)*(alpha^2-16)*(alpha^2-25)"
-                           "*(alpha^2-36)*(alpha^2-49)*(alpha^2-64)*(alpha^2-81)*(alpha-2)*(x.y)",
-    "third_block_scalar": "alpha*(alpha^2-1)*(alpha^2-4)*(alpha^2-9)*(alpha^2-25)"
-                          "*(alpha^2-36)*(alpha^2-49)*(alpha^2-64)*(alpha^2-81)*(alpha-4)",
-}
+# Each line of the file is a report's name and its identity.
+RECORDED_REPORTS = dict(line.split(" ", 1) for line in
+                        (DATA / "oracle_reports.txt").read_text(encoding="utf-8").splitlines())
 
 
 @pytest.mark.parametrize("name", RECORDED_REPORTS)
@@ -239,17 +240,37 @@ def test_failing_report_matches_recording(name):
         assert out.getvalue().encode("utf-8") == recording
 
 
+@pytest.mark.parametrize("name", RECORDED_REPORTS)
+def test_a_report_names_the_assignment_of_its_first_failing_trial(name):
+    # The counterexample read from the refuting block is what
+    # `random_assignment` draws for the first trial that evaluates nonzero.
+    ctx = Ctx(scalars=("alpha", "beta", "lambda"), vectors=("x", "y", "z"))
+    value = ctx.canon(RECORDED_REPORTS[name])
+    plan = oracle._compile(value)
+    trial = 0
+    while True:
+        got = eval_expr(value, random_assignment(plan.vectors, plan.scalars, 42, trial))
+        if not (got.is_zero if plan.vector else got == 0):
+            break
+        trial += 1
+    expected = random_assignment(plan.vectors, plan.scalars, 42, trial)
+    assert check_identity(value, 100, 42).counterexample == expected
+    recording = json.loads((DATA / f"oracle_report_{name}.json").read_text(encoding="utf-8"))
+    assert recording["counterexample"] == expected.to_jsonable()
+
+
 def test_a_refutation_stops_within_its_block(xy, monkeypatch):
-    drawn = set()
-    draw = oracle._draw
+    drawn = []
+    draws = oracle._draws
 
-    def counting_draw(vector_count, scalar_count, seed, trial, rng=None):
-        drawn.add(trial)
-        return draw(vector_count, scalar_count, seed, trial, rng)
+    def counting_draws(vector_count, scalar_count, seed, first, n):
+        drawn.extend(range(first, first + n))
+        return draws(vector_count, scalar_count, seed, first, n)
 
-    monkeypatch.setattr(oracle, "_draw", counting_draw)
+    monkeypatch.setattr(oracle, "_draws", counting_draws)
     # An empty cache, so that the block is drawn here and not read from an
-    # earlier test.
+    # earlier test.  The report reads its trial from that block: no trial
+    # is drawn twice.
     oracle._block.cache_clear()
     report = check_identity(xy.canon("q(x) - q(y)"), 10_000)
     assert not report.passed

@@ -160,7 +160,7 @@ def test_coeff_vector_drops_words_whose_coefficient_drops_out(lin_ctx):
 def test_coeff_matrix_of_vector_value(lin_ctx):
     e = lin_ctx.canon("alpha*x + alpha^2*beta*(x.y) + y")
     matrix = coeff_matrix(e, ("alpha", "beta"))
-    assert matrix.shape() == (3, 2)
+    assert (len(matrix.rows), len(matrix.rows[0])) == (3, 2)
     assert equal(matrix.rows[0][0], lin_ctx.canon("y"))
     assert equal(matrix.rows[1][0], lin_ctx.canon("x"))
     assert equal(matrix.rows[2][1], lin_ctx.canon("x.y"))
@@ -170,7 +170,7 @@ def test_coeff_matrix_of_vector_value(lin_ctx):
 
 def test_coeff_matrix_of_zero():
     matrix = coeff_matrix(ScalarExpr(), ("alpha", "beta"))
-    assert matrix.shape() == (1, 1)
+    assert (len(matrix.rows), len(matrix.rows[0])) == (1, 1)
     assert matrix.rows[0][0].is_zero
     assert matrix.vars == ("alpha", "beta")
 
@@ -183,7 +183,7 @@ def test_coeff_matrix_needs_two_distinct_symbols(greek):
 def test_coeff_matrix_bounds_its_cell_count(greek):
     from symcomp.polyops import MAX_MATRIX_CELLS
     at_bound = coeff_matrix(greek.canon(f"lambda^{MAX_MATRIX_CELLS - 1}*q(x)"), ("lambda", "mu"))
-    assert at_bound.shape() == (MAX_MATRIX_CELLS, 1)
+    assert (len(at_bound.rows), len(at_bound.rows[0])) == (MAX_MATRIX_CELLS, 1)
     with pytest.raises(ExprTypeError) as err:
         coeff_matrix(greek.canon(f"lambda^{MAX_MATRIX_CELLS}*q(x)"), ("lambda", "mu"))
     assert str(err.value) == (f"coefficient matrix shape {MAX_MATRIX_CELLS + 1} x 1 is over "
