@@ -9,20 +9,25 @@ to an exact identity here; a single nonzero evaluation refutes a claim.
 Everything is exact, with no floating point.  The model arithmetic is
 written once, on plain 4-tuples (``_product``, ``_norm``, ``_polar``).  A
 checked value is compiled once into a plan: straight-line lists of slots
-for its distinct words, atoms and (atom, exponent) factors and of its
-units.  ``check_identity`` runs the plan on blocks of `_BLOCK` trials:
+for its distinct words, atoms and (atom, exponent) factors, and for each
+unit a factor tree that holds its monomials by their shared prefixes, so
+a prefix common to many monomials is multiplied once (a multivariate
+Horner scheme).  ``check_identity`` draws trials in blocks of `_BLOCK`:
 ``_draws`` draws each trial once, from the trial's own generator, into
-the block's columns of plain int components, and ``_run`` computes each
-slot as one column over the block's trials.  A rational coefficient
-makes a sum a Fraction.  A refuted check reads its counterexample from
-the block that refuted it.
+the block's columns of plain int components.  It runs them in growing
+runs of one block, then two, then `_RUN_BLOCKS`, joined column by
+column, and ``_run`` computes each slot and each tree node as one column
+over the run's trials.  A rational coefficient makes a sum a Fraction.
+A refuted check reads its counterexample from the run that refuted it.
 
 A block is drawn once per process for each (shape, seed, block):
-``_block`` keeps it in a bounded cache of `_BLOCKS` blocks, at most
-3.1 MB for shapes of up to 4 vectors and 4 scalars, and every later
-check of that shape under that seed reads it.  A process that makes one
-check draws every block, as before, and gains nothing.
-``random_assignment`` and ``eval_expr`` draw and evaluate afresh.
+``_block`` keeps it in a bounded cache of `_BLOCKS` blocks, and every
+later check of that shape under that seed reads it.  Only shapes of up
+to `_CACHED_SHAPE` (4) vectors and as many scalars are kept, so the
+cache holds at most 3.1 MB; a wider check draws its blocks afresh.  A
+process that makes one check draws every block, as before, and gains
+nothing.  ``random_assignment`` and ``eval_expr`` draw and evaluate
+afresh.
 
 ``eval_expr`` runs the same plan as a block of one trial on the Fraction
 components of an `Assignment`.  ``ParaQuaternion`` is a value type only,
@@ -46,7 +51,8 @@ COMPONENT_RANGE = 9  # components drawn uniformly from [-9, 9]
 MAX_TRIALS = 10_000  # the most trials `check_identity`, `--trials` and `oracle_check` accept
 DEFAULT_TRIALS = 100  # trials when neither `--trials` nor `oracle_check` names a count
 DEFAULT_SEED = 42  # seed when neither `--seed` nor $SYMCOMP_SEED gives one
-_BLOCK = 32  # trials `check_identity` draws and runs together
+_BLOCK = 32  # trials `check_identity` draws and caches together
+_RUN_BLOCKS = 4  # the most blocks one run of `check_identity` joins
 
 
 class ParaQuaternion:
@@ -126,7 +132,7 @@ class Assignment(Record):
 class _Plan(Record):
     """A canonical value compiled for evaluation: straight-line slot lists
     over its interned words and atoms, which are evaluated once per run
-    however many units share them.
+    however many units share them, and a factor tree per unit.
 
     - `vectors`, `scalars`: the symbol names, sorted; a name's index is its
       position in a trial's values.
@@ -136,8 +142,14 @@ class _Plan(Record):
       for q, or (word slot, word slot) for b.
     - `factors`: per factor slot, (atom slot, exp), one for each distinct
       (atom, exp) entry of the monomials.
-    - `units`: (word slot or None, [(coeff, (factor slot, ...)), ...]),
-      each with at least one monomial.
+    - `units`: (word slot or None, constant coefficient, tree), each with
+      at least one monomial.  The tree holds the unit's monomials by their
+      shared prefixes of factor slots: a node is a prefix, and its value
+      is its last factor times (its coefficient, 0 if no monomial ends
+      there, plus its children's values).  `tree` lists the nodes below
+      the root in post-order, each [factor slot, coefficient, child
+      count], so each node's children come just before it; the unit's
+      value is its constant plus the values of the root's children.
     """
 
     __slots__ = ("vectors", "scalars", "words", "atoms", "factors", "units", "vector")
@@ -180,19 +192,42 @@ def _compile(e: Expr) -> _Plan:
     for word, terms in e.by_word():
         if not terms:
             continue  # the zero scalar's one unit
-        monomials = []
+        # A node is [factor slot, coefficient, {entry: child node} or None
+        # for a leaf].  Entries come in atom-key order, so monomials that
+        # share atoms share a prefix.
+        root = [None, 0, {}]
         for mono, coeff in terms.items():
-            slots = []
+            node = root
             for entry in mono:
-                slot = factor_slots.get(entry)
-                if slot is None:
-                    atom, exp = entry
-                    slot = factor_slots[entry] = len(factors)
-                    factors.append((atom_slot(atom), exp))
-                    top = max(top, exp)
-                slots.append(slot)
-            monomials.append((coeff, tuple(slots)))
-        units.append((None if word is None else word_slot(word), monomials))
+                children = node[2]
+                if children is None:
+                    children = node[2] = {}
+                child = children.get(entry)
+                if child is None:
+                    slot = factor_slots.get(entry)
+                    if slot is None:
+                        atom, exp = entry
+                        slot = factor_slots[entry] = len(factors)
+                        factors.append((atom_slot(atom), exp))
+                        top = max(top, exp)
+                    child = children[entry] = [slot, 0, None]
+                node = child
+            node[1] = coeff
+        # Reversing a pre-order that visits the children last to first
+        # gives a post-order; each node keeps only its child count.
+        tree = []
+        stack = list(root[2].values())
+        while stack:
+            node = stack.pop()
+            children = node[2]
+            if children is None:
+                node[2] = 0
+            else:
+                node[2] = len(children)
+                stack.extend(children.values())
+            tree.append(node)
+        tree.reverse()
+        units.append((None if word is None else word_slot(word), root[1], tree))
     if top > MAX_POWER:
         raise ExprTypeError(f"exponent {int_text(top)} exceeds the oracle's bound {MAX_POWER}")
 
@@ -212,10 +247,14 @@ def _run(plan: _Plan, vectors: list, scalars: list, n: int) -> list:
     column per vector position (the trials' 4-tuples, in trial order) and
     `scalars` one per scalar position; `n` is given because a constant
     plan has no columns.  Every word, atom and (atom, exp) factor slot is
-    one column, computed once however many units share it; a monomial is
-    a column of products, and the units sum column by column.  Returns
-    the value's component columns: one for a scalar value, four for a
-    vector.  Exact in whatever number type the inputs have."""
+    one column, computed once however many units share it.  A unit's
+    factor tree runs in post-order on a stack of columns: a node takes its
+    children's columns off the stack, sums them with its coefficient and
+    multiplies the sum by its factor's column, once for all the monomials
+    that share its prefix; a leaf with coefficient 1 is its factor's
+    column.  The units sum column by column.  Returns the value's
+    component columns: one for a scalar value, four for a vector.  Exact
+    in whatever number type the inputs have."""
     wv = []
     for left, right in plan.words:
         wv.append(vectors[left] if right is None else list(map(_product, wv[left], wv[right])))
@@ -229,16 +268,24 @@ def _run(plan: _Plan, vectors: list, scalars: list, n: int) -> list:
             av.append(list(map(_polar, wv[left], wv[right])))
     fv = [av[atom] if exp == 1 else [v ** exp for v in av[atom]]
           for atom, exp in plan.factors]
-    # Running totals keep the memory of a run to its slot columns, however
-    # many monomials and units the plan has.
+    # The stack holds the pending columns along one path of a tree, and
+    # running totals sum the units, so the memory of a run stays near its
+    # slot columns however many monomials and units the plan has.
     sums = [[0] * n for _ in range(4 if plan.vector else 1)]
-    for slot, monomials in plan.units:
-        total = [0] * n
-        for coeff, factors in monomials:
-            column = repeat(coeff, n)
-            for factor in factors:
-                column = map(mul, column, fv[factor])
-            total = list(map(add, total, column))
+    for slot, constant, tree in plan.units:
+        stack = []
+        for factor, coeff, count in tree:
+            if count == 0:
+                # A leaf is consumed once, by its parent, so it may stay lazy.
+                stack.append(fv[factor] if coeff == 1 else map(mul, fv[factor], repeat(coeff, n)))
+                continue
+            if count == 1 and not coeff:
+                inner = stack.pop()
+            else:
+                inner = map(sum, zip(*stack[-count:]), repeat(coeff, n))
+                del stack[-count:]
+            stack.append(list(map(mul, fv[factor], inner)))
+        total = list(map(sum, zip(*stack), repeat(constant, n))) if stack else [constant] * n
         if slot is None:
             sums[0] = list(map(add, sums[0], total))
         else:
@@ -353,18 +400,41 @@ def check_identity(e: Expr, trials: int = DEFAULT_TRIALS,
     return IdentityReport(print_expr(e), trials, counterexample is None, counterexample)
 
 
+def _joined(blocks: list) -> tuple[tuple, tuple]:
+    """Consecutive blocks laid out as `_draws` lays them out, joined into
+    one run: each column is the blocks' columns concatenated."""
+    if len(blocks) == 1:
+        return blocks[0]
+    vectors, scalars = (tuple(sum(columns, ()) for columns in zip(*parts))
+                        for parts in zip(*blocks))
+    return vectors, scalars
+
+
 def _counterexample(e: Expr, trials: int, seed: int) -> Assignment | None:
     """The assignment of the first trial on which `e` is nonzero, or None.
-    Trials run in blocks of `_BLOCK`, so a refutation stops within the
-    block that holds it, and the assignment is read from that block.  The
-    plan is compiled once and freed before the caller prints `e`."""
+    Trials run in growing runs of `_BLOCK`-trial blocks: one block, then
+    two, then `_RUN_BLOCKS` at a time, each run the cached blocks joined
+    column by column.  So a refutation in the first block stops within
+    it, a long check pays a run's fixed cost once per `_RUN_BLOCKS`
+    blocks, and the assignment is read from the run that refuted it.
+    Blocks of a shape wider than `_CACHED_SHAPE` vectors or scalars are
+    drawn afresh and not kept.  The plan is compiled once and freed
+    before the caller prints `e`."""
     plan = _compile(e)
-    for first in range(0, trials, _BLOCK):
-        n = min(_BLOCK, trials - first)
-        vectors, scalars = _block(len(plan.vectors), len(plan.scalars), seed, first, n)
-        for offset, value in enumerate(zip(*_run(plan, vectors, scalars, n))):
+    vector_count, scalar_count = len(plan.vectors), len(plan.scalars)
+    draw = _block if max(vector_count, scalar_count) <= _CACHED_SHAPE else _draws
+    first = 0
+    size = 1
+    while first < trials:
+        last = min(trials, first + size * _BLOCK)
+        vectors, scalars = _joined([draw(vector_count, scalar_count, seed, start,
+                                         min(_BLOCK, last - start))
+                                    for start in range(first, last, _BLOCK)])
+        for offset, value in enumerate(zip(*_run(plan, vectors, scalars, last - first))):
             if any(value):
                 return _assignment(plan.vectors, plan.scalars, vectors, scalars, offset)
+        first = last
+        size = min(2 * size, _RUN_BLOCKS)
     return None
 
 
@@ -372,8 +442,11 @@ def _counterexample(e: Expr, trials: int, seed: int) -> Assignment | None:
 # under one seed draws the same blocks: the six 200-trial C9 checks ask
 # for 42 blocks, of which 21 are distinct.  A 10,000-trial check needs 313,
 # more than the cache holds, so run again it misses every block and pays
-# what drawing it cost without the cache.
+# what drawing it cost without the cache.  Only shapes of up to
+# `_CACHED_SHAPE` vectors and as many scalars are kept, so the cache's
+# bytes stay bounded however wide a checked value is.
 _BLOCKS = 256
+_CACHED_SHAPE = 4
 
 
 @lru_cache(maxsize=_BLOCKS)
@@ -383,7 +456,7 @@ def _block(vector_count: int, scalar_count: int, seed: int, first: int,
     them out, kept in a bounded cache: a block is drawn once per process,
     and every later check of the same shape, seed and block reads it.
     Every level is a tuple, so no run can alter a block that another
-    check reads.  A full block of a 4-vector, 4-scalar shape holds 12.0 KB
-    with its key (64-bit CPython 3.11, by tracemalloc), so `_BLOCKS` of
-    them hold 3.1 MB; each further vector adds about 3 KB to a block."""
+    check reads.  A full block of the widest shape kept, 4 vectors and 4
+    scalars, holds 12.0 KB with its key (64-bit CPython 3.11, by
+    tracemalloc), so `_BLOCKS` of them hold at most 3.1 MB."""
     return _draws(vector_count, scalar_count, seed, first, n)

@@ -13,24 +13,26 @@ from .core import Atom, Expr, Monomial, ScalarExpr, VectorExpr, Word, is_scalar
 from .errors import SymcompError, digit_count
 
 
-def word_text(w: Word) -> str:
-    if w.is_leaf:
-        return w.name
-    return f"{_dot_side(w.left)}.{_dot_side(w.right)}"
+def word_text(w: Word, texts: dict) -> str:
+    """The text of a word; `texts` memoizes each word's text for one
+    `print_expr` call, so a subword shared by many words is rendered once."""
+    text = texts.get(w)
+    if text is None:
+        text = texts[w] = w.name if w.is_leaf else \
+            f"{_dot_side(w.left, texts)}.{_dot_side(w.right, texts)}"
+    return text
 
 
-def _dot_side(w: Word) -> str:
-    if w.is_leaf:
-        return w.name
-    return f"({word_text(w)})"
+def _dot_side(w: Word, texts: dict) -> str:
+    return w.name if w.is_leaf else f"({word_text(w, texts)})"
 
 
-def atom_text(atom: Atom) -> str:
+def atom_text(atom: Atom, texts: dict) -> str:
     if atom.is_symbol:
         return atom.name
     if atom.is_q:
-        return f"q({word_text(atom.w1)})"
-    return f"b({word_text(atom.w1)},{word_text(atom.w2)})"
+        return f"q({word_text(atom.w1, texts)})"
+    return f"b({word_text(atom.w1, texts)},{word_text(atom.w2, texts)})"
 
 
 def _mono_factors(mono: Monomial, texts: dict) -> str:
@@ -41,7 +43,7 @@ def _mono_factors(mono: Monomial, texts: dict) -> str:
         for atom, exp in mono:
             text = texts.get(atom)
             if text is None:
-                text = texts[atom] = atom_text(atom)
+                text = texts[atom] = atom_text(atom, texts)
             parts.append(text if exp == 1 else f"{text}^{exp}")
     except ValueError:
         raise _too_long("exponent", max(exp for _, exp in mono)) from None
@@ -89,7 +91,7 @@ def scalar_text(e: ScalarExpr, texts: dict) -> str:
 def vector_text(e: VectorExpr, texts: dict) -> str:
     parts: list[tuple[bool, str]] = []
     for word, coeff in e.items():
-        wtext = word_text(word) if word.is_leaf else f"({word_text(word)})"
+        wtext = _dot_side(word, texts)
         monos = coeff.monomials()
         if len(monos) == 1:
             mono, c = monos[0]
@@ -100,6 +102,7 @@ def vector_text(e: VectorExpr, texts: dict) -> str:
 
 
 def print_expr(e: Expr) -> str:
-    """Deterministic canonical text for a scalar or vector value."""
+    """Deterministic canonical text for a scalar or vector value.  One
+    `texts` memo holds the text of each distinct word and atom."""
     texts: dict = {}
     return scalar_text(e, texts) if is_scalar(e) else vector_text(e, texts)

@@ -20,6 +20,7 @@ from symcomp import (
     parse_expr,
     q_of,
 )
+from symcomp.core import is_vector, units
 from symcomp.oracle import Assignment, _norm, _polar, _product
 from symcomp.rules import instantiate_sides
 
@@ -216,6 +217,39 @@ def _eval_raw(raw: rx.RawExpr, a: Assignment):
     if isinstance(raw, rx.B):
         return _polar(_eval_raw(raw.left, a), _eval_raw(raw.right, a))
     raise AssertionError(f"unhandled node {type(raw).__name__}")
+
+
+def reference_run(e, vector_names, scalar_names, vectors, scalars, n: int) -> list:
+    """The component columns of `e` on `n` trials the plain way, as
+    `oracle._run` returns them: on each trial, every unit's monomial is
+    its coefficient times each atom's value to its exponent, evaluated
+    alone, and the units are summed.  `vectors` and `scalars` are columns
+    laid out as `oracle._draws` lays them out, named by `vector_names` and
+    `scalar_names`."""
+    vector_at = dict(zip(vector_names, vectors))
+    scalar_at = dict(zip(scalar_names, scalars))
+    columns = [[0] * n for _ in range(4 if is_vector(e) else 1)]
+    for trial in range(n):
+        def word(w):
+            if w.is_leaf:
+                return vector_at[w.name][trial]
+            return _product(word(w.left), word(w.right))
+
+        def atom(a):
+            if a.is_symbol:
+                return scalar_at[a.name][trial]
+            return _norm(word(a.w1)) if a.is_q else _polar(word(a.w1), word(a.w2))
+
+        for w, mono, coeff in units(e):
+            value = coeff
+            for a, exp in mono:
+                value *= atom(a) ** exp
+            if w is None:
+                columns[0][trial] += value
+            else:
+                for k, component in enumerate(word(w)):
+                    columns[k][trial] += value * component
+    return columns
 
 
 def values_agree(lhs, rhs) -> bool:

@@ -6,11 +6,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symcomp import canonicalize, check_identity, eval_expr
 from symcomp import oracle, parser, polyops, sessions
 from symcomp.cli import main
-from symcomp.core import Env
+from symcomp.core import Atom, Env, ScalarExpr, VectorExpr, Word
 from symcomp.oracle import (
     Assignment,
     ParaQuaternion,
@@ -20,7 +21,7 @@ from symcomp.oracle import (
     random_assignment,
 )
 from symcomp.errors import MissingSymbol, SymcompError
-from helpers import Ctx, greek_ctx, random_components, random_raw
+from helpers import Ctx, greek_ctx, random_components, random_raw, reference_run
 
 DATA = Path(__file__).parent / "data"
 
@@ -277,11 +278,11 @@ def test_a_refutation_stops_within_its_block(xy, monkeypatch):
     assert len(drawn) <= oracle._BLOCK < 10_000
 
 
-@pytest.mark.parametrize("n", [1, 2, 31, 32, 33])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 104, 128])
 def test_block_run_agrees_with_one_trial_evaluation(n):
-    # Each trial's value from one run over a block equals `eval_expr` on
-    # that trial's assignment, for scalar and vector values, some with
-    # rational coefficients.
+    # Each trial's value from one run over blocks joined as `check_identity`
+    # joins them equals `eval_expr` on that trial's assignment, for scalar
+    # and vector values, some with rational coefficients.
     ctx = Ctx(scalars=("alpha", "beta"), vectors=("x", "y", "z"))
     rng = random.Random(400 + n)
     for case in range(12):
@@ -290,7 +291,10 @@ def test_block_run_agrees_with_one_trial_evaluation(n):
             value = value * Fraction(rng.randint(1, 9), rng.randint(2, 9))
         plan = oracle._compile(value)
         seed = rng.randint(0, 10**6)
-        vectors, scalars = oracle._block(len(plan.vectors), len(plan.scalars), seed, 0, n)
+        shape = (len(plan.vectors), len(plan.scalars), seed)
+        vectors, scalars = oracle._joined([oracle._block(*shape, first, min(32, n - first))
+                                           for first in range(0, n, 32)])
+        assert (vectors, scalars) == oracle._draws(*shape, 0, n)
         columns = oracle._run(plan, vectors, scalars, n)
         assert len(columns) == (4 if plan.vector else 1)
         assert all(len(column) == n for column in columns)
@@ -298,6 +302,49 @@ def test_block_run_agrees_with_one_trial_evaluation(n):
             expected = eval_expr(value, random_assignment(plan.vectors, plan.scalars, seed, trial))
             got = [column[trial] for column in columns]
             assert got == (list(expected.components()) if plan.vector else [expected])
+
+
+# Plans for the factor tree: a few atoms, so that monomials share
+# prefixes; the constant monomial; exponents up to 3; integer and rational
+# coefficients; scalar values and vector values of up to three words.
+_X, _Y = Word.leaf("x", 0), Word.leaf("y", 1)
+_XY = Word.pair(_X, _Y)
+_TREE_ATOMS = sorted([Atom.symbol("alpha", 0), Atom.symbol("beta", 1), Atom.q(_X), Atom.q(_XY),
+                      Atom.b(_X, _Y), Atom.b(_Y, _XY)], key=lambda atom: atom.key)
+_tree_monos = st.lists(st.tuples(st.integers(0, len(_TREE_ATOMS) - 1), st.integers(1, 3)),
+                       max_size=4).map(
+    lambda entries: tuple(sorted({_TREE_ATOMS[r]: e for r, e in entries}.items(),
+                                 key=lambda entry: entry[0].key)))
+_tree_coeffs = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=6)).filter(bool)
+_tree_scalars = st.dictionaries(_tree_monos, _tree_coeffs, min_size=1, max_size=12).map(ScalarExpr)
+_tree_values = st.one_of(_tree_scalars, st.dictionaries(
+    st.sampled_from((_X, _Y, _XY, Word.pair(_XY, _X))), _tree_scalars,
+    min_size=1, max_size=3).map(VectorExpr))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(value=_tree_values, seed=st.integers(0, 2**32), n=st.sampled_from((1, 3, 32)),
+       halved=st.booleans())
+def test_factor_tree_agrees_with_a_plain_monomial_sum_property(value, seed, n, halved):
+    # On int components, and on Fraction ones as `eval_expr` passes them.
+    plan = oracle._compile(value)
+    vectors, scalars = oracle._draws(len(plan.vectors), len(plan.scalars), seed, 0, n)
+    if halved:
+        vectors = [[tuple(Fraction(c, 2) for c in u) for u in column] for column in vectors]
+        scalars = [[Fraction(v, 2) for v in column] for column in scalars]
+    assert oracle._run(plan, vectors, scalars, n) == \
+        reference_run(value, plan.vectors, plan.scalars, vectors, scalars, n)
+
+
+def test_a_factor_tree_multiplies_a_shared_prefix_once(greek):
+    # alpha is the prefix of three monomials and one node of the tree; the
+    # constant 2 is the unit's, outside the tree.
+    plan = oracle._compile(greek.canon("alpha*q(x) + 3*alpha*b(x,y) - alpha*beta^2 + 2"))
+    assert [factor for factor, _ in plan.factors] == [0, 1, 2, 3]
+    ((slot, constant, tree),) = plan.units
+    assert (slot, constant) == (None, 2)
+    assert len(tree) == 4 and tree[-1] == [0, 0, 3]
+    assert sorted(map(tuple, tree[:-1])) == [(1, 1, 0), (2, 3, 0), (3, -1, 0)]
 
 
 # Nonzero only at alpha = 4 and only at beta = 7.  A check of one of them
@@ -346,6 +393,36 @@ def test_a_cached_block_is_tuples_that_a_run_leaves_alone(greek):
     oracle._run(plan, vectors, scalars, oracle._BLOCK)
     assert oracle._block(*key) is block
     assert block == oracle._block.__wrapped__(*key)
+
+
+def test_the_block_cache_keeps_only_narrow_shapes():
+    # Up to 4 vectors and 4 scalars a check keeps its blocks; one more of
+    # either and it draws them afresh, so the cache's bytes stay bounded
+    # however wide a value is.  A failing check of each shape reports the
+    # assignment of its first trial.
+    ctx = Ctx(scalars=("alpha", "beta", "gamma", "delta", "eps"),
+              vectors=("v0", "v1", "v2", "v3", "v4"))
+    narrow = "q(v0.v1) - q(v0)*q(v1) + alpha*beta*gamma*delta*(b(v2,v3) - b(v3,v2))"
+    for text, kept in [(narrow, 4), (narrow + " + q(v4.v0) - q(v4)*q(v0)", 0),
+                       (narrow + " + eps*(b(v0,v1) - b(v1,v0))", 0)]:
+        value = ctx.canon(text)
+        oracle._block.cache_clear()
+        assert check_identity(value, 100, 42).passed
+        assert oracle._block.cache_info().currsize == kept
+        failing = value + ctx.canon("q(v0)")
+        plan = oracle._compile(failing)
+        assert check_identity(failing, 100, 42).counterexample == \
+            random_assignment(plan.vectors, plan.scalars, 42, 0)
+
+
+def test_a_long_check_replays_its_recording():
+    # 10,000 trials of the C9 main identity: 313 blocks, more than the
+    # cache holds, in runs of up to four blocks.
+    oracle._block.cache_clear()
+    out = io.StringIO()
+    assert main(["oracle", "--json", "--seed", "42", "--trials", "10000",
+                 str(DATA / "c9_main_identity.expr")], out=out) == 0
+    assert out.getvalue().encode("utf-8") == (DATA / "oracle_c9_main_10000.json").read_bytes()
 
 
 def c9_identities():
