@@ -12,27 +12,26 @@ checked value is compiled once into a plan: straight-line lists of slots
 for its distinct words, atoms and (atom, exponent) factors, and for each
 unit a factor tree that holds its monomials by their shared prefixes, so
 a prefix common to many monomials is multiplied once (a multivariate
-Horner scheme).  ``check_identity`` draws trials in blocks of `_BLOCK`:
+Horner scheme).  ``check_identity`` runs trials in growing runs of
+`_FIRST_RUN` (32) trials, then 64, then `_LONGEST_RUN` (128) at a time:
 ``_draws`` draws each trial once, from the trial's own generator, into
-the block's columns of plain int components.  It runs them in growing
-runs of one block, then two, then `_RUN_BLOCKS`, joined column by
-column, and ``_run`` computes each slot and each tree node as one column
-over the run's trials.  A rational coefficient makes a sum a Fraction.
-A refuted check reads its counterexample from the run that refuted it.
+the run's columns of plain int components, and ``_run`` computes each
+slot and each tree node as one column over the run's trials.  A
+rational coefficient makes a sum a Fraction.  A refuted check reads its
+counterexample from the run that refuted it.
 
-A block is drawn once per process for each (shape, seed, block):
-``_block`` keeps it in a bounded cache of `_BLOCKS` blocks, and every
-later check of that shape under that seed reads it.  Only shapes of up
-to `_CACHED_SHAPE` (4) vectors and as many scalars are kept, so the
-cache holds at most 3.1 MB; a wider check draws its blocks afresh.  A
-process that makes one check draws every block, as before, and gains
-nothing.  ``random_assignment`` and ``eval_expr`` draw and evaluate
-afresh.
+A run is drawn once per process for each (shape, seed, first trial,
+length): ``_cached_draws`` keeps it in a bounded cache of `_CACHED_RUNS`
+(64) runs, and every later check of that shape under that seed reads
+it.  Only shapes of up to `_CACHED_SHAPE` (4) vectors and as many
+scalars are kept, so the cache holds at most 2.9 MB; a wider check
+calls ``_draws`` for each run and keeps nothing.  ``random_assignment``
+calls ``_draws`` for its one trial and keeps nothing either.
 
-``eval_expr`` runs the same plan as a block of one trial on the Fraction
-components of an `Assignment`.  ``ParaQuaternion`` is a value type only,
-for the vectors of an `Assignment` and a vector result of ``eval_expr``:
-it has no arithmetic.
+``eval_expr`` evaluates the same plan as a run of one trial on the
+Fraction components of an `Assignment`.  ``ParaQuaternion`` is a value
+type only, for the vectors of an `Assignment` and a vector result of
+``eval_expr``: it has no arithmetic.
 """
 from __future__ import annotations
 
@@ -51,8 +50,8 @@ COMPONENT_RANGE = 9  # components drawn uniformly from [-9, 9]
 MAX_TRIALS = 10_000  # the most trials `check_identity`, `--trials` and `oracle_check` accept
 DEFAULT_TRIALS = 100  # trials when neither `--trials` nor `oracle_check` names a count
 DEFAULT_SEED = 42  # seed when neither `--seed` nor $SYMCOMP_SEED gives one
-_BLOCK = 32  # trials `check_identity` draws and caches together
-_RUN_BLOCKS = 4  # the most blocks one run of `check_identity` joins
+_FIRST_RUN = 32  # trials in the first run of `check_identity`; each later run doubles
+_LONGEST_RUN = 128  # the most trials one run of `check_identity` evaluates together
 
 
 class ParaQuaternion:
@@ -297,10 +296,10 @@ def _run(plan: _Plan, vectors: list, scalars: list, n: int) -> list:
 def eval_expr(e: Expr, a: Assignment) -> int | Fraction | ParaQuaternion:
     """Homomorphic evaluation: dot -> para-Hurwitz product, q -> norm,
     b -> polar form; scalar expressions yield numbers, vector
-    expressions yield para-quaternions.  The plan runs as a block of one
-    trial.  A vector symbol must hold a ParaQuaternion and a scalar symbol
-    an int or a Fraction; a float would carry its binary fraction into
-    the exact value."""
+    expressions yield para-quaternions.  The plan is evaluated as a run
+    of one trial.  A vector symbol must hold a ParaQuaternion and a scalar
+    symbol an int or a Fraction; a float would carry its binary fraction
+    into the exact value."""
     plan = _compile(e)
     for kind, names, values, types, wanted in (
             ("vector", plan.vectors, a.vectors, ParaQuaternion, "a ParaQuaternion"),
@@ -320,7 +319,7 @@ def eval_expr(e: Expr, a: Assignment) -> int | Fraction | ParaQuaternion:
 # A component is `randint(-COMPONENT_RANGE, COMPONENT_RANGE)`, which
 # CPython draws as -COMPONENT_RANGE plus `_DRAW_BITS` random bits, drawn
 # again while they reach `_DRAW_WIDTH`; `_draws` does the same directly.
-# It takes the value from `_VALUES`, so the blocks that `_block` keeps
+# It takes the value from `_VALUES`, so the runs that `_cached_draws` keeps
 # share one object for each of -9 .. -6 (CPython shares only -5 .. 256).
 _DRAW_WIDTH = 2 * COMPONENT_RANGE + 1
 _DRAW_BITS = _DRAW_WIDTH.bit_length()
@@ -400,63 +399,52 @@ def check_identity(e: Expr, trials: int = DEFAULT_TRIALS,
     return IdentityReport(print_expr(e), trials, counterexample is None, counterexample)
 
 
-def _joined(blocks: list) -> tuple[tuple, tuple]:
-    """Consecutive blocks laid out as `_draws` lays them out, joined into
-    one run: each column is the blocks' columns concatenated."""
-    if len(blocks) == 1:
-        return blocks[0]
-    vectors, scalars = (tuple(sum(columns, ()) for columns in zip(*parts))
-                        for parts in zip(*blocks))
-    return vectors, scalars
-
-
 def _counterexample(e: Expr, trials: int, seed: int) -> Assignment | None:
     """The assignment of the first trial on which `e` is nonzero, or None.
-    Trials run in growing runs of `_BLOCK`-trial blocks: one block, then
-    two, then `_RUN_BLOCKS` at a time, each run the cached blocks joined
-    column by column.  So a refutation in the first block stops within
-    it, a long check pays a run's fixed cost once per `_RUN_BLOCKS`
-    blocks, and the assignment is read from the run that refuted it.
-    Blocks of a shape wider than `_CACHED_SHAPE` vectors or scalars are
-    drawn afresh and not kept.  The plan is compiled once and freed
-    before the caller prints `e`."""
+    Trials run in growing runs: `_FIRST_RUN` (32) trials, then 64, then
+    `_LONGEST_RUN` (128) at a time, the last run cut at `trials`.  So a
+    refutation in the first 32 trials stops there, a long check pays a
+    run's fixed cost once per 128 trials, and the assignment is read
+    from the run that refuted it.  Each run is one ``_cached_draws`` call,
+    or one ``_draws`` call for a shape wider than `_CACHED_SHAPE` vectors
+    or scalars.  The plan is compiled once and freed before the caller
+    prints `e`."""
     plan = _compile(e)
     vector_count, scalar_count = len(plan.vectors), len(plan.scalars)
-    draw = _block if max(vector_count, scalar_count) <= _CACHED_SHAPE else _draws
+    draw = _cached_draws if max(vector_count, scalar_count) <= _CACHED_SHAPE else _draws
     first = 0
-    size = 1
+    n = _FIRST_RUN
     while first < trials:
-        last = min(trials, first + size * _BLOCK)
-        vectors, scalars = _joined([draw(vector_count, scalar_count, seed, start,
-                                         min(_BLOCK, last - start))
-                                    for start in range(first, last, _BLOCK)])
-        for offset, value in enumerate(zip(*_run(plan, vectors, scalars, last - first))):
+        n = min(n, trials - first)
+        vectors, scalars = draw(vector_count, scalar_count, seed, first, n)
+        for offset, value in enumerate(zip(*_run(plan, vectors, scalars, n))):
             if any(value):
                 return _assignment(plan.vectors, plan.scalars, vectors, scalars, offset)
-        first = last
-        size = min(2 * size, _RUN_BLOCKS)
+        first += n
+        n = min(2 * n, _LONGEST_RUN)
     return None
 
 
-# Blocks of trial components kept per process.  Every check of one shape
-# under one seed draws the same blocks: the six 200-trial C9 checks ask
-# for 42 blocks, of which 21 are distinct.  A 10,000-trial check needs 313,
-# more than the cache holds, so run again it misses every block and pays
-# what drawing it cost without the cache.  Only shapes of up to
-# `_CACHED_SHAPE` vectors and as many scalars are kept, so the cache's
-# bytes stay bounded however wide a checked value is.
-_BLOCKS = 256
+# Runs of trial components kept per process.  Every check of one shape
+# under one seed draws the same runs: the six 200-trial C9 checks ask for
+# 18 runs (32, 64 and 104 trials each), of which 9 are distinct, so the
+# cache misses 9 times and hits 9 times.  A 10,000-trial check needs 80
+# runs, more than the cache holds, so run again it misses every run and
+# pays what drawing it cost without the cache.  Only
+# shapes of up to `_CACHED_SHAPE` vectors and as many scalars are kept, so
+# the cache's bytes stay bounded however wide a checked value is.
+_CACHED_RUNS = 64
 _CACHED_SHAPE = 4
 
 
-@lru_cache(maxsize=_BLOCKS)
-def _block(vector_count: int, scalar_count: int, seed: int, first: int,
-           n: int) -> tuple[tuple, tuple]:
-    """The trials `first` .. `first + n - 1` under `seed` as `_draws` lays
-    them out, kept in a bounded cache: a block is drawn once per process,
-    and every later check of the same shape, seed and block reads it.
-    Every level is a tuple, so no run can alter a block that another
-    check reads.  A full block of the widest shape kept, 4 vectors and 4
-    scalars, holds 12.0 KB with its key (64-bit CPython 3.11, by
-    tracemalloc), so `_BLOCKS` of them hold at most 3.1 MB."""
+@lru_cache(maxsize=_CACHED_RUNS)
+def _cached_draws(vector_count: int, scalar_count: int, seed: int, first: int,
+                  n: int) -> tuple[tuple, tuple]:
+    """``_draws`` of trials `first` .. `first + n - 1` under `seed`, kept in
+    a bounded cache: a run is drawn once per process, and every later
+    check of the same shape, seed and run reads it.  Every level is a
+    tuple, so no check can alter a run that another check reads.  A full
+    cache of 128-trial runs of the widest shape kept, 4 vectors and 4
+    scalars, holds 2.9 MB with its keys (64-bit CPython 3.11, by
+    tracemalloc)."""
     return _draws(vector_count, scalar_count, seed, first, n)

@@ -202,7 +202,7 @@ def randint_columns(vectors, scalars, seed, first, n):
 
 
 def test_draw_gives_the_values_of_randint():
-    for n in (1, oracle._BLOCK):
+    for n in (1, oracle._FIRST_RUN):
         for seed in (14, 42, 2718):
             for first in range(0, 200, n):
                 for vectors in range(5):
@@ -224,7 +224,7 @@ def test_component_range(xy):
 # The last three are zero unless alpha takes one value: `late_failure`
 # first fails at trial 21 (alpha = 9), `second_block_vector` at trial 51
 # (alpha = -2) and `third_block_scalar` at trial 71 (alpha = -4), past
-# the first blocks of trials that `check_identity` runs together.
+# the first run of trials that `check_identity` evaluates together.
 # Each line of the file is a report's name and its identity.
 RECORDED_REPORTS = dict(line.split(" ", 1) for line in
                         (DATA / "oracle_reports.txt").read_text(encoding="utf-8").splitlines())
@@ -232,8 +232,8 @@ RECORDED_REPORTS = dict(line.split(" ", 1) for line in
 
 @pytest.mark.parametrize("name", RECORDED_REPORTS)
 def test_failing_report_matches_recording(name):
-    # The first run draws its blocks and the second reads them.
-    oracle._block.cache_clear()
+    # The first check draws its runs and the second reads them.
+    oracle._cached_draws.cache_clear()
     recording = (DATA / f"oracle_report_{name}.json").read_bytes()
     for _ in range(2):
         out = io.StringIO()
@@ -243,7 +243,7 @@ def test_failing_report_matches_recording(name):
 
 @pytest.mark.parametrize("name", RECORDED_REPORTS)
 def test_a_report_names_the_assignment_of_its_first_failing_trial(name):
-    # The counterexample read from the refuting block is what
+    # The counterexample read from the refuting run is what
     # `random_assignment` draws for the first trial that evaluates nonzero.
     ctx = Ctx(scalars=("alpha", "beta", "lambda"), vectors=("x", "y", "z"))
     value = ctx.canon(RECORDED_REPORTS[name])
@@ -269,20 +269,22 @@ def test_a_refutation_stops_within_its_block(xy, monkeypatch):
         return draws(vector_count, scalar_count, seed, first, n)
 
     monkeypatch.setattr(oracle, "_draws", counting_draws)
-    # An empty cache, so that the block is drawn here and not read from an
-    # earlier test.  The report reads its trial from that block: no trial
-    # is drawn twice.
-    oracle._block.cache_clear()
+    # An empty cache, so that the first run is drawn here and not read
+    # from an earlier test.  The report reads its trial from that run: no
+    # trial is drawn twice.
+    oracle._cached_draws.cache_clear()
     report = check_identity(xy.canon("q(x) - q(y)"), 10_000)
     assert not report.passed
-    assert len(drawn) <= oracle._BLOCK < 10_000
+    assert drawn == list(range(oracle._FIRST_RUN))
 
 
 @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 104, 128])
 def test_block_run_agrees_with_one_trial_evaluation(n):
-    # Each trial's value from one run over blocks joined as `check_identity`
-    # joins them equals `eval_expr` on that trial's assignment, for scalar
-    # and vector values, some with rational coefficients.
+    # Each trial's value from one run of `n` trials, read from the run
+    # cache as `check_identity` reads it, equals `eval_expr` on that
+    # trial's assignment, for scalar and vector values, some with rational
+    # coefficients.  A run of many trials holds the same values as runs of
+    # one: each trial draws from its own generator.
     ctx = Ctx(scalars=("alpha", "beta"), vectors=("x", "y", "z"))
     rng = random.Random(400 + n)
     for case in range(12):
@@ -292,9 +294,12 @@ def test_block_run_agrees_with_one_trial_evaluation(n):
         plan = oracle._compile(value)
         seed = rng.randint(0, 10**6)
         shape = (len(plan.vectors), len(plan.scalars), seed)
-        vectors, scalars = oracle._joined([oracle._block(*shape, first, min(32, n - first))
-                                           for first in range(0, n, 32)])
-        assert (vectors, scalars) == oracle._draws(*shape, 0, n)
+        vectors, scalars = oracle._cached_draws(*shape, 0, n)
+        singles = [oracle._draws(*shape, trial, 1) for trial in range(n)]
+        assert vectors == tuple(tuple(u for one, _ in singles for u in one[k])
+                                for k in range(len(plan.vectors)))
+        assert scalars == tuple(tuple(v for _, one in singles for v in one[k])
+                                for k in range(len(plan.scalars)))
         columns = oracle._run(plan, vectors, scalars, n)
         assert len(columns) == (4 if plan.vector else 1)
         assert all(len(column) == n for column in columns)
@@ -350,8 +355,9 @@ def test_a_factor_tree_multiplies_a_shared_prefix_once(greek):
 # Nonzero only at alpha = 4 and only at beta = 7.  A check of one of them
 # times q(x) reports the x of the trial that fails first, so a report
 # tells that trial.  Under seed 42, alpha and beta first take 4 and 7
-# together, with one vector drawn first, at trial 120: in the block of
-# trials 96 .. 127, which a 100-trial check cuts at 99.
+# together, with one vector drawn first, at trial 120: in the run of
+# trials 96 .. 199 of a 200-trial check, which a 100-trial check cuts to
+# the run of trials 96 .. 99.
 ALPHA_IS_4 = "alpha*(alpha^2-1)*(alpha^2-4)*(alpha^2-9)*(alpha^2-25)*(alpha^2-36)" \
              "*(alpha^2-49)*(alpha^2-64)*(alpha^2-81)*(alpha+4)"
 BETA_IS_7 = "beta*(beta^2-1)*(beta^2-4)*(beta^2-9)*(beta^2-16)*(beta^2-25)" \
@@ -360,10 +366,10 @@ BETA_IS_7 = "beta*(beta^2-1)*(beta^2-4)*(beta^2-9)*(beta^2-16)*(beta^2-25)" \
 
 def test_block_cache_keys_hold_seed_trial_count_and_shape(greek):
     # Checks that differ only in the number of vectors or of scalars, in
-    # trial count (so in the length of the last block) or in seed,
+    # trial count (so in the length of the last run) or in seed,
     # interleaved, report what each reports on an empty cache.  The
     # smaller shape comes first: a trial of one more scalar starts with the
-    # values of the smaller shape, so the smaller shape reading its block
+    # values of the smaller shape, so the smaller shape reading its run
     # would not show a key that lacks the scalar count.
     one = greek.canon(f"({ALPHA_IS_4})*q(x)")
     two_vectors = one * greek.canon("q(y)")
@@ -372,43 +378,43 @@ def test_block_cache_keys_hold_seed_trial_count_and_shape(greek):
               (two_scalars, 100, 42), (two_scalars, 200, 42), (two_scalars, 200, 43)]
     cold = []
     for check in checks:
-        oracle._block.cache_clear()
+        oracle._cached_draws.cache_clear()
         cold.append(check_identity(*check).to_json())
     assert [json.loads(report)["pass"] for report in cold] == [False, False, True, False, False]
     assert json.loads(cold[3])["counterexample"] == \
         random_assignment(["x"], ["alpha", "beta"], 42, 120).to_jsonable()
-    oracle._block.cache_clear()
+    oracle._cached_draws.cache_clear()
     for _ in range(2):
         assert [check_identity(*check).to_json() for check in checks] == cold
 
 
 def test_a_cached_block_is_tuples_that_a_run_leaves_alone(greek):
     plan = oracle._compile(greek.canon("alpha*(x.y) - beta*q(x)*y"))
-    key = (len(plan.vectors), len(plan.scalars), 42, 0, oracle._BLOCK)
-    block = oracle._block(*key)
-    vectors, scalars = block
-    assert isinstance(block, tuple) and isinstance(vectors, tuple) and isinstance(scalars, tuple)
+    key = (len(plan.vectors), len(plan.scalars), 42, 0, oracle._LONGEST_RUN)
+    run = oracle._cached_draws(*key)
+    vectors, scalars = run
+    assert isinstance(run, tuple) and isinstance(vectors, tuple) and isinstance(scalars, tuple)
     assert all(isinstance(column, tuple) for column in vectors + scalars)
     assert all(isinstance(value, tuple) for column in vectors for value in column)
-    oracle._run(plan, vectors, scalars, oracle._BLOCK)
-    assert oracle._block(*key) is block
-    assert block == oracle._block.__wrapped__(*key)
+    oracle._run(plan, vectors, scalars, oracle._LONGEST_RUN)
+    assert oracle._cached_draws(*key) is run
+    assert run == oracle._draws(*key)
 
 
 def test_the_block_cache_keeps_only_narrow_shapes():
-    # Up to 4 vectors and 4 scalars a check keeps its blocks; one more of
-    # either and it draws them afresh, so the cache's bytes stay bounded
-    # however wide a value is.  A failing check of each shape reports the
-    # assignment of its first trial.
+    # Up to 4 vectors and 4 scalars a check keeps its runs, three for 100
+    # trials (32, 64 and 4 trials); one more of either and it keeps none,
+    # so the cache's bytes stay bounded however wide a value is.  A failing
+    # check of each shape reports the assignment of its first trial.
     ctx = Ctx(scalars=("alpha", "beta", "gamma", "delta", "eps"),
               vectors=("v0", "v1", "v2", "v3", "v4"))
     narrow = "q(v0.v1) - q(v0)*q(v1) + alpha*beta*gamma*delta*(b(v2,v3) - b(v3,v2))"
-    for text, kept in [(narrow, 4), (narrow + " + q(v4.v0) - q(v4)*q(v0)", 0),
+    for text, kept in [(narrow, 3), (narrow + " + q(v4.v0) - q(v4)*q(v0)", 0),
                        (narrow + " + eps*(b(v0,v1) - b(v1,v0))", 0)]:
         value = ctx.canon(text)
-        oracle._block.cache_clear()
+        oracle._cached_draws.cache_clear()
         assert check_identity(value, 100, 42).passed
-        assert oracle._block.cache_info().currsize == kept
+        assert oracle._cached_draws.cache_info().currsize == kept
         failing = value + ctx.canon("q(v0)")
         plan = oracle._compile(failing)
         assert check_identity(failing, 100, 42).counterexample == \
@@ -416,13 +422,18 @@ def test_the_block_cache_keeps_only_narrow_shapes():
 
 
 def test_a_long_check_replays_its_recording():
-    # 10,000 trials of the C9 main identity: 313 blocks, more than the
-    # cache holds, in runs of up to four blocks.
-    oracle._block.cache_clear()
-    out = io.StringIO()
-    assert main(["oracle", "--json", "--seed", "42", "--trials", "10000",
-                 str(DATA / "c9_main_identity.expr")], out=out) == 0
-    assert out.getvalue().encode("utf-8") == (DATA / "oracle_c9_main_10000.json").read_bytes()
+    # 10,000 trials of the C9 main identity: 80 runs (32, 64, then 128
+    # trials at a time), more than the 64 the cache holds.  So the second
+    # check misses every run, as the first did, and draws it again.
+    oracle._cached_draws.cache_clear()
+    recording = (DATA / "oracle_c9_main_10000.json").read_bytes()
+    for _ in range(2):
+        out = io.StringIO()
+        assert main(["oracle", "--json", "--seed", "42", "--trials", "10000",
+                     str(DATA / "c9_main_identity.expr")], out=out) == 0
+        assert out.getvalue().encode("utf-8") == recording
+    info = oracle._cached_draws.cache_info()
+    assert (info.misses, info.hits) == (160, 0)
 
 
 def c9_identities():
@@ -447,19 +458,20 @@ def c9_identities():
 
 
 def test_c9_checks_draw_each_block_once():
-    # Seven blocks each; the six identities take three shapes.
+    # Three runs each, of 32, 64 and 104 trials; the six identities take
+    # three shapes, so they draw nine runs and read the other nine.
     identities = c9_identities()
-    oracle._block.cache_clear()
+    oracle._cached_draws.cache_clear()
     assert all(check_identity(value, 200, 42).passed for value in identities)
-    info = oracle._block.cache_info()
-    assert (info.misses, info.hits) == (21, 21)
+    info = oracle._cached_draws.cache_info()
+    assert (info.misses, info.hits) == (9, 9)
 
 
 def test_oracle_session_matches_recording():
     # Two checks of one shape, the second first failing at trial 51; one
     # value at 100 and at 200 trials; a passing identity.  The later checks
-    # read the blocks the earlier ones drew.
-    oracle._block.cache_clear()
+    # read the runs the earlier ones drew.
+    oracle._cached_draws.cache_clear()
     recording = (DATA / "oracle_blocks_seed42.json").read_bytes()
     for _ in range(2):
         out = io.StringIO()

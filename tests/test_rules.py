@@ -1,5 +1,6 @@
 """Matching semantics, application strategy, and the built-in catalog."""
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -609,6 +610,42 @@ def test_template_fill_agrees_with_instantiate_sides_property(seed, pool):
         assert type(filled) is type(expected), rule.name
         assert equal(filled, expected), (rule.name, binds)
         assert stores_no_zero(filled), rule.name
+
+
+def leaf_counts(w: Word) -> Counter:
+    return Counter([w.name]) if w.is_leaf else leaf_counts(w.left) + leaf_counts(w.right)
+
+
+def multidegree(word, mono) -> frozenset:
+    """A unit's degree in each symbol.  A vector's degree counts its leaves
+    in the unit's word, twice its leaves in each q word and its leaves in
+    both b words, all times the exponent; a scalar's is its exponent."""
+    degree = Counter() if word is None else leaf_counts(word)
+    for atom, exp in mono:
+        if atom.is_symbol:
+            part = Counter([atom.name])
+        elif atom.is_q:
+            part = leaf_counts(atom.w1) + leaf_counts(atom.w1)
+        else:
+            part = leaf_counts(atom.w1) + leaf_counts(atom.w2)
+        for name, count in part.items():
+            degree[name] += count * exp
+    return frozenset(degree.items())
+
+
+def test_every_catalog_rule_is_multihomogeneous():
+    # With each pattern variable bound to its own leaf, both sides of a
+    # rule have the same degree in each leaf, so lhs - rhs has one
+    # multidegree: a cheap check on the transcription.
+    leaves = [TEMPLATE_CTX.word(v) for v in TEMPLATE_CTX.vectors]
+    assert len(LIVE_RULES) == 48
+    for rule in LIVE_RULES:
+        variables = sorted(_pattern_vars(rule.lhs)
+                           | (_pattern_vars(rule.lhs2) if rule.lhs2 else set()))
+        lhs, rhs = instantiate_sides(rule, dict(zip(variables, leaves)),
+                                     TEMPLATE_CTX.table)
+        degrees = {multidegree(word, mono) for word, mono, _ in core.units(lhs - rhs)}
+        assert len(degrees) == 1, (rule.name, degrees)
 
 
 # --- the site walk -------------------------------------------------------------
