@@ -89,7 +89,9 @@ def _cmd_run(args, seed: int, out) -> int:
 
 
 def _cmd_paper(args, seed: int, out) -> int:
-    names = builtin_session_names() if args.all or args.session is None else (args.session,)
+    if args.all and args.session is not None:
+        raise SymcompError("give a session name or --all, not both")
+    names = builtin_session_names() if args.session is None else (args.session,)
     trace = (lambda line: out.write(line + "\n")) if args.verbose else None
     reports = [run_builtin_session(name, seed=seed, default_trials=args.trials,
                                    trace=trace) for name in names]

@@ -7,7 +7,7 @@ VectorExpr is a sum of dot-words, each carrying a ScalarExpr coefficient.
 A dot-word is a fully parenthesized, *unflattened* binary product of
 vector symbols: (u.v).w and u.(v.w) are distinct values.  ``Expr`` holds
 what the sorts share: the ``terms`` map, ``is_zero``, equality (same sort
-and same terms), ``+``, ``-`` and negation.
+and same terms), ``+``, ``-``, ``*`` and negation.
 
 Canonical form is fully multilinear: the dot product and b distribute over
 sums and extract scalar factors bilinearly, q polarizes over sums
@@ -18,6 +18,11 @@ merged only by explicit rewrite rules.
 The multiplicativity law q(u.v) = q(u) q(v) is an axiom of the algebras
 under study, not a definitional expansion, so canonicalization never
 applies it; it lives in the rule catalog.
+
+Each sort rule is written once, in the operation that raises its
+ExprTypeError: ``_sum`` (``+``, ``-`` and a parsed sum), ``_product``
+(``*`` and a parsed product), ``**``, ``dot``, ``q_of`` and ``b_of``.
+``canonicalize`` only dispatches each node and gives an error its span.
 
 Both sorts are walked and rebuilt the same way, unit by unit.  A unit is
 a scalar monomial, or a monomial times one dot-word.  ``units(e)`` yields
@@ -331,14 +336,12 @@ def _coefficient(value) -> int | Fraction:
 class Expr:
     """A canonical value, either sort: `terms` maps a monomial (scalar) or
     a dot-word (vector) to a nonzero coefficient.  Adding, negating,
-    multiplying and comparing are defined once for both sorts; a sum
-    accumulates both operands into one `word -> {mono: coeff}` map and is
-    rebuilt once.  An `int` or `Fraction` operand of `+`, `-` or `*` is
-    the scalar `ScalarExpr.const` makes of it; any other non-`Expr`
-    operand gives `NotImplemented`, so Python raises TypeError.  A sum of
-    a nonzero scalar and a nonzero vector raises ExprTypeError; a zero of
-    either sort adds as nothing.  A scalar times a vector scales it, and
-    a vector times a vector raises ExprTypeError."""
+    multiplying and comparing are defined once for both sorts.  An `int`
+    or `Fraction` operand of `+`, `-` or `*` is the scalar
+    `ScalarExpr.const` makes of it; any other non-`Expr` operand gives
+    `NotImplemented`, so Python raises TypeError.  `+` is `_sum` and `*`
+    is `_product` of the two operands, which own the sort rules of a sum
+    and a product, parsed or not."""
 
     __slots__ = ("terms",)
 
@@ -353,18 +356,10 @@ class Expr:
         return type(other) is type(self) and self.terms == other.terms
 
     def __add__(self, other) -> "Expr":
-        if type(other) is not type(self):
-            if not isinstance(other, Expr):
-                if not isinstance(other, (int, Fraction)):
-                    return NotImplemented
-                return self + ScalarExpr.const(other)
-            # The canonical zero has no sort (see `equal`), so a zero of
-            # either sort adds as nothing.
-            if other.is_zero:
-                return self
-            if not self.is_zero:
-                raise ExprTypeError("cannot add scalar and vector values")
-            return other
+        if not isinstance(other, Expr):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ScalarExpr.const(other)
         return _sum((self, other))
 
     __radd__ = __add__
@@ -383,12 +378,7 @@ class Expr:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = ScalarExpr.const(other)
-        if isinstance(self, ScalarExpr) and isinstance(other, ScalarExpr):
-            return ScalarExpr(add_product({}, self.terms, other.terms))
-        if isinstance(self, VectorExpr) and isinstance(other, VectorExpr):
-            raise ExprTypeError("vector*vector is not defined; use the dot product")
-        vector, factor = (self, other) if isinstance(self, VectorExpr) else (other, self)
-        return vector.scaled_by(factor)
+        return _product((self, other))
 
     __rmul__ = __mul__
 
@@ -487,6 +477,9 @@ class VectorExpr(Expr):
         return from_units({w: add_product({}, c.terms, factor.terms)
                            for w, c in self.terms.items()}, True)
 
+    def __pow__(self, n):
+        raise ExprTypeError("powers apply to scalar expressions only")
+
 
 def is_scalar(e: Expr) -> bool:
     return isinstance(e, ScalarExpr)
@@ -519,13 +512,46 @@ def add_units(out: dict, e: Expr) -> dict:
     return out
 
 
+def _part_error(message: str, part: int) -> ExprTypeError:
+    """A sort error blaming operand `part`, whose span `canonicalize` gives it."""
+    err = ExprTypeError(message)
+    err._part = part
+    return err
+
+
 def _sum(parts) -> Expr:
-    """The sum of values of one sort, accumulated in one unit map: a copy
-    of the first part's map, then each further part added in place."""
+    """The sum of `parts`, accumulated in one unit map: a copy of the first
+    part's map, then each further part added in place.  A zero part of
+    either sort adds as nothing; a nonzero scalar part beside a nonzero
+    vector part raises ExprTypeError at the first such scalar part.  A
+    sum of zeros is a vector if any part is one."""
+    kind = type(parts[0])
+    if any(type(p) is not kind for p in parts):
+        scalars = [i for i, p in enumerate(parts) if is_scalar(p) and p.terms]
+        if scalars and any(p.terms for p in parts if is_vector(p)):
+            raise _part_error("cannot add scalar and vector values", scalars[0])
+        kind = ScalarExpr if scalars else VectorExpr
+        parts = [p for p in parts if type(p) is kind]
     out = {w: dict(t) for w, t in parts[0].by_word()}
     for p in parts[1:]:
         add_units(out, p)
-    return from_units(out, is_vector(parts[0]))
+    return from_units(out, kind is VectorExpr)
+
+
+def _product(parts) -> Expr:
+    """The product of `parts`: the scalar parts in order, scaling the one
+    vector part if any.  A second vector part raises ExprTypeError at
+    that part, before any multiplication."""
+    vectors = [i for i, p in enumerate(parts) if is_vector(p)]
+    if len(vectors) > 1:
+        raise _part_error("vector*vector is not defined; use the dot product", vectors[1])
+    scalar = None
+    for p in parts:
+        if is_scalar(p):
+            scalar = p if scalar is None else ScalarExpr(add_product({}, scalar.terms, p.terms))
+    if scalar is None:
+        scalar = ScalarExpr.const(1)
+    return parts[vectors[0]].scaled_by(scalar) if vectors else scalar
 
 
 def _size(v: VectorExpr) -> int:
@@ -577,6 +603,8 @@ def equal(a: Expr, b: Expr) -> bool:
 
 def dot(u: VectorExpr, v: VectorExpr) -> VectorExpr:
     """Bilinear dot product of canonical vector values."""
+    if not (is_vector(u) and is_vector(v)):
+        raise ExprTypeError("dot product requires vector operands")
     if len(u.terms) * len(v.terms) > 1:
         _bound_pairs(_size(u), _size(v))
     out: dict = {}
@@ -588,6 +616,8 @@ def dot(u: VectorExpr, v: VectorExpr) -> VectorExpr:
 
 def b_of(u: VectorExpr, v: VectorExpr) -> ScalarExpr:
     """Bilinear extension of the b atom; argument order is preserved."""
+    if not (is_vector(u) and is_vector(v)):
+        raise ExprTypeError("b applies to vector expressions")
     if len(u.terms) * len(v.terms) > 1:
         _bound_pairs(_size(u), _size(v))
     out: dict = {}
@@ -605,6 +635,8 @@ def q_of(v: VectorExpr) -> ScalarExpr:
     with the earlier word as the first b argument, so it multiplies
     (T^2 + sum |ci|^2) / 2 term pairs for a T-term value.
     """
+    if not is_vector(v):
+        raise ExprTypeError("q applies to vector expressions")
     if len(v.terms) > 1:
         t = _size(v)
         _bound_pairs(t, t, (t * t + sum(len(c.terms) ** 2 for c in v.terms.values())) // 2)
@@ -664,11 +696,11 @@ class Env:
 def canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
     """Reduce an unrestricted parse tree to its canonical form.
 
-    A sort error carries the span of the offending summand or factor of a
-    sum or product.  Any other ExprTypeError raised while reducing a node,
-    such as a power or a product past its bound, gets the span of that
-    node: the operator of a power, dot, q or b, or the start of a product.
-    An undeclared name (UnknownSymbol) gets the span of its identifier.
+    Each node is one call to the operation that owns its sort rule.  An
+    ExprTypeError gets the span of the summand or factor it blames, else
+    that of its node: the operator of a power, dot, q or b, or the start
+    of a product.  An undeclared name (UnknownSymbol) gets the span of
+    its identifier.
     """
     try:
         if isinstance(raw, rx.Num):
@@ -678,53 +710,21 @@ def canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
         if isinstance(raw, rx.Neg):
             return -canonicalize(raw.item, env)
         if isinstance(raw, rx.Sum):
-            parts = [canonicalize(item, env) for item in raw.items]
-            vectors = [p for p in parts if is_vector(p)]
-            if vectors and len(vectors) != len(parts):
-                # A scalar summand that is exactly zero is harmless in a vector sum.
-                for item, p in zip(raw.items, parts):
-                    if is_scalar(p) and not p.is_zero:
-                        raise ExprTypeError("cannot add scalar and vector values", item.span)
-                parts = vectors
-            return _sum(parts)
+            return _sum([canonicalize(item, env) for item in raw.items])
         if isinstance(raw, rx.Mul):
-            parts = [canonicalize(item, env) for item in raw.items]
-            vectors = [p for p in parts if is_vector(p)]
-            if len(vectors) > 1:
-                second = [item for item, p in zip(raw.items, parts) if is_vector(p)][1]
-                raise ExprTypeError("vector*vector is not defined; use the dot product",
-                                    second.span)
-            scalar = ScalarExpr.const(1)
-            for p in parts:
-                if is_scalar(p):
-                    scalar = scalar * p
-            if vectors:
-                return vectors[0].scaled_by(scalar)
-            return scalar
+            return _product([canonicalize(item, env) for item in raw.items])
         if isinstance(raw, rx.Pow):
-            base = canonicalize(raw.base, env)
-            if not is_scalar(base):
-                raise ExprTypeError("powers apply to scalar expressions only")
-            return base ** raw.exponent
+            return canonicalize(raw.base, env) ** raw.exponent
         if isinstance(raw, rx.Dot):
-            left = canonicalize(raw.left, env)
-            right = canonicalize(raw.right, env)
-            if not (is_vector(left) and is_vector(right)):
-                raise ExprTypeError("dot product requires vector operands")
-            return dot(left, right)
+            return dot(canonicalize(raw.left, env), canonicalize(raw.right, env))
         if isinstance(raw, rx.Q):
-            arg = canonicalize(raw.arg, env)
-            if not is_vector(arg):
-                raise ExprTypeError("q applies to vector expressions")
-            return q_of(arg)
+            return q_of(canonicalize(raw.arg, env))
         if isinstance(raw, rx.B):
-            left = canonicalize(raw.left, env)
-            right = canonicalize(raw.right, env)
-            if not (is_vector(left) and is_vector(right)):
-                raise ExprTypeError("b applies to vector expressions")
-            return b_of(left, right)
+            return b_of(canonicalize(raw.left, env), canonicalize(raw.right, env))
     except (ExprTypeError, UnknownSymbol) as err:
         if err.span is not None:
             raise
-        raise type(err)(err.message, raw.span) from None
+        part = getattr(err, "_part", None)
+        span = raw.span if part is None else raw.items[part].span
+        raise type(err)(err.message, span) from None
     raise ExprTypeError(f"unsupported raw node {type(raw).__name__}")

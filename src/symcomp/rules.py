@@ -83,8 +83,8 @@ added.  Substituting words for leaves commutes with
 canonicalization except for the polarization of q over a sum, so a rule
 whose right-hand side has a q of anything but a word pattern is
 instantiated by ``canonicalize`` at every firing instead, as is a rule
-whose template raises a sort error (a scalar summand of a vector sum may
-vanish only when two variables bind the same word).  The choice depends
+whose template raises a sort error (a summand of either sort may vanish
+only when two variables bind the same word).  The choice depends
 on the rule and the sorts of the symbols it names, never on a binding.
 """
 from __future__ import annotations
@@ -368,8 +368,8 @@ def _template(rule: RewriteRule, symbols: SymbolTable):
     """The right-hand side canonicalized once with the rule's placeholder
     leaves (``_holes``), as `(holes, vector, units)`: `units` lists the
     template's `(word, mono, coeff)` units.  None when the rule has no
-    holes, or when the template raises a sort error: a scalar summand of a
-    vector sum may be nonzero under placeholders and vanish under a real
+    holes, or when the template raises a sort error: a summand of either
+    sort may be nonzero under placeholders and vanish under a real
     binding.  Built once per rule and table; an undeclared name raises
     UnknownSymbol, which is not kept."""
     holes = _holes(rule.rhs)

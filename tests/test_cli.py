@@ -92,6 +92,14 @@ def test_paper_unknown_session(capsys):
     assert "unknown session" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["NOPE", "M"])
+def test_paper_name_with_all_is_an_error(capsys, name):
+    code, output = run_cli("paper", name, "--all")
+    assert code == 2 and output == ""
+    assert ("symcomp: error: give a session name or --all, not both"
+            in capsys.readouterr().err)
+
+
 def test_paper_json_schema():
     code, output = run_cli("paper", "Z1", "--json")
     assert code == 0
@@ -346,7 +354,15 @@ def test_nesting_at_the_bound_still_parses():
     ("q(x) + x", "1:1: cannot add scalar and vector values"),
     ("x*y", "1:3: vector*vector is not defined"),
     ("x^2", "1:2: powers apply to scalar expressions only"),
-], ids=["sum", "product", "power"])
+    ("alpha.x", "1:6: dot product requires vector operands"),
+    ("x.alpha", "1:2: dot product requires vector operands"),
+    ("q(alpha)", "1:1: q applies to vector expressions"),
+    ("b(alpha, x)", "1:1: b applies to vector expressions"),
+    ("x + q(x)", "1:5: cannot add scalar and vector values"),
+    ("alpha*x*y", "1:9: vector*vector is not defined; use the dot product"),
+    ("(x.y)^2", "1:6: powers apply to scalar expressions only"),
+], ids=["sum", "product", "power", "dot-left", "dot-right", "q", "b", "sum-second",
+        "product-third", "power-of-dot"])
 def test_oracle_sort_error_names_its_span(capsys, source, where):
     code, _ = run_cli("oracle", source)
     assert code == 2

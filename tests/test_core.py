@@ -149,10 +149,15 @@ def test_vector_sum_tolerates_scalar_zero(xy):
 
 def _fold_reference(raw, env):
     """A sum's value as the left fold of `+` over its canonicalized parts,
-    dropping zero scalars from a vector sum."""
+    dropping zero parts of the other sort: the sort of the nonzero parts,
+    or a vector when every part is zero and one is a vector."""
     parts = [canonicalize(item, env) for item in raw.items]
-    if any(isinstance(p, VectorExpr) for p in parts):
-        parts = [p for p in parts if isinstance(p, VectorExpr)]
+    nonzero = [p for p in parts if not p.is_zero]
+    if nonzero:
+        sort = type(nonzero[0])
+    else:
+        sort = VectorExpr if any(isinstance(p, VectorExpr) for p in parts) else ScalarExpr
+    parts = [p for p in parts if type(p) is sort]
     acc = parts[0]
     for p in parts[1:]:
         acc = acc + p
@@ -163,7 +168,9 @@ def test_sum_equals_left_fold_of_its_parts():
     ctx = Ctx(scalars=("alpha", "beta"), vectors=("x", "y"))
     rng = random.Random(19)
     sums = [parse_expr("x + y - x + x"), parse_expr("x - x + 0 + y - y"),
-            parse_expr("0*alpha + x.y"), parse_expr("(alpha - alpha) + x")]
+            parse_expr("0*alpha + x.y"), parse_expr("(alpha - alpha) + x"),
+            parse_expr("(x - x) + q(x)"), parse_expr("q(x) + 0*x"), parse_expr("(x - x) + 0"),
+            parse_expr("(alpha - alpha) + (x - x)")]
     for _ in range(60):
         make = rng.choice((random_scalar_raw, random_vector_raw))
         sums.append(rx.Sum(tuple(make(rng, ctx, 2) for _ in range(rng.randint(2, 6)))))
@@ -192,7 +199,11 @@ def test_library_sum_of_mixed_sorts_is_an_error(xy):
     assert vector + scalar_zero == vector and scalar_zero + vector == vector
     assert vector - scalar_zero == vector and print_expr(scalar_zero - vector) == "-x"
     assert scalar + vector_zero == scalar and vector_zero - scalar == -scalar
-    assert equal(scalar_zero + vector_zero, vector_zero)
+    assert xy.canon("(x - x) + q(x)") == scalar and xy.canon("q(x) + 0*x") == scalar
+    # A sum of zeros is a vector if any part is one.
+    assert scalar_zero + vector_zero == vector_zero and vector_zero + scalar_zero == vector_zero
+    assert xy.canon("(x - x) + 0") == vector_zero
+    assert xy.canon("((x - x) + 0).y") == vector_zero
 
 
 def test_library_sum_with_a_number(xy):
@@ -223,6 +234,20 @@ def test_library_product_with_a_number_or_a_value(xy):
         assert equal(value, xy.canon(source)), source
     with pytest.raises(ExprTypeError, match=r"vector\*vector is not defined; use the dot product"):
         v * v
+
+
+@pytest.mark.parametrize("form, message", [
+    ("dot(a, x)", "dot product requires vector operands"),
+    ("dot(x, a)", "dot product requires vector operands"),
+    ("q_of(a)", "q applies to vector expressions"),
+    ("b_of(a, x)", "b applies to vector expressions"),
+    ("b_of(x, a)", "b applies to vector expressions"),
+    ("x ** 2", "powers apply to scalar expressions only"),
+])
+def test_library_vector_operation_on_a_scalar_is_an_error(xy, form, message):
+    x, a = xy.canon("x"), xy.canon("q(x)")
+    with pytest.raises(ExprTypeError, match=f"^{message}$"):
+        eval(form, {"x": x, "a": a, "dot": dot, "q_of": q_of, "b_of": b_of})
 
 
 @pytest.mark.parametrize("form", [

@@ -63,6 +63,12 @@ def test_subst_sort_mismatch(greek):
         subst_raw(e, {"x": parse_expr("lambda")}, greek.table)
 
 
+def test_subst_undeclared_symbol_is_an_error(greek):
+    e = greek.canon("lambda*q(x)")
+    with pytest.raises(ExprTypeError, match=r"^cannot substitute undeclared symbol 'w'$"):
+        subst(e, {"w": e}, greek.table)
+
+
 def test_subst_vector_symbol_to_zero(greek):
     e = greek.canon("q(x + y) + lambda*b(x,y)")
     got = subst_raw(e, {"x": parse_expr("0")}, greek.table)

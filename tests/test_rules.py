@@ -21,6 +21,7 @@ from symcomp import (
 from symcomp import core
 from symcomp.core import Atom, ScalarExpr, VectorExpr, Word, mono_mul
 from symcomp.errors import (
+    EngineError,
     ExprTypeError,
     NonTermination,
     ParseError,
@@ -212,6 +213,9 @@ def test_noop_rules_never_fire(xy):
     rs = type(rules1)("noops", tuple(noops))
     e = xy.canon("b(x.y, y)*b(y.x, x)*q(x)")
     assert equal(apply_fixpoint(e, rs, xy.table), e)
+    # A no-op has no sides to instantiate for a soundness check.
+    with pytest.raises(EngineError, match=r"^rule expandb#1 is a documented no-op$"):
+        instantiate_sides(builtin_ruleset("expandb").rules[0], {}, xy.table)
 
 
 def test_template_variables_must_occur_in_pattern():
