@@ -592,8 +592,12 @@ def equal(a: Expr, b: Expr) -> bool:
 
     The empty scalar and the empty vector are both the canonical zero;
     they compare equal across sorts (both print as "0").  Any other pair
-    of values of different sorts raises ExprTypeError.
+    of values of different sorts, or an operand that is not an Expr,
+    raises ExprTypeError.
     """
+    for operand in (a, b):
+        if not isinstance(operand, Expr):
+            raise ExprTypeError(f"equal compares Expr values, got {type(operand).__name__}")
     if type(a) is not type(b):
         if a.is_zero and b.is_zero:
             return True

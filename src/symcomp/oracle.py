@@ -12,11 +12,10 @@ checked value is compiled once into a plan: straight-line lists of slots
 for its distinct words, atoms and (atom, exponent) factors, and for each
 unit a factor tree that holds its monomials by their shared prefixes, so
 a prefix common to many monomials is multiplied once (a multivariate
-Horner scheme).  ``check_identity`` runs trials in growing runs of
-`_FIRST_RUN` (32) trials, then 64, then `_LONGEST_RUN` (128) at a time:
-``_draws`` draws each trial once, from the trial's own generator, into
-the run's columns of plain int components, and ``_run`` computes each
-slot and each tree node as one column over the run's trials.  A
+Horner scheme).  ``check_identity`` runs trials `_RUN` (100) at a
+time: ``_draws`` draws each trial once, from the trial's own generator,
+into the run's columns of plain int components, and ``_run`` computes
+each slot and each tree node as one column over the run's trials.  A
 rational coefficient makes a sum a Fraction.  A refuted check reads its
 counterexample from the run that refuted it.
 
@@ -24,7 +23,7 @@ A run is drawn once per process for each (shape, seed, first trial,
 length): ``_cached_draws`` keeps it in a bounded cache of `_CACHED_RUNS`
 (64) runs, and every later check of that shape under that seed reads
 it.  Only shapes of up to `_CACHED_SHAPE` (4) vectors and as many
-scalars are kept, so the cache holds at most 2.9 MB; a wider check
+scalars are kept, so the cache holds at most 2.3 MB; a wider check
 calls ``_draws`` for each run and keeps nothing.  ``random_assignment``
 calls ``_draws`` for its one trial and keeps nothing either.
 
@@ -50,8 +49,7 @@ COMPONENT_RANGE = 9  # components drawn uniformly from [-9, 9]
 MAX_TRIALS = 10_000  # the most trials `check_identity`, `--trials` and `oracle_check` accept
 DEFAULT_TRIALS = 100  # trials when neither `--trials` nor `oracle_check` names a count
 DEFAULT_SEED = 42  # seed when neither `--seed` nor $SYMCOMP_SEED gives one
-_FIRST_RUN = 32  # trials in the first run of `check_identity`; each later run doubles
-_LONGEST_RUN = 128  # the most trials one run of `check_identity` evaluates together
+_RUN = DEFAULT_TRIALS  # trials per run of `check_identity`, so a default check is one run
 
 
 class ParaQuaternion:
@@ -401,38 +399,33 @@ def check_identity(e: Expr, trials: int = DEFAULT_TRIALS,
 
 def _counterexample(e: Expr, trials: int, seed: int) -> Assignment | None:
     """The assignment of the first trial on which `e` is nonzero, or None.
-    Trials run in growing runs: `_FIRST_RUN` (32) trials, then 64, then
-    `_LONGEST_RUN` (128) at a time, the last run cut at `trials`.  So a
-    refutation in the first 32 trials stops there, a long check pays a
-    run's fixed cost once per 128 trials, and the assignment is read
-    from the run that refuted it.  Each run is one ``_cached_draws`` call,
-    or one ``_draws`` call for a shape wider than `_CACHED_SHAPE` vectors
-    or scalars.  The plan is compiled once and freed before the caller
-    prints `e`."""
+    Trials run `_RUN` (100) at a time, the last run cut at `trials`, so a
+    default check is one run and a run's fixed cost is paid once per 100
+    trials.  A refuted check stops at the end of the run that refuted it
+    and reads the assignment from that run.  Each run is one
+    ``_cached_draws`` call, or one ``_draws`` call for a shape wider than
+    `_CACHED_SHAPE` vectors or scalars.  The plan is compiled once and
+    freed before the caller prints `e`."""
     plan = _compile(e)
     vector_count, scalar_count = len(plan.vectors), len(plan.scalars)
     draw = _cached_draws if max(vector_count, scalar_count) <= _CACHED_SHAPE else _draws
-    first = 0
-    n = _FIRST_RUN
-    while first < trials:
-        n = min(n, trials - first)
+    for first in range(0, trials, _RUN):
+        n = min(_RUN, trials - first)
         vectors, scalars = draw(vector_count, scalar_count, seed, first, n)
         for offset, value in enumerate(zip(*_run(plan, vectors, scalars, n))):
             if any(value):
                 return _assignment(plan.vectors, plan.scalars, vectors, scalars, offset)
-        first += n
-        n = min(2 * n, _LONGEST_RUN)
     return None
 
 
 # Runs of trial components kept per process.  Every check of one shape
 # under one seed draws the same runs: the six 200-trial C9 checks ask for
-# 18 runs (32, 64 and 104 trials each), of which 9 are distinct, so the
-# cache misses 9 times and hits 9 times.  A 10,000-trial check needs 80
-# runs, more than the cache holds, so run again it misses every run and
-# pays what drawing it cost without the cache.  Only
-# shapes of up to `_CACHED_SHAPE` vectors and as many scalars are kept, so
-# the cache's bytes stay bounded however wide a checked value is.
+# 12 runs (two of 100 trials each), of which 6 are distinct, so the cache
+# misses 6 times and hits 6 times.  A 10,000-trial check needs 100 runs,
+# more than the cache holds, so run again it misses every run and pays
+# what drawing it cost without the cache.  Only shapes of up to
+# `_CACHED_SHAPE` vectors and as many scalars are kept, so the cache's
+# bytes stay bounded however wide a checked value is.
 _CACHED_RUNS = 64
 _CACHED_SHAPE = 4
 
@@ -444,7 +437,7 @@ def _cached_draws(vector_count: int, scalar_count: int, seed: int, first: int,
     a bounded cache: a run is drawn once per process, and every later
     check of the same shape, seed and run reads it.  Every level is a
     tuple, so no check can alter a run that another check reads.  A full
-    cache of 128-trial runs of the widest shape kept, 4 vectors and 4
-    scalars, holds 2.9 MB with its keys (64-bit CPython 3.11, by
+    cache of 100-trial runs of the widest shape kept, 4 vectors and 4
+    scalars, holds 2.3 MB with its keys (64-bit CPython 3.11, by
     tracemalloc)."""
     return _draws(vector_count, scalar_count, seed, first, n)

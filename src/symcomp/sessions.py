@@ -189,7 +189,7 @@ def _run_assertion(stmt: Assertion, symbols: SymbolTable, values: dict,
         expected = canonicalize(stmt.expected_raw, env)
     else:
         expected = _expr_golden(stmt.golden, golden_text(stmt.golden), env)
-    ok = polyops.factored_equal(value, expected, symbols) if stmt.kind == "factored" \
+    ok = polyops.factored_equal(value, expected) if stmt.kind == "factored" \
         else equal(value, expected)
     return CheckpointResult(stmt.label, stmt.kind, ok,
                             print_expr(expected), print_expr(value))

@@ -154,7 +154,7 @@ def test_criterion_3_zero_identities():
 
 
 def test_criterion_4_coefficient_claims(main_chain):
-    ctx, st = main_chain["ctx"], main_chain["ctx"].table
+    ctx = main_chain["ctx"]
     claims = [
         ("c1", "3*(alpha + beta - 1)*b(y, x.x)"),
         ("c2", "3*(alpha + beta - 1)*b(x, y.y)"),
@@ -165,7 +165,7 @@ def test_criterion_4_coefficient_claims(main_chain):
     ]
     ok = True
     for name, target in claims:
-        ok = ok and factored_equal(main_chain[name], parse_expr(target), st)
+        ok = ok and factored_equal(main_chain[name], ctx.canon(target))
     report("C4-factored-coefficients", ok, "lambda/mu coefficient claims")
 
 

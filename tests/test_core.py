@@ -114,6 +114,16 @@ def test_equality_across_sorts(xy):
             equal(a, b)
 
 
+@pytest.mark.parametrize("text, other, kind", [
+    ("0", 0, "int"), ("q(x)", 0, "int"), ("x", Fraction(1, 2), "Fraction"), ("q(x)", "q(x)", "str")])
+def test_equal_refuses_an_operand_that_is_not_an_expr(xy, text, other, kind):
+    # A plain number is not a canonical value, not even the zero.
+    value = xy.canon(text)
+    for a, b in ((value, other), (other, value)):
+        with pytest.raises(ExprTypeError, match=f"^equal compares Expr values, got {kind}$"):
+            equal(a, b)
+
+
 def test_atom_order_examples(xy):
     x = xy.word("x")
     x_dot_y = xy.word("x.y")

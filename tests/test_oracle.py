@@ -202,7 +202,7 @@ def randint_columns(vectors, scalars, seed, first, n):
 
 
 def test_draw_gives_the_values_of_randint():
-    for n in (1, oracle._FIRST_RUN):
+    for n in (1, oracle._RUN):
         for seed in (14, 42, 2718):
             for first in range(0, 200, n):
                 for vectors in range(5):
@@ -223,8 +223,10 @@ def test_component_range(xy):
 # in which a trial draws its components (vectors, then scalars, by name).
 # The last three are zero unless alpha takes one value: `late_failure`
 # first fails at trial 21 (alpha = 9), `second_block_vector` at trial 51
-# (alpha = -2) and `third_block_scalar` at trial 71 (alpha = -4), past
-# the first run of trials that `check_identity` evaluates together.
+# (alpha = -2) and `third_block_scalar` at trial 71 (alpha = -4).  Their
+# names count runs of 32 and then 64 trials; in runs of `oracle._RUN`
+# (100) each of the six checks is one run.  The names are kept because
+# the recordings did not change and the tests and CI read them by name.
 # Each line of the file is a report's name and its identity.
 RECORDED_REPORTS = dict(line.split(" ", 1) for line in
                         (DATA / "oracle_reports.txt").read_text(encoding="utf-8").splitlines())
@@ -275,10 +277,10 @@ def test_a_refutation_stops_within_its_block(xy, monkeypatch):
     oracle._cached_draws.cache_clear()
     report = check_identity(xy.canon("q(x) - q(y)"), 10_000)
     assert not report.passed
-    assert drawn == list(range(oracle._FIRST_RUN))
+    assert drawn == list(range(oracle._RUN))
 
 
-@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 104, 128])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, oracle._RUN, 104, 128])
 def test_block_run_agrees_with_one_trial_evaluation(n):
     # Each trial's value from one run of `n` trials, read from the run
     # cache as `check_identity` reads it, equals `eval_expr` on that
@@ -355,13 +357,22 @@ def test_a_factor_tree_multiplies_a_shared_prefix_once(greek):
 # Nonzero only at alpha = 4 and only at beta = 7.  A check of one of them
 # times q(x) reports the x of the trial that fails first, so a report
 # tells that trial.  Under seed 42, alpha and beta first take 4 and 7
-# together, with one vector drawn first, at trial 120: in the run of
-# trials 96 .. 199 of a 200-trial check, which a 100-trial check cuts to
-# the run of trials 96 .. 99.
+# together, with one vector drawn first, at trial 120: in the second run,
+# of trials 100 .. 199, of a 200-trial check, which a 100-trial check
+# does not make.
 ALPHA_IS_4 = "alpha*(alpha^2-1)*(alpha^2-4)*(alpha^2-9)*(alpha^2-25)*(alpha^2-36)" \
              "*(alpha^2-49)*(alpha^2-64)*(alpha^2-81)*(alpha+4)"
 BETA_IS_7 = "beta*(beta^2-1)*(beta^2-4)*(beta^2-9)*(beta^2-16)*(beta^2-25)" \
             "*(beta^2-36)*(beta^2-64)*(beta^2-81)*(beta+7)"
+
+
+def test_a_default_check_is_one_run(xy):
+    # `_RUN` is the default trial count, so a default check on an empty
+    # cache draws one run and reads none.
+    oracle._cached_draws.cache_clear()
+    assert check_identity(xy.canon("q(x.y) - q(x)*q(y)")).passed
+    info = oracle._cached_draws.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
 
 
 def test_block_cache_keys_hold_seed_trial_count_and_shape(greek):
@@ -390,26 +401,26 @@ def test_block_cache_keys_hold_seed_trial_count_and_shape(greek):
 
 def test_a_cached_block_is_tuples_that_a_run_leaves_alone(greek):
     plan = oracle._compile(greek.canon("alpha*(x.y) - beta*q(x)*y"))
-    key = (len(plan.vectors), len(plan.scalars), 42, 0, oracle._LONGEST_RUN)
+    key = (len(plan.vectors), len(plan.scalars), 42, 0, oracle._RUN)
     run = oracle._cached_draws(*key)
     vectors, scalars = run
     assert isinstance(run, tuple) and isinstance(vectors, tuple) and isinstance(scalars, tuple)
     assert all(isinstance(column, tuple) for column in vectors + scalars)
     assert all(isinstance(value, tuple) for column in vectors for value in column)
-    oracle._run(plan, vectors, scalars, oracle._LONGEST_RUN)
+    oracle._run(plan, vectors, scalars, oracle._RUN)
     assert oracle._cached_draws(*key) is run
     assert run == oracle._draws(*key)
 
 
 def test_the_block_cache_keeps_only_narrow_shapes():
-    # Up to 4 vectors and 4 scalars a check keeps its runs, three for 100
-    # trials (32, 64 and 4 trials); one more of either and it keeps none,
-    # so the cache's bytes stay bounded however wide a value is.  A failing
-    # check of each shape reports the assignment of its first trial.
+    # Up to 4 vectors and 4 scalars a check keeps its runs, one for 100
+    # trials; one more of either and it keeps none, so the cache's bytes
+    # stay bounded however wide a value is.  A failing check of each shape
+    # reports the assignment of its first trial.
     ctx = Ctx(scalars=("alpha", "beta", "gamma", "delta", "eps"),
               vectors=("v0", "v1", "v2", "v3", "v4"))
     narrow = "q(v0.v1) - q(v0)*q(v1) + alpha*beta*gamma*delta*(b(v2,v3) - b(v3,v2))"
-    for text, kept in [(narrow, 3), (narrow + " + q(v4.v0) - q(v4)*q(v0)", 0),
+    for text, kept in [(narrow, 1), (narrow + " + q(v4.v0) - q(v4)*q(v0)", 0),
                        (narrow + " + eps*(b(v0,v1) - b(v1,v0))", 0)]:
         value = ctx.canon(text)
         oracle._cached_draws.cache_clear()
@@ -422,9 +433,9 @@ def test_the_block_cache_keeps_only_narrow_shapes():
 
 
 def test_a_long_check_replays_its_recording():
-    # 10,000 trials of the C9 main identity: 80 runs (32, 64, then 128
-    # trials at a time), more than the 64 the cache holds.  So the second
-    # check misses every run, as the first did, and draws it again.
+    # 10,000 trials of the C9 main identity: 100 runs of 100 trials, more
+    # than the 64 the cache holds.  So the second check misses every run,
+    # as the first did, and draws it again.
     oracle._cached_draws.cache_clear()
     recording = (DATA / "oracle_c9_main_10000.json").read_bytes()
     for _ in range(2):
@@ -433,7 +444,7 @@ def test_a_long_check_replays_its_recording():
                      str(DATA / "c9_main_identity.expr")], out=out) == 0
         assert out.getvalue().encode("utf-8") == recording
     info = oracle._cached_draws.cache_info()
-    assert (info.misses, info.hits) == (160, 0)
+    assert (info.misses, info.hits) == (200, 0)
 
 
 def c9_identities():
@@ -458,19 +469,21 @@ def c9_identities():
 
 
 def test_c9_checks_draw_each_block_once():
-    # Three runs each, of 32, 64 and 104 trials; the six identities take
-    # three shapes, so they draw nine runs and read the other nine.
+    # Two runs of 100 trials each; the six identities take three shapes,
+    # so they draw six runs and read the other six.
     identities = c9_identities()
     oracle._cached_draws.cache_clear()
     assert all(check_identity(value, 200, 42).passed for value in identities)
     info = oracle._cached_draws.cache_info()
-    assert (info.misses, info.hits) == (9, 9)
+    assert (info.misses, info.hits) == (6, 6)
 
 
 def test_oracle_session_matches_recording():
     # Two checks of one shape, the second first failing at trial 51; one
-    # value at 100 and at 200 trials; a passing identity.  The later checks
-    # read the runs the earlier ones drew.
+    # value, `pair`, at 100 and at 200 trials; a passing identity.  The
+    # later checks read the runs the earlier ones drew.  `pair` first fails
+    # at trial 110, so it passes at 100 trials and at 200 its
+    # counterexample comes from its second run, not its first.
     oracle._cached_draws.cache_clear()
     recording = (DATA / "oracle_blocks_seed42.json").read_bytes()
     for _ in range(2):
@@ -478,3 +491,7 @@ def test_oracle_session_matches_recording():
         assert main(["run", "--json", "--seed", "42", str(DATA / "oracle_blocks.scs")],
                     out=out) == 1
         assert out.getvalue().encode("utf-8") == recording
+    pair_at_100, pair_at_200 = json.loads(recording)["checkpoints"][2:4]
+    assert pair_at_100["pass"]
+    assert json.loads(pair_at_200["actual"]) == \
+        random_assignment([], ["alpha", "beta"], 42, 110).to_jsonable()

@@ -69,6 +69,16 @@ def test_subst_undeclared_symbol_is_an_error(greek):
         subst(e, {"w": e}, greek.table)
 
 
+@pytest.mark.parametrize("name, value, sort", [
+    ("lambda", 2, "scalar"), ("x", 0, "vector"), ("mu", "mu", "scalar")])
+def test_subst_binding_that_is_not_an_expr_is_an_error(greek, name, value, sort):
+    e = greek.canon("lambda*q(x) + mu*b(x,y)")
+    message = f"^{sort} symbol '{name}' bound to a value of type {type(value).__name__}, " \
+              "not an Expr$"
+    with pytest.raises(ExprTypeError, match=message):
+        subst(e, {name: value}, greek.table)
+
+
 def test_subst_vector_symbol_to_zero(greek):
     e = greek.canon("q(x + y) + lambda*b(x,y)")
     got = subst_raw(e, {"x": parse_expr("0")}, greek.table)
@@ -308,11 +318,10 @@ def test_polarization_grouping_is_immaterial(greek):
 
 
 def test_factored_equal_examples(greek):
-    assert factored_equal(ScalarExpr(), parse_expr("0"), greek.table)
+    assert factored_equal(ScalarExpr(), greek.canon("0"))
     expanded = greek.canon(
         "3*alpha*b(y, x.x) + 3*beta*b(y, x.x) - 3*b(y, x.x)")
-    assert factored_equal(expanded, parse_expr("3*(alpha + beta - 1)*b(y, x.x)"),
-                          greek.table)
+    assert factored_equal(expanded, greek.canon("3*(alpha + beta - 1)*b(y, x.x)"))
 
 
 def test_factored_equal_rejects_perturbation(greek):
@@ -320,6 +329,5 @@ def test_factored_equal_rejects_perturbation(greek):
     for _ in range(20):
         e = canonicalize(random_scalar_raw(rng, greek, 3), greek.env)
         perturbed = e + greek.canon("q(x)")
-        assert not factored_equal(perturbed, e, greek.table)
-        assert factored_equal(e + greek.canon("q(x)") - greek.canon("q(x)"), e,
-                              greek.table)
+        assert not factored_equal(perturbed, e)
+        assert factored_equal(e + greek.canon("q(x)") - greek.canon("q(x)"), e)
