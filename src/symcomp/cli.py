@@ -18,8 +18,8 @@ from pathlib import Path
 
 from .core import SCALAR, VECTOR, Env, SymbolTable, canonicalize
 from .errors import SymcompError
-from .oracle import DEFAULT_SEED, DEFAULT_TRIALS, MAX_TRIALS, check_identity
-from .parser import parse_expr, parse_script
+from .oracle import DEFAULT_SEED, DEFAULT_TRIALS, check_identity, check_trials
+from .parser import GREEK, parse_expr, parse_script
 from .rawexpr import idents
 from .sessions import (
     SessionReport,
@@ -30,7 +30,7 @@ from .sessions import (
     run_session,
 )
 
-GREEK_SCALARS = ("alpha", "beta", "lambda", "mu")
+GREEK_SCALARS = tuple(GREEK.values())
 
 
 def _default_seed() -> int:
@@ -140,10 +140,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         seed = args.seed if args.seed is not None else _default_seed()
-        if args.trials < 1:
-            raise SymcompError("--trials must be at least 1")
-        if args.trials > MAX_TRIALS:
-            raise SymcompError(f"--trials must be at most {MAX_TRIALS}")
+        check_trials(args.trials)
         if args.command == "run":
             return _cmd_run(args, seed, out)
         if args.command == "paper":

@@ -57,7 +57,9 @@ ordering only (``ScalarExpr.monomials``, the printer).
 Coefficients are exact: an ``int`` when the value is integral, else a
 ``Fraction``.  Python's arithmetic mixes the two exactly (a sum of
 Fractions may be an integral Fraction, which equals and hashes like the
-``int``), and no ``/`` is ever applied to a coefficient.
+``int``), and no ``/`` is ever applied to a coefficient.  ``is_exact``
+is the one rule for a number that enters an exact value, here or in the
+oracle: an ``int`` that is not a ``bool``, or a ``Fraction``.
 """
 from __future__ import annotations
 
@@ -143,11 +145,10 @@ class Word:
     """A dot-word: leaf vector symbol or ordered pair of sub-words.  Build
     one only with `leaf` or `pair`, which return the interned instance."""
 
-    __slots__ = ("name", "index", "left", "right", "leaves", "key")
+    __slots__ = ("name", "left", "right", "leaves", "key")
 
-    def __init__(self, name, index, left, right, leaves, key):
+    def __init__(self, name, left, right, leaves, key):
         self.name = name
-        self.index = index
         self.left = left
         self.right = right
         self.leaves = leaves
@@ -158,7 +159,7 @@ class Word:
         w = _WORDS.get((name, index))
         if w is None:
             w = _WORDS.setdefault((name, index),
-                                  Word(name, index, None, None, 1, (1, 0, index, name)))
+                                  Word(name, None, None, 1, (1, 0, index, name)))
         return w
 
     @staticmethod
@@ -170,7 +171,7 @@ class Word:
             if leaves > MAX_WORD_LEAVES:
                 raise ExprTypeError(f"dot-word of {leaves} leaves exceeds the bound "
                                     f"{MAX_WORD_LEAVES}")
-            w = _WORDS.setdefault((left, right), Word(None, None, left, right, leaves,
+            w = _WORDS.setdefault((left, right), Word(None, left, right, leaves,
                                                       (leaves, 1, left.key, right.key)))
         return w
 
@@ -193,27 +194,25 @@ class Atom:
     """A scalar atom: a scalar symbol, q(word), or b(word, word).  Build
     one only with `symbol`, `q` or `b`, which return the interned instance."""
 
-    __slots__ = ("kind", "name", "index", "w1", "w2", "key", "is_symbol", "is_q", "is_b")
+    __slots__ = ("name", "w1", "w2", "key", "is_symbol", "is_q", "is_b")
 
-    def __init__(self, kind, name, index, w1, w2, key):
-        self.kind = kind
+    def __init__(self, name, w1, w2, key):
         self.name = name
-        self.index = index
         self.w1 = w1
         self.w2 = w2
         self.key = key
         # Plain flags, not properties: the rewrite pass and the oracle read
-        # them once per monomial entry.
-        self.is_symbol = kind == _KIND_SYM
-        self.is_q = kind == _KIND_Q
-        self.is_b = kind == _KIND_B
+        # them once per monomial entry.  The key starts with the kind.
+        self.is_symbol = key[0] == _KIND_SYM
+        self.is_q = key[0] == _KIND_Q
+        self.is_b = key[0] == _KIND_B
 
     @staticmethod
     def symbol(name: str, index: int) -> "Atom":
         atom = _ATOMS.get((_KIND_SYM, name, index))
         if atom is None:
-            atom = _ATOMS.setdefault((_KIND_SYM, name, index), Atom(
-                _KIND_SYM, name, index, None, None, (_KIND_SYM, index, name)))
+            atom = _ATOMS.setdefault((_KIND_SYM, name, index),
+                                     Atom(name, None, None, (_KIND_SYM, index, name)))
         return atom
 
     @staticmethod
@@ -221,15 +220,15 @@ class Atom:
         atom = _ATOMS.get((_KIND_Q, w))
         if atom is None:
             atom = _ATOMS.setdefault((_KIND_Q, w),
-                                     Atom(_KIND_Q, None, None, w, None, (_KIND_Q, w.key)))
+                                     Atom(None, w, None, (_KIND_Q, w.key)))
         return atom
 
     @staticmethod
     def b(w1: Word, w2: Word) -> "Atom":
         atom = _ATOMS.get((_KIND_B, w1, w2))
         if atom is None:
-            atom = _ATOMS.setdefault((_KIND_B, w1, w2), Atom(
-                _KIND_B, None, None, w1, w2, (_KIND_B, w1.key, w2.key)))
+            atom = _ATOMS.setdefault((_KIND_B, w1, w2),
+                                     Atom(None, w1, w2, (_KIND_B, w1.key, w2.key)))
         return atom
 
     def __repr__(self):
@@ -325,23 +324,33 @@ def add_product(out: dict, a: dict, b: dict) -> dict:
     return out
 
 
-def _coefficient(value) -> int | Fraction:
-    """`value` as an exact coefficient: an int when integral, else a Fraction."""
-    if isinstance(value, int):
-        return value
-    f = Fraction(value)
-    return f.numerator if f.denominator == 1 else f
+def is_int(value) -> bool:
+    """Whether `value` is an int; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_exact(value) -> bool:
+    """Whether `value` may enter an exact value: an int (not a bool) or a
+    Fraction.  A float would carry its binary fraction into it."""
+    return is_int(value) or isinstance(value, Fraction)
+
+
+def _lift(other) -> Expr:
+    """An operand of `+`, `-` or `*` as a value: an Expr as it is, an exact
+    number as its scalar constant, anything else NotImplemented."""
+    if isinstance(other, Expr):
+        return other
+    return ScalarExpr.const(other) if is_exact(other) else NotImplemented
 
 
 class Expr:
     """A canonical value, either sort: `terms` maps a monomial (scalar) or
     a dot-word (vector) to a nonzero coefficient.  Adding, negating,
-    multiplying and comparing are defined once for both sorts.  An `int`
-    or `Fraction` operand of `+`, `-` or `*` is the scalar
-    `ScalarExpr.const` makes of it; any other non-`Expr` operand gives
-    `NotImplemented`, so Python raises TypeError.  `+` is `_sum` and `*`
-    is `_product` of the two operands, which own the sort rules of a sum
-    and a product, parsed or not."""
+    multiplying and comparing are defined once for both sorts.  `_lift`
+    makes an exact operand of `+`, `-` or `*` the scalar it names and
+    any other non-`Expr` operand `NotImplemented`, so Python raises
+    TypeError.  `+` is `_sum` and `*` is `_product` of the two operands,
+    which own the sort rules of a sum and a product, parsed or not."""
 
     __slots__ = ("terms",)
 
@@ -356,11 +365,8 @@ class Expr:
         return type(other) is type(self) and self.terms == other.terms
 
     def __add__(self, other) -> "Expr":
-        if not isinstance(other, Expr):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = ScalarExpr.const(other)
-        return _sum((self, other))
+        other = _lift(other)
+        return other if other is NotImplemented else _sum((self, other))
 
     __radd__ = __add__
 
@@ -368,17 +374,16 @@ class Expr:
         return type(self)({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "Expr":
-        return self + (-other) if isinstance(other, (Expr, int, Fraction)) else NotImplemented
+        other = _lift(other)
+        return other if other is NotImplemented else _sum((self, -other))
 
     def __rsub__(self, other) -> "Expr":
-        return -self + other if isinstance(other, (int, Fraction)) else NotImplemented
+        other = _lift(other)
+        return other if other is NotImplemented else _sum((-self, other))
 
     def __mul__(self, other) -> "Expr":
-        if not isinstance(other, Expr):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = ScalarExpr.const(other)
-        return _product((self, other))
+        other = _lift(other)
+        return other if other is NotImplemented else _product((self, other))
 
     __rmul__ = __mul__
 
@@ -393,7 +398,11 @@ class ScalarExpr(Expr):
 
     @staticmethod
     def const(value) -> "ScalarExpr":
-        c = _coefficient(value)
+        """The constant `value`, its coefficient an int when integral, else
+        a Fraction.  Raises ExprTypeError unless `value` is exact."""
+        if not is_exact(value):
+            raise ExprTypeError(f"a number must be an int or a Fraction, got {value!r}")
+        c = value.numerator if value.denominator == 1 else value
         return ScalarExpr({EMPTY_MONOMIAL: c} if c else {})
 
     @staticmethod

@@ -1,10 +1,12 @@
 """The record base and the exception types shared across the package.
 
 `Record` is the base of every immutable value the package defines (spans,
-tokens, parse trees, session steps and reports): a slotted class compared,
-hashed and shown by value, whose fields cannot be assigned or deleted.  A
-record declares its fields only in `__slots__` (and trailing defaults in
-`_defaults`); `Record` generates its constructor from them.
+tokens, parse trees, session steps and reports, the oracle's
+`ParaQuaternion`): a slotted class compared, hashed and shown by value,
+whose fields cannot be assigned or deleted.  A record declares its fields
+only in `__slots__` (and trailing defaults in `_defaults`); `Record`
+generates its constructor from them, unless the record writes its own, as
+`ParaQuaternion` alone does.
 `int_text` writes an integer into an error message, naming one too long
 for Python's integer-string conversion by its digit count.
 """
@@ -20,10 +22,11 @@ class Record:
     in `__slots__` and nothing else: its `_fields` are the inherited fields
     followed by its own, and its generated constructor takes `_fields` in
     order, each positional or keyword, the last ones defaulting to the
-    values in `_defaults`.  `_compared`, the fields that equality, hashing
-    and the repr read, defaults to `_fields`.  Records are equal when they
-    are of one class and their compared fields are equal; assigning or
-    deleting a field raises AttributeError."""
+    values in `_defaults`.  A subclass that defines `__init__` keeps it
+    and sets its fields through `_set`.  `_compared`, the fields that
+    equality, hashing and the repr read, defaults to `_fields`.  Records
+    are equal when they are of one class and their compared fields are
+    equal; assigning or deleting a field raises AttributeError."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -36,6 +39,8 @@ class Record:
             cls._fields = cls.__base__._fields + tuple(cls.__dict__.get("__slots__", ()))
         if "_compared" not in cls.__dict__:
             cls._compared = cls._fields
+        if "__init__" in cls.__dict__:
+            return
         # Python has checked that slot names are identifiers, so the
         # source below holds nothing else.  A generated body costs what a
         # hand-written one does; a generic *args constructor is slower.

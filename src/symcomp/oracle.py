@@ -29,8 +29,10 @@ calls ``_draws`` for its one trial and keeps nothing either.
 
 ``eval_expr`` evaluates the same plan as a run of one trial on the
 Fraction components of an `Assignment`.  ``ParaQuaternion`` is a value
-type only, for the vectors of an `Assignment` and a vector result of
-``eval_expr``: it has no arithmetic.
+type only, a `Record` for the vectors of an `Assignment` and a vector
+result of ``eval_expr``: it has no arithmetic.  A scalar or a component
+given to either must pass ``core.is_exact``, and a trial count
+``check_trials``.
 """
 from __future__ import annotations
 
@@ -41,8 +43,8 @@ from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
 
-from .core import MAX_POWER, Expr, Word, is_vector
-from .errors import ExprTypeError, MissingSymbol, Record, SymcompError, int_text
+from .core import MAX_POWER, Expr, Word, is_exact, is_int, is_vector
+from .errors import ExprTypeError, MissingSymbol, Record, SymcompError, _set, int_text
 from .printer import print_expr
 
 COMPONENT_RANGE = 9  # components drawn uniformly from [-9, 9]
@@ -52,30 +54,22 @@ DEFAULT_SEED = 42  # seed when neither `--seed` nor $SYMCOMP_SEED gives one
 _RUN = DEFAULT_TRIALS  # trials per run of `check_identity`, so a default check is one run
 
 
-class ParaQuaternion:
-    """Four exact-rational components over the 1, i, j, k basis.  A value
-    type with no arithmetic: the model's operations act on the tuple that
-    `components` returns.  A component must be an int or a Fraction; a
-    float would carry its binary fraction into the exact model."""
+class ParaQuaternion(Record):
+    """Four exact-rational components over the 1, i, j, k basis, kept as
+    Fractions.  A value type with no arithmetic: the model's operations act
+    on the tuple that `components` returns.  A component must pass
+    `core.is_exact`; a float would carry its binary fraction into the
+    exact model.  The one record that writes its own constructor, to
+    check and convert its components."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b=0, c=0, d=0):
-        for value in (a, b, c, d):
-            if not isinstance(value, (int, Fraction)):
+        for name, value in zip(self._fields, (a, b, c, d)):
+            if not is_exact(value):
                 raise SymcompError(
                     f"a ParaQuaternion component must be an int or a Fraction, got {value!r}")
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
-
-    def __eq__(self, other):
-        return (isinstance(other, ParaQuaternion)
-                and (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d))
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+            _set(self, name, Fraction(value))
 
     @property
     def is_zero(self) -> bool:
@@ -299,13 +293,14 @@ def eval_expr(e: Expr, a: Assignment) -> int | Fraction | ParaQuaternion:
     symbol an int or a Fraction; a float would carry its binary fraction
     into the exact value."""
     plan = _compile(e)
-    for kind, names, values, types, wanted in (
-            ("vector", plan.vectors, a.vectors, ParaQuaternion, "a ParaQuaternion"),
-            ("scalar", plan.scalars, a.scalars, (int, Fraction), "an int or a Fraction")):
+    for kind, names, values, valid, wanted in (
+            ("vector", plan.vectors, a.vectors, lambda v: isinstance(v, ParaQuaternion),
+             "a ParaQuaternion"),
+            ("scalar", plan.scalars, a.scalars, is_exact, "an int or a Fraction")):
         for name in names:
             if name not in values:
                 raise MissingSymbol(f"no value assigned to {kind} symbol {name!r}")
-            if not isinstance(values[name], types):
+            if not valid(values[name]):
                 raise SymcompError(f"{kind} symbol {name!r} must be {wanted}, "
                                    f"got {values[name]!r}")
     columns = _run(plan, [(a.vectors[n].components(),) for n in plan.vectors],
@@ -380,18 +375,21 @@ class IdentityReport(Record):
         return json.dumps(self.to_jsonable(), indent=2)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def check_trials(trials) -> None:
+    """Raise SymcompError unless `trials` is an int in 1..MAX_TRIALS: the
+    one check of a trial count, from `check_identity`, `--trials` or a
+    script's `oracle_check NAME, trials=N`."""
+    if not (is_int(trials) and 1 <= trials <= MAX_TRIALS):
+        raise SymcompError(f"trials must be between 1 and {MAX_TRIALS}, got {trials!r}")
 
 
 def check_identity(e: Expr, trials: int = DEFAULT_TRIALS,
                    seed: int = DEFAULT_SEED) -> IdentityReport:
     """Evaluate e under pseudo-random assignments; pass iff every
     evaluation is exactly zero.  Identical seeds give identical reports.
-    `trials` must be an int in 1..MAX_TRIALS and `seed` an int."""
-    if not (_is_int(trials) and 1 <= trials <= MAX_TRIALS):
-        raise SymcompError(f"trials must be between 1 and {MAX_TRIALS}, got {trials!r}")
-    if not _is_int(seed):
+    `trials` must pass `check_trials` and `seed` must be an int."""
+    check_trials(trials)
+    if not is_int(seed):
         raise SymcompError(f"seed must be an integer, got {seed!r}")
     counterexample = _counterexample(e, trials, seed)
     return IdentityReport(print_expr(e), trials, counterexample is None, counterexample)

@@ -32,7 +32,7 @@ Script statements (each terminated by `;`):
     assert_equal NAME, EXPR | @GOLDEN;
     assert_factored NAME, EXPR | @GOLDEN;
     assert_matrix NAME, @GOLDEN;
-    oracle_check NAME [, trials=N];      # 1 <= N <= oracle.MAX_TRIALS
+    oracle_check NAME [, trials=N];      # N passes oracle.check_trials
 
 `@GOLDEN` references an expression (or coefficient-matrix JSON) stored in
 the script's goldens directory.  In rule patterns, uppercase identifiers
@@ -63,20 +63,22 @@ from .errors import (
     Record,
     RuleSetUnknown,
     SourceSpan,
+    SymcompError,
     UndefinedName,
 )
-from .oracle import MAX_TRIALS
+from .oracle import check_trials
 from .rules import RewriteRule, RuleSet, builtin_ruleset, builtin_ruleset_names, compile_rule
 
+# The Greek glyphs, synonyms for their ASCII names.
+GREEK = {"α": "alpha", "β": "beta", "λ": "lambda", "μ": "mu"}
 # Every single-character token: punctuation, the center dot (a synonym
-# for `.`) and the Greek glyphs (synonyms for their ASCII names).
+# for `.`) and the Greek glyphs.
 _CHARS = {
     "+": ("PLUS", "+"), "-": ("MINUS", "-"), "*": ("STAR", "*"), "^": ("CARET", "^"),
     ".": ("DOT", "."), "·": ("DOT", "."), "(": ("LPAREN", "("), ")": ("RPAREN", ")"),
     ",": ("COMMA", ","), ";": ("SEMI", ";"), "=": ("EQ", "="), "[": ("LBRACKET", "["),
     "]": ("RBRACKET", "]"), "@": ("AT", "@"), ":": ("COLON", ":"), "/": ("SLASH", "/"),
-    "α": ("IDENT", "alpha"), "β": ("IDENT", "beta"), "λ": ("IDENT", "lambda"),
-    "μ": ("IDENT", "mu"),
+    **{glyph: ("IDENT", name) for glyph, name in GREEK.items()},
 }
 # Identifiers and numbers are ASCII only: "x²" is x then an unexpected "²"
 # (str.isdigit() would take "²", which int() rejects).
@@ -562,10 +564,10 @@ class _ScriptParser:
                 self.ts.expect("EQ", "'='")
                 num = self.ts.expect("NUM", "a trial count")
                 trials = _int(num)
-                if trials < 1:
-                    raise ParseError("trials must be at least 1", num.span)
-                if trials > MAX_TRIALS:
-                    raise ParseError(f"trials must be at most {MAX_TRIALS}", num.span)
+                try:
+                    check_trials(trials)
+                except SymcompError as err:
+                    raise ParseError(err.message, num.span) from None
             return Assertion(head.span, label, target.text, "oracle", trials=trials)
         kind = {"assert_equal": "equal", "assert_factored": "factored",
                 "assert_matrix": "matrix"}[head.text]

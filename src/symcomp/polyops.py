@@ -57,6 +57,8 @@ def subst(e: Expr, bindings: dict[str, Expr], symbols: SymbolTable) -> Expr:
             raise ExprTypeError(f"{sort} symbol {name!r} bound to a value of type "
                                 f"{type(value).__name__}, not an Expr")
         other, cls = (VECTOR, ScalarExpr) if sort == SCALAR else (SCALAR, VectorExpr)
+        # A binding rule, not a copy of `core._sum`'s: a literal 0 is the
+        # scalar zero, and this is what binds a vector symbol to it.
         if not isinstance(value, cls):
             if not value.is_zero:
                 raise ExprTypeError(f"{sort} symbol {name!r} bound to a {other} value")

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from symcomp import check_identity
 from symcomp.cli import main
+from symcomp.errors import SymcompError
 from symcomp.parser import parse_script
 from symcomp.sessions import run_session
 
@@ -140,15 +142,20 @@ def test_oracle_single_trial():
     assert "1 trials" in output
 
 
-def test_trial_count_is_bounded(capsys, tmp_path):
+def test_trial_count_is_bounded(capsys, tmp_path, xy):
+    # One check, one message: the library, the CLI and a script (at the number).
+    message = "trials must be between 1 and 10000, got 10001"
+    with pytest.raises(SymcompError) as err:
+        check_identity(xy.canon("q(x) - q(x)"), 10001, 42)
+    assert str(err.value) == message
     code, _ = run_cli("oracle", "q(x.y) - q(x)*q(y)", "--trials", "10001")
     assert code == 2
-    assert "symcomp: error: --trials must be at most 10000" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"symcomp: error: {message}\n"
     path = tmp_path / "many.scs"
     path.write_text("vectors x;\nlet e = q(x) - q(x);\noracle_check e, trials=10001;\n")
     code, _ = run_cli("run", str(path))
     assert code == 2
-    assert "symcomp: error: 3:24: trials must be at most 10000" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"symcomp: error: 3:24: {message}\n"
 
 
 def test_oracle_file_input(tmp_path):
@@ -655,7 +662,7 @@ ERRORS_HEAD = "scalars alpha;\nvectors x;\nlet e = alpha*q(x);\n"
     ("let f = coeff(e, x);", "4:18: 'x' is not a declared scalar symbol"),
     ("let f = coeff(e, alpha^0);", "4:24: exponent must be at least 1"),
     ("oracle_check e, tries=3;", "4:17: expected 'trials', found 'tries'"),
-    ("oracle_check e, trials=0;", "4:24: trials must be at least 1"),
+    ("oracle_check e, trials=0;", "4:24: trials must be between 1 and 10000, got 0"),
     ("scalars beta;\nlet m = coeffmatrix(e, [alpha, beta]);\nassert_matrix m, q(x);",
      "6:18: assert_matrix expects a @golden reference"),
     ("let f = subst(e, alpha -> 1, alpha -> 2);",
@@ -680,7 +687,7 @@ def test_run_script_error_names_its_span(tmp_path, capsys, tail, where):
 
 @pytest.mark.parametrize("env, argv, message", [
     ("abc", (), "SYMCOMP_SEED must be an integer, got 'abc'"),
-    (None, ("--trials", "0"), "--trials must be at least 1"),
+    (None, ("--trials", "0"), "trials must be between 1 and 10000, got 0"),
 ], ids=["seed-env", "trials-zero"])
 def test_bad_setting_is_an_error(monkeypatch, capsys, env, argv, message):
     if env is not None:

@@ -1,5 +1,6 @@
 """Canonical forms: ordering, bilinearity, polarization, equality."""
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from symcomp.core import (
     q_of,
     units,
 )
-from symcomp.errors import ExprTypeError, UnknownSymbol
+from symcomp.errors import ExprTypeError, SourceSpan, UnknownSymbol
 from symcomp.oracle import _compile, check_identity, eval_expr
 from helpers import (
     Ctx,
@@ -263,13 +264,30 @@ def test_library_vector_operation_on_a_scalar_is_an_error(xy, form, message):
 @pytest.mark.parametrize("form", [
     "q * 0.1", "0.1 * q", "q + 0.1", "0.1 + q", "q - 0.1", "0.1 - q", "q + 'a'", "'a' + q",
     "q - 'a'", "'a' * q", "q * 'a'", "v * 0.5", "0.5 * v", "q ** 0.5", "q ** Fraction(1, 2)",
+    "q * True", "True * q", "q + True", "True - q", "v * False",
 ])
 def test_library_operand_that_is_not_an_exact_number_is_a_type_error(xy, form):
-    # Only int and Fraction operands are lifted; a float would carry its
-    # binary fraction into the exact coefficients.
+    # Only int and Fraction operands are lifted (a bool is not a number);
+    # a float would carry its binary fraction into the exact coefficients.
     q, v = q_of(xy.canon("x")), xy.canon("x.y")
     with pytest.raises(TypeError):
         eval(form, {"q": q, "v": v, "Fraction": Fraction})
+
+
+@pytest.mark.parametrize("value", [0.1, "2", True])
+def test_const_refuses_a_number_that_is_not_exact(value):
+    message = f"^a number must be an int or a Fraction, got {re.escape(repr(value))}$"
+    with pytest.raises(ExprTypeError, match=message):
+        ScalarExpr.const(value)
+
+
+def test_canonicalize_places_an_inexact_number_at_its_span(greek):
+    span = SourceSpan(2, 7)
+    raw = rx.Mul((rx.Num(0.1, span), rx.Ident("alpha")))
+    with pytest.raises(ExprTypeError) as err:
+        canonicalize(raw, greek.env)
+    assert err.value.span == span
+    assert str(err.value) == "2:7: a number must be an int or a Fraction, got 0.1"
 
 
 def test_redeclaring_a_symbol_with_the_other_sort_is_an_error():

@@ -188,6 +188,34 @@ def test_float_values_are_refused_by_name(greek):
     assert eval_expr(e, a) == Fraction(101, 1000)
 
 
+def test_bool_values_are_refused_as_floats_are(greek):
+    # A bool is not a number here, just as it is not a trial count; the
+    # operators refuse one too (tests/test_core.py).
+    e = greek.canon("alpha*q(x)")
+    with pytest.raises(SymcompError) as err:
+        eval_expr(e, Assignment({"x": ParaQuaternion(1)}, {"alpha": True}))
+    assert str(err.value) == "scalar symbol 'alpha' must be an int or a Fraction, got True"
+    with pytest.raises(SymcompError) as err:
+        ParaQuaternion(True)
+    assert str(err.value) == "a ParaQuaternion component must be an int or a Fraction, got True"
+
+
+def test_para_quaternion_is_an_immutable_record():
+    pq = ParaQuaternion(1, Fraction(1, 2))
+    assert repr(ParaQuaternion(1)) == "ParaQuaternion(1, 0, 0, 0)"
+    assert repr(pq) == "ParaQuaternion(1, 1/2, 0, 0)"
+    assert all(type(c) is Fraction for c in pq.components())
+    assert pq == ParaQuaternion(Fraction(1), Fraction(1, 2), 0, 0)
+    assert pq != ParaQuaternion(1) and pq != (1, Fraction(1, 2), 0, 0)
+    assert hash(pq) == hash((1, Fraction(1, 2), 0, 0))
+    for name in "abcd":
+        with pytest.raises(AttributeError):
+            setattr(pq, name, Fraction(1, 2))
+    with pytest.raises(AttributeError):
+        del pq.a
+    assert pq.components() == (1, Fraction(1, 2), 0, 0)
+
+
 def randint_columns(vectors, scalars, seed, first, n):
     """Trials first .. first + n - 1 as `_run` reads them, each trial the
     values of randint(-9, 9) on its own generator: 4 per vector, then 1 per

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 from symcomp.cli import main
@@ -30,3 +31,12 @@ def test_readme_library_example_prints_true():
     with contextlib.redirect_stdout(out):
         exec(fenced_block("from symcomp import"), {})
     assert out.getvalue().splitlines()[-1] == "True"
+
+
+def test_readme_oracle_limit_passes_as_shown():
+    # The oracle's known limit: an identity that fails in the para-octonions
+    # passes in the para-quaternions, with exit code 0.
+    command, expected = fenced_block('symcomp oracle "y.(z.w)').splitlines()
+    out = io.StringIO()
+    assert main(shlex.split(command)[1:], out=out) == 0
+    assert out.getvalue() == expected + "\n"

@@ -180,6 +180,19 @@ CATALOG_KINDS = {
 }
 
 
+@pytest.mark.parametrize("name, listed, reversed_", [
+    ("rules1", "q(x)*b(y,y)", "q(y)*b(x,x)"),
+    ("rules2", "2*q(x)*q(y)", "2*q(x)*q(y)"),
+])
+def test_listing_order_decides_the_rules1_normal_form(xy, name, listed, reversed_):
+    # rules1 is not confluent: b(X.Y, X.Z) and b(X.Y, Z.Y) overlap on
+    # b(x.y, x.y), and the rule tried first decides the normal form.
+    rs = builtin_ruleset(name)
+    e = xy.canon("b(x.y, x.y)")
+    assert print_expr(apply_fixpoint(e, rs, xy.table)) == listed
+    assert print_expr(apply_fixpoint(e, RuleSet(name, rs.rules[::-1]), xy.table)) == reversed_
+
+
 def test_builtin_catalog_kinds():
     assert sorted(CATALOG_KINDS) == sorted(rules.builtin_ruleset_names())
     for name, kinds in CATALOG_KINDS.items():
