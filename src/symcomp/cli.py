@@ -4,6 +4,11 @@
     symcomp paper [NAME|--all]  run built-in sessions, print checkpoint table
     symcomp oracle EXPR|FILE    random-evaluation check of an identity
 
+Commands only route: each hands its parsed arguments to the library and
+returns the report it gets back.  Reports write their own output,
+`lines()` as text and `to_jsonable()` for --json; `_emit` writes it and
+turns the verdict into the exit code.
+
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 parse or
 engine error.  `SYMCOMP_SEED` overrides the default seed (an explicit
 `--seed` wins over the environment).
@@ -18,7 +23,7 @@ from pathlib import Path
 
 from .core import SCALAR, VECTOR, Env, SymbolTable, canonicalize
 from .errors import SymcompError
-from .oracle import DEFAULT_SEED, DEFAULT_TRIALS, check_identity, check_trials
+from .oracle import DEFAULT_SEED, DEFAULT_TRIALS, IdentityReport, check_identity, check_trials
 from .parser import GREEK, parse_expr, parse_script
 from .rawexpr import idents
 from .sessions import (
@@ -71,41 +76,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_report(report: SessionReport, as_json: bool, out) -> None:
+def _emit(result, as_json: bool, out) -> int:
+    """Write a command's result to `out` and return the exit code of its
+    verdict: 0 if it passed, else 1.  A result is one report, or the list
+    of session reports that `paper` returns, which --json writes as one
+    document `{"sessions": [...], "pass": ...}`.  Without --json each
+    report writes its own text lines."""
+    reports = result if isinstance(result, list) else [result]
+    passed = all(r.passed for r in reports)
     if as_json:
-        out.write(json.dumps(report.to_jsonable(), indent=2) + "\n")
+        document = ({"sessions": [r.to_jsonable() for r in reports], "pass": passed}
+                    if reports is result else result.to_jsonable())
+        out.write(json.dumps(document, indent=2) + "\n")
     else:
-        out.write("\n".join(report.lines()) + "\n")
+        out.write("".join(line + "\n" for r in reports for line in r.lines()))
+    return 0 if passed else 1
 
 
-def _cmd_run(args, seed: int, out) -> int:
+def _cmd_run(args, seed: int, trace) -> SessionReport:
     path = Path(args.path)
     session = parse_script(_read_text(path), path.stem)
-    trace = (lambda line: out.write(line + "\n")) if args.verbose else None
-    report = run_session(session, goldens=golden_loader(path.parent / "goldens"),
-                         seed=seed, default_trials=args.trials, trace=trace)
-    _emit_report(report, args.json, out)
-    return 0 if report.passed else 1
+    return run_session(session, goldens=golden_loader(path.parent / "goldens"),
+                       seed=seed, default_trials=args.trials, trace=trace)
 
 
-def _cmd_paper(args, seed: int, out) -> int:
+def _cmd_paper(args, seed: int, trace) -> list[SessionReport]:
     if args.all and args.session is not None:
         raise SymcompError("give a session name or --all, not both")
     names = builtin_session_names() if args.session is None else (args.session,)
-    trace = (lambda line: out.write(line + "\n")) if args.verbose else None
-    reports = [run_builtin_session(name, seed=seed, default_trials=args.trials,
-                                   trace=trace) for name in names]
-    if args.json:
-        payload = {"sessions": [r.to_jsonable() for r in reports],
-                   "pass": all(r.passed for r in reports)}
-        out.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        for report in reports:
-            _emit_report(report, False, out)
-    return 0 if all(r.passed for r in reports) else 1
+    return [run_builtin_session(name, seed=seed, default_trials=args.trials, trace=trace)
+            for name in names]
 
 
-def _cmd_oracle(args, seed: int, out) -> int:
+def _cmd_oracle(args, seed: int, trace) -> IdentityReport:
+    """A bare expression has no steps, so `trace` is unused."""
     source = args.expr
     try:
         is_file = Path(source).is_file()
@@ -121,17 +125,10 @@ def _cmd_oracle(args, seed: int, out) -> int:
         if symbols.sort_of(node.name) is None:
             symbols.declare(node.name,
                             SCALAR if node.name in GREEK_SCALARS else VECTOR)
-    value = canonicalize(raw, Env(symbols))
-    report = check_identity(value, args.trials, seed)
-    if args.json:
-        out.write(report.to_json() + "\n")
-    else:
-        status = "pass" if report.passed else "FAIL"
-        out.write(f"{status}: {report.identity} on {report.trials} trials\n")
-        if not report.passed:
-            out.write("counterexample: "
-                      + json.dumps(report.counterexample.to_jsonable()) + "\n")
-    return 0 if report.passed else 1
+    return check_identity(canonicalize(raw, Env(symbols)), args.trials, seed)
+
+
+_COMMANDS = {"run": _cmd_run, "paper": _cmd_paper, "oracle": _cmd_oracle}
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
@@ -141,11 +138,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         seed = args.seed if args.seed is not None else _default_seed()
         check_trials(args.trials)
-        if args.command == "run":
-            return _cmd_run(args, seed, out)
-        if args.command == "paper":
-            return _cmd_paper(args, seed, out)
-        return _cmd_oracle(args, seed, out)
+        trace = (lambda line: out.write(line + "\n")) if args.verbose else None
+        return _emit(_COMMANDS[args.command](args, seed, trace), args.json, out)
     except (SymcompError, OSError) as err:
         print(f"symcomp: error: {err}", file=sys.stderr)
         return 2

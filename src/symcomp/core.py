@@ -71,8 +71,6 @@ from typing import Iterable, Iterator
 from . import rawexpr as rx
 from .errors import ExprTypeError, UnknownSymbol, int_text
 
-ONE = 1
-
 SCALAR = "scalar"
 VECTOR = "vector"
 
@@ -113,6 +111,10 @@ class SymbolTable:
         self._entries: dict[str, tuple[str, int]] = {}
 
     def declare(self, name: str, sort: str) -> None:
+        """Declare `name` with `sort`, SCALAR or VECTOR; declaring it again
+        with the same sort does nothing."""
+        if sort not in (SCALAR, VECTOR):
+            raise ExprTypeError(f"a symbol's sort must be {SCALAR!r} or {VECTOR!r}, got {sort!r}")
         if name in self._entries:
             if self._entries[name][0] != sort:
                 raise ExprTypeError(f"symbol {name!r} redeclared with a different sort")
@@ -407,7 +409,7 @@ class ScalarExpr(Expr):
 
     @staticmethod
     def from_atom(atom: Atom) -> "ScalarExpr":
-        return ScalarExpr({((atom, 1),): ONE})
+        return ScalarExpr({((atom, 1),): 1})
 
     def monomials(self) -> list[tuple[Monomial, int | Fraction]]:
         """The terms in graded-lexicographic order: total degree, then the
@@ -636,7 +638,7 @@ def b_of(u: VectorExpr, v: VectorExpr) -> ScalarExpr:
     out: dict = {}
     for w1, c1 in u.terms.items():
         for w2, c2 in v.terms.items():
-            add_product(out, add_product({}, c1.terms, c2.terms), {((Atom.b(w1, w2), 1),): ONE})
+            add_product(out, add_product({}, c1.terms, c2.terms), {((Atom.b(w1, w2), 1),): 1})
     return ScalarExpr(out)
 
 
@@ -656,9 +658,9 @@ def q_of(v: VectorExpr) -> ScalarExpr:
     items = v.items()
     out: dict = {}
     for i, (wi, ci) in enumerate(items):
-        add_product(out, add_product({}, ci.terms, ci.terms), {((Atom.q(wi), 1),): ONE})
+        add_product(out, add_product({}, ci.terms, ci.terms), {((Atom.q(wi), 1),): 1})
         for wj, cj in items[i + 1:]:
-            add_product(out, add_product({}, ci.terms, cj.terms), {((Atom.b(wi, wj), 1),): ONE})
+            add_product(out, add_product({}, ci.terms, cj.terms), {((Atom.b(wi, wj), 1),): 1})
     return ScalarExpr(out)
 
 
@@ -691,9 +693,6 @@ class Env:
         self.symbols = symbols
         self.bindings = bindings or {}
 
-    def leaf(self, name: str) -> Word:
-        return Word.leaf(name, self.symbols.index_of(name))
-
     def resolve(self, name: str) -> Expr:
         bound = self.bindings.get(name)
         if bound is not None:
@@ -702,7 +701,7 @@ class Env:
         if sort == SCALAR:
             return ScalarExpr.from_atom(Atom.symbol(name, self.symbols.index_of(name)))
         if sort == VECTOR:
-            return VectorExpr.from_word(self.leaf(name))
+            return VectorExpr.from_word(Word.leaf(name, self.symbols.index_of(name)))
         raise UnknownSymbol(f"undeclared identifier {name!r}")
 
 

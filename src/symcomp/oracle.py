@@ -119,6 +119,10 @@ class Assignment(Record):
             "scalars": {n: str(v) for n, v in sorted(self.scalars.items())},
         }
 
+    def to_json(self) -> str:
+        """One line of JSON, as a report shows a counterexample."""
+        return json.dumps(self.to_jsonable())
+
 
 class _Plan(Record):
     """A canonical value compiled for evaluation: straight-line slot lists
@@ -183,16 +187,14 @@ def _compile(e: Expr) -> _Plan:
     for word, terms in e.by_word():
         if not terms:
             continue  # the zero scalar's one unit
-        # A node is [factor slot, coefficient, {entry: child node} or None
-        # for a leaf].  Entries come in atom-key order, so monomials that
-        # share atoms share a prefix.
+        # A node is [factor slot, coefficient, {entry: child node}].
+        # Entries come in atom-key order, so monomials that share atoms
+        # share a prefix.
         root = [None, 0, {}]
         for mono, coeff in terms.items():
             node = root
             for entry in mono:
                 children = node[2]
-                if children is None:
-                    children = node[2] = {}
                 child = children.get(entry)
                 if child is None:
                     slot = factor_slots.get(entry)
@@ -201,7 +203,7 @@ def _compile(e: Expr) -> _Plan:
                         slot = factor_slots[entry] = len(factors)
                         factors.append((atom_slot(atom), exp))
                         top = max(top, exp)
-                    child = children[entry] = [slot, 0, None]
+                    child = children[entry] = [slot, 0, {}]
                 node = child
             node[1] = coeff
         # Reversing a pre-order that visits the children last to first
@@ -211,11 +213,8 @@ def _compile(e: Expr) -> _Plan:
         while stack:
             node = stack.pop()
             children = node[2]
-            if children is None:
-                node[2] = 0
-            else:
-                node[2] = len(children)
-                stack.extend(children.values())
+            node[2] = len(children)
+            stack.extend(children.values())
             tree.append(node)
         tree.reverse()
         units.append((None if word is None else word_slot(word), root[1], tree))
@@ -374,13 +373,22 @@ class IdentityReport(Record):
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable(), indent=2)
 
+    def lines(self) -> list[str]:
+        """The text form: the status line, then on a failure the
+        counterexample."""
+        out = [f"{'pass' if self.passed else 'FAIL'}: {self.identity} on {self.trials} trials"]
+        if not self.passed:
+            out.append(f"counterexample: {self.counterexample.to_json()}")
+        return out
+
 
 def check_trials(trials) -> None:
     """Raise SymcompError unless `trials` is an int in 1..MAX_TRIALS: the
     one check of a trial count, from `check_identity`, `--trials` or a
     script's `oracle_check NAME, trials=N`."""
     if not (is_int(trials) and 1 <= trials <= MAX_TRIALS):
-        raise SymcompError(f"trials must be between 1 and {MAX_TRIALS}, got {trials!r}")
+        shown = int_text(trials) if is_int(trials) else repr(trials)
+        raise SymcompError(f"trials must be between 1 and {MAX_TRIALS}, got {shown}")
 
 
 def check_identity(e: Expr, trials: int = DEFAULT_TRIALS,

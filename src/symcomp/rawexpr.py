@@ -69,25 +69,21 @@ class Pow(RawExpr):
 
 def nodes(raw: RawExpr, kind: type):
     """Yield every node of type `kind` in the tree, each before its
-    children, in appearance order."""
+    children, in appearance order.  A node's children are the fields it
+    declares that hold a node or a tuple of nodes."""
     stack = [raw]
     while stack:
         node = stack.pop()
         if isinstance(node, kind):
             yield node
-        if isinstance(node, (Ident, Num)):
-            continue
-        if isinstance(node, (Sum, Mul)):
-            stack.extend(reversed(node.items))
-        elif isinstance(node, Neg):
-            stack.append(node.item)
-        elif isinstance(node, (Dot, B)):
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, Q):
-            stack.append(node.arg)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
+        children = []
+        for field in node.__slots__:
+            value = getattr(node, field)
+            if isinstance(value, RawExpr):
+                children.append(value)
+            elif isinstance(value, tuple):
+                children.extend(value)
+        stack.extend(reversed(children))
 
 
 def idents(raw: RawExpr):

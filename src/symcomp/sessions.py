@@ -177,8 +177,7 @@ def _run_assertion(stmt: Assertion, symbols: SymbolTable, values: dict,
     if stmt.kind == "oracle":
         trials = stmt.trials if stmt.trials is not None else default_trials
         report = check_identity(value, trials, seed)
-        detail = "exact zero on all trials" if report.passed \
-            else json.dumps(report.counterexample.to_jsonable())
+        detail = "exact zero on all trials" if report.passed else report.counterexample.to_json()
         return CheckpointResult(stmt.label, stmt.kind, report.passed,
                                 f"0 on {trials} trials", detail)
     # equal / factored

@@ -30,6 +30,12 @@ assert_zero e;
 """
 
 
+DATA = Path(__file__).parent / "data"
+# Each line is a recorded failing report's name and its identity.
+RECORDED_REPORTS = dict(line.split(" ", 1) for line in
+                        (DATA / "oracle_reports.txt").read_text(encoding="utf-8").splitlines())
+
+
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
@@ -120,14 +126,27 @@ def test_oracle_pass():
 
 def test_oracle_text_reports_byte_for_byte():
     # The status, the checked value as printed, the trial count and, on a
-    # failure, the counterexample.
+    # failure, the counterexample as one line of JSON: for each recorded
+    # failure, what its JSON report says.
     assert run_cli("oracle", "--seed", "42", "q(x.y) - q(x)*q(y)") == (
         0, "pass: q(x.y) - q(x)*q(y) on 100 trials\n")
-    assert run_cli("oracle", "--seed", "42", "alpha*(x.y) - beta*(y.x) + lambda*q(z)*x") == (
-        1, "FAIL: lambda*q(z)*x + alpha*(x.y) - beta*(y.x) on 100 trials\n"
-           'counterexample: {"vectors": {"x": ["9", "2", "4", "7"], "y": ["-3", "8", "-5", "6"],'
-           ' "z": ["-9", "-6", "4", "-3"]}, "scalars": {"alpha": "5", "beta": "-7",'
-           ' "lambda": "2"}}\n')
+    for name, identity in RECORDED_REPORTS.items():
+        recording = json.loads((DATA / f"oracle_report_{name}.json").read_text(encoding="utf-8"))
+        assert run_cli("oracle", "--seed", "42", identity) == (
+            1, f"FAIL: {recording['identity']} on {recording['trials']} trials\n"
+               f"counterexample: {json.dumps(recording['counterexample'])}\n"), name
+
+
+def test_a_failing_oracle_check_shows_the_oracle_counterexample(tmp_path):
+    # A session's oracle checkpoint and `symcomp oracle` write one JSON.
+    path = tmp_path / "scalars.scs"
+    path.write_text("scalars alpha, beta, lambda;\nvectors x, y, z;\n"
+                    f"let e = {RECORDED_REPORTS['scalars']};\noracle_check e;\n")
+    code, output = run_cli("run", "--json", "--seed", "42", str(path))
+    (checkpoint,) = json.loads(output)["checkpoints"]
+    _, text = run_cli("oracle", "--seed", "42", RECORDED_REPORTS["scalars"])
+    assert code == 1
+    assert text.splitlines()[1] == f"counterexample: {checkpoint['actual']}"
 
 
 def test_oracle_failure_reports_counterexample():

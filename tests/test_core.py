@@ -290,6 +290,15 @@ def test_canonicalize_places_an_inexact_number_at_its_span(greek):
     assert str(err.value) == "2:7: a number must be an int or a Fraction, got 0.1"
 
 
+@pytest.mark.parametrize("sort", ["matrix", "Scalar", None])
+def test_a_symbol_is_declared_scalar_or_vector_only(sort):
+    table = SymbolTable()
+    with pytest.raises(ExprTypeError) as err:
+        table.declare("z", sort)
+    assert str(err.value) == f"a symbol's sort must be 'scalar' or 'vector', got {sort!r}"
+    assert table.sort_of("z") is None
+
+
 def test_redeclaring_a_symbol_with_the_other_sort_is_an_error():
     table = SymbolTable()
     table.declare_vector("x")

@@ -165,6 +165,13 @@ def test_check_identity_refuses_a_trial_count_that_is_not_an_int(xy, trials):
     assert str(err.value) == f"trials must be between 1 and 10000, got {trials!r}"
 
 
+def test_a_trial_count_past_the_string_limit_is_named_by_its_digits(xy):
+    # str() of a 5001-digit int raises ValueError; the message counts digits.
+    with pytest.raises(SymcompError) as err:
+        check_identity(xy.canon("b(x,y) - b(y,x)"), 10**5000, 42)
+    assert str(err.value) == "trials must be between 1 and 10000, got of 5001 digits"
+
+
 @pytest.mark.parametrize("seed", ["7", 7.0, False, Fraction(7), None])
 def test_check_identity_refuses_a_seed_that_is_not_an_int(xy, seed):
     with pytest.raises(SymcompError) as err:

@@ -40,3 +40,12 @@ def test_readme_oracle_limit_passes_as_shown():
     out = io.StringIO()
     assert main(shlex.split(command)[1:], out=out) == 0
     assert out.getvalue() == expected + "\n"
+
+
+def test_readme_oracle_failure_prints_as_shown():
+    # The text form of a failing report: the status line, then the
+    # counterexample as one line of JSON.
+    command, *expected = fenced_block("symcomp oracle --seed 42").splitlines()
+    out = io.StringIO()
+    assert main(shlex.split(command)[1:], out=out) == 1
+    assert out.getvalue().splitlines() == expected

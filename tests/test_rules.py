@@ -208,6 +208,18 @@ def test_chained_power_pattern_is_one_power_rule(xy):
     assert rule.bind(entry) is None
 
 
+def test_no_catalog_rule_set_rewrites_the_okubo_witness(xy):
+    # W is zero in every para-Hurwitz algebra (two elements generate an
+    # associative subalgebra) but not in an Okubo form, and b(W, y) is a
+    # scalar of session M's bidegree (3,3).  A rule set that reduced either
+    # to 0 would be unsound for symmetric compositions in general.
+    w = "(y.(y.x)).(x.x) - y.(x.(x.(x.y)))"
+    for value in (xy.canon(w), xy.canon(f"b({w}, y)")):
+        assert not value.is_zero
+        for name in rules.builtin_ruleset_names():
+            assert apply_fixpoint(value, builtin_ruleset(name), xy.table) == value, name
+
+
 def test_unknown_ruleset():
     # The catalog cache keeps no failure: an unknown name raises every time.
     for _ in range(2):
