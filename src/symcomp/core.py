@@ -23,6 +23,9 @@ Each sort rule is written once, in the operation that raises its
 ExprTypeError: ``_sum`` (``+``, ``-`` and a parsed sum), ``_product``
 (``*`` and a parsed product), ``**``, ``dot``, ``q_of`` and ``b_of``.
 ``canonicalize`` only dispatches each node and gives an error its span.
+An argument of the wrong type, such as a string where a value belongs,
+is refused by one check, ``require``, which ``equal`` and the library's
+entry points in ``rules``, ``oracle`` and ``printer`` call first.
 
 Both sorts are walked and rebuilt the same way, unit by unit.  A unit is
 a scalar monomial, or a monomial times one dot-word.  ``units(e)`` yields
@@ -598,6 +601,13 @@ def from_units(out: dict, vector: bool) -> Expr:
     return ScalarExpr(out.get(None, {}))
 
 
+def require(value, kind: type, what: str) -> None:
+    """The one check of an argument's type: raise ExprTypeError, `what`
+    followed by the type `value` has, unless `value` is a `kind`."""
+    if not isinstance(value, kind):
+        raise ExprTypeError(f"{what}, got {type(value).__name__}")
+
+
 def equal(a: Expr, b: Expr) -> bool:
     """Structural equality of canonical forms.
 
@@ -607,8 +617,7 @@ def equal(a: Expr, b: Expr) -> bool:
     raises ExprTypeError.
     """
     for operand in (a, b):
-        if not isinstance(operand, Expr):
-            raise ExprTypeError(f"equal compares Expr values, got {type(operand).__name__}")
+        require(operand, Expr, "equal compares Expr values")
     if type(a) is not type(b):
         if a.is_zero and b.is_zero:
             return True

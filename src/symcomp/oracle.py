@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
 
-from .core import MAX_POWER, Expr, Word, is_exact, is_int, is_vector
+from .core import MAX_POWER, Expr, Word, is_exact, is_int, is_vector, require
 from .errors import ExprTypeError, MissingSymbol, Record, SymcompError, _set, int_text
 from .printer import print_expr
 
@@ -291,6 +291,8 @@ def eval_expr(e: Expr, a: Assignment) -> int | Fraction | ParaQuaternion:
     of one trial.  A vector symbol must hold a ParaQuaternion and a scalar
     symbol an int or a Fraction; a float would carry its binary fraction
     into the exact value."""
+    require(e, Expr, "eval_expr argument e must be an Expr")
+    require(a, Assignment, "eval_expr argument a must be an Assignment")
     plan = _compile(e)
     for kind, names, values, valid, wanted in (
             ("vector", plan.vectors, a.vectors, lambda v: isinstance(v, ParaQuaternion),
@@ -396,6 +398,7 @@ def check_identity(e: Expr, trials: int = DEFAULT_TRIALS,
     """Evaluate e under pseudo-random assignments; pass iff every
     evaluation is exactly zero.  Identical seeds give identical reports.
     `trials` must pass `check_trials` and `seed` must be an int."""
+    require(e, Expr, "check_identity argument e must be an Expr")
     check_trials(trials)
     if not is_int(seed):
         raise SymcompError(f"seed must be an integer, got {seed!r}")

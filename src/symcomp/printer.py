@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Atom, Expr, Monomial, ScalarExpr, VectorExpr, Word, is_scalar
+from .core import Atom, Expr, Monomial, ScalarExpr, VectorExpr, Word, is_scalar, require
 from .errors import SymcompError, digit_count
 
 
@@ -104,5 +104,6 @@ def vector_text(e: VectorExpr, texts: dict) -> str:
 def print_expr(e: Expr) -> str:
     """Deterministic canonical text for a scalar or vector value.  One
     `texts` memo holds the text of each distinct word and atom."""
+    require(e, Expr, "print_expr argument e must be an Expr")
     texts: dict = {}
     return scalar_text(e, texts) if is_scalar(e) else vector_text(e, texts)

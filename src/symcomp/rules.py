@@ -24,8 +24,8 @@ Rules come in five kinds:
 * ``noop``    -- kept for catalog fidelity: scalar-extraction rules that
   canonical forms make unreachable.
 
-Application strategy (deterministic): ``apply_once`` visits the units of
-a canonical value (``core.units``: monomials, or a monomial times a
+Application strategy (deterministic): a pass visits units of a
+canonical value (``core.units``: monomials, or a monomial times a
 dot-word) in storage order; within each it visits rewrite sites --
 dot-subtrees outermost-first (the term's own word, then inside q/b atom
 arguments in atom order), then whole atoms in atom order, then ordered
@@ -44,25 +44,35 @@ the next unit.  Each unit is rewritten on its own, so the result of a
 pass does not depend on the order in which units are visited.  Only the
 choice of error may: when a rule set holds two rules whose right-hand
 sides have the wrong sort, the ``EngineError`` names the first one
-reached in storage order, which is still deterministic.
-``apply_fixpoint`` iterates passes until the canonical form stabilizes.
+reached in the pass's visiting order, which is still deterministic.
+
+One pass is ``_pass``.  ``apply_once`` runs it on every unit of a value.
+``apply_fixpoint`` runs passes until one leaves the value unchanged, and
+evaluates semi-naively (Bancilhon and Ramakrishnan, 1986): a unit that a
+pass leaves unrewritten is in normal form, so it goes straight into the
+fixpoint's result map and no later pass visits it.  Each pass after the
+first visits only the units the pass before it produced, its frontier,
+and the fixpoint stops at the first pass whose output equals the units
+it rewrote, which is exactly when the whole value is unchanged.  A pass
+adds in place: a rewrite adds its unit, the replacement value times the
+rest of the unit, straight into a ``word -> {mono: coeff}`` map
+(``core.add_unit``).  A pass visits its frontier in the order the units
+were produced.  For a scalar value that is the order in which a pass
+over the whole value would meet them, so the same ``EngineError`` is
+raised; for a vector value the words may come in another order.  The
+result's storage order may differ too, but no output depends on it:
+``printer`` sorts.  A fixpoint that has not stabilized within
+``MAX_PASSES`` passes raises ``NonTermination``.
 
 A rewrite replaces one *root* of a unit: the unit's own word, one q/b
-atom, or one pair of b atoms.  One ``apply_fixpoint`` call memoizes, in
-a ``RewriteMemo``, the value that replaces each root it has scanned (or
-None when nothing rewrites it), so a root is matched, instantiated and
-rebuilt once per fixpoint however many units share it; dot-words and
-atoms are rebuilt from the rewritten parts by ``core.word_with`` and
-``core.atom_with``.  The memo also holds the monomials/terms a pass left
-unrewritten, which later passes skip without scanning their roots.  It
-lives for that call only (a direct ``apply_once`` call gets its own),
-is built for one rule set and one symbol table and serves no other, and
-the result does not depend on it.  Each pass accumulates its results
-in place: a rewrite adds its unit, the replacement value times the rest
-of the unit, straight into the pass's ``word -> {mono: coeff}`` map
-(``core.add_unit``).  ``rule.bind`` is the library's only matcher.  A
-fixpoint that has not stabilized within ``MAX_PASSES`` passes raises
-``NonTermination``.
+atom, or one pair of b atoms.  One ``apply_once`` or ``apply_fixpoint``
+call memoizes, in a ``RewriteMemo``, the value that replaces each root
+it has scanned (or None when nothing rewrites it), so a root is matched,
+instantiated and rebuilt once per call however many units and passes
+share it; dot-words and atoms are rebuilt from the rewritten parts by
+``core.word_with`` and ``core.atom_with``.  The memo lives for that call
+only, and the result does not depend on it.  ``rule.bind`` is the
+library's only matcher.
 
 A rule's right-hand side is instantiated from a template: the
 right-hand side canonicalized once with one private placeholder leaf per
@@ -105,10 +115,10 @@ from .core import (
     add_unit,
     atom_with,
     canonicalize,
-    equal,
     from_units,
     is_vector,
     mono_mul,
+    require,
     units,
     word_with,
 )
@@ -322,19 +332,17 @@ class RewriteMemo:
     first dot rewrite, an Atom to the atom rebuilt after the first dot
     rewrite in its arguments, an (Atom, exponent) entry or an (Atom, Atom)
     pair to the instantiated right-hand side of the first rule that binds
-    there.  `normal` holds the units a pass left unrewritten: a monomial,
-    or a (monomial, word) pair for a vector term.  Both depend only on
-    the rule set and the symbol table, so a memo is built for one pair and
-    serves no other.  Templates are not kept here but by ``_template``.
+    there.  It depends only on the rule set and the symbol table, which
+    the memo holds; one ``apply_once`` or ``apply_fixpoint`` call builds
+    it and drops it.  Templates are not kept here but by ``_template``.
     """
 
-    __slots__ = ("ruleset", "symbols", "sites", "normal")
+    __slots__ = ("ruleset", "symbols", "sites")
 
     def __init__(self, ruleset: RuleSet, symbols: SymbolTable):
         self.ruleset = ruleset
         self.symbols = symbols
         self.sites: dict = {}
-        self.normal: set = set()
 
 
 # --- right-hand-side templates ------------------------------------------------
@@ -517,48 +525,74 @@ def _first_rewrite(mono: Monomial, word: Word | None, memo: RewriteMemo):
     return None
 
 
-def apply_once(e: Expr, rs: RuleSet, symbols: SymbolTable,
-               memo: RewriteMemo | None = None) -> Expr:
-    """One deterministic pass: at most one rewrite per monomial/term.
+def _pass(frontier, normal: dict, fresh: dict, memo: RewriteMemo) -> dict:
+    """One pass over the units of `frontier`, `(word, {mono: coeff})` pairs
+    in storage order: at most one rewrite per unit.  A unit no rule
+    rewrites is added into the `word -> {mono: coeff}` map `normal`, a
+    rewrite into `fresh` (``core.add_unit``); the two may be one map.
+    Returns the units it rewrote, as such a map."""
+    rewritten: dict = {}
+    for word, terms in frontier:
+        for mono, coeff in terms.items():
+            hit = _first_rewrite(mono, word, memo)
+            if hit is None:
+                add_term(normal.setdefault(word, {}), mono, coeff)
+                continue
+            rewritten.setdefault(word, {})[mono] = coeff
+            drop, value = hit
+            if not drop:
+                rest = mono
+            elif len(drop) == 1:
+                i = drop[0]
+                rest = mono[:i] + mono[i + 1:]
+            else:
+                rest = tuple(entry for k, entry in enumerate(mono) if k not in drop)
+            add_unit(fresh, coeff, rest, word, value)
+    return rewritten
 
-    `memo` is work shared by the passes of one fixpoint; it never changes
-    the result.  Without one, the pass uses a fresh memo; a memo built for
-    another rule set or symbol table raises ValueError.
-    """
-    if memo is None:
-        memo = RewriteMemo(rs, symbols)
-    elif memo.ruleset is not rs or memo.symbols is not symbols:
-        raise ValueError("a rewrite memo serves one rule set and one symbol table")
+
+def apply_once(e: Expr, rs: RuleSet, symbols: SymbolTable) -> Expr:
+    """One deterministic pass over every unit of `e`, in storage order: at
+    most one rewrite per monomial/term.  Unrewritten units and rewrites
+    go into one map, and the pass has a memo of its own."""
+    require(e, Expr, "apply_once argument e must be an Expr")
+    require(rs, RuleSet, "apply_once argument rs must be a RuleSet")
     out: dict = {}
-    for word, mono, coeff in units(e):
-        unit = mono if word is None else (mono, word)
-        hit = unit not in memo.normal and _first_rewrite(mono, word, memo)
-        if not hit:
-            memo.normal.add(unit)
-            add_term(out.setdefault(word, {}), mono, coeff)
-            continue
-        drop, value = hit
-        if not drop:
-            rest = mono
-        elif len(drop) == 1:
-            i = drop[0]
-            rest = mono[:i] + mono[i + 1:]
-        else:
-            rest = tuple(entry for k, entry in enumerate(mono) if k not in drop)
-        add_unit(out, coeff, rest, word, value)
+    _pass(e.by_word(), out, out, RewriteMemo(rs, symbols))
     return from_units(out, is_vector(e))
 
 
 def apply_fixpoint(e: Expr, rs: RuleSet, symbols: SymbolTable) -> Expr:
-    """Iterate apply_once until the canonical form is unchanged; the passes
-    share one memo.  Raises NonTermination after `MAX_PASSES` passes."""
+    """Run passes until one leaves the value unchanged, and return that
+    value; the passes share one memo.  Raises NonTermination after
+    `MAX_PASSES` passes.
+
+    Semi-naive (Bancilhon and Ramakrishnan, 1986): a unit a pass leaves
+    unrewritten is normal, and every later pass would leave it so, so it
+    goes into the result map `normal` for good.  Each pass after the first
+    visits only `frontier`, the units the pass before it produced.  Once
+    a pass has added the units it left alone into `normal`, the value
+    after it is `normal` plus its output, and the value before it is
+    `normal` plus the units it rewrote.  So the value is unchanged exactly
+    when the two are equal, and then it is `normal` plus the last
+    frontier.
+    """
+    require(e, Expr, "apply_fixpoint argument e must be an Expr")
+    require(rs, RuleSet, "apply_fixpoint argument rs must be a RuleSet")
     memo = RewriteMemo(rs, symbols)
-    current = e
+    normal: dict = {}
+    frontier = e.by_word()
     for _ in range(MAX_PASSES):
-        nxt = apply_once(current, rs, symbols, memo)
-        if equal(nxt, current):
-            return current
-        current = nxt
+        fresh: dict = {}
+        rewritten = _pass(frontier, normal, fresh, memo)
+        fresh = {word: terms for word, terms in fresh.items() if terms}
+        if fresh == rewritten:
+            # A normal unit is never a rewritten one, so the two maps
+            # share no unit.
+            for word, terms in rewritten.items():
+                normal.setdefault(word, {}).update(terms)
+            return from_units(normal, is_vector(e))
+        frontier = fresh.items()
     raise NonTermination(f"rule set {rs.name!r} did not stabilize within {MAX_PASSES} passes")
 
 

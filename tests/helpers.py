@@ -59,10 +59,15 @@ def greek_ctx() -> Ctx:
     return Ctx(scalars=("alpha", "beta", "lambda", "mu"), vectors=("x", "y"))
 
 
+# The words of the scaling family: the benchmark's `rewrite-scale` words
+# at its default seed 14.
+SCALING_WORDS = ("x", "y", "z", "x.y", "y.x", "x.z", "y.z", "z.x", "y.y", "z.y")
+
+
 def scaling_source(k: int, template: str = "b(S, S.S) - 3*q(S)*b(S,S)") -> str:
-    """The text of the template with S a sum of k generic terms a_i*w_i."""
-    words = ("x", "y", "z", "x.y", "y.x")[:k]
-    s = " + ".join(f"a{i}*({w})" for i, w in enumerate(words))
+    """The text of the template with S a sum of k generic terms a_i*w_i,
+    for k up to 10."""
+    s = " + ".join(f"a{i}*({w})" for i, w in enumerate(SCALING_WORDS[:k]))
     return template.replace("S", f"({s})")
 
 

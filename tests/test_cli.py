@@ -2,6 +2,8 @@
 import io
 import json
 import os
+import random
+import shutil
 import subprocess
 import sys
 import time
@@ -12,8 +14,8 @@ import pytest
 from symcomp import check_identity
 from symcomp.cli import main
 from symcomp.errors import SymcompError
-from symcomp.parser import parse_script
-from symcomp.sessions import run_session
+from symcomp.parser import parse_script, tokenize
+from symcomp.sessions import _data_dir, run_session
 
 Z_SCRIPT = """
 vectors x, y;
@@ -714,3 +716,45 @@ def test_bad_setting_is_an_error(monkeypatch, capsys, env, argv, message):
     code, output = run_cli("oracle", "q(x) - q(x)", *argv)
     assert (code, output) == (2, "")
     assert capsys.readouterr().err == f"symcomp: error: {message}\n"
+
+
+def mutate(tokens, rng):
+    """The tokens after 1-3 seeded edits: a deletion, an insertion of a
+    token of the script, a swap of two tokens, or a replacement by a token
+    of the same kind."""
+    tokens = list(tokens)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(tokens))
+        edit = rng.choice(("delete", "insert", "swap", "replace"))
+        if edit == "delete":
+            del tokens[i]
+        elif edit == "insert":
+            tokens.insert(i, rng.choice(tokens))
+        elif edit == "swap":
+            j = rng.randrange(len(tokens))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens[i] = rng.choice([t for t in tokens if t.kind == tokens[i].kind])
+    return tokens
+
+
+def test_mutated_catalog_scripts_end_in_an_exit_code(tmp_path, capsys):
+    # The typed-error promise end to end: 105 token mutants of the catalog
+    # scripts (comments dropped by the tokenizer), run beside a copy of
+    # the goldens, each end in exit 0, 1 or 2 and never in a traceback.
+    shutil.copytree(_data_dir() / "goldens", tmp_path / "goldens")
+    scripts = [tokenize(path.read_text(encoding="utf-8"))[:-1]
+               for path in sorted(_data_dir().glob("*.scs"))]
+    rng = random.Random(1)
+    codes = set()
+    start = time.perf_counter()
+    for k in range(105):
+        path = tmp_path / f"mutant{k}.scs"
+        path.write_text(" ".join(t.text for t in mutate(scripts[k % len(scripts)], rng)))
+        code, _ = run_cli("run", str(path))
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), path.read_text()
+        assert (code == 2) == err.startswith("symcomp: error: "), path.read_text()
+        codes.add(code)
+    assert time.perf_counter() - start < 2.0
+    assert codes == {0, 1, 2}

@@ -13,6 +13,7 @@ from symcomp import (
     SymbolTable,
     VectorExpr,
     apply_fixpoint,
+    apply_once,
     builtin_ruleset,
     builtin_session_names,
     canonicalize,
@@ -35,7 +36,7 @@ from symcomp.core import (
     units,
 )
 from symcomp.errors import ExprTypeError, SourceSpan, UnknownSymbol
-from symcomp.oracle import _compile, check_identity, eval_expr
+from symcomp.oracle import Assignment, ParaQuaternion, _compile, check_identity, eval_expr
 from helpers import (
     Ctx,
     eval_raw,
@@ -123,6 +124,33 @@ def test_equal_refuses_an_operand_that_is_not_an_expr(xy, text, other, kind):
     for a, b in ((value, other), (other, value)):
         with pytest.raises(ExprTypeError, match=f"^equal compares Expr values, got {kind}$"):
             equal(a, b)
+
+
+ONE = Assignment({"x": ParaQuaternion(1)}, {})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda e, rs, st: apply_once("x", rs, st), "apply_once argument e must be an Expr, got str"),
+    (lambda e, rs, st: apply_once(e, "rules1", st),
+     "apply_once argument rs must be a RuleSet, got str"),
+    (lambda e, rs, st: apply_fixpoint(None, rs, st),
+     "apply_fixpoint argument e must be an Expr, got NoneType"),
+    (lambda e, rs, st: apply_fixpoint(e, "rules1", st),
+     "apply_fixpoint argument rs must be a RuleSet, got str"),
+    (lambda e, rs, st: check_identity("x"), "check_identity argument e must be an Expr, got str"),
+    (lambda e, rs, st: eval_expr(0, ONE), "eval_expr argument e must be an Expr, got int"),
+    (lambda e, rs, st: eval_expr(e, None),
+     "eval_expr argument a must be an Assignment, got NoneType"),
+    (lambda e, rs, st: print_expr(5), "print_expr argument e must be an Expr, got int"),
+], ids=["apply_once-value", "apply_once-ruleset", "apply_fixpoint-value",
+        "apply_fixpoint-ruleset", "check_identity", "eval_expr-value", "eval_expr-assignment",
+        "print_expr"])
+def test_library_call_refuses_an_argument_of_the_wrong_type(xy, call, message):
+    # Each argument is checked where the call begins, by one check
+    # (`core.require`), instead of failing later as an AttributeError.
+    e, rs = xy.canon("b(x,y) + q(x)"), builtin_ruleset("rules1")
+    with pytest.raises(ExprTypeError, match=f"^{re.escape(message)}$"):
+        call(e, rs, xy.table)
 
 
 def test_atom_order_examples(xy):

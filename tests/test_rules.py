@@ -542,23 +542,87 @@ def memo_inputs():
 
 
 def fresh_passes(e, rs, symbols, cap=500):
-    """The fixpoint without shared work: public apply_once, each pass with
-    its own memo, until the value stops changing."""
-    for _ in range(cap):
+    """The fixpoint without shared work: public apply_once, each pass over
+    the whole value with its own memo, until the value stops changing.
+    Returns the value and the number of passes, the last one included."""
+    for passes in range(1, cap + 1):
         nxt = apply_once(e, rs, symbols)
         if equal(nxt, e):
-            return e
+            return e, passes
         e = nxt
     raise NonTermination(rs.name)
 
 
-def test_fixpoint_memo_gives_the_result_of_fresh_passes():
+@pytest.fixture
+def passes(monkeypatch):
+    """The passes run since the list was last cleared, one entry per call
+    of the private pass that `apply_once` and `apply_fixpoint` share."""
+    calls = []
+    one_pass = rules._pass
+
+    def counting(*args):
+        calls.append(1)
+        return one_pass(*args)
+
+    monkeypatch.setattr(rules, "_pass", counting)
+    return calls
+
+
+def test_fixpoint_memo_gives_the_result_of_fresh_passes(passes):
+    # The fixpoint visits only each pass's new units; passes over the
+    # whole value must reach the same value in as many passes.
     for ctx, e in memo_inputs():
         for name in CATALOG:
             rs = builtin_ruleset(name)
+            expected, expected_passes = fresh_passes(e, rs, ctx.table)
+            passes.clear()
             result = apply_fixpoint(e, rs, ctx.table)
-            assert equal(result, fresh_passes(e, rs, ctx.table)), name
+            assert equal(result, expected), name
+            assert len(passes) == expected_passes, name
             assert stores_no_zero(result), name
+
+
+def test_rewrite_scale_family_pass_counts(passes):
+    # rules2 on b(S,S.S) - 3*q(S)*b(S,S), for k = 2..10 terms in S.
+    counts = []
+    for k in range(2, 11):
+        ctx, e = scaling_family(k)
+        passes.clear()
+        apply_fixpoint(e, builtin_ruleset("rules2"), ctx.table)
+        counts.append(len(passes))
+    assert counts == [2, 2, 4, 5, 5, 5, 5, 5, 5]
+
+
+def test_fixpoint_of_a_swap_that_maps_the_value_to_itself(xy, passes):
+    # Every unit is rewritten in every pass, and the value is unchanged
+    # after the first: the fixpoint returns it then.
+    rs = RuleSet("swap", (make_rule("b(X, Y) -> b(Y, X)"),))
+    e = xy.canon("b(x,y) + b(y,x)")
+    result = apply_fixpoint(e, rs, xy.table)
+    assert len(passes) == 1
+    assert equal(result, apply_once(e, rs, xy.table)) and equal(result, e)
+
+
+def test_wrong_sort_rule_first_reached_in_a_later_pass(xy, passes):
+    # Both wrong-sort rules are reached in pass 2 only, each on its own
+    # unit; the fixpoint names the rule the whole-value loop names, and
+    # which one that is depends on the storage order of the input.
+    rs = RuleSet("late", (make_rule("b(X, Y.Z) -> b(X.Y, Z)", "late#1"),
+                          make_rule("b(x.x, Y) -> Y", "late#2"),
+                          make_rule("b(y.y, X) -> 2*X", "late#3")))
+    named = set()
+    for source in ("q(x)*b(y,y) + b(x, x.y) + b(y, y.x)*q(y)",
+                   "b(y, y.x)*q(y) + q(x)*b(y,y) + b(x, x.y)"):
+        e = xy.canon(source)
+        with pytest.raises(EngineError) as whole:
+            fresh_passes(e, rs, xy.table)
+        passes.clear()
+        with pytest.raises(EngineError) as err:
+            apply_fixpoint(e, rs, xy.table)
+        assert len(passes) == 2
+        assert str(err.value) == str(whole.value)
+        named.add(str(err.value).split()[1])
+    assert named == {"late#2", "late#3"}
 
 
 def units(e):
@@ -597,14 +661,6 @@ def test_fixpoint_keeps_no_memo_between_calls(monkeypatch):
     assert first_calls > 0
     assert equal(first, second)
     assert len(calls) == 2 * first_calls
-
-
-def test_memo_serves_one_rule_set(xy):
-    memo = RewriteMemo(builtin_ruleset("bsym"), xy.table)
-    e = xy.canon("b(y,x)")
-    apply_once(e, builtin_ruleset("bsym"), xy.table, memo)
-    with pytest.raises(ValueError):
-        apply_once(e, builtin_ruleset("rules1"), xy.table, memo)
 
 
 # --- right-hand-side templates ------------------------------------------------
