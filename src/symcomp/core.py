@@ -723,25 +723,30 @@ def canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
     of a product.  An undeclared name (UnknownSymbol) gets the span of
     its identifier.
     """
+    require(env, Env, "canonicalize argument env must be an Env")
+    return _canonicalize(raw, env)
+
+
+def _canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
     try:
         if isinstance(raw, rx.Num):
             return ScalarExpr.const(raw.value)
         if isinstance(raw, rx.Ident):
             return env.resolve(raw.name)
         if isinstance(raw, rx.Neg):
-            return -canonicalize(raw.item, env)
+            return -_canonicalize(raw.item, env)
         if isinstance(raw, rx.Sum):
-            return _sum([canonicalize(item, env) for item in raw.items])
+            return _sum([_canonicalize(item, env) for item in raw.items])
         if isinstance(raw, rx.Mul):
-            return _product([canonicalize(item, env) for item in raw.items])
+            return _product([_canonicalize(item, env) for item in raw.items])
         if isinstance(raw, rx.Pow):
-            return canonicalize(raw.base, env) ** raw.exponent
+            return _canonicalize(raw.base, env) ** raw.exponent
         if isinstance(raw, rx.Dot):
-            return dot(canonicalize(raw.left, env), canonicalize(raw.right, env))
+            return dot(_canonicalize(raw.left, env), _canonicalize(raw.right, env))
         if isinstance(raw, rx.Q):
-            return q_of(canonicalize(raw.arg, env))
+            return q_of(_canonicalize(raw.arg, env))
         if isinstance(raw, rx.B):
-            return b_of(canonicalize(raw.left, env), canonicalize(raw.right, env))
+            return b_of(_canonicalize(raw.left, env), _canonicalize(raw.right, env))
     except (ExprTypeError, UnknownSymbol) as err:
         if err.span is not None:
             raise

@@ -37,6 +37,7 @@ from .core import (
     equal,
     from_units,
     is_vector,
+    require,
     units,
     word_with,
 )
@@ -46,6 +47,7 @@ from .printer import print_expr
 
 def subst(e: Expr, bindings: dict[str, Expr], symbols: SymbolTable) -> Expr:
     """Simultaneous substitution of symbols by canonical values."""
+    require(symbols, SymbolTable, "subst argument symbols must be a SymbolTable")
     if not bindings:
         return e
     by_sort: dict[str, dict] = {SCALAR: {}, VECTOR: {}}

@@ -65,37 +65,44 @@ result's storage order may differ too, but no output depends on it:
 ``MAX_PASSES`` passes raises ``NonTermination``.
 
 A rewrite replaces one *root* of a unit: the unit's own word, one q/b
-atom, or one pair of b atoms.  One ``apply_once`` or ``apply_fixpoint``
-call memoizes, in a ``RewriteMemo``, the value that replaces each root
-it has scanned (or None when nothing rewrites it), so a root is matched,
-instantiated and rebuilt once per call however many units and passes
-share it; dot-words and atoms are rebuilt from the rewritten parts by
-``core.word_with`` and ``core.atom_with``.  The memo lives for that call
-only, and the result does not depend on it.  ``rule.bind`` is the
+atom, or one pair of b atoms.  A ``RewriteMemo`` records the value that
+replaces each root scanned (or None when nothing rewrites it), so a root
+is matched, instantiated and rebuilt once however many units, passes and
+calls share it; dot-words and atoms are rebuilt from the rewritten parts
+by ``core.word_with`` and ``core.atom_with``.  ``rule.bind`` is the
 library's only matcher.
 
 A rule's right-hand side is instantiated from a template: the
 right-hand side canonicalized once with one private placeholder leaf per
 pattern variable (``Word.leaf(name, -1 - k)``; real symbols have indices
->= 0).  A template depends only on the rule and on the `(sort, index)`
-entries the symbol table gives the literal (lowercase) names of the
-right-hand side.  A declaration never changes an existing name's entry,
-so ``_template`` keeps each template in one bounded cache keyed by the
-rule and the symbol table (``_TEMPLATES`` entries): it is built once per
-rule and table, the first time the rule binds there, and serves every
-later pass, fixpoint and session on that table.  An undeclared name
-raises, and the cache keeps nothing for it.  Each firing then fills
-that template with the bound words: every word and q/b atom is rebuilt
-through ``Word.pair``/``Atom.q``/``Atom.b``, every monomial is
-multiplied back together from its rebuilt entries by ``core.mono_mul``
-(which merges atoms that became equal), and units that became equal are
-added.  Substituting words for leaves commutes with
-canonicalization except for the polarization of q over a sum, so a rule
-whose right-hand side has a q of anything but a word pattern is
-instantiated by ``canonicalize`` at every firing instead, as is a rule
-whose template raises a sort error (a summand of either sort may vanish
-only when two variables bind the same word).  The choice depends
-on the rule and the sorts of the symbols it names, never on a binding.
+>= 0).  The memo keeps the templates too, one per rule, built the first
+time the rule binds.  Each firing then fills that template with the
+bound words: every word and q/b atom is rebuilt through
+``Word.pair``/``Atom.q``/``Atom.b``, every monomial is multiplied back
+together from its rebuilt entries by ``core.mono_mul`` (which merges
+atoms that became equal), and units that became equal are added.
+Substituting words for leaves commutes with canonicalization except for
+the polarization of q over a sum, so a rule whose right-hand side has a
+q of anything but a word pattern is instantiated by ``canonicalize`` at
+every firing instead, as is a rule whose template raises a sort error (a
+summand of either sort may vanish only when two variables bind the same
+word).  The choice depends on the rule and the sorts of the symbols it
+names, never on a binding.
+
+The memo is the engine's one cache, and ``_memo`` keeps one per rule
+set and symbol table across ``apply_once`` and ``apply_fixpoint`` calls
+(Michie's memo functions, 1968), so a session that applies one rule set
+several times, or a family of growing inputs, matches each site once.
+This is sound because a site's replacement and a template depend only
+on the rule set and on the `(sort, index)` entries the symbol table
+gives the names its rules use; words and atoms are hash-consed, so a
+site is its own key; and a declaration never changes an existing
+entry.  A site or template whose build raises (``EngineError``,
+``UnknownSymbol``, a word-size ``ExprTypeError``) is not stored, so it
+raises again at every call, and the result of a call never depends on
+the memo.  Two bounds keep it small: ``_MEMOS`` memos, and
+``_MEMO_SITES`` site entries per memo, which a call that finds more
+clears first.
 """
 from __future__ import annotations
 
@@ -228,8 +235,8 @@ class RewriteRule:
     one matcher, compiled from those patterns when the rule is built (see
     ``_binder``): `bind(site)` returns the binding of the pattern
     variables at a site of the rule's kind, or None.  `rhs` is the
-    right-hand side's parse tree; its templates are kept by
-    ``_template``, per rule and symbol table."""
+    right-hand side's parse tree; the engine keeps its template in the
+    ``RewriteMemo`` of each rule set and symbol table it is applied on."""
 
     __slots__ = ("name", "kind", "lhs", "lhs2", "power", "bind", "rhs")
 
@@ -323,26 +330,62 @@ def _b_pairs(mono: Monomial, start: int):
 
 _UNSEEN = object()
 
+# The engine cache is bounded twice.  `_memo` keeps `_MEMOS` memos, one per
+# rule set and symbol table; a replay of the built-in catalog keeps 18
+# (52 templates, 495 sites, 0.11 MB).  A memo holds its rule set and table
+# alive, so this also caps the tables kept past their last use.  A call
+# that finds more than `_MEMO_SITES` site entries in its memo clears them
+# first; the rewrite-scale family k = 2..10, run in sequence on one table,
+# leaves 7,431 (1.7 MB by tracemalloc on CPython 3.11).  Between calls
+# the whole cache holds at most 32 * 16,384 sites, some 120 MB at that size.
+_MEMOS = 32
+_MEMO_SITES = 16_384
+
 
 class RewriteMemo:
-    """Work shared by the passes of one fixpoint; never changes the result.
+    """The engine cache of one rule set on one symbol table; it never
+    changes a result.
 
     `sites` maps each root and site subject to the value that replaces it,
     or to None when nothing rewrites it: a Word to its value after its
     first dot rewrite, an Atom to the atom rebuilt after the first dot
     rewrite in its arguments, an (Atom, exponent) entry or an (Atom, Atom)
     pair to the instantiated right-hand side of the first rule that binds
-    there.  It depends only on the rule set and the symbol table, which
-    the memo holds; one ``apply_once`` or ``apply_fixpoint`` call builds
-    it and drops it.  Templates are not kept here but by ``_template``.
+    there.  `templates` maps each rule that has bound on the table to its
+    template (``_template``), None where the rule has none.  Both depend
+    only on the rule set and on the `(sort, index)` entries of the names
+    its rules use.  A declaration never changes an existing entry, and a
+    site or template whose build raises is not stored, so it raises again
+    at every call; ``_memo`` therefore keeps one memo per rule set and
+    table across ``apply_once`` and ``apply_fixpoint`` calls.
     """
 
-    __slots__ = ("ruleset", "symbols", "sites")
+    __slots__ = ("ruleset", "symbols", "sites", "templates")
 
     def __init__(self, ruleset: RuleSet, symbols: SymbolTable):
         self.ruleset = ruleset
         self.symbols = symbols
         self.sites: dict = {}
+        self.templates: dict = {}
+
+
+@lru_cache(maxsize=_MEMOS)
+def _memo(rs: RuleSet, symbols: SymbolTable) -> RewriteMemo:
+    """The memo of `rs` on `symbols`, built at their first apply call and
+    kept for the later ones."""
+    return RewriteMemo(rs, symbols)
+
+
+def _call_memo(name: str, e, rs, symbols) -> RewriteMemo:
+    """Check the arguments of apply call `name` and return its memo, with
+    the sites cleared first when they have outgrown `_MEMO_SITES`."""
+    require(e, Expr, f"{name} argument e must be an Expr")
+    require(rs, RuleSet, f"{name} argument rs must be a RuleSet")
+    require(symbols, SymbolTable, f"{name} argument symbols must be a SymbolTable")
+    memo = _memo(rs, symbols)
+    if len(memo.sites) > _MEMO_SITES:
+        memo.sites.clear()
+    return memo
 
 
 # --- right-hand-side templates ------------------------------------------------
@@ -365,21 +408,14 @@ def _word_env(symbols: SymbolTable, binds: dict[str, Word]) -> Env:
     return Env(symbols, {name: VectorExpr.from_word(w) for name, w in binds.items()})
 
 
-# Templates kept by `_template`, one per rule and symbol table; a replay
-# of the built-in catalog keeps 52.  An entry holds its rule and table
-# alive, so the bound also caps the tables kept past their last use.
-_TEMPLATES = 256
-
-
-@lru_cache(maxsize=_TEMPLATES)
 def _template(rule: RewriteRule, symbols: SymbolTable):
     """The right-hand side canonicalized once with the rule's placeholder
     leaves (``_holes``), as `(holes, vector, units)`: `units` lists the
     template's `(word, mono, coeff)` units.  None when the rule has no
     holes, or when the template raises a sort error: a summand of either
     sort may be nonzero under placeholders and vanish under a real
-    binding.  Built once per rule and table; an undeclared name raises
-    UnknownSymbol, which is not kept."""
+    binding.  An undeclared name raises UnknownSymbol.  The engine builds
+    each template once per memo (``_instantiate``)."""
     holes = _holes(rule.rhs)
     if holes is None:
         return None
@@ -421,13 +457,16 @@ def _fill(template, binds: dict[str, Word]) -> Expr:
     return from_units(out, vector)
 
 
-def _instantiate(rule: RewriteRule, binds: dict[str, Word], symbols: SymbolTable) -> Expr:
-    """The rule's right-hand side under `binds`: its template filled with
-    the bound words, or ``canonicalize`` where the rule has no template."""
-    template = _template(rule, symbols)
+def _instantiate(rule: RewriteRule, binds: dict[str, Word], memo: RewriteMemo) -> Expr:
+    """The rule's right-hand side under `binds`: its template, built into
+    `memo` the first time, filled with the bound words, or
+    ``canonicalize`` where the rule has no template."""
+    template = memo.templates.get(rule, _UNSEEN)
+    if template is _UNSEEN:
+        template = memo.templates[rule] = _template(rule, memo.symbols)
     if template is not None:
         return _fill(template, binds)
-    return canonicalize(rule.rhs, _word_env(symbols, binds))
+    return canonicalize(rule.rhs, _word_env(memo.symbols, binds))
 
 
 # --- the pass -----------------------------------------------------------------
@@ -440,7 +479,7 @@ def _first_match(rules, subject, memo: RewriteMemo):
         binds = rule.bind(subject)
         if binds is None:
             continue
-        repl = _instantiate(rule, binds, memo.symbols)
+        repl = _instantiate(rule, binds, memo)
         if is_vector(repl) != (rule.kind == "dot"):
             what = "a dot-word to a vector" if rule.kind == "dot" else "an atom to a scalar"
             raise EngineError(f"rule {rule.name} must rewrite {what} value")
@@ -554,18 +593,17 @@ def _pass(frontier, normal: dict, fresh: dict, memo: RewriteMemo) -> dict:
 def apply_once(e: Expr, rs: RuleSet, symbols: SymbolTable) -> Expr:
     """One deterministic pass over every unit of `e`, in storage order: at
     most one rewrite per monomial/term.  Unrewritten units and rewrites
-    go into one map, and the pass has a memo of its own."""
-    require(e, Expr, "apply_once argument e must be an Expr")
-    require(rs, RuleSet, "apply_once argument rs must be a RuleSet")
+    go into one map; the pass uses the memo of `rs` on `symbols`."""
+    memo = _call_memo("apply_once", e, rs, symbols)
     out: dict = {}
-    _pass(e.by_word(), out, out, RewriteMemo(rs, symbols))
+    _pass(e.by_word(), out, out, memo)
     return from_units(out, is_vector(e))
 
 
 def apply_fixpoint(e: Expr, rs: RuleSet, symbols: SymbolTable) -> Expr:
     """Run passes until one leaves the value unchanged, and return that
-    value; the passes share one memo.  Raises NonTermination after
-    `MAX_PASSES` passes.
+    value; the passes use the memo of `rs` on `symbols`.  Raises
+    NonTermination after `MAX_PASSES` passes.
 
     Semi-naive (Bancilhon and Ramakrishnan, 1986): a unit a pass leaves
     unrewritten is normal, and every later pass would leave it so, so it
@@ -577,9 +615,7 @@ def apply_fixpoint(e: Expr, rs: RuleSet, symbols: SymbolTable) -> Expr:
     when the two are equal, and then it is `normal` plus the last
     frontier.
     """
-    require(e, Expr, "apply_fixpoint argument e must be an Expr")
-    require(rs, RuleSet, "apply_fixpoint argument rs must be a RuleSet")
-    memo = RewriteMemo(rs, symbols)
+    memo = _call_memo("apply_fixpoint", e, rs, symbols)
     normal: dict = {}
     frontier = e.by_word()
     for _ in range(MAX_PASSES):

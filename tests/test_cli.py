@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from symcomp import check_identity
+from symcomp import check_identity, rules
 from symcomp.cli import main
 from symcomp.errors import SymcompError
 from symcomp.parser import parse_script, tokenize
@@ -94,6 +94,16 @@ def test_paper_all():
     assert code == 0
     for name in ("L1", "L2", "Z1", "Z2", "Z3", "Z4", "M"):
         assert f"session {name}" in output
+
+
+def test_paper_all_json_replayed_twice_matches_the_reference():
+    # The first replay fills the engine cache from empty; the second runs
+    # every rewrite on the memos the first one kept.
+    reference = (Path(__file__).parent.parent / "perfbench" / "reference"
+                 / "paper_all.json").read_text(encoding="utf-8")
+    rules._memo.cache_clear()
+    for _ in range(2):
+        assert run_cli("paper", "--all", "--json") == (0, reference)
 
 
 def test_paper_unknown_session(capsys):

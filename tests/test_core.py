@@ -142,9 +142,18 @@ ONE = Assignment({"x": ParaQuaternion(1)}, {})
     (lambda e, rs, st: eval_expr(e, None),
      "eval_expr argument a must be an Assignment, got NoneType"),
     (lambda e, rs, st: print_expr(5), "print_expr argument e must be an Expr, got int"),
+    (lambda e, rs, st: apply_once(e, rs, None),
+     "apply_once argument symbols must be a SymbolTable, got NoneType"),
+    (lambda e, rs, st: apply_fixpoint(e, rs, None),
+     "apply_fixpoint argument symbols must be a SymbolTable, got NoneType"),
+    (lambda e, rs, st: subst(e, {"x": e}, None),
+     "subst argument symbols must be a SymbolTable, got NoneType"),
+    (lambda e, rs, st: canonicalize(parse_expr("q(x)"), st),
+     "canonicalize argument env must be an Env, got SymbolTable"),
 ], ids=["apply_once-value", "apply_once-ruleset", "apply_fixpoint-value",
         "apply_fixpoint-ruleset", "check_identity", "eval_expr-value", "eval_expr-assignment",
-        "print_expr"])
+        "print_expr", "apply_once-symbols", "apply_fixpoint-symbols", "subst-symbols",
+        "canonicalize-env"])
 def test_library_call_refuses_an_argument_of_the_wrong_type(xy, call, message):
     # Each argument is checked where the call begins, by one check
     # (`core.require`), instead of failing later as an AttributeError.

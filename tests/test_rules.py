@@ -30,12 +30,14 @@ from symcomp.errors import (
 )
 from symcomp.oracle import eval_expr, random_assignment
 from symcomp.rules import RewriteMemo, RuleSet, instantiate_sides, _pattern_vars
+from symcomp.sessions import builtin_session_names, run_builtin_session
 from helpers import (
     Ctx,
     first_rewrite_reference,
     random_raw,
     reference_bind,
     scaling_family,
+    scaling_source,
     stores_no_zero,
 )
 
@@ -543,9 +545,11 @@ def memo_inputs():
 
 def fresh_passes(e, rs, symbols, cap=500):
     """The fixpoint without shared work: public apply_once, each pass over
-    the whole value with its own memo, until the value stops changing.
-    Returns the value and the number of passes, the last one included."""
+    the whole value on a cleared engine cache, until the value stops
+    changing.  Returns the value and the number of passes, the last one
+    included."""
     for passes in range(1, cap + 1):
+        rules._memo.cache_clear()
         nxt = apply_once(e, rs, symbols)
         if equal(nxt, e):
             return e, passes
@@ -553,19 +557,25 @@ def fresh_passes(e, rs, symbols, cap=500):
     raise NonTermination(rs.name)
 
 
+def recorded_calls(monkeypatch, name: str) -> list:
+    """Patch ``rules.<name>`` to record the arguments of each call, in
+    order, into the list returned."""
+    calls = []
+    original = getattr(rules, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rules, name, recording)
+    return calls
+
+
 @pytest.fixture
 def passes(monkeypatch):
     """The passes run since the list was last cleared, one entry per call
     of the private pass that `apply_once` and `apply_fixpoint` share."""
-    calls = []
-    one_pass = rules._pass
-
-    def counting(*args):
-        calls.append(1)
-        return one_pass(*args)
-
-    monkeypatch.setattr(rules, "_pass", counting)
-    return calls
+    return recorded_calls(monkeypatch, "_pass")
 
 
 def test_fixpoint_memo_gives_the_result_of_fresh_passes(passes):
@@ -633,34 +643,70 @@ def units(e):
             for w, cexpr in e.terms.items() for mono, c in cexpr.terms.items()]
 
 
+def alone(u, rs, symbols):
+    """One pass over `u` on a cleared engine cache, sharing nothing."""
+    rules._memo.cache_clear()
+    return apply_once(u, rs, symbols)
+
+
 def test_pass_rewrites_each_unit_as_if_alone():
     # The memo is shared by all units of a pass; a unit rewritten on its
     # own, with nothing shared, must come out the same.
     for ctx, e in memo_inputs():
         for name in CATALOG:
             rs = builtin_ruleset(name)
-            alone = [apply_once(u, rs, ctx.table) for u in units(e)]
-            expected = sum(alone[1:], alone[0]) if alone else e
+            each = [alone(u, rs, ctx.table) for u in units(e)]
+            expected = sum(each[1:], each[0]) if each else e
             assert equal(apply_once(e, rs, ctx.table), expected), name
 
 
-def test_fixpoint_keeps_no_memo_between_calls(monkeypatch):
-    calls = []
-    instantiate = rules._instantiate
+@pytest.fixture
+def instantiations(monkeypatch):
+    """The right-hand sides instantiated since the list was last cleared,
+    one entry per call of ``rules._instantiate``; the engine cache starts
+    empty."""
+    rules._memo.cache_clear()
+    return recorded_calls(monkeypatch, "_instantiate")
 
-    def counting(*args):
-        calls.append(1)
-        return instantiate(*args)
 
-    monkeypatch.setattr(rules, "_instantiate", counting)
+def test_fixpoint_keeps_its_memo_per_rule_set_and_table(instantiations):
     ctx, e = scaling_family(3)
     rs = builtin_ruleset("rules2")
     first = apply_fixpoint(e, rs, ctx.table)
-    first_calls = len(calls)
-    second = apply_fixpoint(e, rs, ctx.table)
-    assert first_calls > 0
-    assert equal(first, second)
-    assert len(calls) == 2 * first_calls
+    assert instantiations
+    # A second fixpoint of the same rule set on the same table matches
+    # and instantiates nothing.
+    instantiations.clear()
+    assert equal(apply_fixpoint(e, rs, ctx.table), first)
+    assert not instantiations
+    # Another table, even one with the same declarations, has a memo of
+    # its own, and so has another rule set on the same table.
+    other, _ = scaling_family(3)
+    assert equal(apply_fixpoint(e, rs, other.table), first)
+    assert instantiations
+    instantiations.clear()
+    same_rules = RuleSet(rs.name, rs.rules)
+    assert equal(apply_fixpoint(e, same_rules, ctx.table), first)
+    assert instantiations
+    assert rules._memo(rs, ctx.table) is not rules._memo(rs, other.table)
+    assert rules._memo(rs, ctx.table) is not rules._memo(same_rules, ctx.table)
+
+
+def scale_table():
+    """One table for the whole scaling family: a0..a9 and x, y, z."""
+    return Ctx(scalars=tuple(f"a{i}" for i in range(10)), vectors=("x", "y", "z"))
+
+
+def test_scaling_family_in_sequence_prints_the_cold_normal_forms():
+    # Run in sequence on one table, each k reuses the sites of the smaller
+    # ones; each normal form must print as on a cleared engine cache.
+    rs, ctx = builtin_ruleset("rules2"), scale_table()
+    values = [ctx.canon(scaling_source(k)) for k in range(2, 11)]
+    rules._memo.cache_clear()
+    warm = [print_expr(apply_fixpoint(e, rs, ctx.table)) for e in values]
+    for e, text in zip(values, warm):
+        rules._memo.cache_clear()
+        assert print_expr(apply_fixpoint(e, rs, ctx.table)) == text
 
 
 # --- right-hand-side templates ------------------------------------------------
@@ -668,6 +714,7 @@ def test_fixpoint_keeps_no_memo_between_calls(monkeypatch):
 TEMPLATE_CTX = Ctx(vectors=("x", "y", "z", "u"))
 LIVE_RULES = tuple(rule for name in CATALOG for rule in builtin_ruleset(name).rules
                    if rule.kind != "noop")
+LIVE_SET = RuleSet("live", LIVE_RULES)
 
 
 def random_word(rng, depth, ctx=TEMPLATE_CTX):
@@ -683,14 +730,14 @@ def test_template_fill_agrees_with_instantiate_sides_property(seed, pool):
     # they make atoms of one monomial equal (q(X.Y) -> q(X)*q(Y) with X = Y)
     # and units of one value equal, which the fill must re-sort and merge.
     rng, table = random.Random(seed), TEMPLATE_CTX.table
+    memo = rules._memo(LIVE_SET, table)
     words = [random_word(rng, 2) for _ in range(pool)]
     for rule in LIVE_RULES:
         variables = sorted(_pattern_vars(rule.lhs)
                            | (_pattern_vars(rule.lhs2) if rule.lhs2 else set()))
         binds = {v: rng.choice(words) for v in variables}
-        template = rules._template(rule, table)
-        assert template is not None, rule.name
-        filled = rules._fill(template, binds)
+        filled = rules._instantiate(rule, binds, memo)
+        assert memo.templates[rule] is not None, rule.name
         expected = instantiate_sides(rule, binds, table)[1]
         assert type(filled) is type(expected), rule.name
         assert equal(filled, expected), (rule.name, binds)
@@ -792,7 +839,7 @@ def test_q_of_a_sum_is_instantiated_by_canonicalize(xy):
     assert equal(apply_once(xy.canon("b(x,y)"), rs, xy.table), xy.canon("b(x,y)"))
     assert equal(apply_fixpoint(xy.canon("b(x.y,x.y) + b(x,y)"), rs, xy.table),
                  xy.canon("2*q(x.y) + b(x,y)"))
-    assert rules._template(rule, xy.table) is None
+    assert rules._memo(rs, xy.table).templates == {rule: None}
 
 
 def test_scalar_summand_vanishing_under_a_binding_is_instantiated_by_canonicalize(xyz):
@@ -805,81 +852,118 @@ def test_scalar_summand_vanishing_under_a_binding_is_instantiated_by_canonicaliz
     with pytest.raises(ExprTypeError) as err:
         apply_once(xyz.canon("(x.y).z"), rs, xyz.table)
     assert str(err.value) == "1:22: cannot add scalar and vector values"
-    assert rules._template(rule, xyz.table) is None
+    assert rules._memo(rs, xyz.table).templates == {rule: None}
 
 
-def template_builds() -> int:
-    """How many templates ``rules._template`` has built (its cache misses)."""
-    return rules._template.cache_info().misses
+@pytest.fixture
+def builds(monkeypatch):
+    """The templates built since the engine cache was cleared, one
+    `(rule, table)` entry per call of ``rules._template``."""
+    rules._memo.cache_clear()
+    return recorded_calls(monkeypatch, "_template")
 
 
-def test_rule_set_builds_each_template_once_per_rule_and_table():
-    rules._template.cache_clear()
+def test_rule_set_builds_each_template_once_per_rule_and_table(builds):
     rs = RuleSet("fresh", (make_rule("b(x, (x.y).y) -> b(x.y, y.x)", "fresh#1"),
                            make_rule("b(X.Y, X.Z) -> q(X)*b(Y, Z)", "fresh#2")))
     source = "b(x, (x.y).y) + b(x.(y.x), x.y) + b(y.x, y.(x.y))"
     xy = Ctx(vectors=("x", "y"))
     first = apply_fixpoint(xy.canon(source), rs, xy.table)
-    assert template_builds() == 2
+    assert builds == [(rs.rules[0], xy.table), (rs.rules[1], xy.table)]
     # Later fixpoints and passes on the same table build nothing.
     assert equal(apply_fixpoint(xy.canon(source), rs, xy.table), first)
     once = apply_once(xy.canon(source), rs, xy.table)
     assert equal(apply_once(xy.canon(source), rs, xy.table), once)
-    assert template_builds() == 2
+    assert len(builds) == 2
     # Declared in the other order, x and y get other indices; another
     # table builds a template of its own for each rule.
     yx = Ctx(vectors=("y", "x"))
     assert equal(apply_fixpoint(yx.canon(source), rs, yx.table), yx.canon(print_expr(first)))
-    assert template_builds() == 4
+    assert builds[2:] == [(rs.rules[0], yx.table), (rs.rules[1], yx.table)]
 
 
 @pytest.mark.parametrize("scalars, vectors", [
     ((), ("y", "x")), (("x",), ("y",)), (("u",), ("y", "x")), (("x", "u"), ("y",)),
 ], ids=["x-second", "x-scalar", "x-third", "x-scalar-of-two"])
-def test_template_under_another_name_layout_agrees_with_instantiate_sides(scalars, vectors):
-    rules._template.cache_clear()
+def test_template_under_another_name_layout_agrees_with_instantiate_sides(
+        builds, scalars, vectors):
     rule = make_rule("q(X.Y) -> x*q(X)*q(Y.y)")
+    rs = RuleSet("layout", (rule,))
     for ctx in (Ctx(vectors=("x", "y")), Ctx(scalars=scalars, vectors=vectors)):
         binds = {"X": ctx.word("y.y"), "Y": ctx.word("y")}
         for _ in range(2):
-            got = rules._instantiate(rule, binds, ctx.table)
+            got = rules._instantiate(rule, binds, rules._memo(rs, ctx.table))
             expected = instantiate_sides(rule, binds, ctx.table)[1]
             assert type(got) is type(expected)
             assert equal(got, expected)
-    assert template_builds() == 2
+    assert len(builds) == 2
 
 
-def test_template_of_an_undeclared_name_is_not_kept():
-    rules._template.cache_clear()
+def test_template_of_an_undeclared_name_is_not_kept(builds):
     rule = make_rule("q(X.Y) -> q(X)*q(Y.w)")
+    rs = RuleSet("undeclared", (rule,))
     xy = Ctx(vectors=("x", "y"))
-    binds = {"X": xy.word("x"), "Y": xy.word("y")}
-    for builds in (1, 2):
+    memo = rules._memo(rs, xy.table)
+    # Every call builds the template again and raises again; neither the
+    # template nor the site is kept.
+    for calls in (1, 2):
         with pytest.raises(UnknownSymbol, match="undeclared identifier 'w'"):
-            rules._instantiate(rule, binds, xy.table)
-        assert template_builds() == builds
-        assert rules._template.cache_info().currsize == 0
+            apply_once(xy.canon("q(x.y)"), rs, xy.table)
+        assert len(builds) == calls
+        assert memo.templates == {} and memo.sites == {}
     xyw = Ctx(vectors=("x", "y", "w"))
-    got = rules._instantiate(rule, binds, xyw.table)
+    got = apply_once(xyw.canon("q(x.y)"), rs, xyw.table)
     assert equal(got, xyw.canon("q(x)*q(y.w)"))
-    assert rules._template.cache_info().currsize == 1
+    assert list(rules._memo(rs, xyw.table).templates) == [rule]
 
 
-def test_declaring_more_names_keeps_a_tables_templates():
+def test_wrong_sort_rule_raises_again_on_a_second_call(xy):
+    rs = RuleSet("wrong", (make_rule("b(X, Y) -> X", "wrong#1"),))
+    e = xy.canon("q(x) + b(x, y)")
+    for _ in range(2):
+        with pytest.raises(EngineError, match="^rule wrong#1 must rewrite an atom to a "
+                                              "scalar value$"):
+            apply_fixpoint(e, rs, xy.table)
+    assert (Atom.b(xy.word("x"), xy.word("y")), 1) not in rules._memo(rs, xy.table).sites
+
+
+def bounded_outputs():
+    """The rules2 normal forms of the scaling family k = 2..6, run in
+    sequence on one table, and the JSON reports of every catalog session,
+    all on an engine cache cleared first."""
+    rules._memo.cache_clear()
+    rs, ctx = builtin_ruleset("rules2"), scale_table()
+    texts = [print_expr(apply_fixpoint(ctx.canon(scaling_source(k)), rs, ctx.table))
+             for k in range(2, 7)]
+    reports = [run_builtin_session(name).to_jsonable() for name in builtin_session_names()]
+    return texts, reports
+
+
+def test_site_bound_changes_no_output(monkeypatch):
+    matches = recorded_calls(monkeypatch, "_first_match")
+    unbounded = bounded_outputs()
+    unbounded_matches = len(matches)
+    matches.clear()
+    monkeypatch.setattr(rules, "_MEMO_SITES", 3)
+    assert bounded_outputs() == unbounded
+    # Calls past the first cleared their memo and matched its sites again.
+    assert len(matches) > unbounded_matches
+
+
+def test_declaring_more_names_keeps_a_tables_templates(builds):
     # A declaration never changes an existing name's sort or index, so the
     # template a table built before it still holds after it.
-    rules._template.cache_clear()
     rs = RuleSet("literal", (make_rule("b(x, (x.y).y) -> b(x.y, y.x)"),))
     source = "b(x, (x.y).y) + b(x, (x.y).y)*q(x)"
     later = "a*b(x, (x.y).y) + b(x, (x.y).y)*q(z) + b(z, (x.y).y)"
     grown = Ctx(vectors=("x", "y"))
     before = apply_fixpoint(grown.canon(source), rs, grown.table)
-    assert template_builds() == 1
+    assert len(builds) == 1
     grown.table.declare_scalar("a")
     grown.table.declare_vector("z")
     assert equal(apply_fixpoint(grown.canon(source), rs, grown.table), before)
     after = apply_fixpoint(grown.canon(later), rs, grown.table)
-    assert template_builds() == 1
+    assert len(builds) == 1
     fresh = Ctx(vectors=("x", "y"))
     fresh.table.declare_scalar("a")
     fresh.table.declare_vector("z")
@@ -891,7 +975,7 @@ def test_declaring_more_names_keeps_a_tables_templates():
         grown.table.declare_scalar("x")
     assert grown.table.sort_of("x") == "vector" and grown.table.index_of("x") == 0
     assert equal(apply_fixpoint(grown.canon(source), rs, grown.table), before)
-    assert template_builds() == 2
+    assert [table for _, table in builds] == [grown.table, fresh.table]
 
 
 def test_rewrite_scale_k5_normal_form_matches_recorded_text():
