@@ -116,6 +116,7 @@ class SymbolTable:
     def declare(self, name: str, sort: str) -> None:
         """Declare `name` with `sort`, SCALAR or VECTOR; declaring it again
         with the same sort does nothing."""
+        require(name, str, "declare argument name must be a str")
         if sort not in (SCALAR, VECTOR):
             raise ExprTypeError(f"a symbol's sort must be {SCALAR!r} or {VECTOR!r}, got {sort!r}")
         if name in self._entries:
@@ -699,6 +700,7 @@ class Env:
     __slots__ = ("symbols", "bindings")
 
     def __init__(self, symbols: SymbolTable, bindings: dict[str, Expr] | None = None):
+        require(symbols, SymbolTable, "Env argument symbols must be a SymbolTable")
         self.symbols = symbols
         self.bindings = bindings or {}
 

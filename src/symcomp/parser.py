@@ -47,7 +47,10 @@ is an expression or, after `coeffmatrix`, a coefficient matrix, as of its
 latest binding; `assert_matrix` takes a matrix name and every other use
 takes an expression name, and a wrong kind or an unknown name is a
 ParseError at the name's span.  An `apply` holds its resolved RuleSet:
-the catalog set, or the rules of the local set defined before it.
+the catalog set, or the rules of the local set defined before it.  The
+parser keeps one RuleSet per local name and builds a new one only when a
+`rule` statement extends the set, so applies with no such statement
+between them share one RuleSet and one engine memo (``rules._memo``).
 """
 from __future__ import annotations
 
@@ -67,7 +70,7 @@ from .errors import (
     UndefinedName,
 )
 from .oracle import check_trials
-from .rules import RewriteRule, RuleSet, builtin_ruleset, builtin_ruleset_names, compile_rule
+from .rules import RuleSet, builtin_ruleset, builtin_ruleset_names, compile_rule
 
 # The Greek glyphs, synonyms for their ASCII names.
 GREEK = {"α": "alpha", "β": "beta", "λ": "lambda", "μ": "mu"}
@@ -368,7 +371,7 @@ class _ScriptParser:
         self.name = name
         self.symbols = SymbolTable()
         self.kinds: dict[str, str] = {}  # let name -> _EXPR or _MATRIX
-        self.local_rules: dict[str, list[RewriteRule]] = {}
+        self.local_sets: dict[str, RuleSet] = {}  # rebuilt by each `rule` that extends one
         self.statements: list[Let | Assertion] = []
         self.n_checkpoints = 0
 
@@ -407,9 +410,9 @@ class _ScriptParser:
         return f"C{self.n_checkpoints}"
 
     def _ruleset(self, tok: Token) -> RuleSet:
-        local = self.local_rules.get(tok.text)
+        local = self.local_sets.get(tok.text)
         if local is not None:
-            return RuleSet(tok.text, tuple(local))
+            return local
         if tok.text in builtin_ruleset_names():
             return builtin_ruleset(tok.text)
         raise RuleSetUnknown(f"unknown rule set {tok.text!r}", tok.span)
@@ -457,8 +460,10 @@ class _ScriptParser:
             raise ParseError(f"rule set name {name.text!r} is reserved", name.span)
         self.ts.expect("COLON", "':'")
         lhs, rhs = _parse_rule_sides(self.ts)
-        rules = self.local_rules.setdefault(name.text, [])
-        rules.append(compile_rule(f"{name.text}#{len(rules) + 1}", lhs, rhs))
+        local = self.local_sets.get(name.text)
+        rules = () if local is None else local.rules
+        rule = compile_rule(f"{name.text}#{len(rules) + 1}", lhs, rhs)
+        self.local_sets[name.text] = RuleSet(name.text, rules + (rule,))
 
     def _let(self) -> Let:
         head = self.ts.advance()

@@ -36,6 +36,7 @@ from .core import (
     canonicalize,
     equal,
     from_units,
+    is_int,
     is_vector,
     require,
     units,
@@ -47,6 +48,8 @@ from .printer import print_expr
 
 def subst(e: Expr, bindings: dict[str, Expr], symbols: SymbolTable) -> Expr:
     """Simultaneous substitution of symbols by canonical values."""
+    require(e, Expr, "subst argument e must be an Expr")
+    require(bindings, dict, "subst argument bindings must be a dict")
     require(symbols, SymbolTable, "subst argument symbols must be a SymbolTable")
     if not bindings:
         return e
@@ -134,6 +137,13 @@ def coeff(e: Expr, key: dict[str, int]) -> Expr:
     key's exponent (0 means degree exactly zero), strips those symbol
     powers, and leaves all other symbols untouched.
     """
+    require(e, Expr, "coeff argument e must be an Expr")
+    require(key, dict, "coeff argument key must be a dict")
+    for name, exp in key.items():
+        if not is_int(exp) or exp < 0:
+            got = int_text(exp) if is_int(exp) else type(exp).__name__
+            raise ExprTypeError(f"coeff argument key must give {name!r} an int exponent "
+                                f">= 0, got {got}")
     return from_units(_by_degrees(e, tuple(key)).get(tuple(key.values()), {}), is_vector(e))
 
 
@@ -161,6 +171,11 @@ MAX_MATRIX_CELLS = 2**16
 
 
 def coeff_matrix(e: Expr, variables: tuple[str, str]) -> CoeffMatrix:
+    require(e, Expr, "coeff_matrix argument e must be an Expr")
+    require(variables, tuple, "coeff_matrix argument variables must be a tuple")
+    if len(variables) != 2:
+        raise ExprTypeError(f"coeff_matrix argument variables must name two symbols, "
+                            f"got {len(variables)}")
     v1, v2 = variables
     if v1 == v2:
         raise ExprTypeError(f"a coefficient matrix needs two distinct symbols, got {v1!r} twice")

@@ -3,12 +3,13 @@
 A rule's patterns are the parse trees (``rawexpr``) of its left-hand
 side, as the parser returns them: an uppercase identifier is a pattern
 variable, a lowercase one a literal leaf, and dots, q and b give the
-structure.  Each rule compiles its patterns once, when it is built, into
-one matcher, ``rule.bind`` (``_binder``): a closure per pattern node, so
-that a match runs no type dispatch and no name test at any node.
-``instantiate_sides`` builds both sides of a rule by ``canonicalize``
-under one binding environment; it is the reference the engine's own
-right-hand-side templates are checked against.
+structure.  ``rule.bind`` matches a site by walking these trees
+(``_match``, a plain recursive walk of the pattern); the engine runs it
+only when its memo misses (``RewriteMemo``), so a site is matched once
+on a rule set and symbol table unless its rewrite raised or the memo
+was cleared.  ``instantiate_sides`` builds both sides of a rule by
+``canonicalize`` under one binding environment; it is the reference the
+engine's own right-hand-side templates are checked against.
 
 Pattern variables range over dot-words: single canonical dot-subtrees,
 never sums.  Matching therefore operates per monomial / per vector term.
@@ -69,8 +70,8 @@ atom, or one pair of b atoms.  A ``RewriteMemo`` records the value that
 replaces each root scanned (or None when nothing rewrites it), so a root
 is matched, instantiated and rebuilt once however many units, passes and
 calls share it; dot-words and atoms are rebuilt from the rewritten parts
-by ``core.word_with`` and ``core.atom_with``.  ``rule.bind`` is the
-library's only matcher.
+by ``core.word_with`` and ``core.atom_with``.  ``_match``, through
+``rule.bind``, is the library's only matcher.
 
 A rule's right-hand side is instantiated from a template: the
 right-hand side canonicalized once with one private placeholder leaf per
@@ -153,92 +154,35 @@ def _shape(raw: rx.RawExpr) -> str | None:
     return shape if all(_shape(part) == "word" for part in parts) else None
 
 
-def _matcher(pattern: rx.RawExpr, bound: set[str]):
-    """Compile a pattern tree of shape "word" (matched against a Word) or
-    "q"/"b" (against an Atom) into one closure per node, `m(subject,
-    binds) -> bool`, which extends `binds`; on failure `binds` is left
-    partly filled.  `bound` collects the variables of the nodes compiled
-    so far.  Nodes are compiled in the order a match visits them (left to
-    right, stopping at the first failure), so the first occurrence of a
-    variable stores its word and a repeated one compares with `is` (words
-    are interned)."""
+def _match(pattern: rx.RawExpr, subject, binds: dict) -> bool:
+    """Match a pattern tree of shape "word" against a Word, or of shape
+    "q"/"b" against an Atom, left to right, extending `binds`.  The first
+    occurrence of a variable binds its word and a repeated one must meet
+    the same word, compared with `is` (words are interned).  On failure
+    `binds` is left partly filled."""
     if isinstance(pattern, rx.Ident):
         name = pattern.name
-        if not name.isupper():
-            def literal(w, binds):
-                return w.left is None and w.name == name
-            return literal
-        if name in bound:
-            def repeated(w, binds):
-                return binds[name] is w
-            return repeated
-        bound.add(name)
-
-        def variable(w, binds):
-            binds[name] = w
-            return True
-        return variable
-    if isinstance(pattern, rx.Q):
-        arg = _matcher(pattern.arg, bound)
-
-        def q(atom, binds):
-            return atom.is_q and arg(atom.w1, binds)
-        return q
-    left = _matcher(pattern.left, bound)
-    right = _matcher(pattern.right, bound)
+        if name.isupper():
+            return binds.setdefault(name, subject) is subject
+        return subject.is_leaf and subject.name == name
     if isinstance(pattern, rx.Dot):
-        def dot(w, binds):
-            return w.left is not None and left(w.left, binds) and right(w.right, binds)
-        return dot
-
-    def b(atom, binds):
-        return atom.is_b and left(atom.w1, binds) and right(atom.w2, binds)
-    return b
-
-
-def _binder(kind: str, lhs, lhs2, power):
-    """The rule's matcher, `bind(site) -> binds | None`, for a site of its
-    kind: a Word for a dot rule, an (Atom, exponent) entry for an atom or
-    power rule (a power rule checks the exponent first), an (Atom, Atom)
-    pair for a product rule.  A no-op rule binds nothing."""
-    if kind == "noop":
-        return lambda site: None
-    bound: set[str] = set()
-    first = _matcher(lhs, bound)
-    if kind == "dot":
-        def bind(w):
-            binds = {}
-            return binds if first(w, binds) else None
-    elif kind == "atom":
-        def bind(entry):
-            binds = {}
-            return binds if first(entry[0], binds) else None
-    elif kind == "power":
-        def bind(entry):
-            if entry[1] != power:
-                return None
-            binds = {}
-            return binds if first(entry[0], binds) else None
-    else:
-        second = _matcher(lhs2, bound)
-
-        def bind(pair):
-            binds = {}
-            return binds if first(pair[0], binds) and second(pair[1], binds) else None
-    return bind
+        return (not subject.is_leaf and _match(pattern.left, subject.left, binds)
+                and _match(pattern.right, subject.right, binds))
+    if isinstance(pattern, rx.Q):
+        return subject.is_q and _match(pattern.arg, subject.w1, binds)
+    return (subject.is_b and _match(pattern.left, subject.w1, binds)
+            and _match(pattern.right, subject.w2, binds))
 
 
 class RewriteRule:
     """A typed pattern -> template pair.  `lhs` (and `lhs2`, the second
     factor of a product rule) is a pattern parse tree; a power rule keeps
-    the base in `lhs` and the exponent in `power`.  `bind` is the rule's
-    one matcher, compiled from those patterns when the rule is built (see
-    ``_binder``): `bind(site)` returns the binding of the pattern
-    variables at a site of the rule's kind, or None.  `rhs` is the
-    right-hand side's parse tree; the engine keeps its template in the
-    ``RewriteMemo`` of each rule set and symbol table it is applied on."""
+    the base in `lhs` and the exponent in `power`.  ``bind`` matches these
+    trees at a site (``_match``).  `rhs` is the right-hand side's parse
+    tree; the engine keeps its template in the ``RewriteMemo`` of each
+    rule set and symbol table it is applied on."""
 
-    __slots__ = ("name", "kind", "lhs", "lhs2", "power", "bind", "rhs")
+    __slots__ = ("name", "kind", "lhs", "lhs2", "power", "rhs")
 
     def __init__(self, name, kind, lhs, rhs, lhs2=None, power=None):
         self.name = name
@@ -246,8 +190,26 @@ class RewriteRule:
         self.lhs = lhs
         self.lhs2 = lhs2
         self.power = power
-        self.bind = _binder(kind, lhs, lhs2, power)
         self.rhs = rhs
+
+    def bind(self, site) -> dict | None:
+        """The binding of the pattern variables at a site of the rule's
+        kind, or None: the site is a Word for a dot rule, an (Atom,
+        exponent) entry for an atom or power rule (a power rule checks the
+        exponent first), an (Atom, Atom) pair for a product rule.  A no-op
+        rule binds nothing."""
+        kind, binds = self.kind, {}
+        if kind == "dot":
+            ok = _match(self.lhs, site, binds)
+        elif kind == "atom":
+            ok = _match(self.lhs, site[0], binds)
+        elif kind == "power":
+            ok = site[1] == self.power and _match(self.lhs, site[0], binds)
+        elif kind == "product":
+            ok = _match(self.lhs, site[0], binds) and _match(self.lhs2, site[1], binds)
+        else:
+            return None
+        return binds if ok else None
 
     def __repr__(self):
         return f"RewriteRule({self.name}, {self.kind})"

@@ -335,9 +335,9 @@ def first_rewrite_reference(mono, word, ruleset, symbols):
 
 
 # --- reference matcher -------------------------------------------------------
-# The interpretive matcher that rules compile into closures: it walks the
-# pattern tree at every match, dispatching on the node type and on the
-# case of each identifier.  ``rule.bind`` must agree with it everywhere.
+# A matcher written apart from the library's (``rules._match``, through
+# ``rule.bind``); it compares a repeated variable's words by value, not by
+# identity.  ``rule.bind`` must agree with it everywhere.
 
 
 def reference_match(pattern: rx.RawExpr, subject, binds: dict) -> bool:

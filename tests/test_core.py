@@ -37,6 +37,7 @@ from symcomp.core import (
 )
 from symcomp.errors import ExprTypeError, SourceSpan, UnknownSymbol
 from symcomp.oracle import Assignment, ParaQuaternion, _compile, check_identity, eval_expr
+from symcomp.polyops import coeff, coeff_matrix
 from helpers import (
     Ctx,
     eval_raw,
@@ -160,6 +161,37 @@ def test_library_call_refuses_an_argument_of_the_wrong_type(xy, call, message):
     e, rs = xy.canon("b(x,y) + q(x)"), builtin_ruleset("rules1")
     with pytest.raises(ExprTypeError, match=f"^{re.escape(message)}$"):
         call(e, rs, xy.table)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda e, st: coeff("a*q(x)", {"a": 1}), "coeff argument e must be an Expr, got str"),
+    (lambda e, st: coeff(e, [("a", 1)]), "coeff argument key must be a dict, got list"),
+    (lambda e, st: coeff(e, {"a": True}),
+     "coeff argument key must give 'a' an int exponent >= 0, got bool"),
+    (lambda e, st: coeff(e, {"a": 1.0}),
+     "coeff argument key must give 'a' an int exponent >= 0, got float"),
+    (lambda e, st: coeff(e, {"a": "1"}),
+     "coeff argument key must give 'a' an int exponent >= 0, got str"),
+    (lambda e, st: coeff(e, {"a": -1}),
+     "coeff argument key must give 'a' an int exponent >= 0, got -1"),
+    (lambda e, st: coeff_matrix(None, ("a", "b")),
+     "coeff_matrix argument e must be an Expr, got NoneType"),
+    (lambda e, st: coeff_matrix(e, ("a",)),
+     "coeff_matrix argument variables must name two symbols, got 1"),
+    (lambda e, st: subst("x", {}, st), "subst argument e must be an Expr, got str"),
+    (lambda e, st: subst(e, [("x", e)], st), "subst argument bindings must be a dict, got list"),
+    (lambda e, st: st.declare(3, "scalar"), "declare argument name must be a str, got int"),
+    (lambda e, st: Env(None), "Env argument symbols must be a SymbolTable, got NoneType"),
+], ids=["coeff-value", "coeff-key", "coeff-bool-exponent", "coeff-float-exponent",
+        "coeff-str-exponent", "coeff-negative-exponent", "coeff_matrix-value",
+        "coeff_matrix-one-name", "subst-value", "subst-bindings", "declare-name", "env-symbols"])
+def test_library_call_refuses_a_bad_argument_with_a_typed_error(call, message):
+    # Unchecked, each of these fails later as an AttributeError or a
+    # ValueError, or passes silently: an empty substitution returns the
+    # str, a bool or float exponent reads as degree 1, an int is declared.
+    ctx = Ctx(scalars=("a",), vectors=("x",))
+    with pytest.raises(ExprTypeError, match=f"^{re.escape(message)}$"):
+        call(ctx.canon("a*q(x)"), ctx.table)
 
 
 def test_atom_order_examples(xy):

@@ -469,10 +469,10 @@ def _atom_mutants(atom, leaves):
                Atom.symbol("alpha", 0)])
 
 
-def test_compiled_matcher_agrees_with_the_reference_matcher():
+def test_matcher_agrees_with_the_reference_matcher():
     # Every live catalog rule and the user rules above, at instantiated
     # left-hand sides and at sites one change away from them: each site is
-    # bound by the compiled matcher and by the interpretive reference in
+    # bound by ``rule.bind`` and by the reference matcher in
     # tests/helpers.py, which must give the same binding, in the same order.
     ctx = Ctx(scalars=("alpha",), vectors=("x", "y", "z"))
     leaves = {name: ctx.word(name) for name in ctx.vectors}
@@ -669,16 +669,18 @@ def instantiations(monkeypatch):
     return recorded_calls(monkeypatch, "_instantiate")
 
 
-def test_fixpoint_keeps_its_memo_per_rule_set_and_table(instantiations):
+def test_fixpoint_keeps_its_memo_per_rule_set_and_table(instantiations, monkeypatch):
+    matches = recorded_calls(monkeypatch, "_first_match")
     ctx, e = scaling_family(3)
     rs = builtin_ruleset("rules2")
     first = apply_fixpoint(e, rs, ctx.table)
-    assert instantiations
+    assert instantiations and matches
     # A second fixpoint of the same rule set on the same table matches
     # and instantiates nothing.
     instantiations.clear()
+    matches.clear()
     assert equal(apply_fixpoint(e, rs, ctx.table), first)
-    assert not instantiations
+    assert not instantiations and not matches
     # Another table, even one with the same declarations, has a memo of
     # its own, and so has another rule set on the same table.
     other, _ = scaling_family(3)
@@ -690,6 +692,19 @@ def test_fixpoint_keeps_its_memo_per_rule_set_and_table(instantiations):
     assert instantiations
     assert rules._memo(rs, ctx.table) is not rules._memo(rs, other.table)
     assert rules._memo(rs, ctx.table) is not rules._memo(same_rules, ctx.table)
+
+
+def test_warm_replay_of_the_catalog_matches_nothing(monkeypatch):
+    # A catalog session is parsed once per process, so a replay applies
+    # the same rule sets on the same table, and the memo answers every
+    # site: the matcher runs only on a cold engine.
+    rules._memo.cache_clear()
+    matches = recorded_calls(monkeypatch, "_first_match")
+    first = [run_builtin_session(name).to_jsonable() for name in builtin_session_names()]
+    assert len(builtin_session_names()) == 7 and matches
+    matches.clear()
+    assert [run_builtin_session(name).to_jsonable() for name in builtin_session_names()] == first
+    assert not matches
 
 
 def scale_table():

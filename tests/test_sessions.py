@@ -11,8 +11,9 @@ from symcomp import (
     run_session,
 )
 from symcomp.oracle import Assignment, ParaQuaternion, _polar, _product, random_assignment
-from symcomp import sessions
+from symcomp import rules, sessions
 from symcomp.errors import EngineError
+from symcomp.parser import LetApply
 from symcomp.sessions import SessionExecutionError, builtin_session_names, golden_loader
 
 from helpers import CubicElement, commutator, cubic_form, cubic_norm
@@ -238,6 +239,24 @@ def test_apply_sees_only_the_local_rules_defined_before_it():
     """, "snapshot")
     report = run_session(session)
     assert [c.passed for c in report.checkpoints] == [True, True]
+
+
+def test_applies_of_one_local_set_share_one_rule_set_and_memo():
+    session = parse_script("""
+    vectors x, y;
+    rule swap: b(y, x) -> b(x, y);
+    let e = b(y,x)*q(x) - b(x,y)*q(x);
+    let f = apply(e, swap);
+    let g = apply(f, swap, once);
+    let h = apply(e, swap);
+    assert_zero h;
+    """, "shared")
+    applied = [step.ruleset for step in session.statements if isinstance(step, LetApply)]
+    assert len(applied) == 3 and all(rs is applied[0] for rs in applied)
+    rules._memo.cache_clear()
+    assert run_session(session).passed
+    info = rules._memo.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 GOLDEN_SCRIPT = "vectors x, y;\nlet e = q(x) + q(x);\nassert_equal e, @g;\n"
