@@ -25,23 +25,24 @@ ExprTypeError: ``_sum`` (``+``, ``-`` and a parsed sum), ``_product``
 ``canonicalize`` only dispatches each node and gives an error its span.
 An argument of the wrong type, such as a string where a value belongs,
 is refused by one check, ``require``, which ``equal`` and the library's
-entry points in ``rules``, ``oracle`` and ``printer`` call first.
+entry points in ``parser``, ``rules``, ``sessions``, ``polyops``,
+``oracle`` and ``printer`` call first.
 
 Both sorts are walked and rebuilt the same way, unit by unit.  A unit is
 a scalar monomial, or a monomial times one dot-word.  ``units(e)`` yields
 ``(word, mono, coeff)`` in storage order, with ``word`` None for a scalar;
-``add_units(out, e)`` adds a value into a ``word -> {mono: coeff}`` map,
-dropping cancelled terms; ``from_units(out, vector)`` rebuilds the value.
-Every sum, ``a + b`` or a sum of n parts in ``canonicalize``, copies the
-first part's map, adds the others into it and rebuilds the value once,
-not once per part.
-Every product of term dicts (``*``, ``dot``, ``b_of``, ``q_of``) is one
-multiply-accumulate, ``add_product(out, a, b)``; a rule rewrite or a
-substitution multiplies one monomial into a value the same way in
-``add_unit``.  Each multiply-accumulate, and each whole product of
-vectors (``dot``, ``b_of``, ``q_of``, a scalar factor of a vector),
-counts its term pairs before any work and refuses more than
-``MAX_PRODUCT_PAIRS``.
+``from_units(out, vector)`` rebuilds a value from a ``word -> {mono:
+coeff}`` map.  Every sum, ``a + b`` or a sum of n parts in
+``canonicalize``, copies the first part's map, adds the others into it
+word by word and rebuilds the value once, not once per part.
+One loop, ``_add_scaled(acc, coeff, rest, terms)``, adds ``coeff * rest``
+times each term of a term dict into an accumulator and drops cancelled
+terms.  Every sum, every product of term dicts (``add_product(out, a,
+b)``, under ``*``, ``dot``, ``b_of`` and ``q_of``) and every rewrite or
+substitution of a unit (``add_unit``) runs it; ``add_term`` adds a single
+term.  Each product, each rebuilt unit, and each whole product of vectors
+(``dot``, ``b_of``, ``q_of``, a scalar factor of a vector), counts its
+term pairs before any work and refuses more than ``MAX_PRODUCT_PAIRS``.
 
 Rewriting and substitution replace parts of a unit the same way:
 ``word_with(w, left, right)`` and ``atom_with(atom, v1, v2)`` rebuild a
@@ -136,7 +137,15 @@ class SymbolTable:
         return entry[0] if entry else None
 
     def index_of(self, name: str) -> int:
-        return self._entries[name][1]
+        return self._entry(name)[1]
+
+    def _entry(self, name: str) -> tuple[str, int]:
+        """`(sort, index)` of a declared name; raises UnknownSymbol for
+        any other."""
+        entry = self._entries.get(name)
+        if entry is None:
+            raise UnknownSymbol(f"undeclared identifier {name!r}")
+        return entry
 
 
 # Intern tables: (name, index) or (left, right) -> Word, and (kind, name,
@@ -300,6 +309,20 @@ def add_term(terms: dict, mono: Monomial, coeff) -> None:
         terms.pop(mono, None)
 
 
+def _add_scaled(acc: dict, coeff, rest: Monomial, terms: dict) -> None:
+    """Add `coeff * rest * t` for each term `t` of the monomial -> coefficient
+    dict `terms` into `acc` in place, dropping terms that cancel.  The one
+    multiply-accumulate loop: every product, rewrite and sum runs it."""
+    for m, c in terms.items():
+        m = mono_mul(rest, m)
+        a = acc.get(m)
+        a = coeff * c if a is None else a + coeff * c
+        if a:
+            acc[m] = a
+        else:
+            acc.pop(m, None)
+
+
 def _bound_pairs(m: int, n: int, pairs: int | None = None) -> None:
     """Raise ExprTypeError if a product of an m-term and an n-term value,
     which multiplies `pairs` (default m * n) term pairs, is past
@@ -319,14 +342,7 @@ def add_product(out: dict, a: dict, b: dict) -> dict:
     if len(a) * len(b) > MAX_PRODUCT_PAIRS:  # checked inline on this hot path
         _bound_pairs(len(a), len(b))
     for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = mono_mul(m1, m2)
-            acc = out.get(m)
-            acc = c1 * c2 if acc is None else acc + c1 * c2
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
+        _add_scaled(out, c1, m1, b)
     return out
 
 
@@ -512,21 +528,6 @@ def units(e: Expr) -> Iterator[tuple[Word | None, Monomial, int | Fraction]]:
             yield word, mono, c
 
 
-def add_units(out: dict, e: Expr) -> dict:
-    """Add `e` into the `word -> {mono: coeff}` map `out` in place, dropping
-    terms that cancel; a scalar goes under the word None.  Returns `out`."""
-    for word, terms in e.by_word():
-        acc_terms = out.setdefault(word, {})
-        for m, c in terms.items():
-            acc = acc_terms.get(m)
-            acc = c if acc is None else acc + c
-            if acc:
-                acc_terms[m] = acc
-            else:
-                acc_terms.pop(m, None)
-    return out
-
-
 def _part_error(message: str, part: int) -> ExprTypeError:
     """A sort error blaming operand `part`, whose span `canonicalize` gives it."""
     err = ExprTypeError(message)
@@ -549,7 +550,8 @@ def _sum(parts) -> Expr:
         parts = [p for p in parts if type(p) is kind]
     out = {w: dict(t) for w, t in parts[0].by_word()}
     for p in parts[1:]:
-        add_units(out, p)
+        for w, terms in p.by_word():
+            _add_scaled(out.setdefault(w, {}), 1, EMPTY_MONOMIAL, terms)
     return from_units(out, kind is VectorExpr)
 
 
@@ -584,15 +586,7 @@ def add_unit(out: dict, coeff, rest: Monomial, word: Word | None, value: Expr) -
     for w, terms in value.by_word():
         if len(terms) > MAX_PRODUCT_PAIRS:
             _bound_pairs(1, len(terms))
-        acc_terms = out.setdefault(word if w is None else w, {})
-        for m, c in terms.items():
-            m = mono_mul(rest, m)
-            acc = acc_terms.get(m)
-            acc = coeff * c if acc is None else acc + coeff * c
-            if acc:
-                acc_terms[m] = acc
-            else:
-                acc_terms.pop(m, None)
+        _add_scaled(out.setdefault(word if w is None else w, {}), coeff, rest, terms)
 
 
 def from_units(out: dict, vector: bool) -> Expr:
@@ -648,7 +642,7 @@ def b_of(u: VectorExpr, v: VectorExpr) -> ScalarExpr:
     out: dict = {}
     for w1, c1 in u.terms.items():
         for w2, c2 in v.terms.items():
-            add_product(out, add_product({}, c1.terms, c2.terms), {((Atom.b(w1, w2), 1),): 1})
+            _add_scaled(out, 1, ((Atom.b(w1, w2), 1),), add_product({}, c1.terms, c2.terms))
     return ScalarExpr(out)
 
 
@@ -668,9 +662,9 @@ def q_of(v: VectorExpr) -> ScalarExpr:
     items = v.items()
     out: dict = {}
     for i, (wi, ci) in enumerate(items):
-        add_product(out, add_product({}, ci.terms, ci.terms), {((Atom.q(wi), 1),): 1})
+        _add_scaled(out, 1, ((Atom.q(wi), 1),), add_product({}, ci.terms, ci.terms))
         for wj, cj in items[i + 1:]:
-            add_product(out, add_product({}, ci.terms, cj.terms), {((Atom.b(wi, wj), 1),): 1})
+            _add_scaled(out, 1, ((Atom.b(wi, wj), 1),), add_product({}, ci.terms, cj.terms))
     return ScalarExpr(out)
 
 
@@ -701,19 +695,34 @@ class Env:
 
     def __init__(self, symbols: SymbolTable, bindings: dict[str, Expr] | None = None):
         require(symbols, SymbolTable, "Env argument symbols must be a SymbolTable")
+        bindings = {} if bindings is None else bindings
+        require(bindings, dict, "Env argument bindings must be a dict")
         self.symbols = symbols
-        self.bindings = bindings or {}
+        self.bindings = bindings
 
     def resolve(self, name: str) -> Expr:
+        """The value of `name`: its binding, which must be an Expr, else
+        its declared symbol.  A binding is checked here, where it is
+        used, because a session's bindings also hold coefficient
+        matrices, which no expression can name."""
         bound = self.bindings.get(name)
         if bound is not None:
+            if not isinstance(bound, Expr):
+                raise ExprTypeError(f"name {name!r} must be bound to an Expr, "
+                                    f"got {type(bound).__name__}")
             return bound
-        sort = self.symbols.sort_of(name)
+        sort, index = self.symbols._entry(name)
         if sort == SCALAR:
-            return ScalarExpr.from_atom(Atom.symbol(name, self.symbols.index_of(name)))
-        if sort == VECTOR:
-            return VectorExpr.from_word(Word.leaf(name, self.symbols.index_of(name)))
-        raise UnknownSymbol(f"undeclared identifier {name!r}")
+            return ScalarExpr.from_atom(Atom.symbol(name, index))
+        return VectorExpr.from_word(Word.leaf(name, index))
+
+
+def nesting_error(raw: rx.RawExpr) -> ExprTypeError:
+    """The error for a tree nested too deeply for Python's stack, at the
+    span of its root.  The parser bounds nesting, but a tree built by hand
+    can exceed it, so a public call that walks a tree recursively turns
+    the RecursionError into this one where its walk starts."""
+    return ExprTypeError("expression nested too deeply", raw.span)
 
 
 def canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
@@ -723,10 +732,14 @@ def canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
     ExprTypeError gets the span of the summand or factor it blames, else
     that of its node: the operator of a power, dot, q or b, or the start
     of a product.  An undeclared name (UnknownSymbol) gets the span of
-    its identifier.
+    its identifier.  A tree too deep to walk raises ExprTypeError at the
+    span of its root.
     """
     require(env, Env, "canonicalize argument env must be an Env")
-    return _canonicalize(raw, env)
+    try:
+        return _canonicalize(raw, env)
+    except RecursionError:
+        raise nesting_error(raw) from None
 
 
 def _canonicalize(raw: rx.RawExpr, env: Env) -> Expr:

@@ -293,6 +293,8 @@ def eval_expr(e: Expr, a: Assignment) -> int | Fraction | ParaQuaternion:
     into the exact value."""
     require(e, Expr, "eval_expr argument e must be an Expr")
     require(a, Assignment, "eval_expr argument a must be an Assignment")
+    require(a.vectors, dict, "eval_expr argument a.vectors must be a dict")
+    require(a.scalars, dict, "eval_expr argument a.scalars must be a dict")
     plan = _compile(e)
     for kind, names, values, valid, wanted in (
             ("vector", plan.vectors, a.vectors, lambda v: isinstance(v, ParaQuaternion),
@@ -354,6 +356,10 @@ def _assignment(vector_names, scalar_names, vectors, scalars, offset: int) -> As
 
 
 def random_assignment(vector_names, scalar_names, seed: int, trial: int) -> Assignment:
+    """The assignment of trial `trial` under `seed`, as `check_identity`
+    draws it; `seed` and `trial` must be ints."""
+    _check_int("seed", seed)
+    _check_int("trial", trial)
     vector_names = sorted(vector_names)
     scalar_names = sorted(scalar_names)
     vectors, scalars = _draws(len(vector_names), len(scalar_names), seed, trial, 1)
@@ -393,6 +399,12 @@ def check_trials(trials) -> None:
         raise SymcompError(f"trials must be between 1 and {MAX_TRIALS}, got {shown}")
 
 
+def _check_int(what: str, value) -> None:
+    """Raise SymcompError unless `value`, the argument `what`, is an int."""
+    if not is_int(value):
+        raise SymcompError(f"{what} must be an integer, got {value!r}")
+
+
 def check_identity(e: Expr, trials: int = DEFAULT_TRIALS,
                    seed: int = DEFAULT_SEED) -> IdentityReport:
     """Evaluate e under pseudo-random assignments; pass iff every
@@ -400,8 +412,7 @@ def check_identity(e: Expr, trials: int = DEFAULT_TRIALS,
     `trials` must pass `check_trials` and `seed` must be an int."""
     require(e, Expr, "check_identity argument e must be an Expr")
     check_trials(trials)
-    if not is_int(seed):
-        raise SymcompError(f"seed must be an integer, got {seed!r}")
+    _check_int("seed", seed)
     counterexample = _counterexample(e, trials, seed)
     return IdentityReport(print_expr(e), trials, counterexample is None, counterexample)
 

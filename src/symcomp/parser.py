@@ -58,7 +58,7 @@ import re
 from fractions import Fraction
 
 from . import rawexpr as rx
-from .core import SCALAR, VECTOR, SymbolTable
+from .core import SCALAR, VECTOR, SymbolTable, require
 from .errors import (
     ArityError,
     ChainedDotError,
@@ -103,6 +103,7 @@ class Token(Record):
 def tokenize(text: str) -> list[Token]:
     """The tokens of `text`, ending with EOF; a column is the offset from
     the start of its line, plus one."""
+    require(text, str, "tokenize argument text must be a str")
     tokens: list[Token] = []
     line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
@@ -294,6 +295,7 @@ def _expect_end(ts: _TokenStream) -> None:
 def parse_expr(text: str) -> rx.RawExpr:
     """Parse a single expression; the whole input must be consumed.
     Names are resolved later, by canonicalization."""
+    require(text, str, "parse_expr argument text must be a str")
     ts = _TokenStream(tokenize(text))
     raw = _parse_expr(ts)
     _expect_end(ts)
@@ -302,6 +304,7 @@ def parse_expr(text: str) -> rx.RawExpr:
 
 def parse_rule_source(text: str) -> tuple[rx.RawExpr, rx.RawExpr]:
     """Parse `PATTERN -> TEMPLATE` into raw trees."""
+    require(text, str, "parse_rule_source argument text must be a str")
     ts = _TokenStream(tokenize(text))
     sides = _parse_rule_sides(ts)
     _expect_end(ts)
@@ -589,4 +592,5 @@ class _ScriptParser:
 
 def parse_script(text: str, name: str = "session") -> Session:
     """Parse a session script; statically validates names and rule sets."""
+    require(text, str, "parse_script argument text must be a str")
     return _ScriptParser(text, name).parse()

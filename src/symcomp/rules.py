@@ -126,6 +126,7 @@ from .core import (
     from_units,
     is_vector,
     mono_mul,
+    nesting_error,
     require,
     units,
     word_with,
@@ -225,6 +226,9 @@ class RuleSet:
                  "product_rules")
 
     def __init__(self, name: str, rules: tuple[RewriteRule, ...]):
+        require(rules, tuple, "RuleSet argument rules must be a tuple")
+        for rule in rules:
+            require(rule, RewriteRule, "RuleSet argument rules must hold RewriteRule values")
         self.name = name
         self.rules = rules
         self.dot_rules = tuple(r for r in rules if r.kind == "dot")
@@ -247,18 +251,24 @@ def compile_rule(name: str, raw_lhs: rx.RawExpr, raw_rhs: rx.RawExpr,
 
     With `allow_noop`, an lhs that canonical forms can never exhibit
     (scalar factors or sums inside pattern positions) compiles to a
-    documented no-op instead of failing.
+    documented no-op instead of failing.  A pattern too deep to walk
+    raises ExprTypeError at the span of its root.
     """
+    require(raw_lhs, rx.RawExpr, "compile_rule argument raw_lhs must be a RawExpr")
+    require(raw_rhs, rx.RawExpr, "compile_rule argument raw_rhs must be a RawExpr")
     rule = None
-    shape = _shape(raw_lhs)
-    if shape == "word" and isinstance(raw_lhs, rx.Dot):
-        rule = RewriteRule(name, "dot", raw_lhs, raw_rhs)
-    elif shape in ("q", "b"):
-        rule = RewriteRule(name, "atom", raw_lhs, raw_rhs)
-    elif isinstance(raw_lhs, rx.Pow) and _shape(raw_lhs.base) in ("q", "b"):
-        rule = RewriteRule(name, "power", raw_lhs.base, raw_rhs, power=raw_lhs.exponent)
-    elif isinstance(raw_lhs, rx.Mul) and [_shape(item) for item in raw_lhs.items] == ["b", "b"]:
-        rule = RewriteRule(name, "product", raw_lhs.items[0], raw_rhs, lhs2=raw_lhs.items[1])
+    try:
+        shape = _shape(raw_lhs)
+        if shape == "word" and isinstance(raw_lhs, rx.Dot):
+            rule = RewriteRule(name, "dot", raw_lhs, raw_rhs)
+        elif shape in ("q", "b"):
+            rule = RewriteRule(name, "atom", raw_lhs, raw_rhs)
+        elif isinstance(raw_lhs, rx.Pow) and _shape(raw_lhs.base) in ("q", "b"):
+            rule = RewriteRule(name, "power", raw_lhs.base, raw_rhs, power=raw_lhs.exponent)
+        elif isinstance(raw_lhs, rx.Mul) and [_shape(i) for i in raw_lhs.items] == ["b", "b"]:
+            rule = RewriteRule(name, "product", raw_lhs.items[0], raw_rhs, lhs2=raw_lhs.items[1])
+    except RecursionError:
+        raise nesting_error(raw_lhs) from None
     if rule is None:
         if allow_noop:
             return RewriteRule(name, "noop", None, raw_rhs)
@@ -377,8 +387,12 @@ def _template(rule: RewriteRule, symbols: SymbolTable):
     holes, or when the template raises a sort error: a summand of either
     sort may be nonzero under placeholders and vanish under a real
     binding.  An undeclared name raises UnknownSymbol.  The engine builds
-    each template once per memo (``_instantiate``)."""
-    holes = _holes(rule.rhs)
+    each template once per memo (``_instantiate``).  A right-hand side
+    too deep to walk raises ExprTypeError at the span of its root."""
+    try:
+        holes = _holes(rule.rhs)
+    except RecursionError:
+        raise nesting_error(rule.rhs) from None
     if holes is None:
         return None
     try:
@@ -692,10 +706,15 @@ def builtin_ruleset_names() -> frozenset[str]:
     return frozenset(_BUILTIN_SOURCES)
 
 
-@cache
 def builtin_ruleset(name: str) -> RuleSet:
     """The transcribed rule set for a catalog name, compiled once per
     process; an unknown name raises on every call."""
+    require(name, str, "builtin_ruleset argument name must be a str")
+    return _builtin_ruleset(name)
+
+
+@cache
+def _builtin_ruleset(name: str) -> RuleSet:
     sources = _BUILTIN_SOURCES.get(name)
     if sources is None:
         raise RuleSetUnknown(f"unknown rule set {name!r}")
@@ -714,6 +733,8 @@ def builtin_ruleset(name: str) -> RuleSet:
 def instantiate_sides(rule: RewriteRule, binds: dict[str, Word],
                       symbols: SymbolTable) -> tuple[Expr, Expr]:
     """Build lhs and rhs values of a rule under a variable binding."""
+    require(rule, RewriteRule, "instantiate_sides argument rule must be a RewriteRule")
+    require(binds, dict, "instantiate_sides argument binds must be a dict")
     if rule.kind == "noop":
         raise EngineError(f"rule {rule.name} is a documented no-op")
     env = _word_env(symbols, binds)

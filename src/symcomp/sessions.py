@@ -30,7 +30,7 @@ from functools import cache, lru_cache
 from pathlib import Path
 from typing import Callable
 
-from .core import Env, Expr, SymbolTable, canonicalize, equal
+from .core import Env, Expr, SymbolTable, canonicalize, equal, require
 from .errors import EngineError, Record, SourceSpan, SymcompError
 from .oracle import DEFAULT_SEED, DEFAULT_TRIALS, check_identity
 from .parser import (
@@ -119,6 +119,7 @@ def run_session(session: Session, *, goldens: GoldenLoader | None = None,
                 trace: Callable[[str], None] | None = None) -> SessionReport:
     """Execute a session's `let` steps in order and evaluate its
     checkpoints."""
+    require(session, Session, "run_session argument session must be a Session")
     symbols = session.symbols
     values: dict[str, Expr | CoeffMatrix] = {}
     results: list[CheckpointResult] = []
@@ -283,10 +284,15 @@ def _data_dir() -> Path:
     return Path(__file__).with_name("sessions")
 
 
-@cache
 def load_builtin_session(name: str) -> Session:
     """The parsed catalog session `name`, read and parsed once per
     process; an unknown name raises on every call."""
+    require(name, str, "load_builtin_session argument name must be a str")
+    return _load_builtin_session(name)
+
+
+@cache
+def _load_builtin_session(name: str) -> Session:
     if name not in SESSION_ORDER:
         raise EngineError(f"unknown session {name!r}; catalog: {', '.join(SESSION_ORDER)}")
     return parse_script(_read_text(_data_dir() / f"{name}.scs"), name)
@@ -314,6 +320,7 @@ def builtin_golden_loader() -> GoldenLoader:
 def run_builtin_session(name: str, *, seed: int = DEFAULT_SEED,
                         default_trials: int = DEFAULT_TRIALS,
                         trace: Callable[[str], None] | None = None) -> SessionReport:
+    require(name, str, "run_builtin_session argument name must be a str")
     session = load_builtin_session(name)
     return run_session(session, goldens=builtin_golden_loader(), seed=seed,
                        default_trials=default_trials, trace=trace)

@@ -24,20 +24,32 @@ from symcomp import (
     subst,
 )
 from symcomp.core import (
+    EMPTY_MONOMIAL,
     MAX_PRODUCT_PAIRS,
     MAX_WORD_LEAVES,
     Atom,
     Env,
     Word,
+    _add_scaled,
+    add_unit,
     b_of,
     dot,
     mono_mul,
     q_of,
     units,
 )
-from symcomp.errors import ExprTypeError, SourceSpan, UnknownSymbol
-from symcomp.oracle import Assignment, ParaQuaternion, _compile, check_identity, eval_expr
-from symcomp.polyops import coeff, coeff_matrix
+from symcomp.errors import ExprTypeError, SourceSpan, SymcompError, UnknownSymbol
+from symcomp.oracle import (
+    Assignment,
+    ParaQuaternion,
+    _compile,
+    check_identity,
+    eval_expr,
+    random_assignment,
+)
+from symcomp.parser import parse_rule_source, parse_script, tokenize
+from symcomp.polyops import coeff, coeff_matrix, subst_raw
+from symcomp.rules import RuleSet, compile_rule, instantiate_sides
 from helpers import (
     Ctx,
     eval_raw,
@@ -182,9 +194,11 @@ def test_library_call_refuses_an_argument_of_the_wrong_type(xy, call, message):
     (lambda e, st: subst(e, [("x", e)], st), "subst argument bindings must be a dict, got list"),
     (lambda e, st: st.declare(3, "scalar"), "declare argument name must be a str, got int"),
     (lambda e, st: Env(None), "Env argument symbols must be a SymbolTable, got NoneType"),
+    (lambda e, st: Env(st, [("y", 1)]), "Env argument bindings must be a dict, got list"),
 ], ids=["coeff-value", "coeff-key", "coeff-bool-exponent", "coeff-float-exponent",
         "coeff-str-exponent", "coeff-negative-exponent", "coeff_matrix-value",
-        "coeff_matrix-one-name", "subst-value", "subst-bindings", "declare-name", "env-symbols"])
+        "coeff_matrix-one-name", "subst-value", "subst-bindings", "declare-name", "env-symbols",
+        "env-bindings"])
 def test_library_call_refuses_a_bad_argument_with_a_typed_error(call, message):
     # Unchecked, each of these fails later as an AttributeError or a
     # ValueError, or passes silently: an empty substitution returns the
@@ -192,6 +206,103 @@ def test_library_call_refuses_a_bad_argument_with_a_typed_error(call, message):
     ctx = Ctx(scalars=("a",), vectors=("x",))
     with pytest.raises(ExprTypeError, match=f"^{re.escape(message)}$"):
         call(ctx.canon("a*q(x)"), ctx.table)
+
+
+_TEXT_CALLS = {"tokenize": tokenize, "parse_expr": parse_expr, "parse_script": parse_script,
+               "parse_rule_source": parse_rule_source}
+_NAME_CALLS = {"builtin_ruleset": builtin_ruleset,
+               "load_builtin_session": sessions.load_builtin_session,
+               "run_builtin_session": sessions.run_builtin_session}
+_RULE = builtin_ruleset("rules1").rules[0]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    *[(lambda st, f=f, t=t: f(t), ExprTypeError,
+       f"{name} argument text must be a str, got {type(t).__name__}")
+      for name, f in _TEXT_CALLS.items() for t in (None, b"x", 3)],
+    *[(lambda st, f=f: f([]), ExprTypeError, f"{name} argument name must be a str, got list")
+      for name, f in _NAME_CALLS.items()],
+    (lambda st: sessions.run_session("s"), ExprTypeError,
+     "run_session argument session must be a Session, got str"),
+    (lambda st: compile_rule("r", "x", "y"), ExprTypeError,
+     "compile_rule argument raw_lhs must be a RawExpr, got str"),
+    (lambda st: RuleSet("n", (1,)), ExprTypeError,
+     "RuleSet argument rules must hold RewriteRule values, got int"),
+    (lambda st: instantiate_sides("r", {}, st), ExprTypeError,
+     "instantiate_sides argument rule must be a RewriteRule, got str"),
+    (lambda st: instantiate_sides(_RULE, None, st), ExprTypeError,
+     "instantiate_sides argument binds must be a dict, got NoneType"),
+    (lambda st: eval_expr(ScalarExpr.const(1), Assignment(None, None)), ExprTypeError,
+     "eval_expr argument a.vectors must be a dict, got NoneType"),
+    (lambda st: eval_expr(ScalarExpr.const(1), Assignment({}, None)), ExprTypeError,
+     "eval_expr argument a.scalars must be a dict, got NoneType"),
+    (lambda st: random_assignment(["x"], [], "s", 0), SymcompError,
+     "seed must be an integer, got 's'"),
+    (lambda st: random_assignment(["x"], [], 0, 1.0), SymcompError,
+     "trial must be an integer, got 1.0"),
+    (lambda st: st.index_of("zz"), UnknownSymbol, "undeclared identifier 'zz'"),
+], ids=[*[f"{name}-{type(t).__name__}" for name in _TEXT_CALLS for t in (None, b"x", 3)],
+        *_NAME_CALLS, "run_session", "compile_rule", "RuleSet", "instantiate_sides-rule",
+        "instantiate_sides-binds", "eval_expr-vectors", "eval_expr-scalars",
+        "random_assignment-seed", "random_assignment-trial", "index_of"])
+def test_entry_point_refuses_a_bad_argument_with_a_typed_error(xy, call, error, message):
+    # Unchecked, each of these fails inside the library with a TypeError,
+    # an AttributeError or a KeyError instead of a SymcompError.
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(xy.table)
+
+
+@pytest.mark.parametrize("text, column", [("y", 1), ("y + q(x)", 1), ("y*q(x)", 1),
+                                          ("q(x) + y", 8)])
+def test_a_binding_that_is_not_a_value_is_refused_at_its_name(xy, text, column):
+    # A bound int used to canonicalize to itself, and a sum or product
+    # with it used to drop it without a word.
+    with pytest.raises(ExprTypeError) as err:
+        canonicalize(parse_expr(text), Env(xy.table, {"y": 3}))
+    assert str(err.value) == f"1:{column}: name 'y' must be bound to an Expr, got int"
+
+
+_ROOT = SourceSpan(7, 3)
+
+
+def _deep(node, n, make, root=_ROOT):
+    # The root alone gets the span `root`.
+    for k in range(n):
+        node = make(node, root if k == n - 1 else SourceSpan(1, 1))
+    return node
+
+
+def _neg_chain(n):
+    return _deep(rx.Ident("x", SourceSpan(1, 1)), n, lambda node, span: rx.Neg(node, span))
+
+
+def _dot_chain(n, root=_ROOT):
+    return _deep(rx.Ident("X", SourceSpan(1, 1)), n,
+                 lambda node, span: rx.Dot(node, rx.Ident("X", span), span), root)
+
+
+def _apply_deep_rhs(xy):
+    rhs = rx.Q(_dot_chain(5000, SourceSpan(1, 1)), _ROOT)
+    rs = RuleSet("deep", (compile_rule("deep#1", parse_expr("q(X)"), rhs),))
+    return apply_once(xy.canon("q(x)"), rs, xy.table)
+
+
+@pytest.mark.parametrize("call", [
+    lambda xy: canonicalize(_neg_chain(5000), xy.env),
+    lambda xy: subst_raw(xy.canon("q(x)"), {"x": _neg_chain(5000)}, xy.table),
+    lambda xy: compile_rule("deep#1", _dot_chain(5000), rx.Ident("X", SourceSpan(1, 1))),
+    _apply_deep_rhs,
+], ids=["canonicalize", "subst_raw", "compile_rule", "apply_once-rhs"])
+def test_a_hand_built_tree_too_deep_to_walk_is_a_typed_error_at_its_root(xy, call):
+    # The parser bounds nesting, a hand-built tree does not; its walk used
+    # to end in RecursionError.
+    with pytest.raises(ExprTypeError) as err:
+        call(xy)
+    assert str(err.value) == "7:3: expression nested too deeply"
+
+
+def test_a_moderately_deep_hand_built_tree_still_canonicalizes(xy):
+    assert equal(canonicalize(_neg_chain(200), xy.env), xy.canon("x"))
 
 
 def test_atom_order_examples(xy):
@@ -507,6 +618,30 @@ def test_product_bounds_its_term_pairs(greek):
     with pytest.raises(ExprTypeError) as err:
         greek.canon("mu + (alpha+beta+lambda)^44*(alpha+beta+lambda)^44")
     assert str(err.value).startswith("1:6: product of 1035 and 1035 terms")
+
+
+def test_add_scaled_multiplies_scales_and_drops_cancelled_terms(xy):
+    qx = ((Atom.q(xy.word("x")), 1),)
+    bxy = ((Atom.b(xy.word("x"), xy.word("y")), 1),)
+    terms = {qx: 2, bxy: Fraction(1, 2)}
+    before = dict(terms)
+    acc = {mono_mul(qx, qx): -6, EMPTY_MONOMIAL: 1}
+    _add_scaled(acc, 3, qx, terms)
+    # `rest` is multiplied into each monomial and `coeff` scales each
+    # coefficient; 3 * 2 q(x)^2 cancels the -6 and leaves no key.
+    assert acc == {EMPTY_MONOMIAL: 1, mono_mul(qx, bxy): Fraction(3, 2)}
+    assert terms == before
+
+
+def test_rebuilt_unit_bounds_its_term_pairs():
+    # The check comes before any work, so these keys need not be monomials.
+    out = {}
+    with pytest.raises(ExprTypeError) as err:
+        add_unit(out, 1, EMPTY_MONOMIAL, None,
+                 ScalarExpr(dict.fromkeys(range(MAX_PRODUCT_PAIRS + 1), 1)))
+    assert str(err.value) == ("product of 1 and 1048577 terms has 1048577 term pairs, "
+                              "over the bound 1048576")
+    assert out == {}
 
 
 def _words(n):
