@@ -21,6 +21,7 @@ from symcomp import (
     q_of,
 )
 from symcomp.core import is_vector, units
+from symcomp.errors import EngineError
 from symcomp.oracle import Assignment, _norm, _polar, _product
 from symcomp.rules import instantiate_sides
 
@@ -273,6 +274,15 @@ def values_agree(lhs, rhs) -> bool:
 # site tables and no skipping of the scalar-symbol prefix.
 
 
+def _rhs(rule, binds, symbols):
+    """The rule's right-hand side under `binds`; one of the wrong sort
+    raises EngineError, as the engine's does."""
+    rhs = instantiate_sides(rule, binds, symbols)[1]
+    if is_vector(rhs) != (rule.kind == "dot"):
+        raise EngineError(f"rule {rule.name} has a right-hand side of the wrong sort")
+    return rhs
+
+
 def _first_dot_rewrite(w, dot_rules, symbols):
     """The value of the word `w` after its first dot rewrite, or None:
     the node, then its left subtree, then its right subtree."""
@@ -281,7 +291,7 @@ def _first_dot_rewrite(w, dot_rules, symbols):
     for rule in dot_rules:
         binds = reference_bind(rule, w)
         if binds is not None:
-            return instantiate_sides(rule, binds, symbols)[1]
+            return _rhs(rule, binds, symbols)
     left = _first_dot_rewrite(w.left, dot_rules, symbols)
     if left is not None:
         return dot(left, VectorExpr.from_word(w.right))
@@ -320,7 +330,7 @@ def first_rewrite_reference(mono, word, ruleset, symbols):
         for rule in by_kind["power"] + by_kind["atom"]:
             binds = reference_bind(rule, (atom, exp))
             if binds is not None:
-                rhs = instantiate_sides(rule, binds, symbols)[1]
+                rhs = _rhs(rule, binds, symbols)
                 return (idx,), rhs if rule.kind == "power" else rhs ** exp
     bs = [(idx, atom) for idx, (atom, exp) in enumerate(mono) if atom.is_b and exp == 1]
     for idx1, a1 in bs:
@@ -330,7 +340,7 @@ def first_rewrite_reference(mono, word, ruleset, symbols):
             for rule in by_kind["product"]:
                 binds = reference_bind(rule, (a1, a2))
                 if binds is not None:
-                    return (idx1, idx2), instantiate_sides(rule, binds, symbols)[1]
+                    return (idx1, idx2), _rhs(rule, binds, symbols)
     return None
 
 

@@ -1,4 +1,5 @@
 """Matching semantics, application strategy, and the built-in catalog."""
+import hashlib
 import random
 from collections import Counter
 from pathlib import Path
@@ -26,6 +27,7 @@ from symcomp.errors import (
     NonTermination,
     ParseError,
     RuleSetUnknown,
+    SymcompError,
     UnknownSymbol,
 )
 from symcomp.oracle import eval_expr, random_assignment
@@ -404,7 +406,8 @@ def test_match_binds_every_instantiated_left_hand_side(xy):
                         env = rules._word_env(xy.table, binds)
                         (((a1, _),),) = canonicalize(rule.lhs, env).terms
                         (((a2, _),),) = canonicalize(rule.lhs2, env).terms
-                        assert (a1, a2) in [pair for _, pair in rules._b_pairs(site, 0)]
+                        bs = [atom for atom, exp in site if atom.is_b and exp == 1]
+                        assert (a1, a2) in [(p, r) for p in bs for r in bs if p != r]
                         site = (a1, a2)
                     else:
                         (site,) = site
@@ -800,9 +803,10 @@ def test_every_catalog_rule_is_multihomogeneous():
 WALK_CTX = Ctx(scalars=("a0", "a1", "a2"), vectors=("x", "y", "z"))
 
 
-def random_unit(rng, words):
-    """A monomial of scalar symbols and q/b atoms over `words`, each at an
-    exponent from 1 to 3, and a word from `words` or None."""
+def random_unit(rng, words, exponents=(1, 2, 3)):
+    """A monomial of scalar symbols, each at an exponent from 1 to 3, and
+    q/b atoms over `words`, each at an exponent drawn from `exponents`;
+    and a word from `words` or None."""
     table = WALK_CTX.table
     mono = ()
     for name in rng.sample(WALK_CTX.scalars, rng.randint(0, 3)):
@@ -810,7 +814,7 @@ def random_unit(rng, words):
     for _ in range(rng.randint(0, 4)):
         w1 = rng.choice(words)
         atom = Atom.q(w1) if rng.random() < 0.3 else Atom.b(w1, rng.choice(words))
-        mono = mono_mul(mono, ((atom, rng.randint(1, 3)),))
+        mono = mono_mul(mono, ((atom, rng.choice(exponents)),))
     return mono, rng.choice(words) if rng.random() < 0.5 else None
 
 
@@ -843,6 +847,122 @@ def test_site_walk_agrees_with_reference_order():
                     assert kinds == sorted(kinds, reverse=True), (name, m)
     # Word, single-entry and pair sites all fired.
     assert drops == {0, 1, 2}
+
+
+# Random rule sets for the site walk: patterns over the variables X, Y, Z
+# and the literal leaves x, y, z, right-hand sides over the bound
+# variables and the literals.  A few right-hand sides name the undeclared
+# w or have the wrong sort, so the walk's error paths are compared too.
+PATTERN_LEAVES = ("X", "Y", "Z", "X", "Y", "Z", "x", "y", "z")
+
+
+def random_word_pattern(rng, depth, leaves=PATTERN_LEAVES):
+    """A word pattern of depth up to `depth` over `leaves`, a composite one
+    in parentheses."""
+    if depth == 0 or rng.random() < 0.5:
+        return rng.choice(leaves)
+    return (f"({random_word_pattern(rng, depth - 1, leaves)}"
+            f".{random_word_pattern(rng, depth - 1, leaves)})")
+
+
+def random_atom_pattern(rng):
+    if rng.random() < 0.3:
+        return f"q({random_word_pattern(rng, 2)})"
+    return f"b({random_word_pattern(rng, 2)}, {random_word_pattern(rng, 2)})"
+
+
+def random_side(rng, vector, names, depth):
+    """The text of a value of the given sort over `names` (the bound
+    variables) and the literals."""
+    if vector:
+        pick = rng.random()
+        if depth <= 0 or pick < 0.35:
+            if names and rng.random() < 0.8:
+                return rng.choice(names)
+            return rng.choice(("x", "y", "z", "w") if rng.random() < 0.1 else ("x", "y", "z"))
+        v = lambda: random_side(rng, True, names, depth - 1)
+        if pick < 0.6:
+            return f"({v()}).({v()})"
+        if pick < 0.75:
+            return f"q({v()})*({v()})"
+        if pick < 0.9:
+            return f"({v()}) + ({v()})"
+        return f"-2*({v()})"
+    pick = rng.random()
+    v = lambda: random_side(rng, True, names, depth - 1)
+    s = lambda: random_side(rng, False, names, depth - 1)
+    if depth <= 0 or pick < 0.3:
+        return f"q({v()})" if rng.random() < 0.5 else f"b({v()}, {v()})"
+    if pick < 0.55:
+        return f"({s()})*({s()})"
+    if pick < 0.8:
+        return f"({s()}) - ({s()})"
+    return f"3*({s()}) + 1" if rng.random() < 0.5 else "2"
+
+
+def random_rule(rng, name):
+    """A rule of a random kind; its right-hand side has the right sort
+    except in about one rule in twenty."""
+    kind = rng.choice(("dot", "atom", "power", "product"))
+    if kind == "dot":
+        lhs = f"{random_word_pattern(rng, 1)}.{random_word_pattern(rng, 1)}"
+    elif kind == "atom":
+        lhs = random_atom_pattern(rng)
+    elif kind == "power":
+        lhs = f"{random_atom_pattern(rng)}^{rng.choice((2, 3))}"
+    else:
+        # Four word patterns seldom all match, so these are mostly bare
+        # variables.
+        a, b, c, d = (random_word_pattern(rng, 1 if rng.random() < 0.3 else 0, ("X", "Y", "Z"))
+                      for _ in range(4))
+        lhs = f"b({a}, {b})*b({c}, {d})"
+    names = sorted({c for c in lhs if c in "XYZ"})
+    vector = (kind == "dot") != (rng.random() < 0.05)
+    return make_rule(f"{lhs} -> {random_side(rng, vector, names, 2)}", name)
+
+
+def first_rewrite_or_error(walk, *args):
+    """`walk(*args)`, or the type of the SymcompError it raised."""
+    try:
+        return walk(*args)
+    except SymcompError as err:
+        return type(err)
+
+
+def test_every_dot_site_is_tried_before_any_atom_site(xy):
+    # The dot rule rewrites inside b's argument; an atom rule tried at q(x)
+    # first would raise, as guard#2 has a vector right-hand side.
+    rs = RuleSet("guard", (make_rule("(X.Y).X -> q(X)*Y", "guard#1"),
+                           make_rule("q(X) -> X", "guard#2")))
+    for _ in range(2):
+        got = apply_once(xy.canon("q(x)*b(x, (y.x).y)"), rs, xy.table)
+        assert print_expr(got) == "q(x)*q(y)*b(x,x)"
+
+
+def test_site_walk_agrees_with_reference_on_random_rule_sets():
+    # Each set keeps one memo across its units, so later units meet sites
+    # an earlier one matched, and sites whose rewrite raised.
+    rng, table = random.Random(3103), WALK_CTX.table
+    outcomes = Counter()
+    for k in range(1800):
+        rs = RuleSet(f"random{k}", tuple(random_rule(rng, f"random{k}#{n}")
+                                          for n in range(1, rng.randint(1, 4) + 1)))
+        memo = RewriteMemo(rs, table)
+        words = [random_word(rng, 2, WALK_CTX) for _ in range(4)]
+        for _ in range(3):
+            mono, word = random_unit(rng, words, (1, 1, 1, 2, 3))
+            got = first_rewrite_or_error(rules._first_rewrite, mono, word, memo)
+            expected = first_rewrite_or_error(first_rewrite_reference, mono, word, rs, table)
+            context = (print_expr(ScalarExpr({mono: 1})), word, [r.name for r in rs.rules])
+            if expected is None or isinstance(expected, type):
+                assert got == expected, context
+                outcomes[getattr(got, "__name__", None)] += 1
+            else:
+                assert isinstance(got, tuple) and got[0] == expected[0], context
+                assert equal(got[1], expected[1]), context
+                outcomes[len(got[0])] += 1
+    # Word, single-entry and pair sites all fired, and both errors were met.
+    assert all(outcomes[kind] >= 10 for kind in (0, 1, 2, "EngineError", "UnknownSymbol"))
 
 
 def test_q_of_a_sum_is_instantiated_by_canonicalize(xy):
@@ -991,6 +1111,17 @@ def test_declaring_more_names_keeps_a_tables_templates(builds):
     assert grown.table.sort_of("x") == "vector" and grown.table.index_of("x") == 0
     assert equal(apply_fixpoint(grown.canon(source), rs, grown.table), before)
     assert [table for _, table in builds] == [grown.table, fresh.table]
+
+
+def test_rewrite_scale_k8_normal_form_matches_its_digest():
+    # The rewrite-scale benchmark's input, k = 8: 2438 monomials in, 2525
+    # out, pinned by the SHA-256 of the printed text.
+    ctx, e = scaling_family(8)
+    result = apply_fixpoint(e, builtin_ruleset("rules2"), ctx.table)
+    assert (len(e.terms), len(result.terms)) == (2438, 2525)
+    text = (print_expr(result) + "\n").encode("utf-8")
+    assert hashlib.sha256(text).hexdigest() == (
+        "7ec5e18099f0da135ca96a2880ff68ddb4ef97e564bc4e3ed21014fc11ba4f36")
 
 
 def test_rewrite_scale_k5_normal_form_matches_recorded_text():
