@@ -357,7 +357,16 @@ def _assignment(vector_names, scalar_names, vectors, scalars, offset: int) -> As
 
 def random_assignment(vector_names, scalar_names, seed: int, trial: int) -> Assignment:
     """The assignment of trial `trial` under `seed`, as `check_identity`
-    draws it; `seed` and `trial` must be ints."""
+    draws it; each name list must be a list or tuple of strs, and `seed`
+    and `trial` must be ints."""
+    for what, names in (("vector_names", vector_names), ("scalar_names", scalar_names)):
+        if not isinstance(names, (list, tuple)):
+            raise ExprTypeError(f"random_assignment argument {what} must be a list or tuple, "
+                                f"got {type(names).__name__}")
+        for name in names:
+            if not isinstance(name, str):
+                raise ExprTypeError(f"random_assignment argument {what} must hold strs, "
+                                    f"got {type(name).__name__}")
     _check_int("seed", seed)
     _check_int("trial", trial)
     vector_names = sorted(vector_names)

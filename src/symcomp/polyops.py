@@ -108,6 +108,7 @@ def subst(e: Expr, bindings: dict[str, Expr], symbols: SymbolTable) -> Expr:
 def subst_raw(e: Expr, raw_bindings: dict[str, rx.RawExpr], symbols: SymbolTable,
               env: Env | None = None) -> Expr:
     """Substitution with raw right-hand sides (canonicalized first)."""
+    require(raw_bindings, dict, "subst_raw argument raw_bindings must be a dict")
     env = env or Env(symbols)
     return subst(e, {n: canonicalize(r, env) for n, r in raw_bindings.items()}, symbols)
 

@@ -35,7 +35,8 @@ place, ``_first_rewrite``.  A monomial's scalar symbols sort before its
 q/b atoms (``core.Monomial``) and are never sites, so the walk finds the
 end of that symbol prefix once per unit and runs each of the three
 phases over the entries past it only; the pair phase is skipped when
-fewer than two entries remain.  At each site the rules of that site's kind
+fewer than two entries remain, and otherwise walks the indices of the
+exponent-1 b atoms.  At each site the rules of that site's kind
 are tried in listing order (on an atom of exponent >= 2, power rules
 before atom rules); a ``RuleSet`` is the compiled form of a rule list
 and builds these site tables once, when it is constructed.  The first
@@ -70,7 +71,10 @@ atom, or one pair of b atoms.  A ``RewriteMemo`` records the value that
 replaces each root scanned (or None when nothing rewrites it), so a root
 is matched, instantiated and rebuilt once however many units, passes and
 calls share it; dot-words and atoms are rebuilt from the rewritten parts
-by ``core.word_with`` and ``core.atom_with``.  ``_match``, through
+by ``core.word_with`` and ``core.atom_with``.  ``_first_rewrite`` probes
+the memo inline, so on a warm memo each atom, entry and pair site costs
+one dictionary lookup and no call; ``_pass`` looks up each word's maps
+once per word, not once per unit.  ``_match``, through
 ``rule.bind``, is the library's only matcher.
 
 A rule's right-hand side is instantiated from a template: the
@@ -179,11 +183,12 @@ class RewriteRule:
     """A typed pattern -> template pair.  `lhs` (and `lhs2`, the second
     factor of a product rule) is a pattern parse tree; a power rule keeps
     the base in `lhs` and the exponent in `power`.  ``bind`` matches these
-    trees at a site (``_match``).  `rhs` is the right-hand side's parse
-    tree; the engine keeps its template in the ``RewriteMemo`` of each
-    rule set and symbol table it is applied on."""
+    trees at a site (``_match``).  `variables` lists the pattern variables,
+    sorted.  `rhs` is the right-hand side's parse tree; the engine keeps
+    its template in the ``RewriteMemo`` of each rule set and symbol table
+    it is applied on."""
 
-    __slots__ = ("name", "kind", "lhs", "lhs2", "power", "rhs")
+    __slots__ = ("name", "kind", "lhs", "lhs2", "power", "rhs", "variables")
 
     def __init__(self, name, kind, lhs, rhs, lhs2=None, power=None):
         self.name = name
@@ -192,6 +197,8 @@ class RewriteRule:
         self.lhs2 = lhs2
         self.power = power
         self.rhs = rhs
+        self.variables = tuple(sorted(set().union(
+            *(_pattern_vars(p) for p in (lhs, lhs2) if p is not None))))
 
     def bind(self, site) -> dict | None:
         """The binding of the pattern variables at a site of the rule's
@@ -277,24 +284,11 @@ def compile_rule(name: str, raw_lhs: rx.RawExpr, raw_rhs: rx.RawExpr,
             "or a product of two b atoms over dot-word patterns",
             raw_lhs.span,
         )
-    lhs_vars = _pattern_vars(raw_lhs)
     for node in rx.idents(raw_rhs):
-        if node.name.isupper() and node.name not in lhs_vars:
+        if node.name.isupper() and node.name not in rule.variables:
             raise ParseError(f"template variable {node.name!r} does not occur in the pattern",
                              node.span)
     return rule
-
-
-def _b_pairs(mono: Monomial, start: int):
-    """Ordered pairs of distinct exponent-1 b atoms of a monomial, in site
-    order, as `((idx1, idx2), (atom1, atom2))`; entries before `start` (the
-    scalar-symbol prefix) are not looked at."""
-    bs = [(idx, atom) for idx, (atom, exp) in enumerate(mono[start:], start)
-          if atom.is_b and exp == 1]
-    for idx1, a1 in bs:
-        for idx2, a2 in bs:
-            if idx1 != idx2:
-                yield (idx1, idx2), (a1, a2)
 
 
 # --- application ------------------------------------------------------------
@@ -463,14 +457,6 @@ def _first_match(rules, subject, memo: RewriteMemo):
     return None
 
 
-def _site(memo: RewriteMemo, key, rules):
-    """`_first_match` at one site, looked up in and recorded into `memo.sites`."""
-    value = memo.sites.get(key, _UNSEEN)
-    if value is _UNSEEN:
-        value = memo.sites[key] = _first_match(rules, key, memo)
-    return value
-
-
 def _word_rewrite(w: Word, memo: RewriteMemo):
     """The value of `w` after its first dot rewrite, or None.  Outermost
     first: the node, then the left subtree, then the right subtree."""
@@ -502,9 +488,11 @@ def _first_rewrite(mono: Monomial, word: Word | None, memo: RewriteMemo):
     order; then ordered pairs of distinct exponent-1 b atoms.  Site kinds
     with no rules are skipped.  The monomial's scalar symbols form a prefix
     (see ``core.Monomial``) and are never sites, so the prefix is found
-    once and each phase walks only the entries past it.
+    once and each phase walks only the entries past it.  Each site is one
+    probe of `memo.sites`, and ``_first_match`` runs only where it misses;
+    the pair phase walks the indices of the exponent-1 b atoms.
     """
-    rs = memo.ruleset
+    rs, sites = memo.ruleset, memo.sites
     n = len(mono)
     start = 0
     while start < n and mono[start][0].is_symbol:
@@ -514,7 +502,6 @@ def _first_rewrite(mono: Monomial, word: Word | None, memo: RewriteMemo):
             value = _word_rewrite(word, memo)
             if value is not None:
                 return (), value
-        sites = memo.sites
         for idx in range(start, n):
             atom, exp = mono[idx]
             value = sites.get(atom, _UNSEEN)
@@ -525,18 +512,29 @@ def _first_rewrite(mono: Monomial, word: Word | None, memo: RewriteMemo):
                                        else atom_with(atom, v1, v2))
             if value is not None:
                 return (idx,), value ** exp
-    if rs.power_then_atom_rules:
+    rules = rs.power_then_atom_rules
+    if rules:
         for idx in range(start, n):
             entry = mono[idx]
-            rules = rs.power_then_atom_rules if entry[1] >= 2 else rs.atom_rules
-            value = _site(memo, entry, rules)
+            value = sites.get(entry, _UNSEEN)
+            if value is _UNSEEN:
+                value = sites[entry] = _first_match(
+                    rules if entry[1] >= 2 else rs.atom_rules, entry, memo)
             if value is not None:
                 return (idx,), value
-    if rs.product_rules and n - start >= 2:
-        for drop, pair in _b_pairs(mono, start):
-            value = _site(memo, pair, rs.product_rules)
-            if value is not None:
-                return drop, value
+    rules = rs.product_rules
+    if rules and n - start >= 2:
+        bs = [idx for idx in range(start, n) if mono[idx][1] == 1 and mono[idx][0].is_b]
+        for i in bs:
+            first = mono[i][0]
+            for j in bs:
+                if i != j:
+                    pair = (first, mono[j][0])
+                    value = sites.get(pair, _UNSEEN)
+                    if value is _UNSEEN:
+                        value = sites[pair] = _first_match(rules, pair, memo)
+                    if value is not None:
+                        return (i, j), value
     return None
 
 
@@ -545,15 +543,22 @@ def _pass(frontier, normal: dict, fresh: dict, memo: RewriteMemo) -> dict:
     in storage order: at most one rewrite per unit.  A unit no rule
     rewrites is added into the `word -> {mono: coeff}` map `normal`, a
     rewrite into `fresh` (``core.add_unit``); the two may be one map.
-    Returns the units it rewrote, as such a map."""
+    Returns the units it rewrote, as such a map.  A word's entry in
+    `normal` and in the result is made when its first unit goes there, so
+    neither map holds an empty one."""
     rewritten: dict = {}
     for word, terms in frontier:
+        kept = done = None
         for mono, coeff in terms.items():
             hit = _first_rewrite(mono, word, memo)
             if hit is None:
-                add_term(normal.setdefault(word, {}), mono, coeff)
+                if kept is None:
+                    kept = normal.setdefault(word, {})
+                add_term(kept, mono, coeff)
                 continue
-            rewritten.setdefault(word, {})[mono] = coeff
+            if done is None:
+                done = rewritten.setdefault(word, {})
+            done[mono] = coeff
             drop, value = hit
             if not drop:
                 rest = mono
@@ -561,7 +566,8 @@ def _pass(frontier, normal: dict, fresh: dict, memo: RewriteMemo) -> dict:
                 i = drop[0]
                 rest = mono[:i] + mono[i + 1:]
             else:
-                rest = tuple(entry for k, entry in enumerate(mono) if k not in drop)
+                i, j = sorted(drop)
+                rest = mono[:i] + mono[i + 1:j] + mono[j + 1:]
             add_unit(fresh, coeff, rest, word, value)
     return rewritten
 
@@ -732,11 +738,19 @@ def _builtin_ruleset(name: str) -> RuleSet:
 
 def instantiate_sides(rule: RewriteRule, binds: dict[str, Word],
                       symbols: SymbolTable) -> tuple[Expr, Expr]:
-    """Build lhs and rhs values of a rule under a variable binding."""
+    """Build lhs and rhs values of a rule under a variable binding, which
+    must give each pattern variable a Word."""
     require(rule, RewriteRule, "instantiate_sides argument rule must be a RewriteRule")
     require(binds, dict, "instantiate_sides argument binds must be a dict")
     if rule.kind == "noop":
         raise EngineError(f"rule {rule.name} is a documented no-op")
+    for name, w in binds.items():
+        if not isinstance(w, Word):
+            raise ExprTypeError(f"instantiate_sides argument binds must give {name!r} a Word, "
+                                f"got {type(w).__name__}")
+    for name in rule.variables:
+        if name not in binds:
+            raise EngineError(f"pattern variable {name!r} of rule {rule.name} has no binding")
     env = _word_env(symbols, binds)
     lhs = canonicalize(rule.lhs, env)
     if rule.kind == "power":

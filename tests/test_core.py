@@ -38,7 +38,7 @@ from symcomp.core import (
     q_of,
     units,
 )
-from symcomp.errors import ExprTypeError, SourceSpan, SymcompError, UnknownSymbol
+from symcomp.errors import EngineError, ExprTypeError, SourceSpan, SymcompError, UnknownSymbol
 from symcomp.oracle import (
     Assignment,
     ParaQuaternion,
@@ -250,6 +250,40 @@ def test_entry_point_refuses_a_bad_argument_with_a_typed_error(xy, call, error, 
     # an AttributeError or a KeyError instead of a SymcompError.
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(xy.table)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda st, w: instantiate_sides(_RULE, {"X": 3, "Y": w, "Z": w, "U": w}, st),
+     ExprTypeError, "instantiate_sides argument binds must give 'X' a Word, got int"),
+    (lambda st, w: instantiate_sides(_RULE, {"X": w, "Y": w, "Z": w, "U": "y"}, st),
+     ExprTypeError, "instantiate_sides argument binds must give 'U' a Word, got str"),
+    (lambda st, w: instantiate_sides(_RULE, {}, st), EngineError,
+     "pattern variable 'U' of rule rules1#1 has no binding"),
+    (lambda st, w: instantiate_sides(_RULE, {"X": w, "Y": w, "Z": w}, st), EngineError,
+     "pattern variable 'U' of rule rules1#1 has no binding"),
+    (lambda st, w: random_assignment("xy", [], 0, 0), ExprTypeError,
+     "random_assignment argument vector_names must be a list or tuple, got str"),
+    (lambda st, w: random_assignment(3, [], 0, 0), ExprTypeError,
+     "random_assignment argument vector_names must be a list or tuple, got int"),
+    (lambda st, w: random_assignment(["x"], "ab", 0, 0), ExprTypeError,
+     "random_assignment argument scalar_names must be a list or tuple, got str"),
+    (lambda st, w: random_assignment([w], [], 0, 0), ExprTypeError,
+     "random_assignment argument vector_names must hold strs, got Word"),
+    (lambda st, w: subst_raw(ScalarExpr.const(1), [("x", rx.Ident("y"))], st), ExprTypeError,
+     "subst_raw argument raw_bindings must be a dict, got list"),
+    (lambda st, w: subst_raw(ScalarExpr.const(1), None, st), ExprTypeError,
+     "subst_raw argument raw_bindings must be a dict, got NoneType"),
+], ids=["instantiate_sides-int-word", "instantiate_sides-str-word", "instantiate_sides-no-binds",
+        "instantiate_sides-one-unbound", "random_assignment-str-names",
+        "random_assignment-int-names", "random_assignment-str-scalar-names",
+        "random_assignment-word-name", "subst_raw-list", "subst_raw-none"])
+def test_binding_and_name_arguments_are_refused_with_a_typed_error(xy, call, error, message):
+    # Unchecked, a value that is not a Word, a missing binding, a name list
+    # that is not a list of strs and bindings that are not a dict each ended
+    # in an AttributeError or TypeError, in an undeclared-identifier error,
+    # or in a silent result ("xy" named two vectors).
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(xy.table, xy.word("x"))
 
 
 @pytest.mark.parametrize("text, column", [("y", 1), ("y + q(x)", 1), ("y*q(x)", 1),

@@ -916,7 +916,7 @@ def random_rule(rng, name):
         a, b, c, d = (random_word_pattern(rng, 1 if rng.random() < 0.3 else 0, ("X", "Y", "Z"))
                       for _ in range(4))
         lhs = f"b({a}, {b})*b({c}, {d})"
-    names = sorted({c for c in lhs if c in "XYZ"})
+    names = sorted(set(lhs) & set("XYZ"))
     vector = (kind == "dot") != (rng.random() < 0.05)
     return make_rule(f"{lhs} -> {random_side(rng, vector, names, 2)}", name)
 
@@ -961,6 +961,16 @@ def test_site_walk_agrees_with_reference_on_random_rule_sets():
                 assert isinstance(got, tuple) and got[0] == expected[0], context
                 assert equal(got[1], expected[1]), context
                 outcomes[len(got[0])] += 1
+                # A pass puts the value in place of the dropped entries.
+                drop, value = expected
+                rest = tuple(entry for idx, entry in enumerate(mono) if idx not in drop)
+                unit = ScalarExpr({mono: 1})
+                after = ScalarExpr({rest: 1}) * value
+                if word is not None:
+                    unit = VectorExpr({word: unit})
+                    if drop:
+                        after = after * VectorExpr.from_word(word)
+                assert equal(apply_once(unit, rs, table), after), context
     # Word, single-entry and pair sites all fired, and both errors were met.
     assert all(outcomes[kind] >= 10 for kind in (0, 1, 2, "EngineError", "UnknownSymbol"))
 
