@@ -544,8 +544,9 @@ def _pass(frontier, normal: dict, fresh: dict, memo: RewriteMemo) -> dict:
     rewrites is added into the `word -> {mono: coeff}` map `normal`, a
     rewrite into `fresh` (``core.add_unit``); the two may be one map.
     Returns the units it rewrote, as such a map.  A word's entry in
-    `normal` and in the result is made when its first unit goes there, so
-    neither map holds an empty one."""
+    `normal` and in the result is made only when a unit of the word goes
+    there, so the result holds no empty one (``apply_fixpoint`` compares
+    it with the pass's output)."""
     rewritten: dict = {}
     for word, terms in frontier:
         kept = done = None
