@@ -6,7 +6,6 @@ extracts multivariate coefficients; and cross-validates every claim in
 an exact para-quaternion model.
 """
 from .core import (
-    Atom,
     Env,
     Expr,
     ScalarExpr,
@@ -41,7 +40,7 @@ from .oracle import (
     eval_expr,
 )
 from .parser import Session, parse_expr, parse_rule_source, parse_script
-from .polyops import CoeffMatrix, coeff, coeff_matrix, factored_equal, subst, subst_raw
+from .polyops import CoeffMatrix, coeff, coeff_matrix, subst, subst_raw
 from .printer import print_expr
 from .rules import (
     RewriteRule,
@@ -49,13 +48,11 @@ from .rules import (
     apply_fixpoint,
     apply_once,
     builtin_ruleset,
-    builtin_ruleset_names,
     compile_rule,
 )
 from .sessions import (
     CheckpointResult,
     SessionReport,
-    builtin_session_names,
     load_builtin_session,
     run_builtin_session,
     run_session,

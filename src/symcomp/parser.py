@@ -593,4 +593,5 @@ class _ScriptParser:
 def parse_script(text: str, name: str = "session") -> Session:
     """Parse a session script; statically validates names and rule sets."""
     require(text, str, "parse_script argument text must be a str")
+    require(name, str, "parse_script argument name must be a str")
     return _ScriptParser(text, name).parse()

@@ -233,6 +233,7 @@ class RuleSet:
                  "product_rules")
 
     def __init__(self, name: str, rules: tuple[RewriteRule, ...]):
+        require(name, str, "RuleSet argument name must be a str")
         require(rules, tuple, "RuleSet argument rules must be a tuple")
         for rule in rules:
             require(rule, RewriteRule, "RuleSet argument rules must hold RewriteRule values")
@@ -261,6 +262,7 @@ def compile_rule(name: str, raw_lhs: rx.RawExpr, raw_rhs: rx.RawExpr,
     documented no-op instead of failing.  A pattern too deep to walk
     raises ExprTypeError at the span of its root.
     """
+    require(name, str, "compile_rule argument name must be a str")
     require(raw_lhs, rx.RawExpr, "compile_rule argument raw_lhs must be a RawExpr")
     require(raw_rhs, rx.RawExpr, "compile_rule argument raw_rhs must be a RawExpr")
     rule = None
@@ -740,7 +742,7 @@ def _builtin_ruleset(name: str) -> RuleSet:
 def instantiate_sides(rule: RewriteRule, binds: dict[str, Word],
                       symbols: SymbolTable) -> tuple[Expr, Expr]:
     """Build lhs and rhs values of a rule under a variable binding, which
-    must give each pattern variable a Word."""
+    must give each pattern variable a Word and bind nothing else."""
     require(rule, RewriteRule, "instantiate_sides argument rule must be a RewriteRule")
     require(binds, dict, "instantiate_sides argument binds must be a dict")
     if rule.kind == "noop":
@@ -752,6 +754,9 @@ def instantiate_sides(rule: RewriteRule, binds: dict[str, Word],
     for name in rule.variables:
         if name not in binds:
             raise EngineError(f"pattern variable {name!r} of rule {rule.name} has no binding")
+    if len(binds) != len(rule.variables):
+        extra = next(name for name in binds if name not in rule.variables)
+        raise EngineError(f"binding {extra!r} is not a pattern variable of rule {rule.name}")
     env = _word_env(symbols, binds)
     lhs = canonicalize(rule.lhs, env)
     if rule.kind == "power":

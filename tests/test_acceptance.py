@@ -18,13 +18,13 @@ from symcomp import (
     coeff_matrix,
     equal,
     eval_expr,
-    factored_equal,
     parse_expr,
     print_expr,
     subst_raw,
 )
 from symcomp.core import Env, ScalarExpr, SymbolTable, Word
 from symcomp.oracle import random_assignment
+from symcomp.polyops import factored_equal
 from symcomp.rules import _pattern_vars, instantiate_sides
 from symcomp.sessions import run_builtin_session
 from helpers import Ctx, eval_raw, random_ctx_assignment, random_raw, values_agree

@@ -15,7 +15,6 @@ from symcomp import (
     apply_fixpoint,
     apply_once,
     builtin_ruleset,
-    builtin_session_names,
     canonicalize,
     equal,
     parse_expr,
@@ -261,6 +260,8 @@ def test_entry_point_refuses_a_bad_argument_with_a_typed_error(xy, call, error, 
      "pattern variable 'U' of rule rules1#1 has no binding"),
     (lambda st, w: instantiate_sides(_RULE, {"X": w, "Y": w, "Z": w}, st), EngineError,
      "pattern variable 'U' of rule rules1#1 has no binding"),
+    (lambda st, w: instantiate_sides(_RULE, {"X": w, "Y": w, "Z": w, "U": w, "x": w}, st),
+     EngineError, "binding 'x' is not a pattern variable of rule rules1#1"),
     (lambda st, w: random_assignment("xy", [], 0, 0), ExprTypeError,
      "random_assignment argument vector_names must be a list or tuple, got str"),
     (lambda st, w: random_assignment(3, [], 0, 0), ExprTypeError,
@@ -274,14 +275,16 @@ def test_entry_point_refuses_a_bad_argument_with_a_typed_error(xy, call, error, 
     (lambda st, w: subst_raw(ScalarExpr.const(1), None, st), ExprTypeError,
      "subst_raw argument raw_bindings must be a dict, got NoneType"),
 ], ids=["instantiate_sides-int-word", "instantiate_sides-str-word", "instantiate_sides-no-binds",
-        "instantiate_sides-one-unbound", "random_assignment-str-names",
+        "instantiate_sides-one-unbound", "instantiate_sides-extra-binding",
+        "random_assignment-str-names",
         "random_assignment-int-names", "random_assignment-str-scalar-names",
         "random_assignment-word-name", "subst_raw-list", "subst_raw-none"])
 def test_binding_and_name_arguments_are_refused_with_a_typed_error(xy, call, error, message):
     # Unchecked, a value that is not a Word, a missing binding, a name list
     # that is not a list of strs and bindings that are not a dict each ended
     # in an AttributeError or TypeError, in an undeclared-identifier error,
-    # or in a silent result ("xy" named two vectors).
+    # or in a silent result ("xy" named two vectors, and a binding of a
+    # lowercase name replaced that symbol).
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(xy.table, xy.word("x"))
 
@@ -794,7 +797,7 @@ def test_paper_catalog_values_have_int_coefficients(monkeypatch):
         return print_expr(e)
 
     monkeypatch.setattr(sessions, "print_expr", recording)
-    for name in builtin_session_names():
+    for name in sessions.builtin_session_names():
         sessions.run_builtin_session(name, trace=lambda line: None)
     assert len(seen) > 50
     assert set().union(*map(_coefficient_types, seen)) == {int}

@@ -11,7 +11,6 @@ from symcomp import (
     coeff,
     coeff_matrix,
     equal,
-    factored_equal,
     parse_expr,
     print_expr,
     subst,
@@ -20,6 +19,7 @@ from symcomp import (
 from symcomp.core import units
 from symcomp.errors import ExprTypeError
 from symcomp.oracle import Assignment, eval_expr
+from symcomp.polyops import factored_equal
 from helpers import (
     Ctx,
     random_ctx_assignment,

@@ -638,6 +638,23 @@ def test_wrong_sort_rule_first_reached_in_a_later_pass(xy, passes):
     assert named == {"late#2", "late#3"}
 
 
+def test_fixpoint_names_another_wrong_sort_rule_than_whole_passes_on_a_vector_value(passes):
+    # Pass 1 rewrites z.z, leaving u + q(x)*(x.x) + q(y)*u.  A second pass
+    # over the whole value visits the word u first and reaches q(y) -> y;
+    # the fixpoint's frontier holds only the units pass 1 produced, x.x's
+    # first, and reaches x.x -> q(x).  A strategy change that alters the
+    # visiting order must say which of the two errors it keeps.
+    ctx = Ctx(vectors=("x", "y", "z", "u"))
+    rs = RuleSet("w", (make_rule("z.z -> q(x)*(x.x) + q(y)*u", "w#1"),
+                       make_rule("q(y) -> y", "w#2"), make_rule("x.x -> q(x)", "w#3")))
+    e = ctx.canon("u + z.z")
+    with pytest.raises(EngineError, match="^rule w#3 must rewrite a dot-word to a vector value$"):
+        apply_fixpoint(e, rs, ctx.table)
+    assert len(passes) == 2
+    with pytest.raises(EngineError, match="^rule w#2 must rewrite an atom to a scalar value$"):
+        apply_once(apply_once(e, rs, ctx.table), rs, ctx.table)
+
+
 def units(e):
     """Each monomial (times its word, for a vector value) as a value alone."""
     if isinstance(e, ScalarExpr):
