@@ -1,15 +1,17 @@
 """The public API's argument contract, stated once as a table.
 
 `ROWS` has a row for every callable that `symcomp` exports, and for
-`rules.instantiate_sides` and `oracle.random_assignment`.  A row holds a
-valid call: the callable and each positional argument as (name, valid
-value, the kind it accepts, the error a value of any other kind raises).
-The sweep puts each value of `BAD` into each argument in turn.  A value
-the kind refuses must raise exactly the row's error: its class and its
-message.  A value of the accepted kind must return or raise a
-`SymcompError`; no other exception may escape.  The values the library
-builds and hands back, and its error classes, have an empty row: their
-constructors are not entry points and check nothing.
+`rules.instantiate_sides`, `oracle.random_assignment` and
+`parser.tokenize`.  A row holds a valid call: the callable and each
+positional argument as (name, valid value, the kind it accepts, the
+error a value of any other kind raises).  The sweep puts each value of
+`BAD` into each argument in turn.  A value the kind refuses must raise
+exactly the row's error: its class and its message.  A value of the
+accepted kind must return or raise a `SymcompError`; no other exception
+may escape.  The values the library builds and hands back, and its error
+classes, have an empty row: their constructors are not entry points.
+`pin` and `raises` check one refused value against its row, for the
+cases other test files name.
 """
 from fractions import Fraction
 
@@ -18,41 +20,16 @@ import pytest
 import symcomp
 import symcomp.rawexpr as rx
 from symcomp import (
-    Assignment,
-    Env,
-    Expr,
-    ParaQuaternion,
-    RuleSet,
-    ScalarExpr,
-    Session,
-    SymbolTable,
-    VectorExpr,
-    apply_fixpoint,
-    apply_once,
-    b_of,
-    builtin_ruleset,
-    canonicalize,
-    check_identity,
-    coeff,
-    coeff_matrix,
-    compile_rule,
-    dot,
-    equal,
-    eval_expr,
-    load_builtin_session,
-    parse_expr,
-    parse_rule_source,
-    parse_script,
-    print_expr,
-    q_of,
-    run_builtin_session,
-    run_session,
-    subst,
+    Assignment, Env, Expr, ParaQuaternion, RuleSet, ScalarExpr, Session, SymbolTable, VectorExpr,
+    apply_fixpoint, apply_once, b_of, builtin_ruleset, canonicalize, check_identity, coeff,
+    coeff_matrix, compile_rule, dot, equal, eval_expr, load_builtin_session, parse_expr,
+    parse_rule_source, parse_script, print_expr, q_of, run_builtin_session, run_session, subst,
     subst_raw,
 )
 from symcomp.core import is_exact, is_int
 from symcomp.errors import ExprTypeError, SymcompError
 from symcomp.oracle import random_assignment
+from symcomp.parser import tokenize
 from symcomp.rules import RewriteRule, instantiate_sides
 
 ST = SymbolTable()
@@ -118,6 +95,7 @@ ROWS = {
         "raw", parse_expr("q(x)"), rx.RawExpr,
         lambda v: ExprTypeError(f"unsupported raw node {type(v).__name__}")),
         ("env", Env(ST), Env)),
+    "tokenize": row(tokenize, ("text", "q(x)", str)),
     "parse_expr": row(parse_expr, ("text", "q(x)", str)),
     "parse_rule_source": row(parse_rule_source, ("text", "q(X) -> X", str)),
     "parse_script": row(parse_script, ("text", "vectors x;", str), ("name", "s", str)),
@@ -163,7 +141,7 @@ ROWS = {
         "UnknownSymbol", "ExprTypeError", "NonTermination", "MissingSymbol", "EngineError")),
 }
 CALLS = [name for name, entry in ROWS.items() if entry]
-ARGUMENTS = [(name, k) for name in CALLS for k in range(len(ROWS[name][1]))]
+ARGUMENTS = [(name, arg) for name in CALLS for arg, _, _, _ in ROWS[name][1]]
 
 
 def accepts(kind, value) -> bool:
@@ -172,10 +150,40 @@ def accepts(kind, value) -> bool:
     return kind(value)
 
 
-def expected_error(error, value) -> Exception:
+def call_with(name, arg=None, value=None):
+    """The valid call of row `name`, with `value` in argument `arg` if
+    one is named."""
+    call, args = ROWS[name]
+    values = [value if a == arg else valid for a, valid, _, _ in args]
+    return lambda: call(*values)
+
+
+def pin(name, arg, value):
+    """A refused `value` in argument `arg` of row `name`: the call and
+    the error that the row says it raises."""
+    (kind, error), = [(kind, error) for a, _, kind, error in ROWS[name][1] if a == arg]
+    assert not accepts(kind, value), f"{name} argument {arg} accepts {value!r}"
     if isinstance(error, str):
-        return ExprTypeError(f"{error}, got {type(value).__name__}")
-    return error if isinstance(error, Exception) else error(value)
+        error = ExprTypeError(f"{error}, got {type(value).__name__}")
+    elif not isinstance(error, Exception):
+        error = error(value)
+    return call_with(name, arg, value), error
+
+
+def outcome(call):
+    try:
+        call()
+    except Exception as err:
+        return err
+    return None
+
+
+def raises(case):
+    """A (call, error) case holds: the call raises the error's exact
+    class and message."""
+    call, want = case
+    got = outcome(call)
+    assert (type(got), str(got)) == (type(want), str(want))
 
 
 def test_every_exported_callable_has_a_row():
@@ -185,29 +193,21 @@ def test_every_exported_callable_has_a_row():
 
 @pytest.mark.parametrize("name", CALLS)
 def test_the_valid_call_of_a_row_returns(name):
-    call, args = ROWS[name]
-    call(*[valid for _, valid, _, _ in args])
+    call_with(name)()
 
 
-@pytest.mark.parametrize("name, k", ARGUMENTS,
-                         ids=[f"{name}-{ROWS[name][1][k][0]}" for name, k in ARGUMENTS])
-def test_an_argument_of_another_kind_raises_the_row_error(name, k):
-    call, args = ROWS[name]
-    _, _, kind, error = args[k]
+@pytest.mark.parametrize("name, arg", ARGUMENTS, ids=[f"{n}-{a}" for n, a in ARGUMENTS])
+def test_an_argument_of_another_kind_raises_the_row_error(name, arg):
+    (kind,) = [kind for a, _, kind, _ in ROWS[name][1] if a == arg]
     wrong = []
     for bad in BAD:
-        values = [valid for _, valid, _, _ in args]
-        values[k] = bad
-        try:
-            call(*values)
-            got = None
-        except Exception as err:
-            got = err
         if accepts(kind, bad):
+            got = outcome(call_with(name, arg, bad))
             ok = got is None or isinstance(got, SymcompError)
         else:
-            want = expected_error(error, bad)
-            ok = type(got) is type(want) and str(got) == str(want)
+            call, want = pin(name, arg, bad)
+            got = outcome(call)
+            ok = (type(got), str(got)) == (type(want), str(want))
         if not ok:
             wrong.append((bad, got))
     assert wrong == []
