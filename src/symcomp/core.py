@@ -20,7 +20,7 @@ under study, not a definitional expansion, so canonicalization never
 applies it; it lives in the rule catalog.
 
 Each sort rule is written once, in the operation that raises its
-ExprTypeError: ``_sum`` (``+``, ``-`` and a parsed sum), ``_product``
+ExprTypeError: ``_sum`` (``+``, ``-`` and a parsed sum), ``_multiply``
 (``*`` and a parsed product), ``**``, ``dot``, ``q_of`` and ``b_of``.
 ``canonicalize`` only dispatches each node and gives an error its span.
 An argument of the wrong type, such as a string where a value belongs,
@@ -133,10 +133,12 @@ class SymbolTable:
         self.declare(name, VECTOR)
 
     def sort_of(self, name: str) -> str | None:
+        require(name, str, "SymbolTable.sort_of argument name must be a str")
         entry = self._entries.get(name)
         return entry[0] if entry else None
 
     def index_of(self, name: str) -> int:
+        require(name, str, "SymbolTable.index_of argument name must be a str")
         return self._entry(name)[1]
 
     def _entry(self, name: str) -> tuple[str, int]:
@@ -171,6 +173,11 @@ class Word:
 
     @staticmethod
     def leaf(name: str, index: int) -> "Word":
+        """Raises ExprTypeError unless `name` is a str and `index` an int."""
+        require(name, str, "Word.leaf argument name must be a str")
+        if not is_int(index):
+            raise ExprTypeError(f"Word.leaf argument index must be an int, "
+                                f"got {type(index).__name__}")
         w = _WORDS.get((name, index))
         if w is None:
             w = _WORDS.setdefault((name, index),
@@ -371,7 +378,7 @@ class Expr:
     multiplying and comparing are defined once for both sorts.  `_lift`
     makes an exact operand of `+`, `-` or `*` the scalar it names and
     any other non-`Expr` operand `NotImplemented`, so Python raises
-    TypeError.  `+` is `_sum` and `*` is `_product` of the two operands,
+    TypeError.  `+` is `_sum` and `*` is `_multiply` of the two operands,
     which own the sort rules of a sum and a product, parsed or not."""
 
     __slots__ = ("terms",)
@@ -405,7 +412,7 @@ class Expr:
 
     def __mul__(self, other) -> "Expr":
         other = _lift(other)
-        return other if other is NotImplemented else _product((self, other))
+        return other if other is NotImplemented else _multiply((self, other))
 
     __rmul__ = __mul__
 
@@ -555,7 +562,7 @@ def _sum(parts) -> Expr:
     return from_units(out, kind is VectorExpr)
 
 
-def _product(parts) -> Expr:
+def _multiply(parts) -> Expr:
     """The product of `parts`: the scalar parts in order, scaling the one
     vector part if any.  A second vector part raises ExprTypeError at
     that part, before any multiplication."""
@@ -753,7 +760,7 @@ def _canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
         if isinstance(raw, rx.Sum):
             return _sum([_canonicalize(item, env) for item in raw.items])
         if isinstance(raw, rx.Mul):
-            return _product([_canonicalize(item, env) for item in raw.items])
+            return _multiply([_canonicalize(item, env) for item in raw.items])
         if isinstance(raw, rx.Pow):
             return _canonicalize(raw.base, env) ** raw.exponent
         if isinstance(raw, rx.Dot):

@@ -6,24 +6,28 @@ b(u, v) = q(u+v) - q(u) - q(v) its polar form.  This is a symmetric
 composition algebra, so every axiom-derived rewrite rule must evaluate
 to an exact identity here; a single nonzero evaluation refutes a claim.
 
-Everything is exact, with no floating point.  The model arithmetic is
-written once, on plain 4-tuples (``_product``, ``_norm``, ``_polar``).  A
-checked value is compiled once into a plan: straight-line lists of slots
-for its distinct words, atoms and (atom, exponent) factors, and for each
-unit a factor tree that holds its monomials by their shared prefixes, so
-a prefix common to many monomials is multiplied once (a multivariate
-Horner scheme).  ``check_identity`` runs trials `_RUN` (100) at a
-time: ``_draws`` draws each trial once, from the trial's own generator,
-into the run's columns of plain int components, and ``_run`` computes
-each slot and each tree node as one column over the run's trials.  A
-rational coefficient makes a sum a Fraction.  A refuted check reads its
-counterexample from the run that refuted it.
+Everything is exact, with no floating point.  A model is data: a
+`Model` is a name, a dimension and a signed multiplication table of its
+basis, and `PARA_QUATERNIONS` is the one model.  Its column kernels
+(the products, norms and polar forms of whole columns of components)
+are generated from the table with ``exec`` once per process, when the
+module is imported.  A checked value is compiled once into a plan:
+straight-line lists of slots for its distinct words, atoms and (atom,
+exponent) factors, and for each unit a factor tree that holds its
+monomials by their shared prefixes, so a prefix common to many monomials
+is multiplied once (a multivariate Horner scheme).  ``check_identity``
+runs trials `_RUN` (100) at a time: ``_draws`` draws each trial once,
+from the trial's own generator, into the run's columns of plain int
+components, and ``_run`` computes each slot and each tree node as one
+column over the run's trials, a word or atom slot by one kernel call.
+A rational coefficient makes a sum a Fraction.  A refuted check reads
+its counterexample from the run that refuted it.
 
-A run is drawn once per process for each (shape, seed, first trial,
-length): ``_cached_draws`` keeps it in a bounded cache of `_CACHED_RUNS`
-(64) runs, and every later check of that shape under that seed reads
-it.  Only shapes of up to `_CACHED_SHAPE` (4) vectors and as many
-scalars are kept, so the cache holds at most 2.3 MB; a wider check
+A run is drawn once per process for each (dimension, shape, seed, first
+trial, length): ``_cached_draws`` keeps it in a bounded cache of
+`_CACHED_RUNS` (64) runs, and every later check of that shape under that
+seed reads it.  Only shapes of up to `_CACHED_SHAPE` (4) vectors and as
+many scalars are kept, so the cache holds at most 2.3 MB; a wider check
 calls ``_draws`` for each run and keeps nothing.  ``random_assignment``
 calls ``_draws`` for its one trial and keeps nothing either.
 
@@ -82,29 +86,89 @@ class ParaQuaternion(Record):
         return f"ParaQuaternion({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-# The model arithmetic, on 4-tuples of exact numbers of any one kind:
-# ints in a trial, Fractions for an `Assignment`.
+class Model(Record):
+    """A model of the symmetric composition: a name, a dimension `dim` and
+    a signed multiplication table of its basis e0 .. e(dim-1), where
+    `table[i][j]` is `(k, sign)` when e_i . e_j = sign e_k.  The norm q is
+    the sum of the squares of the components and b its polar form, in
+    every model.  The other fields are the model's column kernels,
+    generated from the table by `_model` (see `_kernel_source`): each maps
+    whole columns of `dim`-tuples, in one comprehension, to the column of
+    their values, exact in whatever number type the columns hold.
+    `products(U, V)` is u.v, `squares(U)` is u.u, `norms(U)` is q(u) and
+    `polars(U, V)` is b(u, v)."""
 
-def _product(u: tuple, v: tuple) -> tuple:
-    """The para-Hurwitz product conj(u) conj(v), written out."""
-    a1, b1, c1, d1 = u
-    a2, b2, c2, d2 = v
-    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            c1 * d2 - d1 * c2 - a1 * b2 - b1 * a2,
-            d1 * b2 - b1 * d2 - a1 * c2 - c1 * a2,
-            b1 * c2 - c1 * b2 - a1 * d2 - d1 * a2)
-
-
-def _norm(u: tuple):
-    a, b, c, d = u
-    return a * a + b * b + c * c + d * d
+    __slots__ = ("name", "dim", "table", "products", "squares", "norms", "polars")
+    _compared = ("name", "dim", "table")
 
 
-def _polar(u: tuple, v: tuple):
-    """Polar form of the norm: q(u+v) - q(u) - q(v)."""
-    a1, b1, c1, d1 = u
-    a2, b2, c2, d2 = v
-    return 2 * (a1 * a2 + b1 * b2 + c1 * c2 + d1 * d2)
+def _signed_sum(terms: dict) -> str:
+    """The text of a sum of `terms`, each a term's text and its integer
+    coefficient, the positive terms first and then the negative ones, each
+    in order: a sum with a positive term needs no unary minus.  A term of
+    coefficient 0 is left out."""
+    plus = [t if c == 1 else f"{c} * {t}" for t, c in terms.items() if c > 0]
+    minus = [t if c == -1 else f"{-c} * {t}" for t, c in terms.items() if c < 0]
+    if not plus:
+        if not minus:
+            return "0"
+        plus = [f"-{minus.pop(0)}"]
+    return " - ".join([" + ".join(plus), *minus])
+
+
+def _kernel_source(dim: int, table: tuple) -> str:
+    """The source of a model's four column kernels.  A component of u.v is
+    the signed sum of the products a_i * b_j that the table sends to it,
+    16 multiplications and 12 additions or subtractions in dimension 4.
+    u.u merges the terms of e_i.e_j and e_j.e_i, which cancel or double
+    (u.u = (a0*a0 - a1*a1 - a2*a2 - a3*a3, -2*a0*a1, -2*a0*a2, -2*a0*a3) in
+    the para-quaternions), so a square costs about half a product.  The
+    text depends only on `dim` and `table`."""
+    def tup(items):
+        return f"({', '.join(items)}{',' if dim == 1 else ''})"
+
+    a = [f"a{i}" for i in range(dim)]
+    b = [f"b{i}" for i in range(dim)]
+    product = [{} for _ in range(dim)]
+    square = [{} for _ in range(dim)]
+    for i, row in enumerate(table):
+        for j, (k, sign) in enumerate(row):
+            product[k][f"{a[i]} * {b[j]}"] = sign
+            term = f"{a[min(i, j)]} * {a[max(i, j)]}"
+            square[k][term] = square[k].get(term, 0) + sign
+    u, v = tup(a), tup(b)
+    squares = " + ".join(f"{x} * {x}" for x in a)
+    dots = " + ".join(f"{x} * {y}" for x, y in zip(a, b))
+    return (f"def products(U, V):\n"
+            f"    return [{tup(map(_signed_sum, product))}\n"
+            f"            for {u}, {v} in zip(U, V)]\n"
+            f"\n\n"
+            f"def squares(U):\n"
+            f"    return [{tup(map(_signed_sum, square))} for {u} in U]\n"
+            f"\n\n"
+            f"def norms(U):\n"
+            f"    return [{squares} for {u} in U]\n"
+            f"\n\n"
+            f"def polars(U, V):\n"
+            f"    return [2 * ({dots}) for {u}, {v} in zip(U, V)]\n")
+
+
+def _model(name: str, dim: int, table: tuple) -> Model:
+    """The model of `table`, with its kernels compiled once, here."""
+    kernels = {"__name__": __name__}
+    exec(_kernel_source(dim, table), kernels)
+    return Model(name, dim, table, kernels["products"], kernels["squares"], kernels["norms"],
+                 kernels["polars"])
+
+
+# The para-Hurwitz product conj(u) conj(v) on the 1, i, j, k basis: row i
+# lists e_i . e0 .. e_i . e3 as (k, sign).
+PARA_QUATERNIONS = _model("para-quaternions", 4, (
+    ((0, +1), (1, -1), (2, -1), (3, -1)),
+    ((1, -1), (0, -1), (3, +1), (2, -1)),
+    ((2, -1), (3, -1), (0, -1), (1, +1)),
+    ((3, -1), (2, +1), (1, -1), (0, -1)),
+))
 
 
 class Assignment(Record):
@@ -232,36 +296,44 @@ def _compile(e: Expr) -> _Plan:
     return _Plan(vectors, scalars, words, atoms, factors, units, is_vector(e))
 
 
-def _run(plan: _Plan, vectors: list, scalars: list, n: int) -> list:
-    """The value of a plan on `n` trials at once.  `vectors` holds one
-    column per vector position (the trials' 4-tuples, in trial order) and
-    `scalars` one per scalar position; `n` is given because a constant
-    plan has no columns.  Every word, atom and (atom, exp) factor slot is
-    one column, computed once however many units share it.  A unit's
+def _run(model: Model, plan: _Plan, vectors: list, scalars: list, n: int) -> list:
+    """The value of a plan in `model` on `n` trials at once.  `vectors`
+    holds one column per vector position (the trials' `dim`-tuples, in
+    trial order) and `scalars` one per scalar position; `n` is given
+    because a constant plan has no columns.  Every word, atom and (atom,
+    exp) factor slot is one column, computed once however many units share
+    it by one call of the model's kernel.  A scalar plan's words only feed
+    its atoms, so their columns are freed once the atoms are built.  A unit's
     factor tree runs in post-order on a stack of columns: a node takes its
     children's columns off the stack, sums them with its coefficient and
     multiplies the sum by its factor's column, once for all the monomials
     that share its prefix; a leaf with coefficient 1 is its factor's
     column.  The units sum column by column.  Returns the value's
-    component columns: one for a scalar value, four for a vector.  Exact
+    component columns: one for a scalar value, `dim` for a vector.  Exact
     in whatever number type the inputs have."""
+    products, squares, norms, polars = model.products, model.squares, model.norms, model.polars
     wv = []
     for left, right in plan.words:
-        wv.append(vectors[left] if right is None else list(map(_product, wv[left], wv[right])))
+        if right is None:
+            wv.append(vectors[left])
+        else:
+            wv.append(products(wv[left], wv[right]) if left != right else squares(wv[left]))
     av = []
     for left, right in plan.atoms:
         if left is None:
             av.append(scalars[right])
         elif right is None:
-            av.append(list(map(_norm, wv[left])))
+            av.append(norms(wv[left]))
         else:
-            av.append(list(map(_polar, wv[left], wv[right])))
+            av.append(polars(wv[left], wv[right]))
+    if not plan.vector:
+        wv = None
     fv = [av[atom] if exp == 1 else [v ** exp for v in av[atom]]
           for atom, exp in plan.factors]
     # The stack holds the pending columns along one path of a tree, and
     # running totals sum the units, so the memory of a run stays near its
     # slot columns however many monomials and units the plan has.
-    sums = [[0] * n for _ in range(4 if plan.vector else 1)]
+    sums = [[0] * n for _ in range(model.dim if plan.vector else 1)]
     for slot, constant, tree in plan.units:
         stack = []
         for factor, coeff, count in tree:
@@ -306,7 +378,7 @@ def eval_expr(e: Expr, a: Assignment) -> int | Fraction | ParaQuaternion:
             if not valid(values[name]):
                 raise SymcompError(f"{kind} symbol {name!r} must be {wanted}, "
                                    f"got {values[name]!r}")
-    columns = _run(plan, [(a.vectors[n].components(),) for n in plan.vectors],
+    columns = _run(PARA_QUATERNIONS, plan, [(a.vectors[n].components(),) for n in plan.vectors],
                    [(a.scalars[n],) for n in plan.scalars], 1)
     value = [column[0] for column in columns]
     return ParaQuaternion(*value) if plan.vector else value[0]
@@ -322,17 +394,18 @@ _DRAW_BITS = _DRAW_WIDTH.bit_length()
 _VALUES = tuple(range(-COMPONENT_RANGE, COMPONENT_RANGE + 1))
 
 
-def _draws(vector_count: int, scalar_count: int, seed: int, first: int,
+def _draws(dim: int, vector_count: int, scalar_count: int, seed: int, first: int,
            n: int) -> tuple[tuple, tuple]:
-    """The int components of trials `first` .. `first + n - 1` under `seed`,
-    laid out for `_run`: a column per vector position (the trials'
-    4-tuples) and one per scalar position, tuples at every level.  Each
-    trial draws once, from its own `random.Random(seed * 1_000_003 +
-    trial)`: 4 values per vector, then 1 per scalar, each the value of
-    `randint(-COMPONENT_RANGE, COMPONENT_RANGE)` at that draw."""
+    """The int components of trials `first` .. `first + n - 1` under `seed`
+    in a model of dimension `dim`, laid out for `_run`: a column per
+    vector position (the trials' `dim`-tuples) and one per scalar
+    position, tuples at every level.  Each trial draws once, from its own
+    `random.Random(seed * 1_000_003 + trial)`: `dim` values per vector,
+    then 1 per scalar, each the value of `randint(-COMPONENT_RANGE,
+    COMPONENT_RANGE)` at that draw."""
     vectors = [[] for _ in range(vector_count)]
     scalars = [[] for _ in range(scalar_count)]
-    cut = 4 * vector_count
+    cut = dim * vector_count
     for trial in range(first, first + n):
         getrandbits = random.Random(seed * 1_000_003 + trial).getrandbits
         values = []
@@ -342,7 +415,7 @@ def _draws(vector_count: int, scalar_count: int, seed: int, first: int,
                 v = getrandbits(_DRAW_BITS)
             values.append(_VALUES[v])
         for k, column in enumerate(vectors):
-            column.append(tuple(values[4 * k:4 * k + 4]))
+            column.append(tuple(values[dim * k:dim * k + dim]))
         for column, value in zip(scalars, values[cut:]):
             column.append(value)
     return tuple(map(tuple, vectors)), tuple(map(tuple, scalars))
@@ -371,7 +444,8 @@ def random_assignment(vector_names, scalar_names, seed: int, trial: int) -> Assi
     _check_int("trial", trial)
     vector_names = sorted(vector_names)
     scalar_names = sorted(scalar_names)
-    vectors, scalars = _draws(len(vector_names), len(scalar_names), seed, trial, 1)
+    vectors, scalars = _draws(PARA_QUATERNIONS.dim, len(vector_names), len(scalar_names),
+                              seed, trial, 1)
     return _assignment(vector_names, scalar_names, vectors, scalars, 0)
 
 
@@ -430,20 +504,23 @@ def _counterexample(e: Expr, trials: int, seed: int) -> Assignment | None:
     """The assignment of the first trial on which `e` is nonzero, or None.
     Trials run `_RUN` (100) at a time, the last run cut at `trials`, so a
     default check is one run and a run's fixed cost is paid once per 100
-    trials.  A refuted check stops at the end of the run that refuted it
-    and reads the assignment from that run.  Each run is one
+    trials.  A run whose columns are all zero passes with one C-level scan;
+    a refuted check stops at the end of the run that refuted it and reads
+    the assignment of its first nonzero trial from that run.  Each run is one
     ``_cached_draws`` call, or one ``_draws`` call for a shape wider than
     `_CACHED_SHAPE` vectors or scalars.  The plan is compiled once and
     freed before the caller prints `e`."""
+    model = PARA_QUATERNIONS
     plan = _compile(e)
     vector_count, scalar_count = len(plan.vectors), len(plan.scalars)
     draw = _cached_draws if max(vector_count, scalar_count) <= _CACHED_SHAPE else _draws
     for first in range(0, trials, _RUN):
         n = min(_RUN, trials - first)
-        vectors, scalars = draw(vector_count, scalar_count, seed, first, n)
-        for offset, value in enumerate(zip(*_run(plan, vectors, scalars, n))):
-            if any(value):
-                return _assignment(plan.vectors, plan.scalars, vectors, scalars, offset)
+        vectors, scalars = draw(model.dim, vector_count, scalar_count, seed, first, n)
+        columns = _run(model, plan, vectors, scalars, n)
+        if any(map(any, columns)):
+            offset = next(i for i, value in enumerate(zip(*columns)) if any(value))
+            return _assignment(plan.vectors, plan.scalars, vectors, scalars, offset)
     return None
 
 
@@ -460,13 +537,13 @@ _CACHED_SHAPE = 4
 
 
 @lru_cache(maxsize=_CACHED_RUNS)
-def _cached_draws(vector_count: int, scalar_count: int, seed: int, first: int,
+def _cached_draws(dim: int, vector_count: int, scalar_count: int, seed: int, first: int,
                   n: int) -> tuple[tuple, tuple]:
     """``_draws`` of trials `first` .. `first + n - 1` under `seed`, kept in
     a bounded cache: a run is drawn once per process, and every later
-    check of the same shape, seed and run reads it.  Every level is a
+    check of the same dimension, shape, seed and run reads it.  Every level is a
     tuple, so no check can alter a run that another check reads.  A full
     cache of 100-trial runs of the widest shape kept, 4 vectors and 4
     scalars, holds 2.3 MB with its keys (64-bit CPython 3.11, by
     tracemalloc)."""
-    return _draws(vector_count, scalar_count, seed, first, n)
+    return _draws(dim, vector_count, scalar_count, seed, first, n)

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Callable
 
 from .core import Env, Expr, SymbolTable, canonicalize, equal, require
-from .errors import EngineError, Record, SourceSpan, SymcompError
+from .errors import EngineError, ExprTypeError, Record, SourceSpan, SymcompError
 from .oracle import DEFAULT_SEED, DEFAULT_TRIALS, check_identity
 from .parser import (
     Assertion,
@@ -109,6 +109,15 @@ class SessionExecutionError(SymcompError):
 
 # --- execution ---------------------------------------------------------------
 
+def _require_callable(call: str, **arguments) -> None:
+    """Raise ExprTypeError, in the words of `core.require`, for the first of
+    `call`'s keyword `arguments` that is neither None nor callable."""
+    for name, value in arguments.items():
+        if value is not None and not callable(value):
+            raise ExprTypeError(f"{call} argument {name} must be callable or None, "
+                                f"got {type(value).__name__}")
+
+
 # `load(name)` is the text of the expression golden NAME.expr,
 # `load(name, matrix=True)` that of the matrix golden NAME.json.
 GoldenLoader = Callable[..., str]
@@ -118,8 +127,9 @@ def run_session(session: Session, *, goldens: GoldenLoader | None = None,
                 seed: int = DEFAULT_SEED, default_trials: int = DEFAULT_TRIALS,
                 trace: Callable[[str], None] | None = None) -> SessionReport:
     """Execute a session's `let` steps in order and evaluate its
-    checkpoints."""
+    checkpoints.  `goldens` and `trace` must be None or callable."""
     require(session, Session, "run_session argument session must be a Session")
+    _require_callable("run_session", goldens=goldens, trace=trace)
     symbols = session.symbols
     values: dict[str, Expr | CoeffMatrix] = {}
     results: list[CheckpointResult] = []
@@ -321,6 +331,7 @@ def run_builtin_session(name: str, *, seed: int = DEFAULT_SEED,
                         default_trials: int = DEFAULT_TRIALS,
                         trace: Callable[[str], None] | None = None) -> SessionReport:
     require(name, str, "run_builtin_session argument name must be a str")
+    _require_callable("run_builtin_session", trace=trace)
     session = load_builtin_session(name)
     return run_session(session, goldens=builtin_golden_loader(), seed=seed,
                        default_trials=default_trials, trace=trace)

@@ -1,5 +1,7 @@
-"""Shared test utilities: contexts, random expression generation, and an
-independent recursive evaluator for raw parse trees (the second route for
+"""Shared test utilities: contexts, random expression generation, the
+para-quaternion arithmetic written by hand (the reference that the
+oracle's generated kernels are checked against), and an independent
+recursive evaluator for raw parse trees (the second route for
 cross-checking canonicalization)."""
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from symcomp import (
 )
 from symcomp.core import is_vector, units
 from symcomp.errors import EngineError
-from symcomp.oracle import Assignment, _norm, _polar, _product
+from symcomp.oracle import Assignment
 from symcomp.rules import instantiate_sides
 
 
@@ -177,6 +179,33 @@ def random_ctx_assignment(rng: random.Random, ctx: Ctx) -> Assignment:
     )
 
 
+# --- reference arithmetic ----------------------------------------------------
+# The para-quaternion model written out by hand on 4-tuples over 1, i, j, k,
+# apart from the table that the oracle generates its kernels from.
+
+
+def reference_product(u: tuple, v: tuple) -> tuple:
+    """The para-Hurwitz product conj(u) conj(v), written out."""
+    a1, b1, c1, d1 = u
+    a2, b2, c2, d2 = v
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            c1 * d2 - d1 * c2 - a1 * b2 - b1 * a2,
+            d1 * b2 - b1 * d2 - a1 * c2 - c1 * a2,
+            b1 * c2 - c1 * b2 - a1 * d2 - d1 * a2)
+
+
+def reference_norm(u: tuple):
+    a, b, c, d = u
+    return a * a + b * b + c * c + d * d
+
+
+def reference_polar(u: tuple, v: tuple):
+    """Polar form of the norm: q(u+v) - q(u) - q(v)."""
+    a1, b1, c1, d1 = u
+    a2, b2, c2, d2 = v
+    return 2 * (a1 * a2 + b1 * b2 + c1 * c2 + d1 * d2)
+
+
 # --- independent raw evaluation ----------------------------------------------
 
 
@@ -217,11 +246,11 @@ def _eval_raw(raw: rx.RawExpr, a: Assignment):
     if isinstance(raw, rx.Pow):
         return _eval_raw(raw.base, a) ** raw.exponent
     if isinstance(raw, rx.Dot):
-        return _product(_eval_raw(raw.left, a), _eval_raw(raw.right, a))
+        return reference_product(_eval_raw(raw.left, a), _eval_raw(raw.right, a))
     if isinstance(raw, rx.Q):
-        return _norm(_eval_raw(raw.arg, a))
+        return reference_norm(_eval_raw(raw.arg, a))
     if isinstance(raw, rx.B):
-        return _polar(_eval_raw(raw.left, a), _eval_raw(raw.right, a))
+        return reference_polar(_eval_raw(raw.left, a), _eval_raw(raw.right, a))
     raise AssertionError(f"unhandled node {type(raw).__name__}")
 
 
@@ -239,12 +268,14 @@ def reference_run(e, vector_names, scalar_names, vectors, scalars, n: int) -> li
         def word(w):
             if w.is_leaf:
                 return vector_at[w.name][trial]
-            return _product(word(w.left), word(w.right))
+            return reference_product(word(w.left), word(w.right))
 
         def atom(a):
             if a.is_symbol:
                 return scalar_at[a.name][trial]
-            return _norm(word(a.w1)) if a.is_q else _polar(word(a.w1), word(a.w2))
+            if a.is_q:
+                return reference_norm(word(a.w1))
+            return reference_polar(word(a.w1), word(a.w2))
 
         for w, mono, coeff in units(e):
             value = coeff

@@ -1,8 +1,8 @@
 """The public API's argument contract, stated once as a table.
 
-`ROWS` has a row for every callable that `symcomp` exports, and for
+`ROWS` has a row for every callable that `symcomp` exports, for
 `rules.instantiate_sides`, `oracle.random_assignment` and
-`parser.tokenize`.  A row holds a valid call: the callable and each
+`parser.tokenize`, and for `SymbolTable.index_of` and `sort_of`.  A row holds a valid call: the callable and each
 positional argument as (name, valid value, the kind it accepts, the
 error a value of any other kind raises).  The sweep puts each value of
 `BAD` into each argument in turn.  A value the kind refuses must raise
@@ -21,7 +21,7 @@ import symcomp
 import symcomp.rawexpr as rx
 from symcomp import (
     Assignment, Env, Expr, ParaQuaternion, RuleSet, ScalarExpr, Session, SymbolTable, VectorExpr,
-    apply_fixpoint, apply_once, b_of, builtin_ruleset, canonicalize, check_identity, coeff,
+    Word, apply_fixpoint, apply_once, b_of, builtin_ruleset, canonicalize, check_identity, coeff,
     coeff_matrix, compile_rule, dot, equal, eval_expr, load_builtin_session, parse_expr,
     parse_rule_source, parse_script, print_expr, q_of, run_builtin_session, run_session, subst,
     subst_raw,
@@ -74,12 +74,19 @@ def row(call, *args):
 
 
 # A class's row calls the entry point it offers: its constructor, or
-# `SymbolTable.declare` and `ScalarExpr.const`.
+# `SymbolTable.declare`, `ScalarExpr.const` and `Word.leaf`.  The methods
+# that look a name up in a `SymbolTable` have rows of their own.
 ROWS = {
     "Env": row(Env, ("symbols", ST, SymbolTable), ("bindings", {}, (dict, type(None)))),
     "SymbolTable": row(declare, ("name", "z", str), (
         "sort", "vector", lambda v: v in ("scalar", "vector"),
         value_error(ExprTypeError, "a symbol's sort must be 'scalar' or 'vector'"))),
+    "SymbolTable.index_of": row(ST.index_of, (
+        "name", "x", str, "SymbolTable.index_of argument name must be a str")),
+    "SymbolTable.sort_of": row(ST.sort_of, (
+        "name", "x", str, "SymbolTable.sort_of argument name must be a str")),
+    "Word": row(Word.leaf, ("name", "x", str, "Word.leaf argument name must be a str"),
+                ("index", 0, is_int, "Word.leaf argument index must be an int")),
     "ScalarExpr": row(ScalarExpr.const, (
         "value", 3, is_exact, value_error(ExprTypeError, "a number must be an int or a Fraction"))),
     "ParaQuaternion": row(ParaQuaternion, *[(name, 1, is_exact, value_error(
@@ -135,7 +142,7 @@ ROWS = {
         ("trial", 0, is_int, value_error(SymcompError, "trial must be an integer"))),
     # Values the library hands back, and its errors: empty rows.
     **dict.fromkeys((
-        "Expr", "VectorExpr", "Word", "Assignment", "IdentityReport", "Session", "CoeffMatrix",
+        "Expr", "VectorExpr", "Assignment", "IdentityReport", "Session", "CoeffMatrix",
         "RewriteRule", "CheckpointResult", "SessionReport", "SourceSpan", "SymcompError",
         "ParseError", "ChainedDotError", "ArityError", "UndefinedName", "RuleSetUnknown",
         "UnknownSymbol", "ExprTypeError", "NonTermination", "MissingSymbol", "EngineError")),

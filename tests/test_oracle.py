@@ -1,8 +1,9 @@
-"""The para-quaternion model: product table, evaluation, identity checks."""
+"""The para-quaternion model: its table and kernels, evaluation, identity checks."""
 import io
 import json
 import random
 from fractions import Fraction
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -12,66 +13,129 @@ from symcomp import canonicalize, check_identity, eval_expr
 from symcomp import oracle, parser, polyops, sessions
 from symcomp.cli import main
 from symcomp.core import Atom, Env, ScalarExpr, VectorExpr, Word
-from symcomp.oracle import (
-    Assignment,
-    ParaQuaternion,
-    _norm,
-    _polar,
-    _product,
-    random_assignment,
-)
+from symcomp.oracle import PARA_QUATERNIONS as PQ, Assignment, ParaQuaternion, random_assignment
 from symcomp.errors import MissingSymbol, SymcompError
-from helpers import Ctx, greek_ctx, random_components, random_raw, reference_run
+from helpers import (
+    Ctx, greek_ctx, random_components, random_raw, reference_norm, reference_polar,
+    reference_product, reference_run,
+)
 from test_api import pin, raises
 
 DATA = Path(__file__).parent / "data"
 
-# The model arithmetic every trial runs, on integer 4-tuples over 1, i, j, k.
-ONE, I, J, K = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+# The model every trial runs, on integer 4-tuples over 1, i, j, k: its table,
+# and the column kernels generated from it, against the hand-written
+# reference in `helpers`.
+ONE, I, J, K = BASIS = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
 
 def scaled(factor, u):
     return tuple(factor * c for c in u)
 
 
+def columns(seed, count, n):
+    """`count` seeded columns of `n` random integer 4-tuples."""
+    rng = random.Random(seed)
+    return [[random_components(rng) for _ in range(n)] for _ in range(count)]
+
+
+def test_the_table_holds_the_reference_products_of_basis_pairs():
+    # 16 entries, each plus or minus one basis element.
+    assert (PQ.name, PQ.dim) == ("para-quaternions", 4)
+    entries = [(i, j, k, sign) for i, row in enumerate(PQ.table)
+               for j, (k, sign) in enumerate(row)]
+    assert [(i, j) for i, j, _, _ in entries] == [(i, j) for i in range(4) for j in range(4)]
+    for i, j, k, sign in entries:
+        assert sign in (1, -1)
+        assert reference_product(BASIS[i], BASIS[j]) == scaled(sign, BASIS[k])
+
+
 def test_unit_times_unit():
-    assert _product(ONE, ONE) == ONE
+    assert PQ.products([ONE], [ONE]) == [ONE]
 
 
 def test_i_times_j():
     # conj(i) conj(j) = (-i)(-j) = ij = k
-    assert _product(I, J) == K
+    assert PQ.products([I], [J]) == [K]
+
+
+def assert_kernels_match_the_reference(u, v):
+    assert PQ.products(u, v) == list(map(reference_product, u, v))
+    assert PQ.squares(u) == list(map(reference_product, u, u))
+    assert PQ.norms(u) == list(map(reference_norm, u))
+    assert PQ.polars(u, v) == list(map(reference_polar, u, v))
+
+
+@pytest.mark.parametrize("n", [1, 2, 100])
+def test_each_kernel_matches_the_reference_element_by_element(n):
+    assert_kernels_match_the_reference(*columns(500 + n, 2, n))
+
+
+def test_each_kernel_matches_the_reference_on_fractions():
+    u, v = ([tuple(Fraction(c, 3) for c in x) for x in column] for column in columns(510, 2, 20))
+    assert_kernels_match_the_reference(u, v)
+    assert all(type(c) is Fraction for c in PQ.products(u, v)[0])
 
 
 def test_norm_multiplicativity_brute_force():
-    rng = random.Random(90)
-    for _ in range(100):
-        u, v = random_components(rng), random_components(rng)
-        assert _norm(_product(u, v)) == _norm(u) * _norm(v)
+    u, v = columns(90, 2, 100)
+    assert PQ.norms(PQ.products(u, v)) == list(map(mul, PQ.norms(u), PQ.norms(v)))
 
 
 def test_biflexibility_brute_force():
-    rng = random.Random(91)
-    for _ in range(100):
-        u, v = random_components(rng), random_components(rng)
-        expected = scaled(_norm(u), v)
-        assert _product(_product(u, v), u) == expected
-        assert _product(u, _product(v, u)) == expected
+    u, v = columns(91, 2, 100)
+    expected = list(map(scaled, PQ.norms(u), v))
+    assert PQ.products(PQ.products(u, v), u) == expected
+    assert PQ.products(u, PQ.products(v, u)) == expected
 
 
 def test_norm_associativity_brute_force():
-    rng = random.Random(92)
-    for _ in range(100):
-        u, v, w = random_components(rng), random_components(rng), random_components(rng)
-        assert _polar(_product(u, v), w) == _polar(u, _product(v, w))
+    u, v, w = columns(92, 3, 100)
+    assert PQ.polars(PQ.products(u, v), w) == PQ.polars(u, PQ.products(v, w))
 
 
 def test_polar_form_definition():
-    rng = random.Random(93)
-    for _ in range(50):
-        u, v = random_components(rng), random_components(rng)
-        total = tuple(a + b for a, b in zip(u, v))
-        assert _polar(u, v) == _norm(total) - _norm(u) - _norm(v)
+    u, v = columns(93, 2, 50)
+    total = [tuple(map(add, x, y)) for x, y in zip(u, v)]
+    assert PQ.polars(u, v) == [s - a - b for s, a, b in
+                               zip(PQ.norms(total), PQ.norms(u), PQ.norms(v))]
+
+
+# The kernels' source: the same text in every process and under every hash
+# seed, generated from the table and nothing else.
+KERNEL_SOURCE = """\
+def products(U, V):
+    return [(a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3, \
+a2 * b3 - a0 * b1 - a1 * b0 - a3 * b2, \
+a3 * b1 - a0 * b2 - a1 * b3 - a2 * b0, \
+a1 * b2 - a0 * b3 - a2 * b1 - a3 * b0)
+            for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(U, V)]
+
+
+def squares(U):
+    return [(a0 * a0 - a1 * a1 - a2 * a2 - a3 * a3, -2 * a0 * a1, -2 * a0 * a2, -2 * a0 * a3) \
+for (a0, a1, a2, a3) in U]
+
+
+def norms(U):
+    return [a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 for (a0, a1, a2, a3) in U]
+
+
+def polars(U, V):
+    return [2 * (a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3) \
+for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(U, V)]
+"""
+
+
+def test_the_generated_kernel_source_is_pinned():
+    assert oracle._kernel_source(PQ.dim, PQ.table) == KERNEL_SOURCE
+
+
+def test_a_model_is_compared_by_its_name_dimension_and_table():
+    again = oracle._model(PQ.name, PQ.dim, PQ.table)
+    assert again == PQ and hash(again) == hash(PQ)
+    assert again.products is not PQ.products
+    assert repr(PQ).startswith("Model(name='para-quaternions', dim=4, table=(((0, 1), (1, -1), ")
 
 
 def test_eval_norm_of_unit(xy):
@@ -239,7 +303,7 @@ def test_draw_gives_the_values_of_randint():
             for first in range(0, 200, n):
                 for vectors in range(5):
                     for scalars in range(4):
-                        assert oracle._draws(vectors, scalars, seed, first, n) == \
+                        assert oracle._draws(4, vectors, scalars, seed, first, n) == \
                             randint_columns(vectors, scalars, seed, first, n)
 
 
@@ -298,9 +362,9 @@ def test_a_refutation_stops_within_its_block(xy, monkeypatch):
     drawn = []
     draws = oracle._draws
 
-    def counting_draws(vector_count, scalar_count, seed, first, n):
+    def counting_draws(dim, vector_count, scalar_count, seed, first, n):
         drawn.extend(range(first, first + n))
-        return draws(vector_count, scalar_count, seed, first, n)
+        return draws(dim, vector_count, scalar_count, seed, first, n)
 
     monkeypatch.setattr(oracle, "_draws", counting_draws)
     # An empty cache, so that the first run is drawn here and not read
@@ -327,14 +391,14 @@ def test_block_run_agrees_with_one_trial_evaluation(n):
             value = value * Fraction(rng.randint(1, 9), rng.randint(2, 9))
         plan = oracle._compile(value)
         seed = rng.randint(0, 10**6)
-        shape = (len(plan.vectors), len(plan.scalars), seed)
+        shape = (PQ.dim, len(plan.vectors), len(plan.scalars), seed)
         vectors, scalars = oracle._cached_draws(*shape, 0, n)
         singles = [oracle._draws(*shape, trial, 1) for trial in range(n)]
         assert vectors == tuple(tuple(u for one, _ in singles for u in one[k])
                                 for k in range(len(plan.vectors)))
         assert scalars == tuple(tuple(v for _, one in singles for v in one[k])
                                 for k in range(len(plan.scalars)))
-        columns = oracle._run(plan, vectors, scalars, n)
+        columns = oracle._run(PQ, plan, vectors, scalars, n)
         assert len(columns) == (4 if plan.vector else 1)
         assert all(len(column) == n for column in columns)
         for trial in range(n):
@@ -367,11 +431,11 @@ _tree_values = st.one_of(_tree_scalars, st.dictionaries(
 def test_factor_tree_agrees_with_a_plain_monomial_sum_property(value, seed, n, halved):
     # On int components, and on Fraction ones as `eval_expr` passes them.
     plan = oracle._compile(value)
-    vectors, scalars = oracle._draws(len(plan.vectors), len(plan.scalars), seed, 0, n)
+    vectors, scalars = oracle._draws(PQ.dim, len(plan.vectors), len(plan.scalars), seed, 0, n)
     if halved:
         vectors = [[tuple(Fraction(c, 2) for c in u) for u in column] for column in vectors]
         scalars = [[Fraction(v, 2) for v in column] for column in scalars]
-    assert oracle._run(plan, vectors, scalars, n) == \
+    assert oracle._run(PQ, plan, vectors, scalars, n) == \
         reference_run(value, plan.vectors, plan.scalars, vectors, scalars, n)
 
 
@@ -433,13 +497,13 @@ def test_block_cache_keys_hold_seed_trial_count_and_shape(greek):
 
 def test_a_cached_block_is_tuples_that_a_run_leaves_alone(greek):
     plan = oracle._compile(greek.canon("alpha*(x.y) - beta*q(x)*y"))
-    key = (len(plan.vectors), len(plan.scalars), 42, 0, oracle._RUN)
+    key = (PQ.dim, len(plan.vectors), len(plan.scalars), 42, 0, oracle._RUN)
     run = oracle._cached_draws(*key)
     vectors, scalars = run
     assert isinstance(run, tuple) and isinstance(vectors, tuple) and isinstance(scalars, tuple)
     assert all(isinstance(column, tuple) for column in vectors + scalars)
     assert all(isinstance(value, tuple) for column in vectors for value in column)
-    oracle._run(plan, vectors, scalars, oracle._RUN)
+    oracle._run(PQ, plan, vectors, scalars, oracle._RUN)
     assert oracle._cached_draws(*key) is run
     assert run == oracle._draws(*key)
 

@@ -10,13 +10,15 @@ from symcomp import (
     run_builtin_session,
     run_session,
 )
-from symcomp.oracle import Assignment, ParaQuaternion, _polar, _product, random_assignment
+from symcomp.oracle import Assignment, ParaQuaternion, random_assignment
 from symcomp import rules, sessions
-from symcomp.errors import EngineError
+from symcomp.errors import EngineError, ExprTypeError
 from symcomp.parser import LetApply
 from symcomp.sessions import SessionExecutionError, builtin_session_names, golden_loader
 
-from helpers import CubicElement, commutator, cubic_form, cubic_norm
+from helpers import (
+    CubicElement, commutator, cubic_form, cubic_norm, reference_polar, reference_product,
+)
 
 
 def unit(ctx, name):
@@ -38,7 +40,7 @@ def test_cubic_form_matches_direct_evaluation(greek):
     for trial in range(3):
         a = random_assignment(["x", "y"], ["alpha", "beta", "lambda", "mu"], 61, trial)
         sval = eval_expr(s, a).components()
-        assert eval_expr(value, a) == _polar(sval, _product(sval, sval))
+        assert eval_expr(value, a) == reference_polar(sval, reference_product(sval, sval))
 
 
 def test_commutator(xy):
@@ -328,3 +330,17 @@ def test_reports_are_frozen_values():
             setattr(record, field, getattr(record, field))
         with pytest.raises(AttributeError):
             delattr(record, field)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_session(parse_script("vectors x;"), trace=3),
+     "run_session argument trace must be callable or None, got int"),
+    (lambda: run_session(parse_script("vectors x;"), goldens=3),
+     "run_session argument goldens must be callable or None, got int"),
+    (lambda: run_builtin_session("L1", trace=3),
+     "run_builtin_session argument trace must be callable or None, got int"),
+], ids=["run_session-trace", "run_session-goldens", "run_builtin_session-trace"])
+def test_a_keyword_argument_that_is_not_callable_is_refused_before_the_first_step(call, message):
+    with pytest.raises(ExprTypeError) as err:
+        call()
+    assert str(err.value) == message
