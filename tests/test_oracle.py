@@ -2,6 +2,7 @@
 import io
 import json
 import random
+import weakref
 from fractions import Fraction
 from operator import add, mul
 from pathlib import Path
@@ -437,6 +438,36 @@ def test_factor_tree_agrees_with_a_plain_monomial_sum_property(value, seed, n, h
         scalars = [[Fraction(v, 2) for v in column] for column in scalars]
     assert oracle._run(PQ, plan, vectors, scalars, n) == \
         reference_run(value, plan.vectors, plan.scalars, vectors, scalars, n)
+
+
+@pytest.mark.parametrize("text, alive", [
+    ("alpha^2*b(x.y, y.x)", 0),  # a scalar value: its words only feed its atoms
+    ("alpha^2*((x.y).(y.x))", 3),  # a vector value needs its unit word
+])
+def test_a_scalar_run_frees_its_word_columns_before_its_factor_trees(greek, text, alive):
+    # A model whose products are weakly referable columns, and a scalar
+    # column that counts the product columns still alive when the factor
+    # phase raises it to a power, after every word and atom is built.
+    class Column(list):
+        pass
+
+    class Probe(tuple):
+        def __iter__(self):
+            seen.append(sum(ref() is not None for ref in refs))
+            return super().__iter__()
+
+    def products(u, v):
+        column = Column(PQ.products(u, v))
+        refs.append(weakref.ref(column))
+        return column
+
+    refs, seen = [], []
+    probe = oracle.Model(PQ.name, PQ.dim, PQ.table, products, PQ.squares, PQ.norms, PQ.polars)
+    plan = oracle._compile(greek.canon(text))
+    vectors, scalars = oracle._draws(PQ.dim, len(plan.vectors), len(plan.scalars), 42, 0, 10)
+    columns = oracle._run(probe, plan, vectors, tuple(map(Probe, scalars)), 10)
+    assert (len(refs), seen) == (len(plan.words) - 2, [alive])
+    assert columns == oracle._run(PQ, plan, vectors, scalars, 10)
 
 
 def test_a_factor_tree_multiplies_a_shared_prefix_once(greek):
