@@ -9,9 +9,9 @@ to an exact identity here; a single nonzero evaluation refutes a claim.
 Everything is exact, with no floating point.  A model is data: a
 `Model` is a name, a dimension and a signed multiplication table of its
 basis, and `PARA_QUATERNIONS` is the one model.  Its column kernels
-(the products, norms and polar forms of whole columns of components)
-are generated from the table with ``exec`` once per process, when the
-module is imported.  A checked value is compiled once into a plan:
+(the products, squares, norms and polar forms of whole columns of
+components) are generated from the table with ``exec`` once per
+process, when the module is imported.  A checked value is compiled once into a plan:
 straight-line lists of slots for its distinct words, atoms and (atom,
 exponent) factors, and for each unit a factor tree that holds its
 monomials by their shared prefixes, so a prefix common to many monomials
@@ -302,16 +302,17 @@ def _run(model: Model, plan: _Plan, vectors: list, scalars: list, n: int) -> lis
     trial order) and `scalars` one per scalar position; `n` is given
     because a constant plan has no columns.  Every word, atom and (atom,
     exp) factor slot is one column, computed once however many units share
-    it by one call of the model's kernel.  A scalar plan's words only feed
-    its atoms, so their columns are freed once the atoms are built.  A unit's
-    factor tree runs in post-order on a stack of columns: a node takes its
-    children's columns off the stack, sums them with its coefficient and
-    multiplies the sum by its factor's column, once for all the monomials
-    that share its prefix; a leaf with coefficient 1 is its factor's
-    column.  The units sum column by column.  Returns the value's
-    component columns: one for a scalar value, `dim` for a vector.  Exact
-    in whatever number type the inputs have."""
-    products, squares, norms, polars = model.products, model.squares, model.norms, model.polars
+    it, a word or atom slot by one call of a kernel of the model.  A scalar
+    plan's words only feed its atoms, so their columns are freed once the
+    atoms are built.  A unit's factor tree runs in post-order on a stack of
+    columns: a node takes its children's columns off the stack, sums them
+    with its coefficient and multiplies the sum by its factor's column,
+    once for all the monomials that share its prefix; a leaf with
+    coefficient 1 is its factor's column.  The units sum column by column.
+    Returns the value's component columns: one for a scalar value, `dim`
+    for a vector.  Exact in whatever number type the inputs have."""
+    products, squares = model.products, model.squares
+    norms, polars = model.norms, model.polars
     wv = []
     for left, right in plan.words:
         if right is None:
@@ -541,8 +542,9 @@ def _cached_draws(dim: int, vector_count: int, scalar_count: int, seed: int, fir
                   n: int) -> tuple[tuple, tuple]:
     """``_draws`` of trials `first` .. `first + n - 1` under `seed`, kept in
     a bounded cache: a run is drawn once per process, and every later
-    check of the same dimension, shape, seed and run reads it.  Every level is a
-    tuple, so no check can alter a run that another check reads.  A full
+    check of the same dimension, shape, seed and run reads it.  Every
+    level is a tuple, so no check can alter a run that another check
+    reads.  A full
     cache of 100-trial runs of the widest shape kept, 4 vectors and 4
     scalars, holds 2.3 MB with its keys (64-bit CPython 3.11, by
     tracemalloc)."""

@@ -2,16 +2,16 @@
 
 `ROWS` has a row for every callable that `symcomp` exports, for
 `rules.instantiate_sides`, `oracle.random_assignment` and
-`parser.tokenize`, and for `SymbolTable.index_of` and `sort_of`.  A row holds a valid call: the callable and each
-positional argument as (name, valid value, the kind it accepts, the
-error a value of any other kind raises).  The sweep puts each value of
-`BAD` into each argument in turn.  A value the kind refuses must raise
-exactly the row's error: its class and its message.  A value of the
-accepted kind must return or raise a `SymcompError`; no other exception
-may escape.  The values the library builds and hands back, and its error
-classes, have an empty row: their constructors are not entry points.
-`pin` and `raises` check one refused value against its row, for the
-cases other test files name.
+`parser.tokenize`, and for `SymbolTable.index_of` and `sort_of`.  A row
+holds a valid call: the callable and each positional argument as (name,
+valid value, the kind it accepts, the error a value of any other kind
+raises).  The sweep puts each value of `BAD` into each argument in turn.
+A value the kind refuses must raise exactly the row's error: its class
+and its message.  A value of the accepted kind must return or raise a
+`SymcompError`; no other exception may escape.  The values the library
+builds and hands back, and its error classes, have an empty row: their
+constructors are not entry points.  `pin` and `raises` check one refused
+value against its row, for the cases other test files name.
 """
 from fractions import Fraction
 
