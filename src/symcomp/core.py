@@ -178,11 +178,7 @@ class Word:
         if not is_int(index):
             raise ExprTypeError(f"Word.leaf argument index must be an int, "
                                 f"got {type(index).__name__}")
-        w = _WORDS.get((name, index))
-        if w is None:
-            w = _WORDS.setdefault((name, index),
-                                  Word(name, None, None, 1, (1, 0, index, name)))
-        return w
+        return _leaf(name, index)
 
     @staticmethod
     def pair(left: "Word", right: "Word") -> "Word":
@@ -205,6 +201,15 @@ class Word:
         if self.is_leaf:
             return f"Word({self.name})"
         return f"Word({self.left!r}.{self.right!r})"
+
+
+def _leaf(name: str, index: int) -> Word:
+    """`Word.leaf` without its argument checks, for the (name, index) of a
+    symbol table's entry, which `Env.resolve` makes once per identifier."""
+    w = _WORDS.get((name, index))
+    if w is None:
+        w = _WORDS.setdefault((name, index), Word(name, None, None, 1, (1, 0, index, name)))
+    return w
 
 
 _KIND_SYM = 0
@@ -721,7 +726,7 @@ class Env:
         sort, index = self.symbols._entry(name)
         if sort == SCALAR:
             return ScalarExpr.from_atom(Atom.symbol(name, index))
-        return VectorExpr.from_word(Word.leaf(name, index))
+        return VectorExpr.from_word(_leaf(name, index))
 
 
 def nesting_error(raw: rx.RawExpr) -> ExprTypeError:
