@@ -285,17 +285,17 @@ def test_para_quaternion_is_an_immutable_record():
     assert pq.components() == (1, Fraction(1, 2), 0, 0)
 
 
-def randint_columns(vectors, scalars, seed, first, n):
+def randint_columns(dim, vectors, scalars, seed, first, n):
     """Trials first .. first + n - 1 as `_run` reads them, each trial the
-    values of randint(-9, 9) on its own generator: 4 per vector, then 1 per
-    scalar."""
+    values of randint(-9, 9) on its own generator: `dim` per vector, then 1
+    per scalar."""
     trials = []
     for trial in range(first, first + n):
         rng = random.Random(seed * 1_000_003 + trial)
-        trials.append([rng.randint(-9, 9) for _ in range(4 * vectors + scalars)])
-    return (tuple(tuple(tuple(values[4 * k:4 * k + 4]) for values in trials)
+        trials.append([rng.randint(-9, 9) for _ in range(dim * vectors + scalars)])
+    return (tuple(tuple(tuple(values[dim * k:dim * k + dim]) for values in trials)
                   for k in range(vectors)),
-            tuple(tuple(values[4 * vectors + k] for values in trials) for k in range(scalars)))
+            tuple(tuple(values[dim * vectors + k] for values in trials) for k in range(scalars)))
 
 
 def test_draw_gives_the_values_of_randint():
@@ -305,7 +305,14 @@ def test_draw_gives_the_values_of_randint():
                 for vectors in range(5):
                     for scalars in range(4):
                         assert oracle._draws(4, vectors, scalars, seed, first, n) == \
-                            randint_columns(vectors, scalars, seed, first, n)
+                            randint_columns(4, vectors, scalars, seed, first, n)
+
+
+def test_a_run_of_another_dimension_draws_dim_values_per_vector_and_is_cached_apart():
+    oracle._cached_draws.cache_clear()
+    for dim in (4, 1, 8):
+        assert oracle._cached_draws(dim, 3, 2, 42, 0, 10) == randint_columns(dim, 3, 2, 42, 0, 10)
+    assert oracle._cached_draws.cache_info().currsize == 3
 
 
 def test_component_range(xy):
