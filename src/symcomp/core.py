@@ -468,7 +468,7 @@ class ScalarExpr(Expr):
         return ((None, self.terms),)
 
     def __pow__(self, n: int) -> "ScalarExpr":
-        if not isinstance(n, int):
+        if not is_int(n):
             return NotImplemented
         if n < 0:
             raise ExprTypeError("negative powers are not supported")
@@ -608,9 +608,10 @@ def from_units(out: dict, vector: bool) -> Expr:
     return ScalarExpr(out.get(None, {}))
 
 
-def require(value, kind: type, what: str) -> None:
+def require(value, kind: type | tuple[type, ...], what: str) -> None:
     """The one check of an argument's type: raise ExprTypeError, `what`
-    followed by the type `value` has, unless `value` is a `kind`."""
+    followed by the type `value` has, unless `value` is a `kind` (or one
+    of the types `kind` lists)."""
     if not isinstance(value, kind):
         raise ExprTypeError(f"{what}, got {type(value).__name__}")
 
@@ -767,7 +768,10 @@ def _canonicalize(raw: rx.RawExpr, env: Env) -> Expr:
         if isinstance(raw, rx.Mul):
             return _multiply([_canonicalize(item, env) for item in raw.items])
         if isinstance(raw, rx.Pow):
-            return _canonicalize(raw.base, env) ** raw.exponent
+            base = _canonicalize(raw.base, env)
+            if not is_int(raw.exponent):
+                raise ExprTypeError(f"an exponent must be an int, got {raw.exponent!r}")
+            return base ** raw.exponent
         if isinstance(raw, rx.Dot):
             return dot(_canonicalize(raw.left, env), _canonicalize(raw.right, env))
         if isinstance(raw, rx.Q):

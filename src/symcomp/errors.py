@@ -26,7 +26,10 @@ class Record:
     and sets its fields through `_set`.  `_compared`, the fields that
     equality, hashing and the repr read, defaults to `_fields`.  Records
     are equal when they are of one class and their compared fields are
-    equal; assigning or deleting a field raises AttributeError."""
+    equal; assigning or deleting a field raises AttributeError.  A record
+    hashes only when its compared fields do: an `Assignment` (dicts), a
+    `CoeffMatrix` (canonical values) and an `IdentityReport` that holds a
+    counterexample raise TypeError."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

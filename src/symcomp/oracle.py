@@ -434,13 +434,10 @@ def random_assignment(vector_names, scalar_names, seed: int, trial: int) -> Assi
     draws it; each name list must be a list or tuple of strs, and `seed`
     and `trial` must be ints."""
     for what, names in (("vector_names", vector_names), ("scalar_names", scalar_names)):
-        if not isinstance(names, (list, tuple)):
-            raise ExprTypeError(f"random_assignment argument {what} must be a list or tuple, "
-                                f"got {type(names).__name__}")
+        require(names, (list, tuple), f"random_assignment argument {what} must be a list or tuple")
+        holds = f"random_assignment argument {what} must hold strs"
         for name in names:
-            if not isinstance(name, str):
-                raise ExprTypeError(f"random_assignment argument {what} must hold strs, "
-                                    f"got {type(name).__name__}")
+            require(name, str, holds)
     _check_int("seed", seed)
     _check_int("trial", trial)
     vector_names = sorted(vector_names)

@@ -37,16 +37,18 @@ end of that symbol prefix once per unit and runs each of the three
 phases over the entries past it only; the pair phase is skipped when
 fewer than two entries remain, and otherwise walks the indices of the
 exponent-1 b atoms.  At each site the rules of that site's kind
-are tried in listing order (on an atom of exponent >= 2, power rules
-before atom rules); a ``RuleSet`` is the compiled form of a rule list
-and builds these site tables once, when it is constructed.  The first
-match anywhere in a monomial rewrites that site, the produced fragment
-is left untouched for the rest of the pass, and scanning continues with
-the next unit.  Each unit is rewritten on its own, so the result of a
-pass does not depend on the order in which units are visited.  Only the
-choice of error may: when a rule set holds two rules whose right-hand
-sides have the wrong sort, the ``EngineError`` names the first one
-reached in the pass's visiting order, which is still deterministic.
+are tried in listing order; every q/b atom entry tries one list, the
+power rules and then the atom rules, since a power rule binds only at
+its own exponent, which ``compile_rule`` requires to be at least 2.  A
+``RuleSet`` is the compiled form of a rule list and builds these site
+tables once, when it is constructed.  The first match anywhere in a
+monomial rewrites that site, the produced fragment is left untouched
+for the rest of the pass, and scanning continues with the next unit.
+Each unit is rewritten on its own, so the result of a pass does not
+depend on the order in which units are visited.  Only the choice of
+error may: when a rule set holds two rules whose right-hand sides have
+the wrong sort, the ``EngineError`` names the first one reached in the
+pass's visiting order, which is still deterministic.
 
 One pass is ``_pass``.  ``apply_once`` runs it on every unit of a value.
 ``apply_fixpoint`` runs passes until one leaves the value unchanged, and
@@ -128,6 +130,7 @@ from .core import (
     atom_with,
     canonicalize,
     from_units,
+    is_int,
     is_vector,
     mono_mul,
     nesting_error,
@@ -182,11 +185,12 @@ def _match(pattern: rx.RawExpr, subject, binds: dict) -> bool:
 class RewriteRule:
     """A typed pattern -> template pair.  `lhs` (and `lhs2`, the second
     factor of a product rule) is a pattern parse tree; a power rule keeps
-    the base in `lhs` and the exponent in `power`.  ``bind`` matches these
-    trees at a site (``_match``).  `variables` lists the pattern variables,
-    sorted.  `rhs` is the right-hand side's parse tree; the engine keeps
-    its template in the ``RewriteMemo`` of each rule set and symbol table
-    it is applied on."""
+    the base in `lhs` and the exponent, at least 2, in `power`, which is
+    None for every other kind.  ``bind`` matches these trees at a site
+    (``_match``).  `variables` lists the pattern variables, sorted.  `rhs`
+    is the right-hand side's parse tree; the engine keeps its template in
+    the ``RewriteMemo`` of each rule set and symbol table it is applied
+    on."""
 
     __slots__ = ("name", "kind", "lhs", "lhs2", "power", "rhs", "variables")
 
@@ -204,15 +208,13 @@ class RewriteRule:
         """The binding of the pattern variables at a site of the rule's
         kind, or None: the site is a Word for a dot rule, an (Atom,
         exponent) entry for an atom or power rule (a power rule checks the
-        exponent first), an (Atom, Atom) pair for a product rule.  A no-op
-        rule binds nothing."""
+        exponent first; an atom rule has no `power`), an (Atom, Atom) pair
+        for a product rule.  A no-op rule binds nothing."""
         kind, binds = self.kind, {}
         if kind == "dot":
             ok = _match(self.lhs, site, binds)
-        elif kind == "atom":
-            ok = _match(self.lhs, site[0], binds)
-        elif kind == "power":
-            ok = site[1] == self.power and _match(self.lhs, site[0], binds)
+        elif kind == "atom" or kind == "power":
+            ok = (self.power is None or site[1] == self.power) and _match(self.lhs, site[0], binds)
         elif kind == "product":
             ok = _match(self.lhs, site[0], binds) and _match(self.lhs2, site[1], binds)
         else:
@@ -226,11 +228,11 @@ class RewriteRule:
 class RuleSet:
     """A named rule list compiled for the engine.  Its site tables, built
     once here, hold the rules to try at each site kind in listing order:
-    dot sites, atoms of exponent 1, atoms of a higher exponent (power rules
-    take precedence over atom rules there), and b-atom pairs."""
+    dot sites, q/b atom entries (the power rules, then the atom rules; a
+    power rule fails its exponent test at any other exponent), and b-atom
+    pairs."""
 
-    __slots__ = ("name", "rules", "dot_rules", "atom_rules", "power_then_atom_rules",
-                 "product_rules")
+    __slots__ = ("name", "rules", "dot_rules", "entry_rules", "product_rules")
 
     def __init__(self, name: str, rules: tuple[RewriteRule, ...]):
         require(name, str, "RuleSet argument name must be a str")
@@ -240,13 +242,9 @@ class RuleSet:
         self.name = name
         self.rules = rules
         self.dot_rules = tuple(r for r in rules if r.kind == "dot")
-        self.atom_rules = tuple(r for r in rules if r.kind == "atom")
-        self.power_then_atom_rules = (tuple(r for r in rules if r.kind == "power")
-                                      + self.atom_rules)
+        self.entry_rules = (tuple(r for r in rules if r.kind == "power")
+                            + tuple(r for r in rules if r.kind == "atom"))
         self.product_rules = tuple(r for r in rules if r.kind == "product")
-
-    def __len__(self) -> int:
-        return len(self.rules)
 
 
 def _pattern_vars(p: rx.RawExpr) -> set[str]:
@@ -259,8 +257,10 @@ def compile_rule(name: str, raw_lhs: rx.RawExpr, raw_rhs: rx.RawExpr,
 
     With `allow_noop`, an lhs that canonical forms can never exhibit
     (scalar factors or sums inside pattern positions) compiles to a
-    documented no-op instead of failing.  A pattern too deep to walk
-    raises ExprTypeError at the span of its root.
+    documented no-op instead of failing.  A power pattern whose exponent
+    is not an int of at least 2 raises ParseError at its span, as the
+    parser does, so a power rule never binds where an atom rule may.  A
+    pattern too deep to walk raises ExprTypeError at the span of its root.
     """
     require(name, str, "compile_rule argument name must be a str")
     require(raw_lhs, rx.RawExpr, "compile_rule argument raw_lhs must be a RawExpr")
@@ -273,7 +273,12 @@ def compile_rule(name: str, raw_lhs: rx.RawExpr, raw_rhs: rx.RawExpr,
         elif shape in ("q", "b"):
             rule = RewriteRule(name, "atom", raw_lhs, raw_rhs)
         elif isinstance(raw_lhs, rx.Pow) and _shape(raw_lhs.base) in ("q", "b"):
-            rule = RewriteRule(name, "power", raw_lhs.base, raw_rhs, power=raw_lhs.exponent)
+            k = raw_lhs.exponent
+            if not is_int(k):
+                raise ParseError(f"expected an integer exponent, found {k!r}", raw_lhs.span)
+            if k < 2:
+                raise ParseError("exponent must be at least 2", raw_lhs.span)
+            rule = RewriteRule(name, "power", raw_lhs.base, raw_rhs, power=k)
         elif isinstance(raw_lhs, rx.Mul) and [_shape(i) for i in raw_lhs.items] == ["b", "b"]:
             rule = RewriteRule(name, "product", raw_lhs.items[0], raw_rhs, lhs2=raw_lhs.items[1])
     except RecursionError:
@@ -514,14 +519,13 @@ def _first_rewrite(mono: Monomial, word: Word | None, memo: RewriteMemo):
                                        else atom_with(atom, v1, v2))
             if value is not None:
                 return (idx,), value ** exp
-    rules = rs.power_then_atom_rules
+    rules = rs.entry_rules
     if rules:
         for idx in range(start, n):
             entry = mono[idx]
             value = sites.get(entry, _UNSEEN)
             if value is _UNSEEN:
-                value = sites[entry] = _first_match(
-                    rules if entry[1] >= 2 else rs.atom_rules, entry, memo)
+                value = sites[entry] = _first_match(rules, entry, memo)
             if value is not None:
                 return (idx,), value
     rules = rs.product_rules
@@ -748,9 +752,7 @@ def instantiate_sides(rule: RewriteRule, binds: dict[str, Word],
     if rule.kind == "noop":
         raise EngineError(f"rule {rule.name} is a documented no-op")
     for name, w in binds.items():
-        if not isinstance(w, Word):
-            raise ExprTypeError(f"instantiate_sides argument binds must give {name!r} a Word, "
-                                f"got {type(w).__name__}")
+        require(w, Word, f"instantiate_sides argument binds must give {name!r} a Word")
     for name in rule.variables:
         if name not in binds:
             raise EngineError(f"pattern variable {name!r} of rule {rule.name} has no binding")

@@ -26,12 +26,12 @@ kept, and every run reports its error again.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from functools import cache, lru_cache
 from pathlib import Path
-from typing import Callable
 
 from .core import Env, Expr, SymbolTable, canonicalize, equal, require
-from .errors import EngineError, ExprTypeError, Record, SourceSpan, SymcompError
+from .errors import EngineError, Record, SourceSpan, SymcompError
 from .oracle import DEFAULT_SEED, DEFAULT_TRIALS, check_identity
 from .parser import (
     Assertion,
@@ -109,15 +109,6 @@ class SessionExecutionError(SymcompError):
 
 # --- execution ---------------------------------------------------------------
 
-def _require_callable(call: str, **arguments) -> None:
-    """Raise ExprTypeError, in the words of `core.require`, for the first of
-    `call`'s keyword `arguments` that is neither None nor callable."""
-    for name, value in arguments.items():
-        if value is not None and not callable(value):
-            raise ExprTypeError(f"{call} argument {name} must be callable or None, "
-                                f"got {type(value).__name__}")
-
-
 # `load(name)` is the text of the expression golden NAME.expr,
 # `load(name, matrix=True)` that of the matrix golden NAME.json.
 GoldenLoader = Callable[..., str]
@@ -129,7 +120,9 @@ def run_session(session: Session, *, goldens: GoldenLoader | None = None,
     """Execute a session's `let` steps in order and evaluate its
     checkpoints.  `goldens` and `trace` must be None or callable."""
     require(session, Session, "run_session argument session must be a Session")
-    _require_callable("run_session", goldens=goldens, trace=trace)
+    require(goldens, (type(None), Callable),
+            "run_session argument goldens must be callable or None")
+    require(trace, (type(None), Callable), "run_session argument trace must be callable or None")
     symbols = session.symbols
     values: dict[str, Expr | CoeffMatrix] = {}
     results: list[CheckpointResult] = []
@@ -331,7 +324,8 @@ def run_builtin_session(name: str, *, seed: int = DEFAULT_SEED,
                         default_trials: int = DEFAULT_TRIALS,
                         trace: Callable[[str], None] | None = None) -> SessionReport:
     require(name, str, "run_builtin_session argument name must be a str")
-    _require_callable("run_builtin_session", trace=trace)
+    require(trace, (type(None), Callable),
+            "run_builtin_session argument trace must be callable or None")
     session = load_builtin_session(name)
     return run_session(session, goldens=builtin_golden_loader(), seed=seed,
                        default_trials=default_trials, trace=trace)

@@ -96,6 +96,12 @@ def test_paper_all():
         assert f"session {name}" in output
 
 
+def test_paper_all_text_matches_the_reference():
+    reference = (Path(__file__).parent.parent / "perfbench" / "reference"
+                 / "paper_all.txt").read_text(encoding="utf-8")
+    assert run_cli("paper", "--all") == (0, reference)
+
+
 def test_paper_all_json_replayed_twice_matches_the_reference():
     # The first replay fills the engine cache from empty; the second runs
     # every rewrite on the memos the first one kept.

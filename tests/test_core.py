@@ -426,7 +426,7 @@ def test_library_vector_operation_on_a_scalar_is_an_error(xy, form, message):
 @pytest.mark.parametrize("form", [
     "q * 0.1", "0.1 * q", "q + 0.1", "0.1 + q", "q - 0.1", "0.1 - q", "q + 'a'", "'a' + q",
     "q - 'a'", "'a' * q", "q * 'a'", "v * 0.5", "0.5 * v", "q ** 0.5", "q ** Fraction(1, 2)",
-    "q * True", "True * q", "q + True", "True - q", "v * False",
+    "q * True", "True * q", "q + True", "True - q", "v * False", "q ** True",
 ])
 def test_library_operand_that_is_not_an_exact_number_is_a_type_error(xy, form):
     # Only int and Fraction operands are lifted (a bool is not a number);
@@ -448,6 +448,14 @@ def test_canonicalize_places_an_inexact_number_at_its_span(greek):
         canonicalize(raw, greek.env)
     assert err.value.span == span
     assert str(err.value) == "2:7: a number must be an int or a Fraction, got 0.1"
+
+
+@pytest.mark.parametrize("exponent", [1.5, "2", None])
+def test_canonicalize_places_an_exponent_that_is_not_an_int_at_its_power(greek, exponent):
+    span = SourceSpan(3, 4)
+    with pytest.raises(ExprTypeError) as err:
+        canonicalize(rx.Pow(rx.Ident("alpha"), exponent, span), greek.env)
+    assert str(err.value) == f"3:4: an exponent must be an int, got {exponent!r}"
 
 
 @pytest.mark.parametrize("sort", ["matrix", "Scalar", None])

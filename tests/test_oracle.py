@@ -336,6 +336,12 @@ RECORDED_REPORTS = dict(line.split(" ", 1) for line in
                         (DATA / "oracle_reports.txt").read_text(encoding="utf-8").splitlines())
 
 
+def test_recorded_report_list_names_every_recording():
+    # CI replays the list and counts the files, so neither may drift.
+    recorded = {path.name for path in DATA.glob("oracle_report_*.json")}
+    assert sorted(f"oracle_report_{name}.json" for name in RECORDED_REPORTS) == sorted(recorded)
+
+
 @pytest.mark.parametrize("name", RECORDED_REPORTS)
 def test_failing_report_matches_recording(name):
     # The first check draws its runs and the second reads them.

@@ -163,7 +163,7 @@ def test_builtin_catalog_counts():
         "bsym": 1, "expandq": 2, "expandb": 5, "expanddot": 3,
     }
     for name, count in expected.items():
-        assert len(builtin_ruleset(name)) == count, name
+        assert len(builtin_ruleset(name).rules) == count, name
 
 
 # Rule kinds of every catalog set, in listing order.
@@ -201,6 +201,20 @@ def test_builtin_catalog_kinds():
     assert sorted(CATALOG_KINDS) == sorted(rules.builtin_ruleset_names())
     for name, kinds in CATALOG_KINDS.items():
         assert " ".join(r.kind for r in builtin_ruleset(name).rules) == kinds, name
+
+
+@pytest.mark.parametrize("exponent, message", [
+    (1, "exponent must be at least 2"), (0, "exponent must be at least 2"),
+    (-2, "exponent must be at least 2"), (2.0, "expected an integer exponent, found 2.0"),
+    (True, "expected an integer exponent, found True")])
+def test_power_pattern_exponent_is_an_int_of_at_least_2(exponent, message):
+    # The engine tries the power rules first at every q/b atom, so a power
+    # rule must never bind where an atom rule may; a hand-built pattern
+    # passes no parser that would refuse these exponents.
+    lhs, rhs = parse_rule_source("b(X,Y)^2 -> b(X.X, Y.Y)")
+    with pytest.raises(ParseError) as err:
+        compile_rule("r", rx.Pow(lhs.base, exponent, lhs.span), rhs)
+    assert (err.value.message, err.value.span) == (message, lhs.span)
 
 
 def test_chained_power_pattern_is_one_power_rule(xy):
